@@ -11,92 +11,31 @@ error.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import harness, output, regions
 from . import params as params_mod
 from .errors import ConfigError, DpskError
-from .params import (
-    CONFIG_KEYS,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    BlockConfig,
-    DpcParams,
-    MacParams,
-    NoisyObsParams,
-)
-
-_CHANNEL_KEYS = {
-    "dpc": ("P", "Q", "sigma2"),
-    "mac": ("P1", "P2", "Q", "sigma2"),
-    "noisy": ("P", "Q", "sigma2", "sigma_z2"),
-}
-
-_FOREIGN_KEYS = {
-    "dpc": ("P1", "P2", "beta", "sigma_z2"),
-    "mac": ("P", "sigma_z2"),
-    "noisy": ("P1", "P2", "beta"),
-}
 
 
-def _merged_config(args, scheme=None):
-    """Config-file values overridden by whatever flags were given."""
+def _merged_config(args, scheme):
+    """Config-file values overridden by whatever flags were given, checked
+    against the configuration vocabulary of ``scheme``."""
     raw = params_mod.load_config(args.config) if args.config else {}
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}", field=unknown[0])
-    for key in CONFIG_KEYS:
+    for key in params_mod.CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
-    if scheme is not None:
-        for key in _FOREIGN_KEYS[scheme]:
-            if key in raw:
-                raise ConfigError(
-                    f"key {key!r} does not apply to the {scheme} scheme", field=key
-                )
+    params_mod.resolve_scheme(raw, scheme)
     return raw
-
-
-def _channel(scheme, raw):
-    values = {}
-    for key in _CHANNEL_KEYS[scheme]:
-        if key not in raw:
-            raise ConfigError(f"{key} is required", field=key)
-        values[key] = raw[key]
-    cls = {"dpc": DpcParams, "mac": MacParams, "noisy": NoisyObsParams}[scheme]
-    return cls(**values)
 
 
 def _grid(count, name="grid"):
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"{name} must be a positive integer, got {count!r}", field=name)
     return regions.unit_grid(count)
-
-
-def _check_trials(value):
-    if value is None:
-        return DEFAULT_TRIALS
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"trials must be a positive integer, got {value!r}", field="trials")
-    return value
-
-
-def _check_seed(value):
-    if value is None:
-        return DEFAULT_SEED
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {value!r}", field="seed")
-    return value
-
-
-def _block_from(raw):
-    if "n" not in raw:
-        raise ConfigError("n is required", field="n")
-    return BlockConfig(
-        n=raw["n"], rate=raw.get("rate"), rate_fraction=raw.get("rate_fraction")
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +46,14 @@ def _cmd_region(args):
     variant = args.variant
     if variant in ("dpc-fb", "noisy"):
         scheme = "dpc" if variant == "dpc-fb" else "noisy"
-        raw = _merged_config(args, scheme)
-        channel = _channel(scheme, raw)
+        channel = params_mod.channel_from(_merged_config(args, scheme), scheme)
         points = regions.boundary_sweep(channel, _grid(args.grid))
         sigma_z2 = channel.sigma_z2 if scheme == "noisy" else None
         if args.format == "json":
             return output.json_text(output.region_rows(points, sigma_z2=sigma_z2))
         return output.region_csv(points, sigma_z2=sigma_z2)
 
-    raw = _merged_config(args, "mac")
-    channel = _channel("mac", raw)
+    channel = params_mod.channel_from(_merged_config(args, "mac"), "mac")
     gamma_grid = _grid(args.grid)
     beta_grid = _grid(args.beta_grid, "beta-grid") if args.beta_grid is not None else gamma_grid
     if variant == "mac-fb":
@@ -132,11 +69,9 @@ def _cmd_region(args):
 def _cmd_rho_star(args):
     raw = _merged_config(args, "mac")
     raw.setdefault("Q", 0.0)  # rho* does not involve the state variance
-    channel = _channel("mac", raw)
-    for key in ("gamma", "beta"):
-        if key not in raw:
-            raise ConfigError(f"{key} is required", field=key)
-    value = regions.solve_rho_star(channel, raw["gamma"], raw["beta"])
+    channel = params_mod.channel_from(raw, "mac")
+    split = params_mod.split_from(raw, "mac")
+    value = regions.solve_rho_star(channel, split.gamma, split.beta)
     if args.format == "json":
         return output.json_text({"rho_star": value})
     return output.fmt(value) + "\n"
@@ -152,8 +87,7 @@ def _trace_writer(directory, trials):
 
 
 def _cmd_simulate(args):
-    raw = _merged_config(args)
-    run = params_mod.validate(raw, scheme=args.variant)
+    run = params_mod.validate(_merged_config(args, args.variant), scheme=args.variant)
     writer = None
     if args.dump_traces:
         writer = _trace_writer(args.dump_traces, run.trials)
@@ -168,10 +102,10 @@ def _cmd_simulate(args):
 def _cmd_sweep(args):
     scheme = args.variant
     raw = _merged_config(args, scheme)
-    channel = _channel(scheme, raw)
-    block = _block_from(raw)
-    trials = _check_trials(raw.get("trials"))
-    seed = _check_seed(raw.get("seed"))
+    channel = params_mod.channel_from(raw, scheme)
+    block = params_mod.block_from(raw, scheme)
+    trials = params_mod.trials_from(raw)
+    seed = params_mod.seed_from(raw)
     gamma_grid = _grid(args.grid)
     beta_grid = None
     if scheme == "mac":
@@ -206,8 +140,8 @@ def _common_flags():
 
 
 def _add_channel_flags(parser, scheme):
-    for key in _CHANNEL_KEYS[scheme]:
-        parser.add_argument(f"--{key}", type=float, default=None)
+    for field in dataclasses.fields(params_mod.CHANNELS[scheme]):
+        parser.add_argument(f"--{field.name}", type=float, default=None)
 
 
 def _add_block_flags(parser):

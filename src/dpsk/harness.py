@@ -3,34 +3,20 @@
 Randomness contract: every trial owns one counter-based substream per
 random component (state, channel noise, observation noise, messages),
 keyed by (master_seed, trial, component) alone. Draws therefore do not
-depend on batch size, worker count, or execution order, and two runs with
-the same seed and configuration produce bit-identical reports. Workers
-write per-trial and per-batch results into preallocated slots and the
-final reduction runs in index order, so parallel and sequential execution
-agree exactly.
-
-``DPSK_THREADS`` caps the worker count (0 or unset = one worker per CPU).
+depend on batch size or execution order, and two runs with the same seed
+and configuration produce bit-identical reports. Trials run in batches,
+one after the other; per-trial results land in preallocated slots and the
+per-batch power sums are reduced in index order.
 """
 
-import concurrent.futures
 import dataclasses
 import math
-import os
 
 import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
 from .errors import ConfigError, DegenerateSplit, EmptyGrid
-from .params import (
-    BlockConfig,
-    DpcParams,
-    MacParams,
-    NoisyObsParams,
-    PowerSplit,
-    RunConfig,
-    resolve_block,
-    to_config_dict,
-)
+from .params import PowerSplit, RunConfig, resolve_block, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
 # noisy-observation run with sigma_z2 = 0 consumes exactly the same state,
@@ -38,27 +24,11 @@ from .params import (
 STATE, NOISE, OBS_NOISE, MSG, MSG2 = range(5)
 _STREAMS_PER_TRIAL = 8
 
-#: Trials processed per work unit; fixed so batching never affects output.
+#: Trials simulated per batch; fixed so batching never affects output.
 BATCH = 4096
 
 _RHO_CONVERGENCE_TOL = 1e-3
 _DISTORTION_FLAG_REL = 0.02
-
-
-def worker_count():
-    """Resolve DPSK_THREADS; 0 or unset means one worker per CPU."""
-    raw = os.environ.get("DPSK_THREADS", "0").strip() or "0"
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"DPSK_THREADS must be a nonnegative integer, got {raw!r}", field="DPSK_THREADS"
-        ) from None
-    if value < 0:
-        raise ConfigError(
-            f"DPSK_THREADS must be a nonnegative integer, got {value}", field="DPSK_THREADS"
-        )
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,18 +60,6 @@ class RandomPlan:
 def _spans(trials):
     starts = range(0, trials, BATCH)
     return [(i, s, min(s + BATCH, trials)) for i, s in enumerate(starts)]
-
-
-def _for_each_batch(spans, worker):
-    workers = min(worker_count(), len(spans))
-    if workers <= 1:
-        for span in spans:
-            worker(*span)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, *span) for span in spans]
-        for future in futures:
-            future.result()
 
 
 def _draw_normals(plan, start, stop, n, std, component):
@@ -179,45 +137,84 @@ def _symbol_stats(power_sums, trials):
     return [float(v) for v in per_symbol], per_symbol
 
 
-def _dpc_experiment(params, gamma, block, trials, plan, trace_writer):
-    n = block.n
-    rate, M = resolve_block(block, regions.dpc_rate_cap(params, gamma))
-    message_path = gamma * params.P > 0.0
-    if not message_path and M > 1:
-        raise DegenerateSplit("gamma*P = 0 cannot carry a message, resolve M = 1")
-    coeffs = sk_dpc.compute_coefficients(params, gamma, n) if message_path else None
-    std_s = math.sqrt(params.Q)
-    std_eta = math.sqrt(params.sigma2)
+def _simulate(scheme, params, kernel_params, gamma, n, trials, plan, sizes, coeffs,
+              trace_writer):
+    """Draw, simulate, decode and reduce every batch of trials in order.
 
+    ``sizes`` holds one message-set size per user. The single-user schemes
+    run the dpc kernel on ``kernel_params``; ``coeffs`` is None on their
+    forwarding-only path. Returns per-user error flags (users, trials),
+    per-trial squared estimation errors and per-user batch power sums
+    (users, batches, n).
+    """
     spans = _spans(trials)
-    errors = np.zeros(trials, dtype=bool)
+    errors = np.zeros((len(sizes), trials), dtype=bool)
     sq_err = np.empty(trials)
-    power_sums = np.zeros((len(spans), n))
+    power_sums = np.zeros((len(sizes), len(spans), n))
+    noisy = scheme == "noisy"
+    kappa = noisy_obs.make_equivalent(params).kappa if noisy else None
+    estimate = noisy_obs.estimate_true_state if noisy else sk_dpc.estimate_state
 
-    def worker(bi, start, stop):
-        S = _draw_normals(plan, start, stop, n, std_s, STATE)
-        eta = _draw_normals(plan, start, stop, n, std_eta, NOISE)
-        W = _draw_messages(plan, start, stop, M, MSG)
-        if message_path:
-            X, Y, th, _ = sk_dpc.simulate_message_batch(coeffs, _theta_grid(W, M), S, eta)
-            errors[start:stop] = sk_dpc.decode_batch(th[:, -1], M) != W
+    for bi, start, stop in spans:
+        S = _draw_normals(plan, start, stop, n, math.sqrt(params.Q), STATE)
+        eta = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), NOISE)
+        if scheme == "mac":
+            W = [_draw_messages(plan, start, stop, M, c) for M, c in zip(sizes, (MSG, MSG2))]
+            X1, X2, Y, th1, th2, _, _ = sk_dpmac.simulate_mac_batch(
+                coeffs, _theta_grid(W[0], sizes[0]), _theta_grid(W[1], sizes[1]), S, eta
+            )
+            W_hat = sk_dpmac.mac_decode_batch(th1[:, -1], th2[:, -1], *sizes)
+            X = (X1, X2)
+            s_hat = coeffs.est_coef * Y
+            columns = {"X1": X1, "X2": X2, "Y": Y, "theta1_hat": th1, "theta2_hat": th2}
         else:
-            X, Y = sk_dpc.simulate_forwarding_batch(params, gamma, S, eta)
-            th = np.zeros_like(Y)
-        s_hat = sk_dpc.estimate_state(Y, params, gamma)
+            s_in, eta_in = S, eta
+            if noisy:
+                Z = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma_z2), OBS_NOISE)
+                s_in = kappa * (S + Z)
+                # the state the encoder cannot see rides with the channel noise
+                eta_in = (S - s_in) + eta
+            W = [_draw_messages(plan, start, stop, sizes[0], MSG)]
+            if coeffs is not None:
+                x, Y, th, _ = sk_dpc.simulate_message_batch(
+                    coeffs, _theta_grid(W[0], sizes[0]), s_in, eta_in
+                )
+                W_hat = [sk_dpc.decode_batch(th[:, -1], sizes[0])]
+            else:
+                x, Y = sk_dpc.simulate_forwarding_batch(kernel_params, gamma, s_in, eta_in)
+                th = np.zeros_like(Y)
+                W_hat = W
+            X = (x,)
+            s_hat = estimate(Y, params, gamma)
+            columns = {"X": x, "Y": Y, "theta_hat": th}
+        for user, (w, w_hat, x) in enumerate(zip(W, W_hat, X)):
+            errors[user, start:stop] = w_hat != w
+            power_sums[user, bi] = np.sum(x * x, axis=0)
         sq_err[start:stop] = np.mean((S - s_hat) ** 2, axis=1)
-        power_sums[bi] = np.sum(X * X, axis=0)
         if trace_writer is not None:
+            columns.update(S=S, S_hat=s_hat)
             for i, trial in enumerate(range(start, stop)):
-                trace_writer(trial, {
-                    "X": X[i], "Y": Y[i], "theta_hat": th[i], "S": S[i], "S_hat": s_hat[i],
-                })
+                trace_writer(trial, {name: column[i] for name, column in columns.items()})
+    return errors, sq_err, power_sums
 
-    _for_each_batch(spans, worker)
 
-    pe, pe_half = _pe_with_ci(errors, trials)
+def _single_user_empirical(errors, sq_err, power_sums, trials):
+    pe, pe_half = _pe_with_ci(errors[0], trials)
     distortion, dist_se = _mean_with_se(sq_err)
-    symbol_power, per_symbol = _symbol_stats(power_sums, trials)
+    symbol_power, per_symbol = _symbol_stats(power_sums[0], trials)
+    return {
+        "pe": pe,
+        "pe_ci95": pe_half,
+        "distortion": distortion,
+        "distortion_se": dist_se,
+        "power": float(per_symbol.mean()),
+        "time1_power": float(per_symbol[0]),
+        "steady_power": float(per_symbol[1:].mean()),
+        "symbol_power": symbol_power,
+    }
+
+
+def _dpc_summary(params, gamma, n, M, message_path, empirical):
     forward = sk_dpc.state_forward_coefficient(params, gamma)
     theory = {
         "rate_cap": regions.dpc_rate_cap(params, gamma),
@@ -230,69 +227,50 @@ def _dpc_experiment(params, gamma, block, trials, plan, trace_writer):
             else forward**2 * params.Q
         ),
     }
-    empirical = {
-        "pe": pe,
-        "pe_ci95": pe_half,
-        "distortion": distortion,
-        "distortion_se": dist_se,
-        "power": float(per_symbol.mean()),
-        "time1_power": float(per_symbol[0]),
-        "steady_power": float(per_symbol[1:].mean()),
-        "symbol_power": symbol_power,
-    }
     deltas = {
-        "distortion": distortion - theory["distortion"],
+        "distortion": empirical["distortion"] - theory["distortion"],
         "time1_power": empirical["time1_power"] - theory["time1_power"],
         "steady_power": empirical["steady_power"] - theory["power"],
     }
-    return {"rate": rate, "M": M}, empirical, theory, deltas, []
+    return theory, deltas, []
 
 
-def _mac_experiment(params, gamma, beta, block, trials, plan, paper_sgn, trace_writer):
-    n = block.n
-    (rate1, M1), (rate2, M2), rho_star = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
-    coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
-    caps = regions.mac_constraints(params, gamma, beta, rho_star)
-    std_s = math.sqrt(params.Q)
-    std_eta = math.sqrt(params.sigma2)
+def _noisy_summary(params, eq_params, gamma, n, message_path, empirical):
+    eq = noisy_obs.make_equivalent(params)
+    forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
+    bound_step = regions.noisy_min_distortion(params, gamma)
+    theory = {
+        "rate_cap": regions.noisy_rate_cap(params, gamma),
+        "kappa": eq.kappa,
+        "distortion_scheme": noisy_obs.finite_n_distortion(params, gamma, n),
+        "distortion_scheme_step": noisy_obs.scheme_step_distortion(params, gamma),
+        "distortion_bound": params.Q / n + (n - 1) / n * bound_step,
+        "distortion_bound_step": bound_step,
+        "power": params.P if message_path else forward**2 * eq.state_var,
+    }
+    distortion = empirical["distortion"]
+    deltas = {
+        "distortion_scheme": distortion - theory["distortion_scheme"],
+        "distortion_bound": distortion - theory["distortion_bound"],
+        "steady_power": empirical["steady_power"] - theory["power"],
+    }
+    flags = []
+    bound = theory["distortion_bound"]
+    if bound > 0.0 and abs(distortion - bound) / bound > _DISTORTION_FLAG_REL:
+        # The conservative closed-form bound and the simulated scheme
+        # disagree beyond tolerance; report both rather than hide it.
+        flags.append("distortion_bound_mismatch")
+    return theory, deltas, flags
 
-    spans = _spans(trials)
-    errors1 = np.zeros(trials, dtype=bool)
-    errors2 = np.zeros(trials, dtype=bool)
-    sq_err = np.empty(trials)
-    power_sums1 = np.zeros((len(spans), n))
-    power_sums2 = np.zeros((len(spans), n))
 
-    def worker(bi, start, stop):
-        S = _draw_normals(plan, start, stop, n, std_s, STATE)
-        eta = _draw_normals(plan, start, stop, n, std_eta, NOISE)
-        W1 = _draw_messages(plan, start, stop, M1, MSG)
-        W2 = _draw_messages(plan, start, stop, M2, MSG2)
-        X1, X2, Y, th1, th2, _, _ = sk_dpmac.simulate_mac_batch(
-            coeffs, _theta_grid(W1, M1), _theta_grid(W2, M2), S, eta
-        )
-        w1_hat, w2_hat = sk_dpmac.mac_decode_batch(th1[:, -1], th2[:, -1], M1, M2)
-        errors1[start:stop] = w1_hat != W1
-        errors2[start:stop] = w2_hat != W2
-        s_hat = coeffs.est_coef * Y
-        sq_err[start:stop] = np.mean((S - s_hat) ** 2, axis=1)
-        power_sums1[bi] = np.sum(X1 * X1, axis=0)
-        power_sums2[bi] = np.sum(X2 * X2, axis=0)
-        if trace_writer is not None:
-            for i, trial in enumerate(range(start, stop)):
-                trace_writer(trial, {
-                    "X1": X1[i], "X2": X2[i], "Y": Y[i],
-                    "theta1_hat": th1[i], "theta2_hat": th2[i],
-                    "S": S[i], "S_hat": s_hat[i],
-                })
-
-    _for_each_batch(spans, worker)
-
-    pe1, half1 = _pe_with_ci(errors1, trials)
-    pe2, half2 = _pe_with_ci(errors2, trials)
+def _mac_summary(params, gamma, beta, n, coeffs, rho_star, errors, sq_err, power_sums,
+                 trials):
+    pe1, half1 = _pe_with_ci(errors[0], trials)
+    pe2, half2 = _pe_with_ci(errors[1], trials)
     distortion, dist_se = _mean_with_se(sq_err)
-    symbol_power1, per_symbol1 = _symbol_stats(power_sums1, trials)
-    symbol_power2, per_symbol2 = _symbol_stats(power_sums2, trials)
+    symbol_power1, per_symbol1 = _symbol_stats(power_sums[0], trials)
+    symbol_power2, per_symbol2 = _symbol_stats(power_sums[1], trials)
+    caps = regions.mac_constraints(params, gamma, beta, rho_star)
     rho_final = float(coeffs.rho[-1])
     theory = {
         "rho_star": rho_star,
@@ -328,124 +306,69 @@ def _mac_experiment(params, gamma, beta, block, trials, plan, paper_sgn, trace_w
     flags = []
     if abs(rho_final - rho_star) > _RHO_CONVERGENCE_TOL:
         flags.append("mac_rho_nonconvergence")
-    rates = {"rate1": rate1, "M1": M1, "rate2": rate2, "M2": M2}
-    return rates, empirical, theory, deltas, flags
+    return empirical, theory, deltas, flags
 
 
-def _noisy_experiment(params, gamma, block, trials, plan, trace_writer):
-    n = block.n
-    rate, M = resolve_block(block, regions.noisy_rate_cap(params, gamma))
-    message_path = gamma * params.P > 0.0
-    if not message_path and M > 1:
-        raise DegenerateSplit("gamma*P = 0 cannot carry a message, resolve M = 1")
-    eq = noisy_obs.make_equivalent(params)
-    eq_params = noisy_obs.equivalent_dpc_params(params)
-    coeffs = sk_dpc.compute_coefficients(eq_params, gamma, n) if message_path else None
-    c_true = noisy_obs.true_state_coefficient(params, gamma)
-    std_s = math.sqrt(params.Q)
-    std_z = math.sqrt(params.sigma_z2)
-    std_eta = math.sqrt(params.sigma2)
-
-    spans = _spans(trials)
-    errors = np.zeros(trials, dtype=bool)
-    sq_err = np.empty(trials)
-    power_sums = np.zeros((len(spans), n))
-
-    def worker(bi, start, stop):
-        S = _draw_normals(plan, start, stop, n, std_s, STATE)
-        eta = _draw_normals(plan, start, stop, n, std_eta, NOISE)
-        Z = _draw_normals(plan, start, stop, n, std_z, OBS_NOISE)
-        W = _draw_messages(plan, start, stop, M, MSG)
-        s_eq = eq.kappa * (S + Z)
-        eta_eq = (S - s_eq) + eta
-        if message_path:
-            X, Y, th, _ = sk_dpc.simulate_message_batch(coeffs, _theta_grid(W, M), s_eq, eta_eq)
-            errors[start:stop] = sk_dpc.decode_batch(th[:, -1], M) != W
-        else:
-            X, Y = sk_dpc.simulate_forwarding_batch(eq_params, gamma, s_eq, eta_eq)
-            th = np.zeros_like(Y)
-        s_hat = c_true * Y
-        s_hat[:, 0] = 0.0
-        sq_err[start:stop] = np.mean((S - s_hat) ** 2, axis=1)
-        power_sums[bi] = np.sum(X * X, axis=0)
-        if trace_writer is not None:
-            for i, trial in enumerate(range(start, stop)):
-                trace_writer(trial, {
-                    "X": X[i], "Y": Y[i], "theta_hat": th[i], "S": S[i], "S_hat": s_hat[i],
-                })
-
-    _for_each_batch(spans, worker)
-
-    pe, pe_half = _pe_with_ci(errors, trials)
-    distortion, dist_se = _mean_with_se(sq_err)
-    symbol_power, per_symbol = _symbol_stats(power_sums, trials)
-    forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
-    bound_step = regions.noisy_min_distortion(params, gamma)
-    theory = {
-        "rate_cap": regions.noisy_rate_cap(params, gamma),
-        "kappa": eq.kappa,
-        "distortion_scheme": noisy_obs.finite_n_distortion(params, gamma, n),
-        "distortion_scheme_step": noisy_obs.scheme_step_distortion(params, gamma),
-        "distortion_bound": params.Q / n + (n - 1) / n * bound_step,
-        "distortion_bound_step": bound_step,
-        "power": params.P if message_path else forward**2 * eq.state_var,
-    }
-    empirical = {
-        "pe": pe,
-        "pe_ci95": pe_half,
-        "distortion": distortion,
-        "distortion_se": dist_se,
-        "power": float(per_symbol.mean()),
-        "time1_power": float(per_symbol[0]),
-        "steady_power": float(per_symbol[1:].mean()),
-        "symbol_power": symbol_power,
-    }
-    deltas = {
-        "distortion_scheme": distortion - theory["distortion_scheme"],
-        "distortion_bound": distortion - theory["distortion_bound"],
-        "steady_power": empirical["steady_power"] - theory["power"],
-    }
-    flags = []
-    bound = theory["distortion_bound"]
-    if bound > 0.0 and abs(distortion - bound) / bound > _DISTORTION_FLAG_REL:
-        # The conservative closed-form bound and the simulated scheme
-        # disagree beyond tolerance; report both rather than hide it.
-        flags.append("distortion_bound_mismatch")
-    return {"rate": rate, "M": M}, empirical, theory, deltas, flags
+def _check_run(block, trials):
+    if block is None:
+        raise ConfigError("simulation needs a block configuration", field="n")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {trials!r}", field="trials")
 
 
 def run_experiment(scheme, params, split, block, trials, plan,
                    paper_sgn=False, trace_writer=None):
     """Run a seeded Monte Carlo experiment and aggregate a report.
 
-    ``trace_writer``, when given, is called once per trial with the trial
-    index and a dict of per-symbol columns (safe to call concurrently,
-    trials are disjoint). Messages are drawn uniformly; the error
-    probability is the fraction of wrongly decoded messages and distortion
-    the time-averaged squared estimation error including the
-    estimate-free initial slots.
+    ``trace_writer``, when given, is called once per trial, in trial
+    order, with the trial index and a dict of per-symbol columns. Messages
+    are drawn uniformly; the error probability is the fraction of wrongly
+    decoded messages and distortion the time-averaged squared estimation
+    error including the estimate-free initial slots.
     """
-    if block is None:
-        raise ConfigError("simulation needs a block configuration", field="n")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}", field="trials")
+    _check_run(block, trials)
+    if scheme not in ("dpc", "mac", "noisy"):
+        raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
+    if scheme == "mac" and split.beta is None:
+        raise ConfigError("the two-encoder scheme needs beta", field="beta")
 
-    if scheme == "dpc":
-        rates, empirical, theory, deltas, flags = _dpc_experiment(
-            params, split.gamma, block, trials, plan, trace_writer
+    n, gamma, beta = block.n, split.gamma, split.beta
+    kernel_params = params
+    if scheme == "mac":
+        (rate1, M1), (rate2, M2), rho_star = sk_dpmac.resolve_mac_rates(
+            params, gamma, beta, block
         )
-    elif scheme == "mac":
-        if split.beta is None:
-            raise ConfigError("the two-encoder scheme needs beta", field="beta")
-        rates, empirical, theory, deltas, flags = _mac_experiment(
-            params, split.gamma, split.beta, block, trials, plan, paper_sgn, trace_writer
-        )
-    elif scheme == "noisy":
-        rates, empirical, theory, deltas, flags = _noisy_experiment(
-            params, split.gamma, block, trials, plan, trace_writer
+        rates = {"rate1": rate1, "M1": M1, "rate2": rate2, "M2": M2}
+        sizes = (M1, M2)
+        coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
+    else:
+        cap = regions.noisy_rate_cap if scheme == "noisy" else regions.dpc_rate_cap
+        rate, M = resolve_block(block, cap(params, gamma))
+        rates = {"rate": rate, "M": M}
+        sizes = (M,)
+        message_path = gamma * params.P > 0.0
+        if not message_path and M > 1:
+            raise DegenerateSplit("gamma*P = 0 cannot carry a message, resolve M = 1")
+        if scheme == "noisy":
+            # the clean-state channel the noisy problem reduces to
+            kernel_params = noisy_obs.equivalent_dpc_params(params)
+        coeffs = sk_dpc.compute_coefficients(kernel_params, gamma, n) if message_path else None
+
+    errors, sq_err, power_sums = _simulate(
+        scheme, params, kernel_params, gamma, n, trials, plan, sizes, coeffs, trace_writer
+    )
+    if scheme == "mac":
+        empirical, theory, deltas, flags = _mac_summary(
+            params, gamma, beta, n, coeffs, rho_star, errors, sq_err, power_sums, trials
         )
     else:
-        raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
+        empirical = _single_user_empirical(errors, sq_err, power_sums, trials)
+        if scheme == "noisy":
+            theory, deltas, flags = _noisy_summary(
+                params, kernel_params, gamma, n, message_path, empirical
+            )
+        else:
+            theory, deltas, flags = _dpc_summary(params, gamma, n, M, message_path, empirical)
 
     return ExperimentReport(
         scheme=scheme,
@@ -482,6 +405,7 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     or beta*P2 zero) cannot run the joint loop; their rows keep the theory
     columns and hold NaN everywhere else.
     """
+    _check_run(block, trials)
     gamma_grid = list(gamma_grid)
     if not gamma_grid:
         raise EmptyGrid("gamma grid is empty")

@@ -21,8 +21,8 @@ import dataclasses
 import numpy as np
 
 from . import regions, sk_dpc
-from .errors import DegenerateSplit, LengthMismatch
-from .params import DpcParams, NoisyObsParams, resolve_block
+from .errors import LengthMismatch
+from .params import DpcParams, NoisyObsParams
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,10 +46,6 @@ def make_equivalent(params: NoisyObsParams):
 def equivalent_dpc_params(params: NoisyObsParams):
     eq = make_equivalent(params)
     return DpcParams(P=params.P, Q=eq.state_var, sigma2=eq.noise_var)
-
-
-def equivalent_coefficients(params: NoisyObsParams, gamma, n):
-    return sk_dpc.compute_coefficients(equivalent_dpc_params(params), gamma, n)
 
 
 def true_state_coefficient(params: NoisyObsParams, gamma):
@@ -114,8 +110,10 @@ def estimate_true_state(Y, params: NoisyObsParams, gamma):
 def noisy_run_block(params: NoisyObsParams, gamma, block, W, S, Z, eta):
     """Simulate one block with physical state S and observation noise Z.
 
-    The encoder is driven by kappa (S + Z); the channel adds the true S
-    and noise eta. With sigma_z2 = 0 this reproduces the clean-observation
+    This is :func:`dpsk.sk_dpc.run_block` on the equivalent channel: the
+    encoder is driven by kappa (S + Z) and the state it cannot see joins
+    the channel noise. The returned trace carries the true S and its
+    estimate. With sigma_z2 = 0 this reproduces the clean-observation
     trace sample for sample.
     """
     n = block.n
@@ -124,51 +122,7 @@ def noisy_run_block(params: NoisyObsParams, gamma, block, W, S, Z, eta):
     eta = np.asarray(eta, dtype=float)
     if S.shape != (n,) or Z.shape != (n,) or eta.shape != (n,):
         raise LengthMismatch(f"S, Z and eta must have shape ({n},)")
-    eq = make_equivalent(params)
-    s_eq = eq.kappa * (S + Z)
-    # Residual state the encoder cannot see, folded into the channel noise.
+    s_eq = make_equivalent(params).kappa * (S + Z)
     eta_eq = (S - s_eq) + eta
-
-    rate, M = resolve_block(block, regions.noisy_rate_cap(params, gamma))
-    if gamma * params.P == 0.0:
-        if M > 1:
-            raise DegenerateSplit("gamma * P = 0 leaves no message power; need M = 1")
-        eq_params = equivalent_dpc_params(params)
-        x = sk_dpc.state_forward_coefficient(eq_params, gamma) * s_eq
-        y = x + S + eta
-        return sk_dpc.SchemeTrace(
-            W=1,
-            W_hat=1,
-            M=1,
-            X=x,
-            Y=y,
-            theta_hat=np.zeros(n),
-            S=S,
-            S_hat=estimate_true_state(y, params, gamma),
-        )
-
-    coeffs = equivalent_coefficients(params, gamma, n)
-    theta = sk_dpc.message_to_theta(W, M)
-    X = np.empty(n)
-    Y = np.empty(n)
-    state = sk_dpc.start_encoder(theta, s_eq, coeffs)
-    for t in range(1, n + 1):
-        y_prev = Y[t - 2] if t >= 2 else None
-        x, state = sk_dpc.encode_step(state, coeffs, s_eq[t - 1], y_prev)
-        X[t - 1] = x
-        Y[t - 1] = x + s_eq[t - 1] + eta_eq[t - 1]
-
-    theta_hat = np.empty(n)
-    theta_hat[0] = Y[0] / coeffs.message_amp
-    for k in range(1, n):
-        theta_hat[k] = sk_dpc.decode_update(theta_hat[k - 1], Y[k], coeffs.mu[k - 1])
-    return sk_dpc.SchemeTrace(
-        W=int(W),
-        W_hat=sk_dpc.finalize_decode(theta_hat[-1], M),
-        M=M,
-        X=X,
-        Y=Y,
-        theta_hat=theta_hat,
-        S=S,
-        S_hat=estimate_true_state(Y, params, gamma),
-    )
+    trace = sk_dpc.run_block(equivalent_dpc_params(params), gamma, block, W, s_eq, eta_eq)
+    return dataclasses.replace(trace, S=S, S_hat=estimate_true_state(trace.Y, params, gamma))

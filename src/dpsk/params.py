@@ -73,11 +73,11 @@ def _check_variance(name, value, strictly_positive=False):
     return value
 
 
-def _check_fraction(name, value):
-    value = _require_number(name, value)
+def check_fraction(name, value):
+    """A power-split fraction as a float; SplitOutOfRange outside [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise SplitOutOfRange(f"{name} must lie in [0, 1], got {value}", field=name)
-    return value
+    return float(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,9 +156,13 @@ class PowerSplit:
     beta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _check_fraction("gamma", self.gamma))
+        object.__setattr__(
+            self, "gamma", check_fraction("gamma", _require_number("gamma", self.gamma))
+        )
         if self.beta is not None:
-            object.__setattr__(self, "beta", _check_fraction("beta", self.beta))
+            object.__setattr__(
+                self, "beta", check_fraction("beta", _require_number("beta", self.beta))
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,6 +234,16 @@ class RunConfig:
     seed: int
 
 
+#: Channel container of each scheme; its fields are the channel keys.
+CHANNELS = {"dpc": DpcParams, "mac": MacParams, "noisy": NoisyObsParams}
+
+_FOREIGN_KEYS = {
+    "dpc": ("P1", "P2", "beta", "sigma_z2"),
+    "mac": ("P", "sigma_z2"),
+    "noisy": ("P1", "P2", "beta"),
+}
+
+
 def _infer_scheme(raw):
     if "P1" in raw or "P2" in raw or "beta" in raw:
         return "mac"
@@ -238,10 +252,74 @@ def _infer_scheme(raw):
     return "dpc"
 
 
-def _pop_required(raw, key, scheme):
+def _required(raw, key, scheme):
     if key not in raw:
         raise ConfigError(f"{key} is required for the {scheme} scheme", field=key)
-    return raw.pop(key)
+    return raw[key]
+
+
+def resolve_scheme(raw, scheme=None):
+    """Scheme of a flat parameter mapping, inferred when ``scheme`` is None.
+
+    Keys outside :data:`CONFIG_KEYS` and keys that belong to a different
+    scheme are rejected rather than ignored.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"configuration must be a mapping, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}", field=unknown[0])
+    if scheme is None:
+        scheme = _infer_scheme(raw)
+    if scheme not in CHANNELS:
+        raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
+    foreign = [k for k in _FOREIGN_KEYS[scheme] if k in raw]
+    if foreign:
+        raise ConfigError(
+            f"key {foreign[0]!r} does not apply to the {scheme} scheme", field=foreign[0]
+        )
+    return scheme
+
+
+def channel_from(raw, scheme):
+    """The scheme's channel parameters; every channel key is required."""
+    cls = CHANNELS[scheme]
+    return cls(**{f.name: _required(raw, f.name, scheme) for f in dataclasses.fields(cls)})
+
+
+def split_from(raw, scheme):
+    """The power split; the two-encoder scheme also needs beta."""
+    gamma = _required(raw, "gamma", scheme)
+    beta = _required(raw, "beta", scheme) if scheme == "mac" else None
+    return PowerSplit(gamma=gamma, beta=beta)
+
+
+def block_from(raw, scheme):
+    """The block configuration, or None when no block key is given."""
+    if not {"n", "rate", "rate_fraction"} & set(raw):
+        return None
+    if "n" not in raw:
+        raise ConfigError("rate given without a block length n", field="n")
+    block = BlockConfig(n=raw["n"], rate=raw.get("rate"), rate_fraction=raw.get("rate_fraction"))
+    if scheme == "mac" and block.n < 3:
+        raise BlocklengthTooSmall(
+            f"the two-encoder scheme needs n >= 3, got {block.n}", field="n"
+        )
+    return block
+
+
+def trials_from(raw):
+    trials = raw.get("trials", DEFAULT_TRIALS)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {trials!r}", field="trials")
+    return trials
+
+
+def seed_from(raw):
+    seed = raw.get("seed", DEFAULT_SEED)
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}", field="seed")
+    return seed
 
 
 def validate(raw, scheme=None):
@@ -249,81 +327,16 @@ def validate(raw, scheme=None):
 
     ``raw`` uses the :data:`CONFIG_KEYS` vocabulary. When ``scheme`` is
     None it is inferred: P1/P2/beta select the two-encoder scheme,
-    sigma_z2 the noisy-observation one, otherwise single-user. Keys that
-    belong to a different scheme are rejected rather than ignored.
+    sigma_z2 the noisy-observation one, otherwise single-user.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"configuration must be a mapping, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}", field=unknown[0])
-    raw = dict(raw)
-    if scheme is None:
-        scheme = _infer_scheme(raw)
-    if scheme not in ("dpc", "mac", "noisy"):
-        raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
-
-    if scheme == "mac":
-        foreign = [k for k in ("P", "sigma_z2") if k in raw]
-    elif scheme == "noisy":
-        foreign = [k for k in ("P1", "P2", "beta") if k in raw]
-    else:
-        foreign = [k for k in ("P1", "P2", "beta", "sigma_z2") if k in raw]
-    if foreign:
-        raise ConfigError(
-            f"key {foreign[0]!r} does not apply to the {scheme} scheme", field=foreign[0]
-        )
-
-    if scheme == "mac":
-        channel = MacParams(
-            P1=_pop_required(raw, "P1", scheme),
-            P2=_pop_required(raw, "P2", scheme),
-            Q=_pop_required(raw, "Q", scheme),
-            sigma2=_pop_required(raw, "sigma2", scheme),
-        )
-        split = PowerSplit(
-            gamma=_pop_required(raw, "gamma", scheme),
-            beta=_pop_required(raw, "beta", scheme),
-        )
-    elif scheme == "noisy":
-        channel = NoisyObsParams(
-            P=_pop_required(raw, "P", scheme),
-            Q=_pop_required(raw, "Q", scheme),
-            sigma2=_pop_required(raw, "sigma2", scheme),
-            sigma_z2=_pop_required(raw, "sigma_z2", scheme),
-        )
-        split = PowerSplit(gamma=_pop_required(raw, "gamma", scheme))
-    else:
-        channel = DpcParams(
-            P=_pop_required(raw, "P", scheme),
-            Q=_pop_required(raw, "Q", scheme),
-            sigma2=_pop_required(raw, "sigma2", scheme),
-        )
-        split = PowerSplit(gamma=_pop_required(raw, "gamma", scheme))
-
-    block = None
-    if "n" in raw or "rate" in raw or "rate_fraction" in raw:
-        if "n" not in raw:
-            raise ConfigError("rate given without a block length n", field="n")
-        block = BlockConfig(
-            n=raw.pop("n"),
-            rate=raw.pop("rate", None),
-            rate_fraction=raw.pop("rate_fraction", None),
-        )
-        if scheme == "mac" and block.n < 3:
-            raise BlocklengthTooSmall(
-                f"the two-encoder scheme needs n >= 3, got {block.n}", field="n"
-            )
-
-    trials = raw.pop("trials", DEFAULT_TRIALS)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}", field="trials")
-    seed = raw.pop("seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}", field="seed")
-
+    scheme = resolve_scheme(raw, scheme)
     return RunConfig(
-        scheme=scheme, channel=channel, split=split, block=block, trials=trials, seed=seed
+        scheme=scheme,
+        channel=channel_from(raw, scheme),
+        split=split_from(raw, scheme),
+        block=block_from(raw, scheme),
+        trials=trials_from(raw),
+        seed=seed_from(raw),
     )
 
 

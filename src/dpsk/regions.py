@@ -16,17 +16,11 @@ import math
 import numpy as np
 
 from .errors import EmptyGrid, SplitOutOfRange
-from .params import DpcParams, MacParams, NoisyObsParams
+from .params import DpcParams, MacParams, NoisyObsParams, check_fraction
 
 
 def _half_log2(snr):
     return 0.5 * math.log2(1.0 + snr)
-
-
-def _check_fraction(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise SplitOutOfRange(f"{name} must lie in [0, 1], got {value}", field=name)
-    return float(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,7 +53,7 @@ class MacRegionConstraints:
 
 def dpc_rate_cap(params: DpcParams, gamma):
     """Largest reliable rate of the single-user feedback scheme."""
-    gamma = _check_fraction("gamma", gamma)
+    gamma = check_fraction("gamma", gamma)
     return _half_log2(gamma * params.P / params.sigma2)
 
 
@@ -69,7 +63,7 @@ def dpc_min_distortion(params: DpcParams, gamma):
     D = Q (gamma P + sigma2) / ((sqrt(Q) + sqrt((1-gamma) P))^2
         + gamma P + sigma2).
     """
-    gamma = _check_fraction("gamma", gamma)
+    gamma = check_fraction("gamma", gamma)
     P, Q, s2 = params.P, params.Q, params.sigma2
     if Q == 0.0:
         return 0.0
@@ -91,8 +85,8 @@ def dpc_fb_boundary(params: DpcParams, gamma):
 
 
 def _mac_split_terms(params: MacParams, gamma, beta):
-    gamma = _check_fraction("gamma", gamma)
-    beta = _check_fraction("beta", beta)
+    gamma = check_fraction("gamma", gamma)
+    beta = check_fraction("beta", beta)
     A = gamma * params.P1
     B = beta * params.P2
     return gamma, beta, A, B
@@ -241,7 +235,7 @@ def observation_weight(params: NoisyObsParams):
 
 def noisy_rate_cap(params: NoisyObsParams, gamma):
     """Rate cap with the observation noise folded into the channel noise."""
-    gamma = _check_fraction("gamma", gamma)
+    gamma = check_fraction("gamma", gamma)
     kappa = observation_weight(params)
     return _half_log2(gamma * params.P / (kappa * params.sigma_z2 + params.sigma2))
 
@@ -259,7 +253,7 @@ def noisy_min_distortion(params: NoisyObsParams, gamma):
     :func:`dpsk.noisy_obs.scheme_step_distortion`), and simulation reports
     flag the difference instead of hiding it.
     """
-    gamma = _check_fraction("gamma", gamma)
+    gamma = check_fraction("gamma", gamma)
     P, Q, s2 = params.P, params.Q, params.sigma2
     if Q == 0.0:
         return 0.0

@@ -47,9 +47,8 @@ from .errors import (
     LengthMismatch,
     MessageOutOfRange,
     OutOfOrderStep,
-    SplitOutOfRange,
 )
-from .params import DpcParams, resolve_block
+from .params import DpcParams, check_fraction, resolve_block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,8 +79,7 @@ class SkCoefficients:
 
 def state_forward_coefficient(params: DpcParams, gamma):
     """sqrt((1-gamma) P / Q); 0 when there is no state to forward."""
-    if not 0.0 <= gamma <= 1.0:
-        raise SplitOutOfRange(f"gamma must lie in [0, 1], got {gamma}", field="gamma")
+    check_fraction("gamma", gamma)
     if params.Q == 0.0:
         return 0.0
     return math.sqrt((1.0 - gamma) * params.P / params.Q)
@@ -89,8 +87,7 @@ def state_forward_coefficient(params: DpcParams, gamma):
 
 def compute_coefficients(params: DpcParams, gamma, n):
     """Evaluate the mu/alpha recursion for an n-step block."""
-    if not 0.0 <= gamma <= 1.0:
-        raise SplitOutOfRange(f"gamma must lie in [0, 1], got {gamma}", field="gamma")
+    check_fraction("gamma", gamma)
     if n < 2:
         raise BlocklengthTooSmall(f"the message loop needs n >= 2, got {n}", field="n")
     gp = gamma * params.P
@@ -208,8 +205,7 @@ def estimation_coefficient(params: DpcParams, gamma):
     c = sqrt(Q)(sqrt(Q) + sqrt((1-gamma)P))
         / ((sqrt(Q) + sqrt((1-gamma)P))^2 + gamma P + sigma2).
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise SplitOutOfRange(f"gamma must lie in [0, 1], got {gamma}", field="gamma")
+    check_fraction("gamma", gamma)
     Q = params.Q
     if Q == 0.0:
         return 0.0

@@ -42,9 +42,8 @@ from .errors import (
     DegenerateSplit,
     LengthMismatch,
     OutOfOrderStep,
-    SplitOutOfRange,
 )
-from .params import MacParams, resolve_block
+from .params import MacParams, check_fraction, resolve_block
 from .sk_dpc import decode_batch, finalize_decode, message_to_theta
 
 
@@ -91,12 +90,6 @@ class MacSkCoefficients:
                 value.setflags(write=False)
 
 
-def _check_fraction(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise SplitOutOfRange(f"{name} must lie in [0, 1], got {value}", field=name)
-    return float(value)
-
-
 def _sign(raw, paper_sgn):
     if raw >= 0.0:
         return 1.0
@@ -105,8 +98,8 @@ def _sign(raw, paper_sgn):
 
 def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     """Propagate the error covariance and freeze every per-step constant."""
-    gamma = _check_fraction("gamma", gamma)
-    beta = _check_fraction("beta", beta)
+    gamma = check_fraction("gamma", gamma)
+    beta = check_fraction("beta", beta)
     if n < 3:
         raise BlocklengthTooSmall(f"two-encoder blocks need n >= 3, got {n}", field="n")
     A = gamma * params.P1
@@ -312,21 +305,16 @@ def mac_decode(Y, coeffs: MacSkCoefficients, M1, M2):
     )
 
 
-def mac_estimation_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
-    """Per-step scalar weights c_t with S_hat_t = c_t Y_t.
-
-    Derived from the propagated covariances: c_t = E[S_t Y_t]/E[Y_t^2]
-    = lambda Q / E[Y_t^2]. The two init slots carry no usable state
-    component, so their weight is 0.
-    """
-    return mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn).est_coef
-
-
 def mac_estimate_state(Y, params: MacParams, gamma, beta, paper_sgn=False):
-    """Receiver state estimates; S_hat is 0 on the two init slots."""
+    """Receiver state estimates S_hat_t = c_t Y_t.
+
+    The per-step weights c_t = E[S_t Y_t]/E[Y_t^2] = lambda Q / E[Y_t^2]
+    come from the propagated covariances; the two init slots carry no
+    usable state component, so S_hat is 0 there.
+    """
     Y = np.asarray(Y, dtype=float)
-    est = mac_estimation_coefficients(params, gamma, beta, Y.shape[-1], paper_sgn=paper_sgn)
-    return est * Y
+    coeffs = mac_coefficients(params, gamma, beta, Y.shape[-1], paper_sgn=paper_sgn)
+    return coeffs.est_coef * Y
 
 
 @dataclasses.dataclass(frozen=True)

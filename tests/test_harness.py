@@ -52,34 +52,11 @@ def test_messages_cover_the_whole_range():
     assert plan.message(0, harness.MSG, 1) == 1
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DPSK_THREADS", "3")
-    assert harness.worker_count() == 3
-    monkeypatch.setenv("DPSK_THREADS", "0")
-    assert harness.worker_count() >= 1
-    monkeypatch.delenv("DPSK_THREADS")
-    assert harness.worker_count() >= 1
-    monkeypatch.setenv("DPSK_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        harness.worker_count()
-    monkeypatch.setenv("DPSK_THREADS", "-2")
-    with pytest.raises(ConfigError):
-        harness.worker_count()
-
-
 def _small_dpc_report(trials=600, seed=11):
     return harness.run_experiment(
         "dpc", ACC, PowerSplit(0.5), BlockConfig(30, rate_fraction=0.5),
         trials, harness.RandomPlan(seed),
     )
-
-
-def test_report_is_identical_across_worker_counts(monkeypatch):
-    monkeypatch.setenv("DPSK_THREADS", "1")
-    sequential = _small_dpc_report()
-    monkeypatch.setenv("DPSK_THREADS", "4")
-    threaded = _small_dpc_report()
-    assert sequential.as_dict() == threaded.as_dict()
 
 
 def test_report_is_identical_across_repeat_runs():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dpsk import noisy_obs, regions, sk_dpc
+from dpsk import harness, noisy_obs, regions, sk_dpc
 from dpsk.errors import DegenerateSplit, LengthMismatch
-from dpsk.params import BlockConfig, DpcParams, NoisyObsParams
+from dpsk.params import BlockConfig, DpcParams, NoisyObsParams, PowerSplit
 
 from oracles import noisy_moment_oracle
 
@@ -109,6 +109,31 @@ def test_observation_noise_enters_decoding_error():
     trace = noisy_obs.noisy_run_block(FIG3, 0.5, block, 2, S, Z, np.zeros(n))
     theta = sk_dpc.message_to_theta(2, M)
     assert abs(trace.theta_hat[-1] - theta) > 1e-9
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_run_block_matches_harness_traces(gamma):
+    # the per-block reference and the batch harness must agree bit for bit,
+    # on the forwarding-only path as well as the message path
+    n, trials = 60, 50
+    block = BlockConfig(n, rate_fraction=0.7)
+    plan = harness.RandomPlan(7)
+    columns = {}
+    report = harness.run_experiment(
+        "noisy", FIG3, PowerSplit(gamma), block, trials, plan,
+        trace_writer=lambda trial, cols: columns.__setitem__(trial, cols),
+    )
+    M = report.rates["M"]
+    assert sorted(columns) == list(range(trials))
+    for trial, cols in columns.items():
+        S = plan.normal_block(trial, harness.STATE, n, math.sqrt(FIG3.Q))
+        Z = plan.normal_block(trial, harness.OBS_NOISE, n, math.sqrt(FIG3.sigma_z2))
+        eta = plan.normal_block(trial, harness.NOISE, n, math.sqrt(FIG3.sigma2))
+        W = plan.message(trial, harness.MSG, M)
+        trace = noisy_obs.noisy_run_block(FIG3, gamma, block, W, S, Z, eta)
+        for name in ("X", "Y", "theta_hat", "S", "S_hat"):
+            np.testing.assert_array_equal(getattr(trace, name), cols[name], err_msg=name)
+        assert trace.W_hat == int(sk_dpc.decode_batch(cols["theta_hat"][-1], M))
 
 
 def test_estimate_true_state_zeroes_first_slot():

@@ -345,3 +345,19 @@ def test_sweep_json_round_trip(capsys):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 2 and rows[0]["gamma"] == 0.0
+
+
+CHANNEL_MAC = ["--P1", "10", "--P2", "10", "--Q", "10", "--sigma2", "5"]
+
+
+@pytest.mark.parametrize("scheme, shared, simulate_only", [
+    ("mac", CHANNEL_MAC + ["--n", "2", "--trials", "5"], ["--gamma", "0.5", "--beta", "0.5"]),
+    ("dpc", ["--Q", "10", "--sigma2", "5", "--n", "10", "--trials", "5"], ["--gamma", "0.5"]),
+])
+def test_sweep_and_simulate_share_validation(capsys, scheme, shared, simulate_only):
+    code_sim, _, err_sim = run_cli(capsys, "simulate", scheme, *shared, *simulate_only)
+    code_sweep, out_sweep, err_sweep = run_cli(capsys, "sweep", scheme, *shared, "--grid", "1")
+    assert code_sim == code_sweep == 2
+    assert out_sweep == ""
+    assert err_sim == err_sweep
+    assert ("n >= 3" if scheme == "mac" else "P is required for the dpc scheme") in err_sim
