@@ -48,10 +48,7 @@ def _cmd_region(args):
         scheme = "dpc" if variant == "dpc-fb" else "noisy"
         channel = params_mod.channel_from(_merged_config(args, scheme), scheme)
         points = regions.boundary_sweep(channel, _grid(args.grid))
-        sigma_z2 = channel.sigma_z2 if scheme == "noisy" else None
-        if args.format == "json":
-            return output.json_text(output.region_rows(points, sigma_z2=sigma_z2))
-        return output.region_csv(points, sigma_z2=sigma_z2)
+        return output.region_rows(points, sigma_z2=channel.sigma_z2 if scheme == "noisy" else None)
 
     channel = params_mod.channel_from(_merged_config(args, "mac"), "mac")
     gamma_grid = _grid(args.grid)
@@ -61,9 +58,7 @@ def _cmd_region(args):
         rows = regions.mac_fb_region(channel, gamma_grid, beta_grid, rho_grid=rho_grid)
     else:
         rows = regions.mac_nofb_region(channel, gamma_grid, beta_grid)
-    if args.format == "json":
-        return output.json_text(output.mac_region_rows(rows))
-    return output.mac_region_csv(rows)
+    return output.region_rows(rows)
 
 
 def _cmd_rho_star(args):
@@ -71,9 +66,12 @@ def _cmd_rho_star(args):
     raw.setdefault("Q", 0.0)  # rho* does not involve the state variance
     channel = params_mod.channel_from(raw, "mac")
     split = params_mod.split_from(raw, "mac")
-    value = regions.solve_rho_star(channel, split.gamma, split.beta)
-    if args.format == "json":
-        return output.json_text({"rho_star": value})
+    return {"rho_star": regions.solve_rho_star(channel, split.gamma, split.beta)}
+
+
+def _value_csv(data):
+    """The single value of ``data``, bare, as its CSV form."""
+    (value,) = data.values()
     return output.fmt(value) + "\n"
 
 
@@ -94,9 +92,7 @@ def _cmd_simulate(args):
     report = harness.run_config(
         run, paper_sgn=getattr(args, "paper_sgn", False), trace_writer=writer
     )
-    if args.format == "json":
-        return output.json_text(report.as_dict())
-    return output.report_csv(report.as_dict())
+    return report.as_dict()
 
 
 def _cmd_sweep(args):
@@ -112,7 +108,7 @@ def _cmd_sweep(args):
         beta_grid = (
             _grid(args.beta_grid, "beta-grid") if args.beta_grid is not None else gamma_grid
         )
-    rows = harness.sweep(
+    return harness.sweep(
         scheme,
         channel,
         gamma_grid,
@@ -122,9 +118,6 @@ def _cmd_sweep(args):
         beta_grid=beta_grid,
         paper_sgn=getattr(args, "paper_sgn", False),
     )
-    if args.format == "json":
-        return output.json_text(rows)
-    return output.rows_csv(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +174,14 @@ def build_parser():
                 "--rho-grid", type=int, default=None, dest="rho_grid",
                 help="evaluate a rho grid instead of the fixed point rho*",
             )
-        p.set_defaults(func=_cmd_region)
+        p.set_defaults(func=_cmd_region, csv=output.rows_csv)
 
     rho = sub.add_parser("rho-star", parents=[common],
                          help="fixed-point error correlation of the two-encoder loop")
     _add_channel_flags(rho, "mac")
     rho.add_argument("--gamma", type=float, default=None)
     rho.add_argument("--beta", type=float, default=None)
-    rho.set_defaults(func=_cmd_rho_star)
+    rho.set_defaults(func=_cmd_rho_star, csv=_value_csv)
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo experiment")
     simulate_sub = simulate.add_subparsers(dest="variant", required=True)
@@ -205,7 +198,7 @@ def build_parser():
         _add_trial_flags(p)
         p.add_argument("--dump-traces", metavar="DIR", dest="dump_traces",
                        help="write one per-symbol trace CSV per trial into DIR")
-        p.set_defaults(func=_cmd_simulate)
+        p.set_defaults(func=_cmd_simulate, csv=output.report_csv)
 
     sweep = sub.add_parser("sweep", help="simulate across a power-split grid")
     sweep_sub = sweep.add_subparsers(dest="variant", required=True)
@@ -218,7 +211,7 @@ def build_parser():
             p.add_argument("--paper-sgn", action="store_true", dest="paper_sgn")
         _add_block_flags(p)
         _add_trial_flags(p)
-        p.set_defaults(func=_cmd_sweep)
+        p.set_defaults(func=_cmd_sweep, csv=output.rows_csv)
 
     return parser
 
@@ -227,7 +220,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        data = args.func(args)
+        text = output.json_text(data) if args.format == "json" else args.csv(data)
         output.write_text(text, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

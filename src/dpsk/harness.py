@@ -16,7 +16,7 @@ import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
 from .errors import ConfigError, DegenerateSplit, EmptyGrid
-from .params import PowerSplit, RunConfig, resolve_block, to_config_dict
+from .params import PowerSplit, RunConfig, check_trials, resolve_block, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
 # noisy-observation run with sigma_z2 = 0 consumes exactly the same state,
@@ -112,16 +112,7 @@ class ExperimentReport:
     flags: list
 
     def as_dict(self):
-        return {
-            "scheme": self.scheme,
-            "config": self.config,
-            "trials": self.trials,
-            "rates": self.rates,
-            "empirical": self.empirical,
-            "theory": self.theory,
-            "deltas": self.deltas,
-            "flags": list(self.flags),
-        }
+        return dataclasses.asdict(self)
 
 
 def _config_echo(scheme, params, split, block, trials, plan):
@@ -312,8 +303,7 @@ def _mac_summary(params, gamma, beta, n, coeffs, rho_star, errors, sq_err, power
 def _check_run(block, trials):
     if block is None:
         raise ConfigError("simulation needs a block configuration", field="n")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}", field="trials")
+    check_trials(trials)
 
 
 def run_experiment(scheme, params, split, block, trials, plan,

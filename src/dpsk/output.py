@@ -1,21 +1,18 @@
 """CSV and JSON emission with byte-stable formatting.
 
-Floats are printed with 12 significant digits everywhere, so identical
-inputs serialize identically and region files round-trip through plotting
-tools without visible quantization. All writers return complete text;
-callers decide where it goes.
+CSV cells print floats at 12 significant digits, so identical inputs
+serialize identically and region files round-trip through plotting tools
+without visible quantization. JSON goes through :func:`json.dumps`, which
+prints floats at full repr precision. Rows are dicts whose key order is
+the column order; record types supply it through their field order. All
+writers return complete text; callers decide where it goes.
 """
 
+import dataclasses
 import json
 import sys
 
 import numpy as np
-
-REGION_HEADER = ("gamma", "rate", "distortion")
-NOISY_REGION_HEADER = ("gamma", "rate", "distortion", "sigma_z2")
-MAC_REGION_HEADER = ("gamma", "beta", "rho", "r1_max", "r2_max", "rsum_max", "d_min")
-TRACE_HEADER = ("t", "X", "Y", "theta_hat", "S", "S_hat")
-MAC_TRACE_HEADER = ("t", "X1", "X2", "Y", "theta1_hat", "theta2_hat", "S", "S_hat")
 
 
 def fmt(value):
@@ -39,60 +36,17 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def region_csv(points, sigma_z2=None):
-    """`gamma,rate,distortion` rows; noisy-observation rows carry sigma_z2."""
-    if sigma_z2 is None:
-        return csv_text(REGION_HEADER, ((p.gamma, p.rate, p.distortion) for p in points))
-    return csv_text(
-        NOISY_REGION_HEADER,
-        ((p.gamma, p.rate, p.distortion, sigma_z2) for p in points),
-    )
-
-
-def region_rows(points, sigma_z2=None):
-    """The same region content as JSON-ready dicts."""
-    out = []
-    for p in points:
-        row = {"gamma": p.gamma, "rate": p.rate, "distortion": p.distortion}
-        if sigma_z2 is not None:
-            row["sigma_z2"] = sigma_z2
-        out.append(row)
-    return out
-
-
-def mac_region_csv(constraints):
-    return csv_text(
-        MAC_REGION_HEADER,
-        (
-            (c.gamma, c.beta, c.rho, c.r1_max, c.r2_max, c.rsum_max, c.d_min)
-            for c in constraints
-        ),
-    )
-
-
-def mac_region_rows(constraints):
-    return [
-        {
-            "gamma": c.gamma,
-            "beta": c.beta,
-            "rho": c.rho,
-            "r1_max": c.r1_max,
-            "r2_max": c.r2_max,
-            "rsum_max": c.rsum_max,
-            "d_min": c.d_min,
-        }
-        for c in constraints
-    ]
+def region_rows(records, sigma_z2=None):
+    """Region records as dicts in field order; noisy-observation rows also
+    carry sigma_z2."""
+    extra = {} if sigma_z2 is None else {"sigma_z2": sigma_z2}
+    return [{**dataclasses.asdict(record), **extra} for record in records]
 
 
 def trace_csv(columns):
-    """Per-symbol trace of one trial; the schema follows the key set."""
-    header = MAC_TRACE_HEADER if "X1" in columns else TRACE_HEADER
-    n = len(columns[header[1]])
-    rows = (
-        [t + 1] + [columns[name][t] for name in header[1:]]
-        for t in range(n)
-    )
+    """Per-symbol trace of one trial; the columns follow the key order."""
+    header = ("t", *columns)
+    rows = ([t + 1, *values] for t, values in enumerate(zip(*columns.values())))
     return csv_text(header, rows)
 
 

@@ -13,6 +13,7 @@ identical values bit for bit (floats survive the JSON round trip via repr).
 """
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -80,8 +81,27 @@ def check_fraction(name, value):
     return float(value)
 
 
+#: Check applied to each channel field; a channel validates its fields in
+#: declaration order.
+_CHANNEL_CHECKS = {
+    "P": _check_power,
+    "P1": _check_power,
+    "P2": _check_power,
+    "Q": _check_variance,
+    "sigma2": functools.partial(_check_variance, strictly_positive=True),
+    "sigma_z2": _check_variance,
+}
+
+
+class _Channel:
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = _CHANNEL_CHECKS[field.name](field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, value)
+
+
 @dataclasses.dataclass(frozen=True)
-class DpcParams:
+class DpcParams(_Channel):
     """Single-user channel: power budget ``P``, state variance ``Q``,
     channel-noise variance ``sigma2``.
 
@@ -93,16 +113,9 @@ class DpcParams:
     Q: float
     sigma2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "P", _check_power("P", self.P))
-        object.__setattr__(self, "Q", _check_variance("Q", self.Q))
-        object.__setattr__(
-            self, "sigma2", _check_variance("sigma2", self.sigma2, strictly_positive=True)
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class MacParams:
+class MacParams(_Channel):
     """Two-encoder channel: per-encoder budgets ``P1``, ``P2``, shared state
     variance ``Q``, channel-noise variance ``sigma2``."""
 
@@ -111,17 +124,9 @@ class MacParams:
     Q: float
     sigma2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "P1", _check_power("P1", self.P1))
-        object.__setattr__(self, "P2", _check_power("P2", self.P2))
-        object.__setattr__(self, "Q", _check_variance("Q", self.Q))
-        object.__setattr__(
-            self, "sigma2", _check_variance("sigma2", self.sigma2, strictly_positive=True)
-        )
-
 
 @dataclasses.dataclass(frozen=True)
-class NoisyObsParams:
+class NoisyObsParams(_Channel):
     """Single-user channel whose transmitter sees the state through
     additive noise of variance ``sigma_z2``."""
 
@@ -129,14 +134,6 @@ class NoisyObsParams:
     Q: float
     sigma2: float
     sigma_z2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "P", _check_power("P", self.P))
-        object.__setattr__(self, "Q", _check_variance("Q", self.Q))
-        object.__setattr__(
-            self, "sigma2", _check_variance("sigma2", self.sigma2, strictly_positive=True)
-        )
-        object.__setattr__(self, "sigma_z2", _check_variance("sigma_z2", self.sigma_z2))
 
     def base(self):
         """The same channel with a perfectly observed state."""
@@ -308,11 +305,15 @@ def block_from(raw, scheme):
     return block
 
 
-def trials_from(raw):
-    trials = raw.get("trials", DEFAULT_TRIALS)
+def check_trials(trials):
+    """A trial count; ConfigError unless it is a positive integer."""
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}", field="trials")
     return trials
+
+
+def trials_from(raw):
+    return check_trials(raw.get("trials", DEFAULT_TRIALS))
 
 
 def seed_from(raw):
@@ -342,22 +343,11 @@ def validate(raw, scheme=None):
 
 def to_config_dict(run_config):
     """Flatten a :class:`RunConfig` back to the configuration vocabulary."""
-    out = {}
-    channel = run_config.channel
-    for field in dataclasses.fields(channel):
-        out[field.name] = getattr(channel, field.name)
-    out["gamma"] = run_config.split.gamma
-    if run_config.split.beta is not None:
-        out["beta"] = run_config.split.beta
-    if run_config.block is not None:
-        out["n"] = run_config.block.n
-        if run_config.block.rate is not None:
-            out["rate"] = run_config.block.rate
-        if run_config.block.rate_fraction is not None:
-            out["rate_fraction"] = run_config.block.rate_fraction
-    out["trials"] = run_config.trials
-    out["seed"] = run_config.seed
-    return {key: out[key] for key in CONFIG_KEYS if key in out}
+    out = {"trials": run_config.trials, "seed": run_config.seed}
+    for part in (run_config.channel, run_config.split, run_config.block):
+        if part is not None:
+            out.update(dataclasses.asdict(part))
+    return {key: out[key] for key in CONFIG_KEYS if out.get(key) is not None}
 
 
 def load_config(path):

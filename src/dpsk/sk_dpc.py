@@ -37,12 +37,14 @@ covariance propagation.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
 from . import regions
 from .errors import (
     BlocklengthTooSmall,
+    ConfigError,
     DegenerateSplit,
     LengthMismatch,
     MessageOutOfRange,
@@ -86,7 +88,13 @@ def state_forward_coefficient(params: DpcParams, gamma):
 
 
 def compute_coefficients(params: DpcParams, gamma, n):
-    """Evaluate the mu/alpha recursion for an n-step block."""
+    """Evaluate the mu/alpha recursion for an n-step block.
+
+    ``alpha`` decays geometrically; a block long enough to take it below
+    float64's normal range, or so low that the next gain sqrt(gamma P /
+    alpha) overflows, is rejected with ConfigError naming the longest
+    block these parameters support.
+    """
     check_fraction("gamma", gamma)
     if n < 2:
         raise BlocklengthTooSmall(f"the message loop needs n >= 2, got {n}", field="n")
@@ -99,10 +107,17 @@ def compute_coefficients(params: DpcParams, gamma, n):
     gain = np.empty(n)
     gain[0] = np.nan
     alpha[0] = s2 / (12.0 * gp)
+    alpha_floor = max(sys.float_info.min, gp / sys.float_info.max)
     for k in range(1, n):
         mu[k - 1] = math.sqrt(gp * alpha[k - 1]) / (gp + s2)
         alpha[k] = alpha[k - 1] - mu[k - 1] ** 2 * (gp + s2)
         gain[k] = math.sqrt(gp / alpha[k - 1])
+        if alpha[k] < alpha_floor:
+            raise ConfigError(
+                f"n = {n} is too long for these parameters: the error variance "
+                f"underflows float64 at step {k + 1}; the longest block is n = {k}",
+                field="n",
+            )
     state_coef = state_forward_coefficient(params, gamma)
     return SkCoefficients(
         params=params,

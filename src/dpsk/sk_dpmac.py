@@ -33,12 +33,14 @@ which the propagation evaluates from raw second moments each step.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
 from . import regions
 from .errors import (
     BlocklengthTooSmall,
+    ConfigError,
     DegenerateSplit,
     LengthMismatch,
     OutOfOrderStep,
@@ -97,7 +99,13 @@ def _sign(raw, paper_sgn):
 
 
 def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
-    """Propagate the error covariance and freeze every per-step constant."""
+    """Propagate the error covariance and freeze every per-step constant.
+
+    A block long enough to take alpha1*alpha2 below float64's normal range,
+    where the correlation c12/sqrt(alpha1 alpha2) can no longer be formed,
+    is rejected with ConfigError naming the longest block these parameters
+    support.
+    """
     gamma = check_fraction("gamma", gamma)
     beta = check_fraction("beta", beta)
     if n < 3:
@@ -149,6 +157,12 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
         a1 = a1 - e1 * e1 / v
         a2 = a2 - e2 * e2 / v
         c12 = c12 - e1 * e2 / v
+        if a1 * a2 < sys.float_info.min:
+            raise ConfigError(
+                f"n = {n} is too long for these parameters: the error covariance "
+                f"underflows float64 at step {k + 1}; the longest block is n = {k}",
+                field="n",
+            )
         alpha1[k] = a1
         alpha2[k] = a2
         raw = c12 / math.sqrt(a1 * a2)

@@ -40,10 +40,10 @@ def test_csv_text_shape():
 
 def test_region_csv_headers():
     points = regions.boundary_sweep(DpcParams(10, 10, 5), [0.5])
-    text = output.region_csv(points)
+    text = output.rows_csv(output.region_rows(points))
     assert text.splitlines()[0] == "gamma,rate,distortion"
     assert text.splitlines()[1] == "0.5,0.5,2.55479161795"
-    noisy = output.region_csv(points, sigma_z2=1.0)
+    noisy = output.rows_csv(output.region_rows(points, sigma_z2=1.0))
     assert noisy.splitlines()[0] == "gamma,rate,distortion,sigma_z2"
     assert noisy.splitlines()[1].endswith(",1")
     rows = output.region_rows(points, sigma_z2=1.0)
@@ -361,3 +361,23 @@ def test_sweep_and_simulate_share_validation(capsys, scheme, shared, simulate_on
     assert out_sweep == ""
     assert err_sim == err_sweep
     assert ("n >= 3" if scheme == "mac" else "P is required for the dpc scheme") in err_sim
+
+
+LONG_BLOCKS = {
+    # scheme: (flags, accepted n, rejected n, longest n the recursion supports)
+    "dpc": (["--P", "10", "--Q", "10", "--sigma2", "5", "--gamma", "1"], 640, 660, 642),
+    "mac": (CHANNEL_MAC + ["--gamma", "0.8", "--beta", "0.8"], 400, 450, 414),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(LONG_BLOCKS))
+def test_long_blocks_are_rejected(capsys, scheme):
+    flags, accepted, rejected, longest = LONG_BLOCKS[scheme]
+    argv = ["simulate", scheme, *flags, "--rate", "0.05", "--trials", "20", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, "--n", str(rejected))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.rstrip().endswith(f"the longest block is n = {longest}")
+    code, out, _ = run_cli(capsys, *argv, "--n", str(accepted))
+    assert code == 0
+    assert "NaN" not in out and "Infinity" not in out
