@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
-from .errors import ConfigError, DegenerateSplit, EmptyGrid
-from .params import PowerSplit, RunConfig, check_trials, resolve_block, to_config_dict
+from .errors import ConfigError, EmptyGrid
+from .params import PowerSplit, RunConfig, check_trials, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
 # noisy-observation run with sigma_z2 = 0 consumes exactly the same state,
@@ -76,10 +76,6 @@ def _draw_messages(plan, start, stop, M, component):
     return out
 
 
-def _theta_grid(W, M):
-    return -0.5 + (2.0 * W - 1.0) / (2.0 * M)
-
-
 def _pe_with_ci(errors, trials):
     pe = float(np.count_nonzero(errors)) / trials
     half = 1.96 * math.sqrt(max(pe * (1.0 - pe), 0.0) / trials)
@@ -115,77 +111,51 @@ class ExperimentReport:
         return dataclasses.asdict(self)
 
 
-def _config_echo(scheme, params, split, block, trials, plan):
-    run = RunConfig(
-        scheme=scheme, channel=params, split=split, block=block,
-        trials=trials, seed=plan.master_seed,
-    )
-    return to_config_dict(run)
-
-
 def _symbol_stats(power_sums, trials):
     per_symbol = np.sum(power_sums, axis=0) / trials
     return [float(v) for v in per_symbol], per_symbol
 
 
-def _simulate(scheme, params, kernel_params, gamma, n, trials, plan, sizes, coeffs,
-              trace_writer):
-    """Draw, simulate, decode and reduce every batch of trials in order.
+def _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_writer):
+    """Draw, simulate and reduce every batch of trials in order.
 
-    ``sizes`` holds one message-set size per user. The single-user schemes
-    run the dpc kernel on ``kernel_params``; ``coeffs`` is None on their
-    forwarding-only path. Returns per-user error flags (users, trials),
-    per-trial squared estimation errors and per-user batch power sums
-    (users, batches, n).
+    ``sizes`` holds one message-set size per user and ``coeffs`` the
+    scheme's loop coefficients (None on the single-user forwarding-only
+    path). Returns per-user error flags (users, trials), per-trial squared
+    estimation errors and per-user batch power sums (users, batches, n).
     """
     spans = _spans(trials)
     errors = np.zeros((len(sizes), trials), dtype=bool)
     sq_err = np.empty(trials)
     power_sums = np.zeros((len(sizes), len(spans), n))
-    noisy = scheme == "noisy"
-    kappa = noisy_obs.make_equivalent(params).kappa if noisy else None
-    estimate = noisy_obs.estimate_true_state if noisy else sk_dpc.estimate_state
 
     for bi, start, stop in spans:
         S = _draw_normals(plan, start, stop, n, math.sqrt(params.Q), STATE)
         eta = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), NOISE)
         if scheme == "mac":
-            W = [_draw_messages(plan, start, stop, M, c) for M, c in zip(sizes, (MSG, MSG2))]
-            X1, X2, Y, th1, th2, _, _ = sk_dpmac.simulate_mac_batch(
-                coeffs, _theta_grid(W[0], sizes[0]), _theta_grid(W[1], sizes[1]), S, eta
-            )
-            W_hat = sk_dpmac.mac_decode_batch(th1[:, -1], th2[:, -1], *sizes)
-            X = (X1, X2)
-            s_hat = coeffs.est_coef * Y
-            columns = {"X1": X1, "X2": X2, "Y": Y, "theta1_hat": th1, "theta2_hat": th2}
+            W1, W2 = (_draw_messages(plan, start, stop, M, c) for M, c in zip(sizes, (MSG, MSG2)))
+            trace = sk_dpmac.mac_run_batch(coeffs, *sizes, W1, W2, S, eta)
+            users = ((W1, trace.W1_hat, trace.X1), (W2, trace.W2_hat, trace.X2))
         else:
-            s_in, eta_in = S, eta
-            if noisy:
+            W = _draw_messages(plan, start, stop, sizes[0], MSG)
+            if scheme == "noisy":
                 Z = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma_z2), OBS_NOISE)
-                s_in = kappa * (S + Z)
-                # the state the encoder cannot see rides with the channel noise
-                eta_in = (S - s_in) + eta
-            W = [_draw_messages(plan, start, stop, sizes[0], MSG)]
-            if coeffs is not None:
-                x, Y, th, _ = sk_dpc.simulate_message_batch(
-                    coeffs, _theta_grid(W[0], sizes[0]), s_in, eta_in
-                )
-                W_hat = [sk_dpc.decode_batch(th[:, -1], sizes[0])]
+                trace = noisy_obs.noisy_run_batch(params, gamma, sizes[0], coeffs, W, S, Z, eta)
             else:
-                x, Y = sk_dpc.simulate_forwarding_batch(kernel_params, gamma, s_in, eta_in)
-                th = np.zeros_like(Y)
-                W_hat = W
-            X = (x,)
-            s_hat = estimate(Y, params, gamma)
-            columns = {"X": x, "Y": Y, "theta_hat": th}
-        for user, (w, w_hat, x) in enumerate(zip(W, W_hat, X)):
+                trace = sk_dpc.run_batch(params, gamma, sizes[0], coeffs, W, S, eta)
+            users = ((W, trace.W_hat, trace.X),)
+        for user, (w, w_hat, x) in enumerate(users):
             errors[user, start:stop] = w_hat != w
             power_sums[user, bi] = np.sum(x * x, axis=0)
-        sq_err[start:stop] = np.mean((S - s_hat) ** 2, axis=1)
+        sq_err[start:stop] = np.mean((S - trace.S_hat) ** 2, axis=1)
         if trace_writer is not None:
-            columns.update(S=S, S_hat=s_hat)
+            # the per-symbol (B, n) fields of the trace record, in field order
+            columns = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)
+                       if np.ndim(getattr(trace, f.name)) == 2}
             for i, trial in enumerate(range(start, stop)):
                 trace_writer(trial, {name: column[i] for name, column in columns.items()})
+        # the trace holds this batch's S too; free its (B, n) arrays before the next draw
+        del trace, users
     return errors, sq_err, power_sums
 
 
@@ -323,7 +293,6 @@ def run_experiment(scheme, params, split, block, trials, plan,
         raise ConfigError("the two-encoder scheme needs beta", field="beta")
 
     n, gamma, beta = block.n, split.gamma, split.beta
-    kernel_params = params
     if scheme == "mac":
         (rate1, M1), (rate2, M2), rho_star = sk_dpmac.resolve_mac_rates(
             params, gamma, beta, block
@@ -332,20 +301,15 @@ def run_experiment(scheme, params, split, block, trials, plan,
         sizes = (M1, M2)
         coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
     else:
-        cap = regions.noisy_rate_cap if scheme == "noisy" else regions.dpc_rate_cap
-        rate, M = resolve_block(block, cap(params, gamma))
+        # the noisy scheme runs on the clean-state channel it reduces to
+        kernel_params = noisy_obs.equivalent_dpc_params(params) if scheme == "noisy" else params
+        rate, M, coeffs = sk_dpc.resolve_loop(kernel_params, gamma, block)
         rates = {"rate": rate, "M": M}
         sizes = (M,)
-        message_path = gamma * params.P > 0.0
-        if not message_path and M > 1:
-            raise DegenerateSplit("gamma*P = 0 cannot carry a message, resolve M = 1")
-        if scheme == "noisy":
-            # the clean-state channel the noisy problem reduces to
-            kernel_params = noisy_obs.equivalent_dpc_params(params)
-        coeffs = sk_dpc.compute_coefficients(kernel_params, gamma, n) if message_path else None
+        message_path = coeffs is not None
 
     errors, sq_err, power_sums = _simulate(
-        scheme, params, kernel_params, gamma, n, trials, plan, sizes, coeffs, trace_writer
+        scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_writer
     )
     if scheme == "mac":
         empirical, theory, deltas, flags = _mac_summary(
@@ -362,7 +326,10 @@ def run_experiment(scheme, params, split, block, trials, plan,
 
     return ExperimentReport(
         scheme=scheme,
-        config=_config_echo(scheme, params, split, block, trials, plan),
+        config=to_config_dict(RunConfig(
+            scheme=scheme, channel=params, split=split, block=block,
+            trials=trials, seed=plan.master_seed,
+        )),
         trials=trials,
         rates=rates,
         empirical=empirical,

@@ -21,7 +21,6 @@ import dataclasses
 import numpy as np
 
 from . import regions, sk_dpc
-from .errors import LengthMismatch
 from .params import DpcParams, NoisyObsParams
 
 
@@ -107,22 +106,31 @@ def estimate_true_state(Y, params: NoisyObsParams, gamma):
     return s_hat
 
 
+def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
+    """Simulate a batch of blocks with physical state S and observation noise Z.
+
+    This is :func:`dpsk.sk_dpc.run_batch` on the equivalent channel, with
+    ``M`` and ``coeffs`` from :func:`dpsk.sk_dpc.resolve_loop` on
+    :func:`equivalent_dpc_params`: the encoder is driven by kappa (S + Z)
+    and the state it cannot see joins the channel noise. The returned
+    trace carries the true S and its estimate.
+    """
+    s_eq = make_equivalent(params).kappa * (S + Z)
+    eta_eq = (S - s_eq) + eta
+    trace = sk_dpc.run_batch(
+        equivalent_dpc_params(params), gamma, M, coeffs, W, s_eq, eta_eq,
+        estimate=lambda Y: estimate_true_state(Y, params, gamma),
+    )
+    return dataclasses.replace(trace, S=S)
+
+
 def noisy_run_block(params: NoisyObsParams, gamma, block, W, S, Z, eta):
     """Simulate one block with physical state S and observation noise Z.
 
-    This is :func:`dpsk.sk_dpc.run_block` on the equivalent channel: the
-    encoder is driven by kappa (S + Z) and the state it cannot see joins
-    the channel noise. The returned trace carries the true S and its
-    estimate. With sigma_z2 = 0 this reproduces the clean-observation
-    trace sample for sample.
+    This is :func:`noisy_run_batch`, the path the simulation harness runs,
+    on a batch of one block. With sigma_z2 = 0 it reproduces the
+    clean-observation trace sample for sample.
     """
-    n = block.n
-    S = np.asarray(S, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if S.shape != (n,) or Z.shape != (n,) or eta.shape != (n,):
-        raise LengthMismatch(f"S, Z and eta must have shape ({n},)")
-    s_eq = make_equivalent(params).kappa * (S + Z)
-    eta_eq = (S - s_eq) + eta
-    trace = sk_dpc.run_block(equivalent_dpc_params(params), gamma, block, W, s_eq, eta_eq)
-    return dataclasses.replace(trace, S=S, S_hat=estimate_true_state(trace.Y, params, gamma))
+    S, Z, eta = sk_dpc.batch_of_one(block.n, S=S, Z=Z, eta=eta)
+    _, M, coeffs = sk_dpc.resolve_loop(equivalent_dpc_params(params), gamma, block)
+    return sk_dpc.single_block(noisy_run_batch(params, gamma, M, coeffs, np.array([W]), S, Z, eta))

@@ -93,7 +93,8 @@ def compute_coefficients(params: DpcParams, gamma, n):
     ``alpha`` decays geometrically; a block long enough to take it below
     float64's normal range, or so low that the next gain sqrt(gamma P /
     alpha) overflows, is rejected with ConfigError naming the longest
-    block these parameters support.
+    block these parameters support. A gamma*P so small that the first
+    variance sigma2/(12 gamma P) overflows is rejected as well.
     """
     check_fraction("gamma", gamma)
     if n < 2:
@@ -107,6 +108,12 @@ def compute_coefficients(params: DpcParams, gamma, n):
     gain = np.empty(n)
     gain[0] = np.nan
     alpha[0] = s2 / (12.0 * gp)
+    if not math.isfinite(alpha[0]):
+        raise ConfigError(
+            f"gamma*P = {gp!r} is too small: the first error variance "
+            "sigma2/(12 gamma P) overflows float64",
+            field="gamma",
+        )
     alpha_floor = max(sys.float_info.min, gp / sys.float_info.max)
     for k in range(1, n):
         mu[k - 1] = math.sqrt(gp * alpha[k - 1]) / (gp + s2)
@@ -133,10 +140,10 @@ def compute_coefficients(params: DpcParams, gamma, n):
 
 
 def message_to_theta(w, M):
-    """Map message index w in 1..M to its grid point -1/2 + (2w-1)/(2M)."""
+    """Map message index (or index array) w in 1..M to -1/2 + (2w-1)/(2M)."""
     if M < 1:
         raise MessageOutOfRange(f"message-set size must be >= 1, got {M}")
-    if not 1 <= w <= M:
+    if np.min(w) < 1 or np.max(w) > M:
         raise MessageOutOfRange(f"message {w} outside 1..{M}")
     return -0.5 + (2.0 * w - 1.0) / (2.0 * M)
 
@@ -243,7 +250,8 @@ def estimate_state(Y, params: DpcParams, gamma):
 
 @dataclasses.dataclass(frozen=True)
 class SchemeTrace:
-    """Everything observable from one simulated block."""
+    """Everything observable from one simulated block, or from a batch of
+    B blocks with (B,) message arrays and (B, n) traces."""
 
     W: int
     W_hat: int
@@ -263,11 +271,58 @@ class SchemeTrace:
         return self.X**2
 
 
-def _as_block(name, arr, n):
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (n,):
-        raise LengthMismatch(f"{name} must have shape ({n},), got {arr.shape}")
-    return arr
+def batch_of_one(n, **draws):
+    """Check that each draw has shape (n,) and return it as a (1, n) batch."""
+    batch = []
+    for name, arr in draws.items():
+        arr = np.asarray(arr, dtype=float)
+        if arr.shape != (n,):
+            raise LengthMismatch(f"{name} must have shape ({n},), got {arr.shape}")
+        batch.append(arr[None])
+    return batch
+
+
+def single_block(trace):
+    """A batch record of one block as that block's record: ints and (n,) arrays."""
+    row = {}
+    for field in dataclasses.fields(trace):
+        value = getattr(trace, field.name)
+        if isinstance(value, np.ndarray):
+            row[field.name] = value[0] if value.ndim == 2 else int(value[0])
+    return dataclasses.replace(trace, **row)
+
+
+def resolve_loop(params: DpcParams, gamma, block):
+    """Rate, message-set size and loop coefficients of one configuration.
+
+    Returns ``(rate, M, coeffs)``; ``coeffs`` is None when gamma*P = 0,
+    which leaves only state forwarding and requires M = 1.
+    """
+    rate, M = resolve_block(block, regions.dpc_rate_cap(params, gamma))
+    if gamma * params.P == 0.0:
+        if M > 1:
+            raise DegenerateSplit("gamma*P = 0 cannot carry a message, resolve M = 1")
+        return rate, M, None
+    return rate, M, compute_coefficients(params, gamma, block.n)
+
+
+def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, estimate=None):
+    """Simulate a batch of blocks from supplied draws.
+
+    ``M`` and ``coeffs`` come from :func:`resolve_loop`, ``W`` has shape
+    (B,) and ``S``, ``eta`` shape (B, n). ``estimate`` maps the outputs Y
+    to the state estimates; it defaults to :func:`estimate_state`. Returns
+    a :class:`SchemeTrace` of (B,) messages and (B, n) traces.
+    """
+    if coeffs is None:
+        X, Y = simulate_forwarding_batch(params, gamma, S, eta)
+        theta_hat = np.zeros_like(Y)
+        W_hat = W
+    else:
+        X, Y, theta_hat, _ = simulate_message_batch(coeffs, message_to_theta(W, M), S, eta)
+        W_hat = decode_batch(theta_hat[:, -1], M)
+    S_hat = estimate_state(Y, params, gamma) if estimate is None else estimate(Y)
+    return SchemeTrace(W=W, W_hat=W_hat, M=M, X=X, Y=Y, theta_hat=theta_hat, S=S, S_hat=S_hat)
 
 
 def run_block(params: DpcParams, gamma, block, W, S, eta):
@@ -275,48 +330,12 @@ def run_block(params: DpcParams, gamma, block, W, S, eta):
 
     Deterministic: the trace is a pure function of the arguments. ``S`` and
     ``eta`` must be length-n arrays. The message path is skipped when
-    gamma*P = 0, which requires M = 1.
+    gamma*P = 0, which requires M = 1. This is :func:`run_batch`, the path
+    the simulation harness runs, on a batch of one block.
     """
-    n = block.n
-    S = _as_block("S", S, n)
-    eta = _as_block("eta", eta, n)
-    rate, M = resolve_block(block, regions.dpc_rate_cap(params, gamma))
-
-    if gamma * params.P == 0.0:
-        if M > 1:
-            raise DegenerateSplit("gamma*P = 0 cannot carry a message, resolve M = 1")
-        state_coef = state_forward_coefficient(params, gamma)
-        X = state_coef * S
-        Y = X + S + eta
-        S_hat = estimate_state(Y, params, gamma)
-        return SchemeTrace(
-            W=1, W_hat=1, M=1, X=X, Y=Y, theta_hat=np.zeros(n), S=S, S_hat=S_hat
-        )
-
-    coeffs = compute_coefficients(params, gamma, n)
-    theta = message_to_theta(W, M)
-    X = np.empty(n)
-    Y = np.empty(n)
-    state = start_encoder(theta, S, coeffs)
-    for t in range(1, n + 1):
-        y_prev = Y[t - 2] if t >= 2 else None
-        x, state = encode_step(state, coeffs, S[t - 1], y_prev)
-        X[t - 1] = x
-        Y[t - 1] = x + S[t - 1] + eta[t - 1]
-    theta_hat = np.empty(n)
-    theta_hat[0] = Y[0] / coeffs.message_amp
-    for k in range(1, n):
-        theta_hat[k] = decode_update(theta_hat[k - 1], Y[k], coeffs.mu[k - 1])
-    return SchemeTrace(
-        W=int(W),
-        W_hat=finalize_decode(theta_hat[-1], M),
-        M=M,
-        X=X,
-        Y=Y,
-        theta_hat=theta_hat,
-        S=S,
-        S_hat=estimate_state(Y, params, gamma),
-    )
+    S, eta = batch_of_one(block.n, S=S, eta=eta)
+    _, M, coeffs = resolve_loop(params, gamma, block)
+    return single_block(run_batch(params, gamma, M, coeffs, np.array([W]), S, eta))
 
 
 def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta):
@@ -324,9 +343,9 @@ def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta):
 
     ``theta`` has shape (B,), ``S`` and ``eta`` shape (B, n). Returns
     (X, Y, theta_hat, eps) where the first three are (B, n) traces and
-    ``eps`` is the final tracking error per block. Matches ``run_block``
-    sample for sample; the stepwise API is the reference, this is the
-    throughput path.
+    ``eps`` is the final tracking error per block. Matches the stepwise
+    :func:`encode_step` protocol sample for sample; the stepwise API is
+    the reference, this is the throughput path.
     """
     n = coeffs.n
     theta = np.asarray(theta, dtype=float)

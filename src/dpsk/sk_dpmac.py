@@ -46,7 +46,7 @@ from .errors import (
     OutOfOrderStep,
 )
 from .params import MacParams, check_fraction, resolve_block
-from .sk_dpc import decode_batch, finalize_decode, message_to_theta
+from .sk_dpc import batch_of_one, decode_batch, finalize_decode, message_to_theta, single_block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,7 +104,8 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     A block long enough to take alpha1*alpha2 below float64's normal range,
     where the correlation c12/sqrt(alpha1 alpha2) can no longer be formed,
     is rejected with ConfigError naming the longest block these parameters
-    support.
+    support. A gamma*P1 or beta*P2 so small that the first variance
+    sigma2/(12 gamma P1) or sigma2/(12 beta P2) overflows is rejected as well.
     """
     gamma = check_fraction("gamma", gamma)
     beta = check_fraction("beta", beta)
@@ -134,6 +135,11 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     # Initialization slots: each encoder learns its own eps exactly once.
     a1 = s2 / (12.0 * A)
     a2 = s2 / (12.0 * B)
+    for name, power, a in (("gamma", "gamma*P1", a1), ("beta", "beta*P2", a2)):
+        if not math.isfinite(a):
+            raise ConfigError(
+                f"{power} is too small: the first error variance overflows float64", field=name
+            )
     c12 = 0.0
     alpha1[0] = a1
     alpha1[1] = a1
@@ -319,21 +325,10 @@ def mac_decode(Y, coeffs: MacSkCoefficients, M1, M2):
     )
 
 
-def mac_estimate_state(Y, params: MacParams, gamma, beta, paper_sgn=False):
-    """Receiver state estimates S_hat_t = c_t Y_t.
-
-    The per-step weights c_t = E[S_t Y_t]/E[Y_t^2] = lambda Q / E[Y_t^2]
-    come from the propagated covariances; the two init slots carry no
-    usable state component, so S_hat is 0 there.
-    """
-    Y = np.asarray(Y, dtype=float)
-    coeffs = mac_coefficients(params, gamma, beta, Y.shape[-1], paper_sgn=paper_sgn)
-    return coeffs.est_coef * Y
-
-
 @dataclasses.dataclass(frozen=True)
 class MacSchemeTrace:
-    """Everything observable from one simulated two-encoder block."""
+    """Everything observable from one simulated two-encoder block, or from
+    a batch of B blocks with (B,) message arrays and (B, n) traces."""
 
     W1: int
     W2: int
@@ -363,55 +358,40 @@ def resolve_mac_rates(params: MacParams, gamma, beta, block):
     return (rate1, m1), (rate2, m2), rho_star
 
 
-def mac_run_block(params: MacParams, gamma, beta, block, W1, W2, S, eta):
-    """Simulate one complete two-encoder block from supplied draws."""
-    n = block.n
-    if n < 3:
-        raise BlocklengthTooSmall(f"two-encoder blocks need n >= 3, got {n}", field="n")
-    S = np.asarray(S, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if S.shape != (n,) or eta.shape != (n,):
-        raise LengthMismatch(f"S and eta must have shape ({n},)")
-    (rate1, M1), (rate2, M2), _ = resolve_mac_rates(params, gamma, beta, block)
-    coeffs = mac_coefficients(params, gamma, beta, n)
-    theta1 = message_to_theta(W1, M1)
-    theta2 = message_to_theta(W2, M2)
+def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta):
+    """Simulate a batch of two-encoder blocks from supplied draws.
 
-    X1 = np.empty(n)
-    X2 = np.empty(n)
-    Y = np.empty(n)
-    state = start_encoders(theta1, theta2, S, coeffs)
-    for t in range(1, n + 1):
-        y_prev = Y[t - 2] if t >= 2 else None
-        x1, x2, state = mac_encode_step(state, coeffs, S[t - 1], y_prev)
-        X1[t - 1] = x1
-        X2[t - 1] = x2
-        Y[t - 1] = x1 + x2 + S[t - 1] + eta[t - 1]
-
-    w1_hat, w2_hat, th1, th2 = mac_decode(Y, coeffs, M1, M2)
-    s_hat = coeffs.est_coef * Y
-    return MacSchemeTrace(
-        W1=int(W1),
-        W2=int(W2),
-        W1_hat=w1_hat,
-        W2_hat=w2_hat,
-        M1=M1,
-        M2=M2,
-        X1=X1,
-        X2=X2,
-        Y=Y,
-        theta1_hat=th1,
-        theta2_hat=th2,
-        S=S,
-        S_hat=s_hat,
+    ``W1``, ``W2`` have shape (B,) and ``S``, ``eta`` shape (B, n).
+    Returns a :class:`MacSchemeTrace` of (B,) messages and (B, n) traces.
+    """
+    X1, X2, Y, th1, th2, _, _ = simulate_mac_batch(
+        coeffs, message_to_theta(W1, M1), message_to_theta(W2, M2), S, eta
     )
+    W1_hat, W2_hat = mac_decode_batch(th1[:, -1], th2[:, -1], M1, M2)
+    return MacSchemeTrace(
+        W1=W1, W2=W2, W1_hat=W1_hat, W2_hat=W2_hat, M1=M1, M2=M2, X1=X1, X2=X2, Y=Y,
+        theta1_hat=th1, theta2_hat=th2, S=S, S_hat=coeffs.est_coef * Y,
+    )
+
+
+def mac_run_block(params: MacParams, gamma, beta, block, W1, W2, S, eta):
+    """Simulate one complete two-encoder block from supplied draws.
+
+    This is :func:`mac_run_batch`, the path the simulation harness runs,
+    on a batch of one block.
+    """
+    S, eta = batch_of_one(block.n, S=S, eta=eta)
+    (_, M1), (_, M2), _ = resolve_mac_rates(params, gamma, beta, block)
+    coeffs = mac_coefficients(params, gamma, beta, block.n)
+    return single_block(mac_run_batch(coeffs, M1, M2, np.array([W1]), np.array([W2]), S, eta))
 
 
 def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta):
     """Vectorized closed loop over a batch of independent blocks.
 
     Returns (X1, X2, Y, th1, th2, eps1, eps2); traces are (B, n), the final
-    tracking errors (B,). Matches ``mac_run_block`` sample for sample.
+    tracking errors (B,). Matches the stepwise :func:`mac_encode_step`
+    protocol sample for sample.
     """
     n = coeffs.n
     theta1 = np.asarray(theta1, dtype=float)

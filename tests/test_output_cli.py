@@ -381,3 +381,26 @@ def test_long_blocks_are_rejected(capsys, scheme):
     code, out, _ = run_cli(capsys, *argv, "--n", str(accepted))
     assert code == 0
     assert "NaN" not in out and "Infinity" not in out
+
+
+TINY_SPLIT = {
+    "dpc": ["--P", "10", "--Q", "10", "--sigma2", "5"],
+    "mac": CHANNEL_MAC + ["--beta", "0.5"],
+    "noisy": ["--P", "10", "--Q", "10", "--sigma2", "5", "--sigma_z2", "1"],
+}
+
+
+@pytest.mark.parametrize("gamma", ["1e-310", "1e-309"])
+@pytest.mark.parametrize("scheme", sorted(TINY_SPLIT))
+def test_tiny_message_power_is_rejected(capsys, scheme, gamma):
+    # sigma2/(12 gamma P) overflows float64 at gamma = 1e-310 but not at 1e-309
+    argv = ["simulate", scheme, *TINY_SPLIT[scheme], "--gamma", gamma,
+            "--n", "10", "--trials", "10", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    if gamma == "1e-310":
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "overflows float64" in err
+    else:
+        assert code == 0
+        assert "NaN" not in out and "Infinity" not in out

@@ -108,7 +108,23 @@ def test_zero_noise_decodes_exactly():
         assert abs(trace.theta_hat[-1] - sk_dpc.message_to_theta(w, M)) < 1e-9
 
 
+def _stepwise_block(coeffs, theta, S, eta):
+    """The encode_step/decode_update protocol driven one channel use at a time."""
+    n = coeffs.n
+    X, Y, theta_hat = np.empty(n), np.empty(n), np.empty(n)
+    state = sk_dpc.start_encoder(theta, S, coeffs)
+    for t in range(1, n + 1):
+        y_prev = Y[t - 2] if t >= 2 else None
+        X[t - 1], state = sk_dpc.encode_step(state, coeffs, S[t - 1], y_prev)
+        Y[t - 1] = X[t - 1] + S[t - 1] + eta[t - 1]
+    theta_hat[0] = Y[0] / coeffs.message_amp
+    for k in range(1, n):
+        theta_hat[k] = sk_dpc.decode_update(theta_hat[k - 1], Y[k], coeffs.mu[k - 1])
+    return X, Y, theta_hat
+
+
 def test_run_block_matches_batch_kernel_bit_for_bit():
+    # the batch kernel behind run_block against the stepwise protocol
     n, M = 40, 32
     block = BlockConfig(n=n, rate=math.log2(M) / n)
     rng = np.random.default_rng(11)
@@ -116,14 +132,14 @@ def test_run_block_matches_batch_kernel_bit_for_bit():
     eta = rng.normal(0.0, math.sqrt(ACC.sigma2), size=(4, n))
     W = np.array([1, 9, 20, 32])
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, n)
-    theta = np.array([sk_dpc.message_to_theta(w, M) for w in W])
-    X, Y, th, _ = sk_dpc.simulate_message_batch(coeffs, theta, S, eta)
     for i, w in enumerate(W):
+        theta = sk_dpc.message_to_theta(w, M)
+        X, Y, th = _stepwise_block(coeffs, theta, S[i], eta[i])
         trace = sk_dpc.run_block(ACC, 0.5, block, w, S[i], eta[i])
-        np.testing.assert_array_equal(trace.X, X[i])
-        np.testing.assert_array_equal(trace.Y, Y[i])
-        np.testing.assert_array_equal(trace.theta_hat, th[i])
-        assert trace.W_hat == sk_dpc.decode_batch(th[i, -1:], M)[0]
+        np.testing.assert_array_equal(trace.X, X)
+        np.testing.assert_array_equal(trace.Y, Y)
+        np.testing.assert_array_equal(trace.theta_hat, th)
+        assert trace.W_hat == sk_dpc.finalize_decode(th[-1], M)
 
 
 def test_encoder_enforces_step_order():

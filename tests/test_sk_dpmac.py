@@ -134,7 +134,20 @@ def test_zero_noise_decodes_every_message_pair():
             assert (trace.W1_hat, trace.W2_hat) == (w1, w2)
 
 
+def _stepwise_block(coeffs, theta1, theta2, S, eta):
+    """The mac_encode_step protocol driven one channel use at a time."""
+    n = coeffs.n
+    X1, X2, Y = np.empty(n), np.empty(n), np.empty(n)
+    state = sk_dpmac.start_encoders(theta1, theta2, S, coeffs)
+    for t in range(1, n + 1):
+        y_prev = Y[t - 2] if t >= 2 else None
+        X1[t - 1], X2[t - 1], state = sk_dpmac.mac_encode_step(state, coeffs, S[t - 1], y_prev)
+        Y[t - 1] = X1[t - 1] + X2[t - 1] + S[t - 1] + eta[t - 1]
+    return X1, X2, Y
+
+
 def test_run_block_matches_batch_kernel_bit_for_bit():
+    # the batch kernel behind mac_run_block against the stepwise protocol
     n = 15
     block = BlockConfig(n=n, rate=0.1)
     rng = np.random.default_rng(29)
@@ -144,18 +157,20 @@ def test_run_block_matches_batch_kernel_bit_for_bit():
     (rate1, M1), (rate2, M2), _ = sk_dpmac.resolve_mac_rates(ACC, 0.8, 0.8, block)
     assert rate1 == rate2 == 0.1
     W1, W2 = np.array([1, 2, 2]), np.array([2, 1, 2])
-    theta1 = np.array([sk_dpmac.message_to_theta(w, M1) for w in W1])
-    theta2 = np.array([sk_dpmac.message_to_theta(w, M2) for w in W2])
-    X1, X2, Y, th1, th2, _, _ = sk_dpmac.simulate_mac_batch(coeffs, theta1, theta2, S, eta)
     for i in range(3):
+        theta1 = sk_dpmac.message_to_theta(W1[i], M1)
+        theta2 = sk_dpmac.message_to_theta(W2[i], M2)
+        X1, X2, Y = _stepwise_block(coeffs, theta1, theta2, S[i], eta[i])
+        w1_hat, w2_hat, th1, th2 = sk_dpmac.mac_decode(Y, coeffs, M1, M2)
         trace = sk_dpmac.mac_run_block(ACC, 0.8, 0.8, block, W1[i], W2[i], S[i], eta[i])
-        np.testing.assert_array_equal(trace.X1, X1[i])
-        np.testing.assert_array_equal(trace.X2, X2[i])
-        np.testing.assert_array_equal(trace.Y, Y[i])
-        np.testing.assert_array_equal(trace.theta1_hat, th1[i])
+        np.testing.assert_array_equal(trace.X1, X1)
+        np.testing.assert_array_equal(trace.X2, X2)
+        np.testing.assert_array_equal(trace.Y, Y)
+        np.testing.assert_array_equal(trace.theta1_hat, th1)
         # slot 1 carries no estimate for user 2
-        assert math.isnan(trace.theta2_hat[0]) and math.isnan(th2[i, 0])
-        np.testing.assert_array_equal(trace.theta2_hat[1:], th2[i, 1:])
+        assert math.isnan(trace.theta2_hat[0]) and math.isnan(th2[0])
+        np.testing.assert_array_equal(trace.theta2_hat[1:], th2[1:])
+        assert (trace.W1_hat, trace.W2_hat) == (w1_hat, w2_hat)
 
 
 def test_decoder_slot_behaviour():
@@ -201,16 +216,6 @@ def test_resolve_rates_fraction_of_caps():
     assert rate1 == pytest.approx(0.5 * caps.r1_max, rel=1e-15)
     assert rate2 == pytest.approx(0.5 * caps.r2_max, rel=1e-15)
     assert M1 == round(2.0 ** (50 * rate1)) and M2 == round(2.0 ** (50 * rate2))
-
-
-def test_estimate_state_wrapper():
-    n = 12
-    rng = np.random.default_rng(37)
-    Y = rng.normal(size=(2, n))
-    s_hat = sk_dpmac.mac_estimate_state(Y, ACC, 0.8, 0.8)
-    coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, n)
-    np.testing.assert_allclose(s_hat, coeffs.est_coef * Y, rtol=1e-15)
-    assert np.all(s_hat[:, :2] == 0.0)
 
 
 def test_finite_n_distortion_blends_init_slots():
