@@ -42,16 +42,19 @@ def _grid(count, name="grid"):
 # handlers
 
 
+#: Channel scheme of each region variant.
+_REGION_SCHEMES = {"dpc-fb": "dpc", "mac-fb": "mac", "mac-nofb": "mac", "noisy": "noisy"}
+
+
 def _cmd_region(args):
     variant = args.variant
-    if variant in ("dpc-fb", "noisy"):
-        scheme = "dpc" if variant == "dpc-fb" else "noisy"
-        channel = params_mod.channel_from(_merged_config(args, scheme), scheme)
-        points = regions.boundary_sweep(channel, _grid(args.grid))
+    scheme = _REGION_SCHEMES[variant]
+    channel = params_mod.channel_from(_merged_config(args, scheme), scheme)
+    gamma_grid = _grid(args.grid)
+    if scheme != "mac":
+        points = regions.boundary_sweep(channel, gamma_grid)
         return output.region_rows(points, sigma_z2=channel.sigma_z2 if scheme == "noisy" else None)
 
-    channel = params_mod.channel_from(_merged_config(args, "mac"), "mac")
-    gamma_grid = _grid(args.grid)
     beta_grid = _grid(args.beta_grid, "beta-grid") if args.beta_grid is not None else gamma_grid
     if variant == "mac-fb":
         rho_grid = _grid(args.rho_grid, "rho-grid") if args.rho_grid is not None else None
@@ -103,20 +106,12 @@ def _cmd_sweep(args):
     trials = params_mod.trials_from(raw)
     seed = params_mod.seed_from(raw)
     gamma_grid = _grid(args.grid)
-    beta_grid = None
-    if scheme == "mac":
-        beta_grid = (
-            _grid(args.beta_grid, "beta-grid") if args.beta_grid is not None else gamma_grid
-        )
+    beta_grid = getattr(args, "beta_grid", None)
+    if beta_grid is not None:
+        beta_grid = _grid(beta_grid, "beta-grid")
     return harness.sweep(
-        scheme,
-        channel,
-        gamma_grid,
-        block,
-        trials,
-        harness.RandomPlan(seed),
-        beta_grid=beta_grid,
-        paper_sgn=getattr(args, "paper_sgn", False),
+        scheme, channel, gamma_grid, block, trials, harness.RandomPlan(seed),
+        beta_grid=beta_grid, paper_sgn=getattr(args, "paper_sgn", False),
     )
 
 
@@ -162,8 +157,7 @@ def build_parser():
 
     region = sub.add_parser("region", help="closed-form trade-off boundaries")
     region_sub = region.add_subparsers(dest="variant", required=True)
-    for variant in ("dpc-fb", "mac-fb", "mac-nofb", "noisy"):
-        scheme = {"dpc-fb": "dpc", "noisy": "noisy"}.get(variant, "mac")
+    for variant, scheme in _REGION_SCHEMES.items():
         p = region_sub.add_parser(variant, parents=[common])
         _add_channel_flags(p, scheme)
         p.add_argument("--grid", type=int, default=101, help="points on the gamma grid")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
-from .errors import ConfigError, EmptyGrid
+from .errors import ConfigError, DegenerateSplit
 from .params import PowerSplit, RunConfig, check_trials, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
@@ -270,10 +270,21 @@ def _mac_summary(params, gamma, beta, n, coeffs, rho_star, errors, sq_err, power
     return empirical, theory, deltas, flags
 
 
-def _check_run(block, trials):
+#: Each scheme's report entries (rates, then empirical values) that a sweep
+#: row carries.
+_MEASURED = {
+    "dpc": ("rate", "pe", "distortion"),
+    "noisy": ("rate", "pe", "distortion"),
+    "mac": ("rate1", "rate2", "pe1", "pe2", "distortion"),
+}
+
+
+def _check_run(scheme, block, trials):
     if block is None:
         raise ConfigError("simulation needs a block configuration", field="n")
     check_trials(trials)
+    if scheme not in _MEASURED:
+        raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
 
 
 def run_experiment(scheme, params, split, block, trials, plan,
@@ -286,9 +297,7 @@ def run_experiment(scheme, params, split, block, trials, plan,
     decoded messages and distortion the time-averaged squared estimation
     error including the estimate-free initial slots.
     """
-    _check_run(block, trials)
-    if scheme not in ("dpc", "mac", "noisy"):
-        raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
+    _check_run(scheme, block, trials)
     if scheme == "mac" and split.beta is None:
         raise ConfigError("the two-encoder scheme needs beta", field="beta")
 
@@ -353,74 +362,54 @@ def run_config(config: RunConfig, paper_sgn=False, trace_writer=None):
     )
 
 
+def _sweep_points(scheme, params, gamma_grid, beta_grid, n):
+    """Each sweep point's region record as the columns that lead its row
+    (the point) and the theory columns that end it."""
+    if scheme == "mac":
+        records = regions.mac_fb_region(
+            params, gamma_grid, gamma_grid if beta_grid is None else beta_grid
+        )
+        return [
+            ({"gamma": c.gamma, "beta": c.beta, "rho_star": c.rho},
+             {"r1_max": c.r1_max, "r2_max": c.r2_max, "rsum_max": c.rsum_max, "d_min": c.d_min})
+            for c in records
+        ]
+    points = []
+    for p in regions.boundary_sweep(params, gamma_grid):
+        lead, theory = {"gamma": p.gamma}, {"rate_cap": p.rate, "theory_distortion": p.distortion}
+        if scheme == "noisy":
+            lead["sigma_z2"] = params.sigma_z2
+            theory["theory_distortion_scheme"] = noisy_obs.finite_n_distortion(params, p.gamma, n)
+        points.append((lead, theory))
+    return points
+
+
 def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper_sgn=False):
-    """One experiment per grid point, each row paired with the theory
-    boundary at that point. All points reuse the same per-trial
-    substreams; rows are comparable but not mutually independent.
+    """One experiment per grid point, each row the point's region record
+    (the ``region`` command's boundary, or the two-encoder feedback region
+    at rho*) with the report's measured columns in between. All points
+    reuse the same per-trial substreams; rows are comparable but not
+    mutually independent. The two-encoder beta grid defaults to the gamma
+    grid; the region functions reject empty grids with EmptyGrid.
 
-    Two-encoder grid points without message power on both sides (gamma*P1
-    or beta*P2 zero) cannot run the joint loop; their rows keep the theory
-    columns and hold NaN everywhere else.
+    A point whose run raises DegenerateSplit keeps its theory columns and
+    holds NaN in the measured ones: two-encoder points without message
+    power on both sides, and single-user points at gamma*P = 0 under a
+    fixed rate that needs more than one message.
     """
-    _check_run(block, trials)
-    gamma_grid = list(gamma_grid)
-    if not gamma_grid:
-        raise EmptyGrid("gamma grid is empty")
-    if scheme == "mac":
-        beta_grid = list(beta_grid) if beta_grid is not None else list(gamma_grid)
-        if not beta_grid:
-            raise EmptyGrid("beta grid is empty")
-    elif beta_grid is not None:
+    _check_run(scheme, block, trials)
+    if scheme != "mac" and beta_grid is not None:
         raise ConfigError("beta grid only applies to the two-encoder scheme", field="beta")
-
+    keys = _MEASURED[scheme]
     rows = []
-    if scheme == "mac":
-        for gamma in gamma_grid:
-            for beta in beta_grid:
-                rho_star = regions.solve_rho_star(params, gamma, beta)
-                caps = regions.mac_constraints(params, gamma, beta, rho_star)
-                if gamma * params.P1 > 0.0 and beta * params.P2 > 0.0:
-                    report = run_experiment(
-                        scheme, params, PowerSplit(gamma, beta), block, trials, plan,
-                        paper_sgn=paper_sgn,
-                    )
-                    measured = {
-                        "rate1": report.rates["rate1"],
-                        "rate2": report.rates["rate2"],
-                        "pe1": report.empirical["pe1"],
-                        "pe2": report.empirical["pe2"],
-                        "distortion": report.empirical["distortion"],
-                    }
-                else:
-                    measured = dict.fromkeys(
-                        ("rate1", "rate2", "pe1", "pe2", "distortion"), math.nan
-                    )
-                rows.append({
-                    "gamma": gamma,
-                    "beta": beta,
-                    "rho_star": rho_star,
-                    **measured,
-                    "r1_max": caps.r1_max,
-                    "r2_max": caps.r2_max,
-                    "rsum_max": caps.rsum_max,
-                    "d_min": caps.d_min,
-                })
-        return rows
-
-    for gamma in gamma_grid:
-        report = run_experiment(scheme, params, PowerSplit(gamma), block, trials, plan)
-        point = regions.boundary_sweep(params, [gamma])[0]
-        row = {"gamma": gamma}
-        if scheme == "noisy":
-            row["sigma_z2"] = params.sigma_z2
-        row.update({
-            "rate": report.rates["rate"],
-            "pe": report.empirical["pe"],
-            "distortion": report.empirical["distortion"],
-            "rate_cap": point.rate,
-            "theory_distortion": point.distortion,
-        })
-        if scheme == "noisy":
-            row["theory_distortion_scheme"] = report.theory["distortion_scheme"]
-        rows.append(row)
+    for lead, theory in _sweep_points(scheme, params, list(gamma_grid), beta_grid, block.n):
+        split = PowerSplit(lead["gamma"], lead.get("beta"))
+        try:
+            report = run_experiment(scheme, params, split, block, trials, plan, paper_sgn)
+        except DegenerateSplit:
+            measured = dict.fromkeys(keys, math.nan)
+        else:
+            values = {**report.rates, **report.empirical}
+            measured = {key: values[key] for key in keys}
+        rows.append({**lead, **measured, **theory})
     return rows

@@ -47,6 +47,13 @@ def equivalent_dpc_params(params: NoisyObsParams):
     return DpcParams(P=params.P, Q=eq.state_var, sigma2=eq.noise_var)
 
 
+def _true_state_moments(params: NoisyObsParams, eq: EquivalentChannel, gamma):
+    """Steady-state E[S Y] and E[Y^2] of the true state; needs kappa Q > 0."""
+    omega = 1.0 + sk_dpc.state_forward_coefficient(equivalent_dpc_params(params), gamma)
+    ey2 = gamma * params.P + omega * omega * eq.state_var + eq.noise_var
+    return omega * eq.state_var + (1.0 - eq.kappa) * params.Q, ey2
+
+
 def true_state_coefficient(params: NoisyObsParams, gamma):
     """Steady-state weight c with S_hat_t = c Y_t estimating the true S.
 
@@ -61,11 +68,8 @@ def true_state_coefficient(params: NoisyObsParams, gamma):
     eq = make_equivalent(params)
     if eq.state_var == 0.0:
         return 0.0
-    omega = 1.0 + sk_dpc.state_forward_coefficient(
-        DpcParams(params.P, eq.state_var, eq.noise_var), gamma
-    )
-    ey2 = gamma * params.P + omega * omega * eq.state_var + eq.noise_var
-    return (omega * eq.state_var + (1.0 - eq.kappa) * params.Q) / ey2
+    cross, ey2 = _true_state_moments(params, eq, gamma)
+    return cross / ey2
 
 
 def scheme_step_distortion(params: NoisyObsParams, gamma):
@@ -85,11 +89,7 @@ def scheme_step_distortion(params: NoisyObsParams, gamma):
         # Observation carries nothing; Y still contains S itself.
         ey2 = params.P + params.Q + params.sigma2
         return params.Q - params.Q * params.Q / ey2
-    omega = 1.0 + sk_dpc.state_forward_coefficient(
-        DpcParams(params.P, eq.state_var, eq.noise_var), gamma
-    )
-    ey2 = gamma * params.P + omega * omega * eq.state_var + eq.noise_var
-    cross = omega * eq.state_var + (1.0 - eq.kappa) * params.Q
+    cross, ey2 = _true_state_moments(params, eq, gamma)
     return params.Q - cross * cross / ey2
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dpsk import harness, regions, sk_dpc, sk_dpmac
-from dpsk.errors import ConfigError, EmptyGrid
+from dpsk import harness, noisy_obs, regions, sk_dpc, sk_dpmac
+from dpsk.errors import ConfigError, DegenerateSplit, EmptyGrid
 from dpsk.params import (
     BlockConfig,
     DpcParams,
@@ -274,3 +274,50 @@ def test_sweep_is_deterministic():
     first = harness.sweep("dpc", ACC, [0.25, 0.75], block, 80, plan)
     second = harness.sweep("dpc", ACC, [0.25, 0.75], block, 80, plan)
     assert first == second
+
+
+SWEEP_CASES = {
+    # scheme: (channel, gamma grid, beta grid, block)
+    "dpc": (ACC, [0.0, 0.5, 1.0], None, BlockConfig(20, rate=0.1)),
+    "noisy": (FIG3, [0.0, 0.5, 1.0], None, BlockConfig(20, rate=0.1)),
+    "mac": (MAC, [0.0, 0.8], [0.6, 1.0], BlockConfig(20, rate_fraction=0.4)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SWEEP_CASES))
+def test_sweep_rows_are_region_records_plus_report_columns(scheme):
+    channel, gammas, betas, block = SWEEP_CASES[scheme]
+    plan = harness.RandomPlan(6)
+    rows = harness.sweep(scheme, channel, gammas, block, 40, plan, beta_grid=betas)
+    if scheme == "mac":
+        records = regions.mac_fb_region(channel, gammas, betas)
+        theory = [{"gamma": r.gamma, "beta": r.beta, "rho_star": r.rho, "r1_max": r.r1_max,
+                   "r2_max": r.r2_max, "rsum_max": r.rsum_max, "d_min": r.d_min}
+                  for r in records]
+        measured = ("rate1", "rate2", "pe1", "pe2", "distortion")
+    else:
+        theory = [{"gamma": p.gamma, "rate_cap": p.rate, "theory_distortion": p.distortion}
+                  for p in regions.boundary_sweep(channel, gammas)]
+        if scheme == "noisy":
+            for point in theory:
+                point["sigma_z2"] = channel.sigma_z2
+                point["theory_distortion_scheme"] = noisy_obs.finite_n_distortion(
+                    channel, point["gamma"], block.n
+                )
+        measured = ("rate", "pe", "distortion")
+    assert len(rows) == len(theory)
+    degenerate = 0
+    for row, expected in zip(rows, theory):
+        assert {key: row[key] for key in expected} == expected
+        assert set(row) == set(expected) | set(measured)
+        split = PowerSplit(row["gamma"], row.get("beta"))
+        if split.gamma == 0.0 or split.beta == 0.0:
+            degenerate += 1
+            assert all(math.isnan(row[key]) for key in measured)
+            with pytest.raises(DegenerateSplit):
+                harness.run_experiment(scheme, channel, split, block, 40, plan)
+            continue
+        report = harness.run_experiment(scheme, channel, split, block, 40, plan)
+        values = {**report.rates, **report.empirical}
+        assert {key: row[key] for key in measured} == {key: values[key] for key in measured}
+    assert degenerate == (2 if scheme == "mac" else 1)

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from dpsk import cli, output, regions
-from dpsk.params import DpcParams
+from dpsk import cli, output, regions, sk_dpmac
+from dpsk.params import DpcParams, MacParams
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +348,64 @@ def test_sweep_json_round_trip(capsys):
 
 
 CHANNEL_MAC = ["--P1", "10", "--P2", "10", "--Q", "10", "--sigma2", "5"]
+
+
+FIXED_RATE_SWEEPS = {
+    "dpc": (["--P", "10", "--Q", "10", "--sigma2", "5"], ["rate_cap", "theory_distortion"]),
+    "noisy": (["--P", "7.7", "--Q", "10", "--sigma2", "5", "--sigma_z2", "1"],
+              ["rate_cap", "theory_distortion", "theory_distortion_scheme"]),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(FIXED_RATE_SWEEPS))
+def test_sweep_at_fixed_rate_keeps_the_gamma_zero_row(capsys, scheme):
+    channel, theory = FIXED_RATE_SWEEPS[scheme]
+    code, out, err = run_cli(capsys, "sweep", scheme, *channel, "--n", "20", "--rate", "0.1",
+                             "--grid", "3", "--trials", "30", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)
+    assert [row["gamma"] for row in rows] == [0.0, 0.5, 1.0]
+    measured = ["rate", "pe", "distortion"]
+    # gamma = 0 cannot carry the M = 4 messages of rate 0.1 at n = 20
+    assert all(math.isnan(rows[0][key]) for key in measured)
+    assert all(math.isfinite(rows[0][key]) for key in theory)
+    for row in rows[1:]:
+        assert row["rate"] == 0.1
+        assert all(math.isfinite(row[key]) for key in measured + theory)
+
+
+PAPER_SGN_MAC = CHANNEL_MAC + ["--n", "40", "--rate_fraction", "0.25", "--trials", "60",
+                               "--seed", "3", "--format", "json"]
+
+
+def test_paper_sgn_reaches_the_mac_report(capsys):
+    split = ["--gamma", "0.8", "--beta", "0.8"]
+    code, out, _ = run_cli(capsys, "simulate", "mac", *PAPER_SGN_MAC, *split, "--paper-sgn")
+    assert code == 0
+    rho_final = json.loads(out)["theory"]["rho_final"]
+    coeffs = sk_dpmac.mac_coefficients(MacParams(10, 10, 10, 5), 0.8, 0.8, 40, paper_sgn=True)
+    assert rho_final == coeffs.rho[-1]
+    assert math.copysign(1.0, rho_final) == -1.0  # the sign rule silenced encoder 2
+    code, out, _ = run_cli(capsys, "simulate", "mac", *PAPER_SGN_MAC, *split)
+    assert code == 0
+    assert json.loads(out)["theory"]["rho_final"] == pytest.approx(0.4015, abs=1e-4)
+
+
+def test_sweep_paper_sgn_row_matches_simulate(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "mac", *PAPER_SGN_MAC, "--grid", "2", "--paper-sgn")
+    assert code == 0
+    row = json.loads(out)[-1]
+    assert (row["gamma"], row["beta"]) == (1.0, 1.0)
+    code, out, _ = run_cli(capsys, "simulate", "mac", *PAPER_SGN_MAC,
+                           "--gamma", "1", "--beta", "1", "--paper-sgn")
+    assert code == 0
+    report = json.loads(out)
+    values = {**report["rates"], **report["empirical"]}
+    measured = ("rate1", "rate2", "pe1", "pe2", "distortion")
+    assert {key: row[key] for key in measured} == {key: values[key] for key in measured}
+    code, out, _ = run_cli(capsys, "sweep", "mac", *PAPER_SGN_MAC, "--grid", "2")
+    default = json.loads(out)[-1]
+    assert default["pe2"] != row["pe2"]  # the flag changed the simulated loop
 
 
 @pytest.mark.parametrize("scheme, shared, simulate_only", [
