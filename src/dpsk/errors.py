@@ -50,9 +50,5 @@ class LengthMismatch(DpskError):
     """A sequence argument does not have the expected length."""
 
 
-class OutOfOrderStep(DpskError):
-    """Stepwise encoder called outside its t = 1..n protocol order."""
-
-
 class EmptyGrid(DpskError):
     """A region sweep was requested over an empty grid."""

@@ -42,14 +42,17 @@ def make_equivalent(params: NoisyObsParams):
     )
 
 
-def equivalent_dpc_params(params: NoisyObsParams):
-    eq = make_equivalent(params)
+def _equivalent_dpc(params: NoisyObsParams, eq: EquivalentChannel):
     return DpcParams(P=params.P, Q=eq.state_var, sigma2=eq.noise_var)
+
+
+def equivalent_dpc_params(params: NoisyObsParams):
+    return _equivalent_dpc(params, make_equivalent(params))
 
 
 def _true_state_moments(params: NoisyObsParams, eq: EquivalentChannel, gamma):
     """Steady-state E[S Y] and E[Y^2] of the true state; needs kappa Q > 0."""
-    omega = 1.0 + sk_dpc.state_forward_coefficient(equivalent_dpc_params(params), gamma)
+    omega = 1.0 + sk_dpc.state_forward_coefficient(_equivalent_dpc(params, eq), gamma)
     ey2 = gamma * params.P + omega * omega * eq.state_var + eq.noise_var
     return omega * eq.state_var + (1.0 - eq.kappa) * params.Q, ey2
 
@@ -115,10 +118,11 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
     and the state it cannot see joins the channel noise. The returned
     trace carries the true S and its estimate.
     """
-    s_eq = make_equivalent(params).kappa * (S + Z)
+    eq = make_equivalent(params)
+    s_eq = eq.kappa * (S + Z)
     eta_eq = (S - s_eq) + eta
     trace = sk_dpc.run_batch(
-        equivalent_dpc_params(params), gamma, M, coeffs, W, s_eq, eta_eq,
+        _equivalent_dpc(params, eq), gamma, M, coeffs, W, s_eq, eta_eq,
         estimate=lambda Y: estimate_true_state(Y, params, gamma),
     )
     return dataclasses.replace(trace, S=S)

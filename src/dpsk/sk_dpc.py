@@ -48,7 +48,6 @@ from .errors import (
     DegenerateSplit,
     LengthMismatch,
     MessageOutOfRange,
-    OutOfOrderStep,
 )
 from .params import DpcParams, check_fraction, resolve_block
 
@@ -146,79 +145,6 @@ def message_to_theta(w, M):
     if np.min(w) < 1 or np.max(w) > M:
         raise MessageOutOfRange(f"message {w} outside 1..{M}")
     return -0.5 + (2.0 * w - 1.0) / (2.0 * M)
-
-
-def finalize_decode(theta_hat, M):
-    """Nearest message grid point, ties toward the smaller index."""
-    if M < 1:
-        raise MessageOutOfRange(f"message-set size must be >= 1, got {M}")
-    # Grid position of theta_hat; ceil(x - 1/2) rounds half-down.
-    w = math.ceil((theta_hat + 0.5) * M)
-    return min(max(w, 1), M)
-
-
-def decode_update(theta_hat_prev, y_t, mu_t):
-    """One receiver refinement: theta_hat_t = theta_hat_{t-1} - mu_t Y_t."""
-    return theta_hat_prev - mu_t * y_t
-
-
-def compute_offset(S, coeffs: SkCoefficients):
-    """One-shot state offset pre-subtracted at t = 1."""
-    S = np.asarray(S, dtype=float)
-    if S.shape != (coeffs.n,):
-        raise LengthMismatch(f"state sequence must have length {coeffs.n}, got {S.shape}")
-    return coeffs.omega * (S[0] / coeffs.message_amp - float(coeffs.mu @ S[1:]))
-
-
-@dataclasses.dataclass(frozen=True)
-class EncoderState:
-    """Transmitter-side state between channel uses."""
-
-    t: int
-    theta: float
-    offset: float
-    epsilon: float | None
-    s_prev: float | None
-
-
-def start_encoder(theta, S, coeffs: SkCoefficients):
-    """Initialize the transmitter: the offset needs the full state block."""
-    return EncoderState(
-        t=0, theta=float(theta), offset=compute_offset(S, coeffs), epsilon=None, s_prev=None
-    )
-
-
-def encode_step(state: EncoderState, coeffs: SkCoefficients, s_t, y_prev=None):
-    """Produce X_t and the advanced encoder state.
-
-    ``y_prev`` is the fed-back channel output of the previous use; it must
-    be absent at t = 1 and present afterwards. The tracking error is
-    refreshed from the feedback before transmitting.
-    """
-    t = state.t + 1
-    if t > coeffs.n:
-        raise OutOfOrderStep(f"block length {coeffs.n} exhausted")
-    if t == 1:
-        if y_prev is not None:
-            raise OutOfOrderStep("no feedback exists before the first use")
-        x = coeffs.message_amp * (state.theta - state.offset) + coeffs.state_coef * s_t
-        eps = None
-    else:
-        if y_prev is None:
-            raise OutOfOrderStep(f"step {t} needs feedback of step {t - 1}")
-        if t == 2:
-            # First feedback reveals eta_1, hence eps_1, exactly.
-            eps = (
-                y_prev
-                - coeffs.message_amp * (state.theta - state.offset)
-                - coeffs.omega * state.s_prev
-            ) / coeffs.message_amp
-        else:
-            eps = state.epsilon - coeffs.mu[t - 3] * (y_prev - coeffs.omega * state.s_prev)
-        x = coeffs.gain[t - 1] * eps + coeffs.state_coef * s_t
-    return x, EncoderState(
-        t=t, theta=state.theta, offset=state.offset, epsilon=eps, s_prev=float(s_t)
-    )
 
 
 def estimation_coefficient(params: DpcParams, gamma):
@@ -344,8 +270,7 @@ def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta):
     ``theta`` has shape (B,), ``S`` and ``eta`` shape (B, n). Returns
     (X, Y, theta_hat, eps) where the first three are (B, n) traces and
     ``eps`` is the final tracking error per block. Matches the stepwise
-    :func:`encode_step` protocol sample for sample; the stepwise API is
-    the reference, this is the throughput path.
+    protocol reference in ``tests/stepwise.py`` sample for sample.
     """
     n = coeffs.n
     theta = np.asarray(theta, dtype=float)
@@ -354,10 +279,7 @@ def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta):
             f"batch shapes must be ({theta.shape[0]}, {n}), got {S.shape} and {eta.shape}"
         )
     amp = coeffs.message_amp
-    # row-wise dots: one matrix product can round differently from the
-    # per-block dot in compute_offset, and the two paths must agree exactly
-    tails = np.array([float(coeffs.mu @ row) for row in S[:, 1:]])
-    offset = coeffs.omega * (S[:, 0] / amp - tails)
+    offset = coeffs.omega * (S[:, 0] / amp - np.vecdot(S[:, 1:], coeffs.mu))
     X = np.empty_like(S)
     Y = np.empty_like(S)
     theta_hat = np.empty_like(S)

@@ -38,15 +38,9 @@ import sys
 import numpy as np
 
 from . import regions
-from .errors import (
-    BlocklengthTooSmall,
-    ConfigError,
-    DegenerateSplit,
-    LengthMismatch,
-    OutOfOrderStep,
-)
+from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch
 from .params import MacParams, check_fraction, resolve_block
-from .sk_dpc import batch_of_one, decode_batch, finalize_decode, message_to_theta, single_block
+from .sk_dpc import batch_of_one, decode_batch, message_to_theta, single_block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,129 +196,6 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     )
 
 
-def mac_offsets(S, coeffs: MacSkCoefficients):
-    """One-shot state offsets pre-subtracted at each encoder's init slot."""
-    S = np.asarray(S, dtype=float)
-    if S.shape != (coeffs.n,):
-        raise LengthMismatch(f"state sequence must have length {coeffs.n}, got {S.shape}")
-    tail1 = float(coeffs.mu1[2:] @ S[2:])
-    tail2 = float(coeffs.mu2[2:] @ S[2:])
-    o1 = coeffs.lam * (S[0] / coeffs.message_amp1 - tail1)
-    o2 = coeffs.lam * (S[1] / coeffs.message_amp2 - tail2)
-    return o1, o2
-
-
-@dataclasses.dataclass(frozen=True)
-class MacEncoderState:
-    """Joint transmitter-side state between channel uses."""
-
-    t: int
-    theta1: float
-    theta2: float
-    offset1: float
-    offset2: float
-    eps1: float | None
-    eps2: float | None
-    s_prev: float | None
-
-
-def start_encoders(theta1, theta2, S, coeffs: MacSkCoefficients):
-    o1, o2 = mac_offsets(S, coeffs)
-    return MacEncoderState(
-        t=0,
-        theta1=float(theta1),
-        theta2=float(theta2),
-        offset1=o1,
-        offset2=o2,
-        eps1=None,
-        eps2=None,
-        s_prev=None,
-    )
-
-
-def mac_encode_step(state: MacEncoderState, coeffs: MacSkCoefficients, s_t, y_prev=None):
-    """Produce (X_{1,t}, X_{2,t}) and the advanced joint state."""
-    t = state.t + 1
-    if t > coeffs.n:
-        raise OutOfOrderStep(f"block length {coeffs.n} exhausted")
-    if t == 1 and y_prev is not None:
-        raise OutOfOrderStep("no feedback exists before the first use")
-    if t > 1 and y_prev is None:
-        raise OutOfOrderStep(f"step {t} needs feedback of step {t - 1}")
-
-    eps1, eps2 = state.eps1, state.eps2
-    if t == 1:
-        x1 = (
-            coeffs.message_amp1 * (state.theta1 - state.offset1)
-            + coeffs.state_coef1 * s_t
-        )
-        x2 = coeffs.state_coef2 * s_t
-    elif t == 2:
-        eps1 = (
-            y_prev
-            - coeffs.message_amp1 * (state.theta1 - state.offset1)
-            - coeffs.lam * state.s_prev
-        ) / coeffs.message_amp1
-        x1 = coeffs.state_coef1 * s_t
-        x2 = (
-            coeffs.message_amp2 * (state.theta2 - state.offset2)
-            + coeffs.state_coef2 * s_t
-        )
-    else:
-        if t == 3:
-            # Feedback of slot 2 initializes encoder 2; encoder 1 carries
-            # its slot-1 error through unchanged.
-            eps2 = (
-                y_prev
-                - coeffs.message_amp2 * (state.theta2 - state.offset2)
-                - coeffs.lam * state.s_prev
-            ) / coeffs.message_amp2
-        else:
-            z = y_prev - coeffs.lam * state.s_prev
-            eps1 = eps1 - coeffs.mu1[t - 2] * z
-            eps2 = eps2 - coeffs.mu2[t - 2] * z
-        x1 = coeffs.gain1[t - 1] * eps1 + coeffs.state_coef1 * s_t
-        x2 = coeffs.gain2[t - 1] * eps2 + coeffs.state_coef2 * s_t
-
-    return x1, x2, MacEncoderState(
-        t=t,
-        theta1=state.theta1,
-        theta2=state.theta2,
-        offset1=state.offset1,
-        offset2=state.offset2,
-        eps1=eps1,
-        eps2=eps2,
-        s_prev=float(s_t),
-    )
-
-
-def mac_decode(Y, coeffs: MacSkCoefficients, M1, M2):
-    """Run both receiver refinement chains over a block of outputs.
-
-    Returns (W1_hat, W2_hat, theta1_hat, theta2_hat). User 2 has no
-    estimate before its init slot, so theta2_hat[0] is NaN. The inactive
-    mu slots are zero, which realizes the skip-slot updates.
-    """
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != (coeffs.n,):
-        raise LengthMismatch(f"output sequence must have length {coeffs.n}, got {Y.shape}")
-    th1 = np.empty(coeffs.n)
-    th2 = np.empty(coeffs.n)
-    th1[0] = Y[0] / coeffs.message_amp1
-    th2[0] = np.nan
-    th2[1] = Y[1] / coeffs.message_amp2
-    th1[1] = th1[0] - coeffs.mu1[1] * Y[1]
-    for k in range(2, coeffs.n):
-        th1[k] = th1[k - 1] - coeffs.mu1[k] * Y[k]
-        th2[k] = th2[k - 1] - coeffs.mu2[k] * Y[k]
-    return (
-        finalize_decode(th1[-1], M1),
-        finalize_decode(th2[-1], M2),
-        th1,
-        th2,
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class MacSchemeTrace:
     """Everything observable from one simulated two-encoder block, or from
@@ -390,8 +261,8 @@ def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta):
     """Vectorized closed loop over a batch of independent blocks.
 
     Returns (X1, X2, Y, th1, th2, eps1, eps2); traces are (B, n), the final
-    tracking errors (B,). Matches the stepwise :func:`mac_encode_step`
-    protocol sample for sample.
+    tracking errors (B,). Matches the stepwise protocol reference in
+    ``tests/stepwise.py`` sample for sample.
     """
     n = coeffs.n
     theta1 = np.asarray(theta1, dtype=float)
@@ -400,11 +271,8 @@ def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta):
     if S.shape != (batch, n) or eta.shape != S.shape:
         raise LengthMismatch(f"batch shapes must be ({batch}, {n})")
     amp1, amp2, lam = coeffs.message_amp1, coeffs.message_amp2, coeffs.lam
-    # row-wise dots so this path rounds exactly like mac_offsets
-    tails1 = np.array([float(coeffs.mu1[2:] @ row) for row in S[:, 2:]])
-    tails2 = np.array([float(coeffs.mu2[2:] @ row) for row in S[:, 2:]])
-    o1 = lam * (S[:, 0] / amp1 - tails1)
-    o2 = lam * (S[:, 1] / amp2 - tails2)
+    o1 = lam * (S[:, 0] / amp1 - np.vecdot(S[:, 2:], coeffs.mu1[2:]))
+    o2 = lam * (S[:, 1] / amp2 - np.vecdot(S[:, 2:], coeffs.mu2[2:]))
 
     X1 = np.empty_like(S)
     X2 = np.empty_like(S)

@@ -163,3 +163,19 @@ def test_finite_n_distortion_blends_first_slot():
     assert noisy_obs.finite_n_distortion(FIG3, 0.5, 100) == pytest.approx(
         FIG3.Q / 100 + 0.99 * d_step, rel=1e-14
     )
+
+
+def test_one_run_builds_the_equivalent_channel_at_most_six_times(monkeypatch):
+    # three for the report's theory, one for the loop coefficients, and one each
+    # for the batch's channel and draws and for its estimator weight
+    calls = []
+    make_equivalent = noisy_obs.make_equivalent
+
+    def counted(params):
+        calls.append(params)
+        return make_equivalent(params)
+
+    monkeypatch.setattr(noisy_obs, "make_equivalent", counted)
+    block = BlockConfig(n=60, rate_fraction=0.7)
+    harness.run_experiment("noisy", FIG3, PowerSplit(0.5), block, 800, harness.RandomPlan(7))
+    assert 0 < len(calls) <= 6

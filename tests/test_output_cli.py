@@ -462,3 +462,14 @@ def test_tiny_message_power_is_rejected(capsys, scheme, gamma):
     else:
         assert code == 0
         assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.xfail(strict=True, reason="a message grid finer than float64 resolves is accepted")
+def test_message_grid_finer_than_float64_is_rejected_or_decoded(capsys):
+    # n*rate = 48 bits and alpha_n is near 1e-261, so the exact error rate is 0; but
+    # Y_1 cancels S_1 against the offset, and on the theta scale (~9 here) that
+    # rounding reaches half a grid step
+    argv = ["simulate", "dpc", "--P", "10", "--Q", "1e4", "--sigma2", "1e-12", "--gamma", "1",
+            "--n", "20", "--rate", "2.4", "--trials", "400", "--seed", "7", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2 or json.loads(out)["empirical"]["pe"] == 0.0

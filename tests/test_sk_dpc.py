@@ -1,19 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dpsk import regions, sk_dpc
-from dpsk.errors import (
-    DegenerateSplit,
-    LengthMismatch,
-    MessageOutOfRange,
-    OutOfOrderStep,
-    SplitOutOfRange,
-)
+from dpsk.errors import DegenerateSplit, LengthMismatch, MessageOutOfRange, SplitOutOfRange
 from dpsk.params import BlockConfig, DpcParams
 
+import stepwise
 from oracles import estimation_coefficient_oracle, sk_coefficient_oracle, time1_power_oracle
+from stepwise import OutOfOrderStep
 
 ACC = DpcParams(P=10, Q=10, sigma2=5)
 
@@ -77,19 +74,19 @@ def test_decode_rounds_to_nearest_grid_point():
     M = 8
     for w in range(1, M + 1):
         theta = sk_dpc.message_to_theta(w, M)
-        assert sk_dpc.finalize_decode(theta, M) == w
-        assert sk_dpc.finalize_decode(theta + 0.4 / M, M) == w
-        assert sk_dpc.finalize_decode(theta - 0.4 / M, M) == w
+        assert stepwise.finalize_decode(theta, M) == w
+        assert stepwise.finalize_decode(theta + 0.4 / M, M) == w
+        assert stepwise.finalize_decode(theta - 0.4 / M, M) == w
     # overshoot clamps instead of wrapping
-    assert sk_dpc.finalize_decode(2.0, M) == M
-    assert sk_dpc.finalize_decode(-2.0, M) == 1
+    assert stepwise.finalize_decode(2.0, M) == M
+    assert stepwise.finalize_decode(-2.0, M) == 1
 
 
 def test_decode_batch_matches_scalar_rule():
     M = 8
     values = np.linspace(-0.7, 0.7, 283)
     got = sk_dpc.decode_batch(values, M)
-    expected = [sk_dpc.finalize_decode(v, M) for v in values]
+    expected = [stepwise.finalize_decode(v, M) for v in values]
     np.testing.assert_array_equal(got, expected)
 
 
@@ -112,55 +109,74 @@ def _stepwise_block(coeffs, theta, S, eta):
     """The encode_step/decode_update protocol driven one channel use at a time."""
     n = coeffs.n
     X, Y, theta_hat = np.empty(n), np.empty(n), np.empty(n)
-    state = sk_dpc.start_encoder(theta, S, coeffs)
+    state = stepwise.start_encoder(theta, S, coeffs)
     for t in range(1, n + 1):
         y_prev = Y[t - 2] if t >= 2 else None
-        X[t - 1], state = sk_dpc.encode_step(state, coeffs, S[t - 1], y_prev)
+        X[t - 1], state = stepwise.encode_step(state, coeffs, S[t - 1], y_prev)
         Y[t - 1] = X[t - 1] + S[t - 1] + eta[t - 1]
     theta_hat[0] = Y[0] / coeffs.message_amp
     for k in range(1, n):
-        theta_hat[k] = sk_dpc.decode_update(theta_hat[k - 1], Y[k], coeffs.mu[k - 1])
+        theta_hat[k] = stepwise.decode_update(theta_hat[k - 1], Y[k], coeffs.mu[k - 1])
     return X, Y, theta_hat
 
 
+def _batch_row(trace, i):
+    """Row i of a batch trace in the one-block form run_block returns."""
+    rows = {k: v[i : i + 1] for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
+    return sk_dpc.single_block(dataclasses.replace(trace, **rows))
+
+
+# (params, gamma, n): state forwarding, no forwarding, no state, longest accepted block
+BIT_FOR_BIT_CASES = [
+    (ACC, 0.5, 40),
+    (ACC, 1.0, 40),
+    (DpcParams(10, 0, 5), 0.5, 40),
+    (ACC, 1.0, 642),
+]
+
+
 def test_run_block_matches_batch_kernel_bit_for_bit():
-    # the batch kernel behind run_block against the stepwise protocol
-    n, M = 40, 32
-    block = BlockConfig(n=n, rate=math.log2(M) / n)
-    rng = np.random.default_rng(11)
-    S = rng.normal(0.0, math.sqrt(ACC.Q), size=(4, n))
-    eta = rng.normal(0.0, math.sqrt(ACC.sigma2), size=(4, n))
+    # run_block and one B = 4 run_batch call against the stepwise protocol
+    M = 32
     W = np.array([1, 9, 20, 32])
-    coeffs = sk_dpc.compute_coefficients(ACC, 0.5, n)
-    for i, w in enumerate(W):
-        theta = sk_dpc.message_to_theta(w, M)
-        X, Y, th = _stepwise_block(coeffs, theta, S[i], eta[i])
-        trace = sk_dpc.run_block(ACC, 0.5, block, w, S[i], eta[i])
-        np.testing.assert_array_equal(trace.X, X)
-        np.testing.assert_array_equal(trace.Y, Y)
-        np.testing.assert_array_equal(trace.theta_hat, th)
-        assert trace.W_hat == sk_dpc.finalize_decode(th[-1], M)
+    for params, gamma, n in BIT_FOR_BIT_CASES:
+        block = BlockConfig(n=n, rate=math.log2(M) / n)
+        rng = np.random.default_rng(11)
+        S = rng.normal(0.0, math.sqrt(params.Q), size=(4, n))
+        eta = rng.normal(0.0, math.sqrt(params.sigma2), size=(4, n))
+        coeffs = sk_dpc.compute_coefficients(params, gamma, n)
+        batch = sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta)
+        for i, w in enumerate(W):
+            theta = sk_dpc.message_to_theta(w, M)
+            X, Y, th = _stepwise_block(coeffs, theta, S[i], eta[i])
+            trace = sk_dpc.run_block(params, gamma, block, w, S[i], eta[i])
+            for got in (trace, _batch_row(batch, i)):
+                case = f"{params}, gamma={gamma}, n={n}, row {i}"
+                np.testing.assert_array_equal(got.X, X, err_msg=case)
+                np.testing.assert_array_equal(got.Y, Y, err_msg=case)
+                np.testing.assert_array_equal(got.theta_hat, th, err_msg=case)
+                assert got.W_hat == stepwise.finalize_decode(th[-1], M), case
 
 
 def test_encoder_enforces_step_order():
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 5)
     S = np.ones(5)
-    state = sk_dpc.start_encoder(0.25, S, coeffs)
+    state = stepwise.start_encoder(0.25, S, coeffs)
     with pytest.raises(OutOfOrderStep):
-        sk_dpc.encode_step(state, coeffs, S[0], y_prev=1.0)
-    _, state = sk_dpc.encode_step(state, coeffs, S[0])
+        stepwise.encode_step(state, coeffs, S[0], y_prev=1.0)
+    _, state = stepwise.encode_step(state, coeffs, S[0])
     with pytest.raises(OutOfOrderStep):
-        sk_dpc.encode_step(state, coeffs, S[1])
+        stepwise.encode_step(state, coeffs, S[1])
     for t in range(2, 6):
-        _, state = sk_dpc.encode_step(state, coeffs, S[t - 1], y_prev=0.5)
+        _, state = stepwise.encode_step(state, coeffs, S[t - 1], y_prev=0.5)
     with pytest.raises(OutOfOrderStep):
-        sk_dpc.encode_step(state, coeffs, 0.0, y_prev=0.5)
+        stepwise.encode_step(state, coeffs, 0.0, y_prev=0.5)
 
 
 def test_offset_needs_full_state_block():
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 8)
     with pytest.raises(LengthMismatch):
-        sk_dpc.compute_offset(np.ones(5), coeffs)
+        stepwise.compute_offset(np.ones(5), coeffs)
 
 
 def test_estimation_coefficient_against_oracle():

@@ -1,19 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dpsk import regions, sk_dpmac
-from dpsk.errors import (
-    BlocklengthTooSmall,
-    DegenerateSplit,
-    LengthMismatch,
-    OutOfOrderStep,
-    SplitOutOfRange,
-)
+from dpsk import regions, sk_dpc, sk_dpmac
+from dpsk.errors import BlocklengthTooSmall, DegenerateSplit, LengthMismatch, SplitOutOfRange
 from dpsk.params import BlockConfig, MacParams
 
+import stepwise
 from oracles import mac_coefficient_oracle
+from stepwise import OutOfOrderStep
 
 ACC = MacParams(P1=10, P2=10, Q=10, sigma2=5)
 ASYM = MacParams(P1=4, P2=12, Q=8, sigma2=3)
@@ -138,46 +135,69 @@ def _stepwise_block(coeffs, theta1, theta2, S, eta):
     """The mac_encode_step protocol driven one channel use at a time."""
     n = coeffs.n
     X1, X2, Y = np.empty(n), np.empty(n), np.empty(n)
-    state = sk_dpmac.start_encoders(theta1, theta2, S, coeffs)
+    state = stepwise.start_encoders(theta1, theta2, S, coeffs)
     for t in range(1, n + 1):
         y_prev = Y[t - 2] if t >= 2 else None
-        X1[t - 1], X2[t - 1], state = sk_dpmac.mac_encode_step(state, coeffs, S[t - 1], y_prev)
+        X1[t - 1], X2[t - 1], state = stepwise.mac_encode_step(state, coeffs, S[t - 1], y_prev)
         Y[t - 1] = X1[t - 1] + X2[t - 1] + S[t - 1] + eta[t - 1]
     return X1, X2, Y
 
 
+def _batch_row(trace, i):
+    """Row i of a batch trace in the one-block form mac_run_block returns."""
+    rows = {k: v[i : i + 1] for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
+    return sk_dpc.single_block(dataclasses.replace(trace, **rows))
+
+
+# (params, gamma, beta, n, paper_sgn): short block, longest accepted block,
+# encoder 2 silenced on most steps (mac_run_block has no paper_sgn), asymmetric split
+BIT_FOR_BIT_CASES = [
+    (ACC, 0.8, 0.8, 15, False),
+    (ACC, 0.8, 0.8, 414, False),
+    (ACC, 0.8, 0.8, 60, True),
+    (ASYM, 0.6, 0.9, 40, False),
+]
+
+
 def test_run_block_matches_batch_kernel_bit_for_bit():
-    # the batch kernel behind mac_run_block against the stepwise protocol
-    n = 15
-    block = BlockConfig(n=n, rate=0.1)
-    rng = np.random.default_rng(29)
-    S = rng.normal(0.0, math.sqrt(ACC.Q), size=(3, n))
-    eta = rng.normal(0.0, math.sqrt(ACC.sigma2), size=(3, n))
-    coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, n)
-    (rate1, M1), (rate2, M2), _ = sk_dpmac.resolve_mac_rates(ACC, 0.8, 0.8, block)
-    assert rate1 == rate2 == 0.1
-    W1, W2 = np.array([1, 2, 2]), np.array([2, 1, 2])
-    for i in range(3):
-        theta1 = sk_dpmac.message_to_theta(W1[i], M1)
-        theta2 = sk_dpmac.message_to_theta(W2[i], M2)
-        X1, X2, Y = _stepwise_block(coeffs, theta1, theta2, S[i], eta[i])
-        w1_hat, w2_hat, th1, th2 = sk_dpmac.mac_decode(Y, coeffs, M1, M2)
-        trace = sk_dpmac.mac_run_block(ACC, 0.8, 0.8, block, W1[i], W2[i], S[i], eta[i])
-        np.testing.assert_array_equal(trace.X1, X1)
-        np.testing.assert_array_equal(trace.X2, X2)
-        np.testing.assert_array_equal(trace.Y, Y)
-        np.testing.assert_array_equal(trace.theta1_hat, th1)
-        # slot 1 carries no estimate for user 2
-        assert math.isnan(trace.theta2_hat[0]) and math.isnan(th2[0])
-        np.testing.assert_array_equal(trace.theta2_hat[1:], th2[1:])
-        assert (trace.W1_hat, trace.W2_hat) == (w1_hat, w2_hat)
+    # mac_run_block and one B = 4 mac_run_batch call against the stepwise protocol
+    W1, W2 = np.array([1, 2, 2, 3]), np.array([2, 1, 2, 3])
+    for params, gamma, beta, n, paper_sgn in BIT_FOR_BIT_CASES:
+        block = BlockConfig(n=n, rate=1.5 / n)
+        rng = np.random.default_rng(29)
+        S = rng.normal(0.0, math.sqrt(params.Q), size=(4, n))
+        eta = rng.normal(0.0, math.sqrt(params.sigma2), size=(4, n))
+        coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
+        (rate1, M1), (rate2, M2), _ = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
+        assert rate1 == rate2 == block.rate and M1 == M2 == 3
+        batch = sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
+        for i in range(4):
+            theta1 = sk_dpmac.message_to_theta(W1[i], M1)
+            theta2 = sk_dpmac.message_to_theta(W2[i], M2)
+            X1, X2, Y = _stepwise_block(coeffs, theta1, theta2, S[i], eta[i])
+            w1_hat, w2_hat, th1, th2 = stepwise.mac_decode(Y, coeffs, M1, M2)
+            traces = [_batch_row(batch, i)]
+            if not paper_sgn:
+                traces.append(
+                    sk_dpmac.mac_run_block(params, gamma, beta, block, W1[i], W2[i], S[i], eta[i])
+                )
+            for trace in traces:
+                case = f"{params}, gamma={gamma}, beta={beta}, n={n}, row {i}"
+                np.testing.assert_array_equal(trace.X1, X1, err_msg=case)
+                np.testing.assert_array_equal(trace.X2, X2, err_msg=case)
+                np.testing.assert_array_equal(trace.Y, Y, err_msg=case)
+                np.testing.assert_array_equal(trace.theta1_hat, th1, err_msg=case)
+                # slot 1 carries no estimate for user 2
+                assert math.isnan(trace.theta2_hat[0]) and math.isnan(th2[0])
+                np.testing.assert_array_equal(trace.theta2_hat[1:], th2[1:], err_msg=case)
+                assert (trace.W1_hat, trace.W2_hat) == (w1_hat, w2_hat), case
 
 
 def test_decoder_slot_behaviour():
     n = 10
     coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, n)
     Y = np.random.default_rng(31).normal(size=n)
-    _, _, th1, th2 = sk_dpmac.mac_decode(Y, coeffs, 4, 4)
+    _, _, th1, th2 = stepwise.mac_decode(Y, coeffs, 4, 4)
     assert th1[1] == th1[0]  # encoder 2's init slot does not move user 1
     assert math.isnan(th2[0])
     assert th2[1] == Y[1] / coeffs.message_amp2
@@ -187,24 +207,24 @@ def test_encoder_step_order_checks():
     n = 6
     coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, n)
     S = np.ones(n)
-    state = sk_dpmac.start_encoders(0.1, -0.1, S, coeffs)
+    state = stepwise.start_encoders(0.1, -0.1, S, coeffs)
     with pytest.raises(OutOfOrderStep):
-        sk_dpmac.mac_encode_step(state, coeffs, S[0], y_prev=0.0)
-    _, _, state = sk_dpmac.mac_encode_step(state, coeffs, S[0])
+        stepwise.mac_encode_step(state, coeffs, S[0], y_prev=0.0)
+    _, _, state = stepwise.mac_encode_step(state, coeffs, S[0])
     with pytest.raises(OutOfOrderStep):
-        sk_dpmac.mac_encode_step(state, coeffs, S[1])
+        stepwise.mac_encode_step(state, coeffs, S[1])
     for t in range(2, n + 1):
-        _, _, state = sk_dpmac.mac_encode_step(state, coeffs, S[t - 1], y_prev=0.3)
+        _, _, state = stepwise.mac_encode_step(state, coeffs, S[t - 1], y_prev=0.3)
     with pytest.raises(OutOfOrderStep):
-        sk_dpmac.mac_encode_step(state, coeffs, 0.0, y_prev=0.3)
+        stepwise.mac_encode_step(state, coeffs, 0.0, y_prev=0.3)
 
 
 def test_shape_checks():
     coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, 8)
     with pytest.raises(LengthMismatch):
-        sk_dpmac.mac_offsets(np.ones(5), coeffs)
+        stepwise.mac_offsets(np.ones(5), coeffs)
     with pytest.raises(LengthMismatch):
-        sk_dpmac.mac_decode(np.ones(5), coeffs, 2, 2)
+        stepwise.mac_decode(np.ones(5), coeffs, 2, 2)
     with pytest.raises(LengthMismatch):
         sk_dpmac.mac_run_block(ACC, 0.8, 0.8, BlockConfig(n=8), 1, 1, np.ones(5), np.ones(8))
 
