@@ -13,8 +13,6 @@ against the no-feedback region, then to check a seeded simulation hits
 the distortion floor.
 """
 
-import numpy as np
-
 from dpsk import harness, regions, sk_dpmac
 from dpsk.params import BlockConfig, MacParams, PowerSplit
 
@@ -37,11 +35,13 @@ def show_convergence():
 def show_caps():
     rho_star = regions.solve_rho_star(PARAMS, GAMMA, BETA)
     fb = regions.mac_constraints(PARAMS, GAMMA, BETA, rho_star)
-    nofb = regions.mac_nofb_constraints(PARAMS, GAMMA, BETA)
+    nofb = regions.mac_constraints(PARAMS, GAMMA, BETA, 0.0)
     print("rate caps at gamma = beta = 0.8")
-    print(f"  feedback:    R1 <= {fb.r1_max:.4f}  R2 <= {fb.r2_max:.4f}  sum <= {fb.rsum_max:.4f}")
-    print(f"  no feedback: R1 <= {nofb.r1_max:.4f}  R2 <= {nofb.r2_max:.4f}  sum <= {nofb.rsum_max:.4f}")
-    print(f"  sum-rate gain {fb.rsum_max - nofb.rsum_max:+.4f} bits, distortion floor {fb.d_min:.4f}")
+    for label, caps in (("feedback:   ", fb), ("no feedback:", nofb)):
+        print(f"  {label} R1 <= {caps.r1_max:.4f}  R2 <= {caps.r2_max:.4f}"
+              f"  sum <= {caps.rsum_max:.4f}")
+    print(f"  sum-rate gain {fb.rsum_max - nofb.rsum_max:+.4f} bits,"
+          f" distortion floor {fb.d_min:.4f}")
     print()
 
 

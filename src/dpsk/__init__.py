@@ -32,7 +32,6 @@ from .regions import (
     dpc_rate_cap,
     mac_constraints,
     mac_fb_region,
-    mac_nofb_constraints,
     mac_nofb_region,
     noisy_boundary,
     solve_rho_star,
@@ -63,7 +62,6 @@ __all__ = [
     "mac_coefficients",
     "mac_constraints",
     "mac_fb_region",
-    "mac_nofb_constraints",
     "mac_nofb_region",
     "mac_run_block",
     "make_equivalent",

@@ -33,9 +33,7 @@ def _merged_config(args, scheme):
 
 
 def _grid(count, name="grid"):
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {count!r}", field=name)
-    return regions.unit_grid(count)
+    return regions.unit_grid(params_mod.check_count(count, name))
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +218,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DpskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DpskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -5,8 +5,8 @@ random component (state, channel noise, observation noise, messages),
 keyed by (master_seed, trial, component) alone. Draws therefore do not
 depend on batch size or execution order, and two runs with the same seed
 and configuration produce bit-identical reports. Trials run in batches,
-one after the other; per-trial results land in preallocated slots and the
-per-batch power sums are reduced in index order.
+one after the other; per-trial results land in preallocated slots and each
+batch's symbol powers are added to running per-user sums in batch order.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
 from .errors import ConfigError, DegenerateSplit
-from .params import PowerSplit, RunConfig, check_trials, to_config_dict
+from .params import PowerSplit, RunConfig, check_count, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
 # noisy-observation run with sigma_z2 = 0 consumes exactly the same state,
@@ -58,8 +58,7 @@ class RandomPlan:
 
 
 def _spans(trials):
-    starts = range(0, trials, BATCH)
-    return [(i, s, min(s + BATCH, trials)) for i, s in enumerate(starts)]
+    return [(s, min(s + BATCH, trials)) for s in range(0, trials, BATCH)]
 
 
 def _draw_normals(plan, start, stop, n, std, component):
@@ -112,7 +111,7 @@ class ExperimentReport:
 
 
 def _symbol_stats(power_sums, trials):
-    per_symbol = np.sum(power_sums, axis=0) / trials
+    per_symbol = power_sums / trials
     return [float(v) for v in per_symbol], per_symbol
 
 
@@ -122,14 +121,13 @@ def _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_write
     ``sizes`` holds one message-set size per user and ``coeffs`` the
     scheme's loop coefficients (None on the single-user forwarding-only
     path). Returns per-user error flags (users, trials), per-trial squared
-    estimation errors and per-user batch power sums (users, batches, n).
+    estimation errors and per-user symbol power sums over all trials (users, n).
     """
-    spans = _spans(trials)
     errors = np.zeros((len(sizes), trials), dtype=bool)
     sq_err = np.empty(trials)
-    power_sums = np.zeros((len(sizes), len(spans), n))
+    power_sums = np.zeros((len(sizes), n))
 
-    for bi, start, stop in spans:
+    for start, stop in _spans(trials):
         S = _draw_normals(plan, start, stop, n, math.sqrt(params.Q), STATE)
         eta = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), NOISE)
         if scheme == "mac":
@@ -146,7 +144,7 @@ def _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_write
             users = ((W, trace.W_hat, trace.X),)
         for user, (w, w_hat, x) in enumerate(users):
             errors[user, start:stop] = w_hat != w
-            power_sums[user, bi] = np.sum(x * x, axis=0)
+            power_sums[user] += np.sum(x * x, axis=0)
         sq_err[start:stop] = np.mean((S - trace.S_hat) ** 2, axis=1)
         if trace_writer is not None:
             # the per-symbol (B, n) fields of the trace record, in field order
@@ -175,18 +173,16 @@ def _single_user_empirical(errors, sq_err, power_sums, trials):
     }
 
 
-def _dpc_summary(params, gamma, n, M, message_path, empirical):
-    forward = sk_dpc.state_forward_coefficient(params, gamma)
+def _dpc_summary(params, gamma, n, M, coeffs, empirical):
+    forwarded = sk_dpc.state_forward_coefficient(params, gamma) ** 2 * params.Q
+    d_step = regions.dpc_min_distortion(params, gamma)
+    message_path = coeffs is not None
     theory = {
         "rate_cap": regions.dpc_rate_cap(params, gamma),
-        "distortion": sk_dpc.finite_n_distortion(params, gamma, n),
-        "distortion_step": regions.dpc_min_distortion(params, gamma),
-        "power": params.P if message_path else forward**2 * params.Q,
-        "time1_power": (
-            sk_dpc.time1_power_theory(params, gamma, n, M=M)
-            if message_path
-            else forward**2 * params.Q
-        ),
+        "distortion": regions.finite_n_distortion(params.Q, n, d_step, 1),
+        "distortion_step": d_step,
+        "power": params.P if message_path else forwarded,
+        "time1_power": sk_dpc.time1_power_theory(coeffs, M) if message_path else forwarded,
     }
     deltas = {
         "distortion": empirical["distortion"] - theory["distortion"],
@@ -200,12 +196,13 @@ def _noisy_summary(params, eq_params, gamma, n, message_path, empirical):
     eq = noisy_obs.make_equivalent(params)
     forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
     bound_step = regions.noisy_min_distortion(params, gamma)
+    scheme_step = noisy_obs.scheme_step_distortion(params, gamma)
     theory = {
         "rate_cap": regions.noisy_rate_cap(params, gamma),
         "kappa": eq.kappa,
-        "distortion_scheme": noisy_obs.finite_n_distortion(params, gamma, n),
-        "distortion_scheme_step": noisy_obs.scheme_step_distortion(params, gamma),
-        "distortion_bound": params.Q / n + (n - 1) / n * bound_step,
+        "distortion_scheme": regions.finite_n_distortion(params.Q, n, scheme_step, 1),
+        "distortion_scheme_step": scheme_step,
+        "distortion_bound": regions.finite_n_distortion(params.Q, n, bound_step, 1),
         "distortion_bound_step": bound_step,
         "power": params.P if message_path else forward**2 * eq.state_var,
     }
@@ -224,22 +221,20 @@ def _noisy_summary(params, eq_params, gamma, n, message_path, empirical):
     return theory, deltas, flags
 
 
-def _mac_summary(params, gamma, beta, n, coeffs, rho_star, errors, sq_err, power_sums,
-                 trials):
+def _mac_summary(params, n, coeffs, caps, errors, sq_err, power_sums, trials):
     pe1, half1 = _pe_with_ci(errors[0], trials)
     pe2, half2 = _pe_with_ci(errors[1], trials)
     distortion, dist_se = _mean_with_se(sq_err)
     symbol_power1, per_symbol1 = _symbol_stats(power_sums[0], trials)
     symbol_power2, per_symbol2 = _symbol_stats(power_sums[1], trials)
-    caps = regions.mac_constraints(params, gamma, beta, rho_star)
     rho_final = float(coeffs.rho[-1])
     theory = {
-        "rho_star": rho_star,
+        "rho_star": caps.rho,
         "rho_final": rho_final,
         "r1_max": caps.r1_max,
         "r2_max": caps.r2_max,
         "rsum_max": caps.rsum_max,
-        "distortion": sk_dpmac.finite_n_distortion(params, gamma, beta, n),
+        "distortion": regions.finite_n_distortion(params.Q, n, caps.d_min, 2),
         "distortion_step": caps.d_min,
         "power1": params.P1,
         "power2": params.P2,
@@ -262,10 +257,10 @@ def _mac_summary(params, gamma, beta, n, coeffs, rho_star, errors, sq_err, power
         "distortion": distortion - theory["distortion"],
         "steady_power1": empirical["steady_power1"] - params.P1,
         "steady_power2": empirical["steady_power2"] - params.P2,
-        "rho": rho_final - rho_star,
+        "rho": rho_final - caps.rho,
     }
     flags = []
-    if abs(rho_final - rho_star) > _RHO_CONVERGENCE_TOL:
+    if abs(deltas["rho"]) > _RHO_CONVERGENCE_TOL:
         flags.append("mac_rho_nonconvergence")
     return empirical, theory, deltas, flags
 
@@ -282,7 +277,7 @@ _MEASURED = {
 def _check_run(scheme, block, trials):
     if block is None:
         raise ConfigError("simulation needs a block configuration", field="n")
-    check_trials(trials)
+    check_count(trials, "trials")
     if scheme not in _MEASURED:
         raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
 
@@ -303,9 +298,7 @@ def run_experiment(scheme, params, split, block, trials, plan,
 
     n, gamma, beta = block.n, split.gamma, split.beta
     if scheme == "mac":
-        (rate1, M1), (rate2, M2), rho_star = sk_dpmac.resolve_mac_rates(
-            params, gamma, beta, block
-        )
+        (rate1, M1), (rate2, M2), caps = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
         rates = {"rate1": rate1, "M1": M1, "rate2": rate2, "M2": M2}
         sizes = (M1, M2)
         coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
@@ -315,23 +308,22 @@ def run_experiment(scheme, params, split, block, trials, plan,
         rate, M, coeffs = sk_dpc.resolve_loop(kernel_params, gamma, block)
         rates = {"rate": rate, "M": M}
         sizes = (M,)
-        message_path = coeffs is not None
 
     errors, sq_err, power_sums = _simulate(
         scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_writer
     )
     if scheme == "mac":
         empirical, theory, deltas, flags = _mac_summary(
-            params, gamma, beta, n, coeffs, rho_star, errors, sq_err, power_sums, trials
+            params, n, coeffs, caps, errors, sq_err, power_sums, trials
         )
     else:
         empirical = _single_user_empirical(errors, sq_err, power_sums, trials)
         if scheme == "noisy":
             theory, deltas, flags = _noisy_summary(
-                params, kernel_params, gamma, n, message_path, empirical
+                params, kernel_params, gamma, n, coeffs is not None, empirical
             )
         else:
-            theory, deltas, flags = _dpc_summary(params, gamma, n, M, message_path, empirical)
+            theory, deltas, flags = _dpc_summary(params, gamma, n, M, coeffs, empirical)
 
     return ExperimentReport(
         scheme=scheme,
@@ -379,7 +371,8 @@ def _sweep_points(scheme, params, gamma_grid, beta_grid, n):
         lead, theory = {"gamma": p.gamma}, {"rate_cap": p.rate, "theory_distortion": p.distortion}
         if scheme == "noisy":
             lead["sigma_z2"] = params.sigma_z2
-            theory["theory_distortion_scheme"] = noisy_obs.finite_n_distortion(params, p.gamma, n)
+            step = noisy_obs.scheme_step_distortion(params, p.gamma)
+            theory["theory_distortion_scheme"] = regions.finite_n_distortion(params.Q, n, step, 1)
         points.append((lead, theory))
     return points
 

@@ -43,7 +43,7 @@ def make_equivalent(params: NoisyObsParams):
 
 
 def _equivalent_dpc(params: NoisyObsParams, eq: EquivalentChannel):
-    return DpcParams(P=params.P, Q=eq.state_var, sigma2=eq.noise_var)
+    return DpcParams.derived(P=params.P, Q=eq.state_var, sigma2=eq.noise_var)
 
 
 def equivalent_dpc_params(params: NoisyObsParams):
@@ -94,11 +94,6 @@ def scheme_step_distortion(params: NoisyObsParams, gamma):
         return params.Q - params.Q * params.Q / ey2
     cross, ey2 = _true_state_moments(params, eq, gamma)
     return params.Q - cross * cross / ey2
-
-
-def finite_n_distortion(params: NoisyObsParams, gamma, n):
-    """Block average with the unprotected first slot contributing Q."""
-    return params.Q / n + (n - 1) / n * scheme_step_distortion(params, gamma)
 
 
 def estimate_true_state(Y, params: NoisyObsParams, gamma):

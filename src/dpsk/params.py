@@ -48,6 +48,12 @@ DEFAULT_SEED = 0
 # Message-set sizes must stay drawable as int64 uniforms.
 _MAX_RATE_EXPONENT = 62.0
 
+# Range of every nonzero channel value (P, P1, P2, Q, sigma2, sigma_z2). The
+# closed forms and loop constants form products and ratios of several channel
+# terms, such as 12 gamma P omega'^2 with omega'^2 ~ P / (kappa Q); within 50
+# decades of 1 each, these stay finite and nonzero in float64.
+_CHANNEL_RANGE = (1e-50, 1e50)
+
 
 def _require_number(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -58,10 +64,19 @@ def _require_number(name, value):
     return value
 
 
+def _range_error(name, value):
+    """Why a nonzero ``value`` lies outside the channel range; None if it does not."""
+    low, high = _CHANNEL_RANGE
+    if value != 0.0 and not low <= value <= high:
+        return f"a nonzero {name} must lie in [{low:g}, {high:g}], got {value}"
+
+
 def _check_power(name, value):
     value = _require_number(name, value)
     if value < 0.0:
         raise PowerOutOfRange(f"{name} must be >= 0, got {value}", field=name)
+    if message := _range_error(name, value):
+        raise PowerOutOfRange(message, field=name)
     return value
 
 
@@ -71,6 +86,8 @@ def _check_variance(name, value, strictly_positive=False):
         raise NegativeVariance(f"{name} must be > 0, got {value}", field=name)
     if value < 0.0:
         raise NegativeVariance(f"{name} must be >= 0, got {value}", field=name)
+    if message := _range_error(name, value):
+        raise NegativeVariance(message, field=name)
     return value
 
 
@@ -98,6 +115,15 @@ class _Channel:
         for field in dataclasses.fields(self):
             value = _CHANNEL_CHECKS[field.name](field.name, getattr(self, field.name))
             object.__setattr__(self, field.name, value)
+
+    @classmethod
+    def derived(cls, **values):
+        """A channel built unchecked from values derived from a validated one,
+        which may leave the user range (kappa Q = 1e-100 at Q = 1e-50, sigma_z2 = 1)."""
+        channel = object.__new__(cls)
+        for field in dataclasses.fields(cls):
+            object.__setattr__(channel, field.name, values[field.name])
+        return channel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,15 +331,16 @@ def block_from(raw, scheme):
     return block
 
 
-def check_trials(trials):
-    """A trial count; ConfigError unless it is a positive integer."""
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}", field="trials")
-    return trials
+def check_count(value, name):
+    """A count such as ``trials`` or a grid size; ConfigError naming ``name``
+    unless it is a positive integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}", field=name)
+    return value
 
 
 def trials_from(raw):
-    return check_trials(raw.get("trials", DEFAULT_TRIALS))
+    return check_count(raw.get("trials", DEFAULT_TRIALS), "trials")
 
 
 def seed_from(raw):

@@ -132,26 +132,6 @@ def mac_constraints(params: MacParams, gamma, beta, rho):
     )
 
 
-def mac_nofb_constraints(params: MacParams, gamma, beta):
-    """No-feedback baseline region, written out independently.
-
-    Identical to the feedback region frozen at rho = 0; kept as a separate
-    code path so the two can be cross-checked.
-    """
-    gamma, beta, A, B = _mac_split_terms(params, gamma, beta)
-    s2 = params.sigma2
-    L = mac_power_normalizer(params, gamma, beta)
-    return MacRegionConstraints(
-        gamma=gamma,
-        beta=beta,
-        rho=0.0,
-        r1_max=_half_log2(A / s2),
-        r2_max=_half_log2(B / s2),
-        rsum_max=_half_log2((A + B) / s2),
-        d_min=params.Q * (A + B + s2) / L if params.Q else 0.0,
-    )
-
-
 def solve_rho_star(params: MacParams, gamma, beta):
     """Steady-state error correlation of the two-encoder feedback loop.
 
@@ -197,26 +177,15 @@ def mac_fb_region(params: MacParams, gamma_grid, beta_grid, rho_grid=None):
     out = []
     for gamma in gamma_grid:
         for beta in beta_grid:
-            if rho_grid is None:
-                rhos = [solve_rho_star(params, gamma, beta)]
-            else:
-                rhos = rho_grid
-            for rho in rhos:
-                out.append(mac_constraints(params, gamma, beta, rho))
+            rhos = [solve_rho_star(params, gamma, beta)] if rho_grid is None else rho_grid
+            out.extend(mac_constraints(params, gamma, beta, rho) for rho in rhos)
     return out
 
 
 def mac_nofb_region(params: MacParams, gamma_grid, beta_grid):
-    """No-feedback baseline over a (gamma, beta) grid."""
-    gamma_grid = list(gamma_grid)
-    beta_grid = list(beta_grid)
-    if not gamma_grid or not beta_grid:
-        raise EmptyGrid("region grids must be non-empty")
-    return [
-        mac_nofb_constraints(params, gamma, beta)
-        for gamma in gamma_grid
-        for beta in beta_grid
-    ]
+    """No-feedback baseline over a (gamma, beta) grid: the feedback region
+    with the two encoders' message errors uncorrelated (rho = 0)."""
+    return mac_fb_region(params, gamma_grid, beta_grid, rho_grid=[0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +251,13 @@ def boundary_sweep(params, gammas):
     if isinstance(params, NoisyObsParams):
         return [noisy_boundary(params, g) for g in gammas]
     return [dpc_fb_boundary(params, g) for g in gammas]
+
+
+def finite_n_distortion(Q, n, d_step, init_slots):
+    """Block-averaged distortion target of an n-step block: each of the
+    ``init_slots`` slots without a state estimate contributes Q, every
+    other slot the per-step floor ``d_step``."""
+    return init_slots * Q / n + (n - init_slots) / n * d_step
 
 
 def unit_grid(count):

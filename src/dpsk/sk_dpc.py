@@ -308,22 +308,9 @@ def decode_batch(theta_hat_final, M):
     return np.clip(w, 1, M).astype(np.int64)
 
 
-def time1_power_theory(params: DpcParams, gamma, n, M=None):
-    """Expected E[X_1^2]: gamma P + (1 + 12 gamma P omega^2 sum mu_i^2) Q.
-
-    The message term assumes theta uniform on (-1/2, 1/2); passing M uses
-    the exact discrete-grid variance instead (factor (M^2-1)/M^2).
-    """
-    coeffs = compute_coefficients(params, gamma, n)
-    gp = gamma * params.P
-    message_term = gp if M is None else gp * (M**2 - 1) / M**2
-    state_term = (
-        1.0 + 12.0 * gp * coeffs.omega**2 * float(np.sum(coeffs.mu**2))
-    ) * params.Q
-    return message_term + state_term
-
-
-def finite_n_distortion(params: DpcParams, gamma, n):
-    """Block-averaged distortion target: the t = 1 slot contributes Q."""
-    d_step = regions.dpc_min_distortion(params, gamma)
-    return params.Q / n + (n - 1) / n * d_step
+def time1_power_theory(coeffs: SkCoefficients, M):
+    """Expected E[X_1^2] of the loop ``coeffs`` with theta on the M-point grid:
+    gamma P (M^2-1)/M^2 + (1 + 12 gamma P omega^2 sum mu_i^2) Q."""
+    gp = coeffs.gamma * coeffs.params.P
+    state_gain = 1.0 + 12.0 * gp * coeffs.omega**2 * float(np.sum(coeffs.mu**2))
+    return gp * (M**2 - 1) / M**2 + state_gain * coeffs.params.Q

@@ -221,12 +221,13 @@ class MacSchemeTrace:
 
 
 def resolve_mac_rates(params: MacParams, gamma, beta, block):
-    """Per-user (rate, M) pairs resolved against the rate caps at rho*."""
+    """Per-user (rate, M) pairs resolved against the rate caps at rho*, and the
+    :class:`dpsk.regions.MacRegionConstraints` record at rho* (``.rho``) they come from."""
     rho_star = regions.solve_rho_star(params, gamma, beta)
     caps = regions.mac_constraints(params, gamma, beta, rho_star)
     rate1, m1 = resolve_block(block, caps.r1_max)
     rate2, m2 = resolve_block(block, caps.r2_max)
-    return (rate1, m1), (rate2, m2), rho_star
+    return (rate1, m1), (rate2, m2), caps
 
 
 def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta):
@@ -308,10 +309,3 @@ def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta):
 
 def mac_decode_batch(th1_final, th2_final, M1, M2):
     return decode_batch(th1_final, M1), decode_batch(th2_final, M2)
-
-
-def finite_n_distortion(params: MacParams, gamma, beta, n):
-    """Block-averaged distortion target: the two init slots contribute Q."""
-    rho_star = regions.solve_rho_star(params, gamma, beta)
-    d_step = regions.mac_constraints(params, gamma, beta, rho_star).d_min
-    return 2.0 * params.Q / n + (n - 2) / n * d_step

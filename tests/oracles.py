@@ -9,6 +9,13 @@ with the closed-form recursions is evidence, not tautology.
 
 import math
 
+from dpsk.regions import (
+    MacRegionConstraints,
+    _half_log2,
+    _mac_split_terms,
+    mac_power_normalizer,
+)
+
 
 def _fsum_dot(a, b, var):
     return var * math.fsum(x * y for x, y in zip(a, b))
@@ -159,3 +166,24 @@ def noisy_moment_oracle(P, Q, sigma2, sigma_z2, gamma):
     esy = omega * kappa * kappa * obs_var + resid_var
     c = esy / ey2
     return c, Q - esy * esy / ey2
+
+
+def mac_nofb_constraints(params, gamma, beta):
+    """No-feedback baseline region, written out independently.
+
+    The library evaluates this region as the feedback region frozen at
+    rho = 0; this separate code path is what that case is cross-checked
+    against.
+    """
+    gamma, beta, A, B = _mac_split_terms(params, gamma, beta)
+    s2 = params.sigma2
+    L = mac_power_normalizer(params, gamma, beta)
+    return MacRegionConstraints(
+        gamma=gamma,
+        beta=beta,
+        rho=0.0,
+        r1_max=_half_log2(A / s2),
+        r2_max=_half_log2(B / s2),
+        rsum_max=_half_log2((A + B) / s2),
+        d_min=params.Q * (A + B + s2) / L if params.Q else 0.0,
+    )

@@ -17,7 +17,7 @@ import pytest
 from dpsk import cli, harness, regions, sk_dpc, sk_dpmac
 from dpsk.params import BlockConfig, DpcParams, MacParams, NoisyObsParams, PowerSplit
 
-from oracles import quartic_rho_oracle, sk_coefficient_oracle
+from oracles import mac_nofb_constraints, quartic_rho_oracle, sk_coefficient_oracle
 
 SEED = 7
 DPC = DpcParams(P=10, Q=10, sigma2=5)
@@ -207,7 +207,7 @@ def test_criterion_10_zero_rho_equals_no_feedback_region():
     for gamma in grid:
         for beta in grid:
             at_zero = regions.mac_constraints(MAC, gamma, beta, 0.0)
-            nofb = regions.mac_nofb_constraints(MAC, gamma, beta)
+            nofb = mac_nofb_constraints(MAC, gamma, beta)
             for field in ("r1_max", "r2_max", "rsum_max", "d_min"):
                 a, b = getattr(at_zero, field), getattr(nofb, field)
                 worst = max(worst, abs(a - b) / max(abs(b), 1.0))

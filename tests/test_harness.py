@@ -115,7 +115,8 @@ def test_dpc_report_structure_and_theory_fields():
     assert report.config["P"] == 10.0 and report.config["seed"] == 11
     assert report.theory["rate_cap"] == pytest.approx(0.5)
     assert report.theory["distortion"] == pytest.approx(
-        sk_dpc.finite_n_distortion(ACC, 0.5, 30), rel=1e-15
+        regions.finite_n_distortion(ACC.Q, 30, regions.dpc_min_distortion(ACC, 0.5), 1),
+        rel=1e-15
     )
     assert report.deltas["distortion"] == pytest.approx(
         report.empirical["distortion"] - report.theory["distortion"], abs=1e-15
@@ -301,8 +302,9 @@ def test_sweep_rows_are_region_records_plus_report_columns(scheme):
         if scheme == "noisy":
             for point in theory:
                 point["sigma_z2"] = channel.sigma_z2
-                point["theory_distortion_scheme"] = noisy_obs.finite_n_distortion(
-                    channel, point["gamma"], block.n
+                point["theory_distortion_scheme"] = regions.finite_n_distortion(
+                    channel.Q, block.n,
+                    noisy_obs.scheme_step_distortion(channel, point["gamma"]), 1,
                 )
         measured = ("rate", "pe", "distortion")
     assert len(rows) == len(theory)

@@ -158,13 +158,6 @@ def test_forwarding_only_path_and_m_guard():
         noisy_obs.noisy_run_block(FIG3, 0.5, BlockConfig(n=n), 1, S[:3], Z, eta)
 
 
-def test_finite_n_distortion_blends_first_slot():
-    d_step = noisy_obs.scheme_step_distortion(FIG3, 0.5)
-    assert noisy_obs.finite_n_distortion(FIG3, 0.5, 100) == pytest.approx(
-        FIG3.Q / 100 + 0.99 * d_step, rel=1e-14
-    )
-
-
 def test_one_run_builds_the_equivalent_channel_at_most_six_times(monkeypatch):
     # three for the report's theory, one for the loop coefficients, and one each
     # for the batch's channel and draws and for its estimator weight

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -473,3 +474,80 @@ def test_message_grid_finer_than_float64_is_rejected_or_decoded(capsys):
             "--n", "20", "--rate", "2.4", "--trials", "400", "--seed", "7", "--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2 or json.loads(out)["empirical"]["pe"] == 0.0
+
+
+OVERFLOWING_CHANNELS = {
+    "region-dpc-huge": ["region", "dpc-fb", "--P", "1e308", "--Q", "1e308", "--sigma2", "5"],
+    "region-mac-huge": ["region", "mac-fb", "--P1", "1e160", "--P2", "1e160", "--Q", "1e160",
+                        "--sigma2", "5"],
+    "region-dpc-tiny-noise": ["region", "dpc-fb", "--P", "10", "--Q", "10",
+                              "--sigma2", "1e-320"],
+    "simulate-dpc-tiny-state": ["simulate", "dpc", "--P", "10", "--Q", "1e-320", "--sigma2", "5",
+                                "--gamma", "0.5", "--n", "20", "--rate_fraction", "0.5",
+                                "--trials", "20"],
+    "simulate-mac-tiny-state": ["simulate", "mac", *CHANNEL_MAC[:4], "--Q", "1e-320",
+                                "--sigma2", "5", "--gamma", "0.5", "--beta", "0.5", "--n", "20",
+                                "--rate_fraction", "0.5", "--trials", "20"],
+    "simulate-noisy-huge": ["simulate", "noisy", "--P", "1e100", "--Q", "1e-100",
+                            "--sigma2", "1e100", "--sigma_z2", "1e100", "--gamma", "0.5",
+                            "--n", "20", "--trials", "20"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_CHANNELS))
+def test_channel_values_outside_the_float64_range_are_rejected(capsys, name):
+    # each of these once printed NaN or inf with exit 0, or raised OverflowError
+    code, out, err = run_cli(capsys, *OVERFLOWING_CHANNELS[name], "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _all_finite(value):
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+EDGE = ("0", "1e-50", "1e50")
+CORNER_COMMANDS = {
+    "region-dpc-fb": (["region", "dpc-fb"], ("P", "Q"), ()),
+    "region-noisy": (["region", "noisy"], ("P", "Q", "sigma_z2"), ()),
+    "region-mac-fb": (["region", "mac-fb"], ("P1", "Q"), ()),
+    "simulate-dpc": (["simulate", "dpc"], ("P", "Q"), ("--gamma", "0.5")),
+    "simulate-noisy": (["simulate", "noisy"], ("P", "Q", "sigma_z2"), ("--gamma", "0.5")),
+    "simulate-mac": (["simulate", "mac"], ("P1", "Q"), ("--gamma", "0.5", "--beta", "0.5")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_COMMANDS))
+def test_channel_range_corners_give_finite_reports_or_errors(capsys, name):
+    # every corner of the accepted channel range, with P1 = P2 for the two encoders
+    command, keys, split = CORNER_COMMANDS[name]
+    if command[0] == "simulate":
+        split += ("--n", "20", "--rate_fraction", "0.5", "--trials", "20")
+    else:
+        split += ("--grid", "16")
+    for values in itertools.product(*[EDGE] * len(keys), ("1e-50", "1e50")):
+        flags = []
+        for key, value in zip(keys + ("sigma2",), values):
+            flags += [f"--{key}", value] + (["--P2", value] if key == "P1" else [])
+        code, out, _ = run_cli(capsys, *command, *flags, *split, "--format", "json")
+        if code == 0:
+            assert _all_finite(json.loads(out)), flags
+        else:
+            assert code in (1, 2) and out == "", flags
+
+
+@pytest.mark.parametrize("Q, sigma_z2, sigma2", [("1e-50", "1", "5"), ("1e50", "1e50", "1e50")])
+def test_noisy_channel_runs_when_its_equivalent_channel_leaves_the_range(
+    capsys, Q, sigma_z2, sigma2
+):
+    # kappa Q = 1e-100 in the first case, kappa sigma_z2 + sigma2 = 1.5e50 in the second;
+    # the range bounds the values a user enters, not the ones the scheme derives
+    code, out, _ = run_cli(capsys, "simulate", "noisy", "--P", "10", "--Q", Q,
+                           "--sigma_z2", sigma_z2, "--sigma2", sigma2, "--gamma", "0.5",
+                           "--n", "20", "--rate_fraction", "0.5", "--trials", "20",
+                           "--format", "json")
+    assert code == 0 and _all_finite(json.loads(out))

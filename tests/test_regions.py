@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dpsk import regions
+from dpsk import noisy_obs, regions
 from dpsk.errors import EmptyGrid, SplitOutOfRange
 from dpsk.params import DpcParams, MacParams, NoisyObsParams
 
-from oracles import quartic_rho_oracle
+from oracles import mac_nofb_constraints, quartic_rho_oracle
 
 ACC = DpcParams(P=10, Q=10, sigma2=5)
 MAC = MacParams(P1=10, P2=10, Q=10, sigma2=5)
@@ -75,11 +76,11 @@ def test_mac_constraints_at_zero_rho_match_nofb_baseline():
     for gamma in np.linspace(0.0, 1.0, 10):
         for beta in np.linspace(0.0, 1.0, 10):
             fb = regions.mac_constraints(MAC, gamma, beta, 0.0)
-            nofb = regions.mac_nofb_constraints(MAC, gamma, beta)
-            assert fb.r1_max == pytest.approx(nofb.r1_max, abs=1e-12)
-            assert fb.r2_max == pytest.approx(nofb.r2_max, abs=1e-12)
-            assert fb.rsum_max == pytest.approx(nofb.rsum_max, abs=1e-12)
-            assert fb.d_min == pytest.approx(nofb.d_min, rel=1e-12)
+            nofb = mac_nofb_constraints(MAC, gamma, beta)
+            assert fb.r1_max == nofb.r1_max
+            assert fb.r2_max == nofb.r2_max
+            assert fb.rsum_max == nofb.rsum_max
+            assert fb.d_min == nofb.d_min
 
 
 def test_mac_constraints_reject_bad_rho():
@@ -125,7 +126,7 @@ def test_feedback_strictly_raises_sum_rate():
         for beta in np.linspace(0.1, 1.0, 6):
             rho = regions.solve_rho_star(MAC, gamma, beta)
             fb = regions.mac_constraints(MAC, gamma, beta, rho)
-            nofb = regions.mac_nofb_constraints(MAC, gamma, beta)
+            nofb = mac_nofb_constraints(MAC, gamma, beta)
             assert fb.rsum_max > nofb.rsum_max
 
 
@@ -146,6 +147,35 @@ def test_observation_weight():
     assert regions.observation_weight(NoisyObsParams(1, 10, 1, 0)) == 1.0
     # enormous observation noise: the observation carries nothing
     assert regions.observation_weight(NoisyObsParams(1, 10, 1, 1e12)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "params",
+    [MAC, MacParams(1e-50, 1e50, 1e50, 1e-50), MacParams(1e50, 1e50, 0, 1e50),
+     MacParams(1e50, 1e-50, 1e-50, 1e50), MacParams(0, 1e50, 1e50, 1e-50)],
+    ids=["standard", "corner-1", "corner-2", "corner-3", "corner-4"],
+)
+def test_mac_nofb_region_is_the_independent_formula_bit_for_bit(params):
+    grid = list(regions.unit_grid(16))
+    expected = [mac_nofb_constraints(params, g, b) for g in grid for b in grid]
+    assert all(math.isfinite(v) for c in expected for v in dataclasses.astuple(c))
+    assert regions.mac_nofb_region(params, grid, grid) == expected
+
+
+@pytest.mark.parametrize(
+    "Q, d_step, init_slots, weight",
+    [
+        (ACC.Q, regions.dpc_min_distortion(ACC, 0.5), 1, 0.99),
+        (FIG3.Q, noisy_obs.scheme_step_distortion(FIG3, 0.5), 1, 0.99),
+        (MAC.Q, regions.mac_constraints(
+            MAC, 0.8, 0.8, regions.solve_rho_star(MAC, 0.8, 0.8)).d_min, 2, 0.98),
+    ],
+    ids=["dpc", "noisy", "mac"],
+)
+def test_finite_n_distortion_blends_init_slots(Q, d_step, init_slots, weight):
+    assert regions.finite_n_distortion(Q, 100, d_step, init_slots) == pytest.approx(
+        init_slots * Q / 100 + weight * d_step, rel=1e-14
+    )
 
 
 def test_noisy_boundary_reduces_to_clean_at_zero_obs_noise():

@@ -200,14 +200,11 @@ def test_estimate_state_zeroes_first_slot():
 
 
 def test_time1_power_matches_moment_oracle():
+    coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 60)
     for M in (2, 16, 16384):
-        assert sk_dpc.time1_power_theory(ACC, 0.5, 60, M=M) == pytest.approx(
+        assert sk_dpc.time1_power_theory(coeffs, M) == pytest.approx(
             time1_power_oracle(10, 10, 5, 0.5, 60, M), rel=1e-12
         )
-    # the continuous form is the large-M limit
-    assert sk_dpc.time1_power_theory(ACC, 0.5, 60) == pytest.approx(
-        time1_power_oracle(10, 10, 5, 0.5, 60, 10**9), rel=1e-6
-    )
 
 
 def test_forwarding_only_path():
@@ -245,13 +242,6 @@ def test_trace_statistics_properties():
     np.testing.assert_array_equal(trace.symbol_powers, trace.X**2)
 
 
-def test_finite_n_distortion_blends_first_slot():
-    d_step = regions.dpc_min_distortion(ACC, 0.5)
-    assert sk_dpc.finite_n_distortion(ACC, 0.5, 100) == pytest.approx(
-        ACC.Q / 100 + 0.99 * d_step, rel=1e-14
-    )
-
-
 def test_short_monte_carlo_tracks_theory():
     # desk-scale sanity run; the acceptance suite does the full-size one
     n, trials = 25, 3000
@@ -264,4 +254,5 @@ def test_short_monte_carlo_tracks_theory():
     assert float(np.var(eps)) == pytest.approx(coeffs.alpha[-1], rel=0.1)
     s_hat = sk_dpc.estimate_state(Y, ACC, 0.5)
     d_emp = float(np.mean((S - s_hat) ** 2))
-    assert d_emp == pytest.approx(sk_dpc.finite_n_distortion(ACC, 0.5, n), rel=0.05)
+    d_target = regions.finite_n_distortion(ACC.Q, n, regions.dpc_min_distortion(ACC, 0.5), 1)
+    assert d_emp == pytest.approx(d_target, rel=0.05)

@@ -231,16 +231,9 @@ def test_shape_checks():
 
 def test_resolve_rates_fraction_of_caps():
     block = BlockConfig(n=50, rate_fraction=0.5)
-    (rate1, M1), (rate2, M2), rho_star = sk_dpmac.resolve_mac_rates(ASYM, 0.6, 0.9, block)
-    caps = regions.mac_constraints(ASYM, 0.6, 0.9, rho_star)
+    (rate1, M1), (rate2, M2), at_rho_star = sk_dpmac.resolve_mac_rates(ASYM, 0.6, 0.9, block)
+    caps = regions.mac_constraints(ASYM, 0.6, 0.9, at_rho_star.rho)
     assert rate1 == pytest.approx(0.5 * caps.r1_max, rel=1e-15)
     assert rate2 == pytest.approx(0.5 * caps.r2_max, rel=1e-15)
     assert M1 == round(2.0 ** (50 * rate1)) and M2 == round(2.0 ** (50 * rate2))
 
-
-def test_finite_n_distortion_blends_init_slots():
-    rho_star = regions.solve_rho_star(ACC, 0.8, 0.8)
-    d_step = regions.mac_constraints(ACC, 0.8, 0.8, rho_star).d_min
-    assert sk_dpmac.finite_n_distortion(ACC, 0.8, 0.8, 100) == pytest.approx(
-        2 * ACC.Q / 100 + 0.98 * d_step, rel=1e-14
-    )
