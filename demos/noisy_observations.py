@@ -16,8 +16,8 @@ PARAMS = NoisyObsParams(P=7.7, Q=10, sigma2=5, sigma_z2=1)
 
 def show_equivalent_channel():
     eq = noisy_obs.make_equivalent(PARAMS)
-    print(f"kappa = Q/(Q+sigma_z2) = {eq.kappa:.6f}")
-    print(f"equivalent channel: state var {eq.state_var:.4f}, noise var {eq.noise_var:.4f}")
+    print(f"kappa = Q/(Q+sigma_z2) = {regions.observation_weight(PARAMS):.6f}")
+    print(f"equivalent channel: state var {eq.Q:.4f}, noise var {eq.sigma2:.4f}")
     clean = regions.noisy_boundary(NoisyObsParams(7.7, 10, 5, 0), 0.5)
     ref = regions.dpc_fb_boundary(DpcParams(7.7, 10, 5), 0.5)
     print(f"sigma_z2=0 check at gamma=0.5: {clean.distortion:.12f} vs clean {ref.distortion:.12f}")

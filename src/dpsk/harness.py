@@ -110,18 +110,14 @@ class ExperimentReport:
         return dataclasses.asdict(self)
 
 
-def _symbol_stats(power_sums, trials):
-    per_symbol = power_sums / trials
-    return [float(v) for v in per_symbol], per_symbol
-
-
 def _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_writer):
     """Draw, simulate and reduce every batch of trials in order.
 
     ``sizes`` holds one message-set size per user and ``coeffs`` the
     scheme's loop coefficients (None on the single-user forwarding-only
-    path). Returns per-user error flags (users, trials), per-trial squared
-    estimation errors and per-user symbol power sums over all trials (users, n).
+    path). Collects per-user error flags (users, trials), per-trial squared
+    estimation errors and per-user symbol power sums (users, n), and
+    returns the report's measured block built from them by :func:`_empirical`.
     """
     errors = np.zeros((len(sizes), trials), dtype=bool)
     sq_err = np.empty(trials)
@@ -154,23 +150,29 @@ def _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_write
                 trace_writer(trial, {name: column[i] for name, column in columns.items()})
         # the trace holds this batch's S too; free its (B, n) arrays before the next draw
         del trace, users
-    return errors, sq_err, power_sums
+    return _empirical(errors, sq_err, power_sums, trials)
 
 
-def _single_user_empirical(errors, sq_err, power_sums, trials):
-    pe, pe_half = _pe_with_ci(errors[0], trials)
-    distortion, dist_se = _mean_with_se(sq_err)
-    symbol_power, per_symbol = _symbol_stats(power_sums[0], trials)
-    return {
-        "pe": pe,
-        "pe_ci95": pe_half,
-        "distortion": distortion,
-        "distortion_se": dist_se,
-        "power": float(per_symbol.mean()),
-        "time1_power": float(per_symbol[0]),
-        "steady_power": float(per_symbol[1:].mean()),
-        "symbol_power": symbol_power,
-    }
+def _empirical(errors, sq_err, power_sums, trials):
+    """The report's measured block for one or two users.
+
+    Per-user keys carry no suffix with one user and 1/2 with two. Steady
+    power skips the slots in which the loops start, one per user.
+    """
+    users = len(errors)
+    suffixes = ("",) if users == 1 else ("1", "2")
+    per_symbol = power_sums / trials
+    rows = list(zip(suffixes, per_symbol))
+    empirical = {}
+    for s, flags in zip(suffixes, errors):
+        empirical[f"pe{s}"], empirical[f"pe{s}_ci95"] = _pe_with_ci(flags, trials)
+    empirical["distortion"], empirical["distortion_se"] = _mean_with_se(sq_err)
+    empirical.update({f"power{s}": float(row.mean()) for s, row in rows})
+    if users == 1:
+        empirical["time1_power"] = float(per_symbol[0, 0])
+    empirical.update({f"steady_power{s}": float(row[users:].mean()) for s, row in rows})
+    empirical.update({f"symbol_power{s}": [float(v) for v in row] for s, row in rows})
+    return empirical
 
 
 def _dpc_summary(params, gamma, n, M, coeffs, empirical):
@@ -193,18 +195,17 @@ def _dpc_summary(params, gamma, n, M, coeffs, empirical):
 
 
 def _noisy_summary(params, eq_params, gamma, n, message_path, empirical):
-    eq = noisy_obs.make_equivalent(params)
     forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
     bound_step = regions.noisy_min_distortion(params, gamma)
     scheme_step = noisy_obs.scheme_step_distortion(params, gamma)
     theory = {
         "rate_cap": regions.noisy_rate_cap(params, gamma),
-        "kappa": eq.kappa,
+        "kappa": regions.observation_weight(params),
         "distortion_scheme": regions.finite_n_distortion(params.Q, n, scheme_step, 1),
         "distortion_scheme_step": scheme_step,
         "distortion_bound": regions.finite_n_distortion(params.Q, n, bound_step, 1),
         "distortion_bound_step": bound_step,
-        "power": params.P if message_path else forward**2 * eq.state_var,
+        "power": params.P if message_path else forward**2 * eq_params.Q,
     }
     distortion = empirical["distortion"]
     deltas = {
@@ -221,12 +222,7 @@ def _noisy_summary(params, eq_params, gamma, n, message_path, empirical):
     return theory, deltas, flags
 
 
-def _mac_summary(params, n, coeffs, caps, errors, sq_err, power_sums, trials):
-    pe1, half1 = _pe_with_ci(errors[0], trials)
-    pe2, half2 = _pe_with_ci(errors[1], trials)
-    distortion, dist_se = _mean_with_se(sq_err)
-    symbol_power1, per_symbol1 = _symbol_stats(power_sums[0], trials)
-    symbol_power2, per_symbol2 = _symbol_stats(power_sums[1], trials)
+def _mac_summary(params, n, coeffs, caps, empirical):
     rho_final = float(coeffs.rho[-1])
     theory = {
         "rho_star": caps.rho,
@@ -239,22 +235,8 @@ def _mac_summary(params, n, coeffs, caps, errors, sq_err, power_sums, trials):
         "power1": params.P1,
         "power2": params.P2,
     }
-    empirical = {
-        "pe1": pe1,
-        "pe1_ci95": half1,
-        "pe2": pe2,
-        "pe2_ci95": half2,
-        "distortion": distortion,
-        "distortion_se": dist_se,
-        "power1": float(per_symbol1.mean()),
-        "power2": float(per_symbol2.mean()),
-        "steady_power1": float(per_symbol1[2:].mean()),
-        "steady_power2": float(per_symbol2[2:].mean()),
-        "symbol_power1": symbol_power1,
-        "symbol_power2": symbol_power2,
-    }
     deltas = {
-        "distortion": distortion - theory["distortion"],
+        "distortion": empirical["distortion"] - theory["distortion"],
         "steady_power1": empirical["steady_power1"] - params.P1,
         "steady_power2": empirical["steady_power2"] - params.P2,
         "rho": rho_final - caps.rho,
@@ -262,7 +244,7 @@ def _mac_summary(params, n, coeffs, caps, errors, sq_err, power_sums, trials):
     flags = []
     if abs(deltas["rho"]) > _RHO_CONVERGENCE_TOL:
         flags.append("mac_rho_nonconvergence")
-    return empirical, theory, deltas, flags
+    return theory, deltas, flags
 
 
 #: Each scheme's report entries (rates, then empirical values) that a sweep
@@ -304,26 +286,20 @@ def run_experiment(scheme, params, split, block, trials, plan,
         coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
     else:
         # the noisy scheme runs on the clean-state channel it reduces to
-        kernel_params = noisy_obs.equivalent_dpc_params(params) if scheme == "noisy" else params
+        kernel_params = noisy_obs.make_equivalent(params) if scheme == "noisy" else params
         rate, M, coeffs = sk_dpc.resolve_loop(kernel_params, gamma, block)
         rates = {"rate": rate, "M": M}
         sizes = (M,)
 
-    errors, sq_err, power_sums = _simulate(
-        scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_writer
-    )
+    empirical = _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_writer)
     if scheme == "mac":
-        empirical, theory, deltas, flags = _mac_summary(
-            params, n, coeffs, caps, errors, sq_err, power_sums, trials
+        theory, deltas, flags = _mac_summary(params, n, coeffs, caps, empirical)
+    elif scheme == "noisy":
+        theory, deltas, flags = _noisy_summary(
+            params, kernel_params, gamma, n, coeffs is not None, empirical
         )
     else:
-        empirical = _single_user_empirical(errors, sq_err, power_sums, trials)
-        if scheme == "noisy":
-            theory, deltas, flags = _noisy_summary(
-                params, kernel_params, gamma, n, coeffs is not None, empirical
-            )
-        else:
-            theory, deltas, flags = _dpc_summary(params, gamma, n, M, coeffs, empirical)
+        theory, deltas, flags = _dpc_summary(params, gamma, n, M, coeffs, empirical)
 
     return ExperimentReport(
         scheme=scheme,

@@ -8,12 +8,12 @@ Z_tilde ~ N(0, (1-kappa) Q) that acts as extra channel noise:
     Y = X + kappa S_tilde + (Z_tilde + eta).
 
 The clean-observation machinery therefore runs unchanged on the
-equivalent channel with state variance kappa Q and noise variance
-kappa sigma_z2 + sigma2 (note Var(kappa Z) = kappa sigma_z2 relative to
-the observed block). The receiver, however, wants the true S, not the
-equivalent state, which changes the estimator weight and the achieved
-distortion; see :func:`true_state_coefficient` and
-:func:`scheme_step_distortion`.
+equivalent channel, the ``DpcParams`` :func:`make_equivalent` returns, with
+state variance kappa Q and noise variance kappa sigma_z2 + sigma2 (note
+Var(kappa Z) = kappa sigma_z2 relative to the observed block). The
+receiver, however, wants the true S, not the equivalent state, which
+changes the estimator weight and the achieved distortion; see
+:func:`true_state_coefficient` and :func:`scheme_step_distortion`.
 """
 
 import dataclasses
@@ -24,37 +24,21 @@ from . import regions, sk_dpc
 from .params import DpcParams, NoisyObsParams
 
 
-@dataclasses.dataclass(frozen=True)
-class EquivalentChannel:
-    """Clean-observation channel the noisy problem reduces to."""
-
-    kappa: float
-    state_var: float
-    noise_var: float
-
-
 def make_equivalent(params: NoisyObsParams):
+    """The clean-observation channel the noisy problem reduces to: state
+    variance kappa Q and noise variance kappa sigma_z2 + sigma2."""
     kappa = regions.observation_weight(params)
-    return EquivalentChannel(
-        kappa=kappa,
-        state_var=kappa * params.Q,
-        noise_var=kappa * params.sigma_z2 + params.sigma2,
+    return DpcParams.derived(
+        P=params.P, Q=kappa * params.Q, sigma2=kappa * params.sigma_z2 + params.sigma2
     )
 
 
-def _equivalent_dpc(params: NoisyObsParams, eq: EquivalentChannel):
-    return DpcParams.derived(P=params.P, Q=eq.state_var, sigma2=eq.noise_var)
-
-
-def equivalent_dpc_params(params: NoisyObsParams):
-    return _equivalent_dpc(params, make_equivalent(params))
-
-
-def _true_state_moments(params: NoisyObsParams, eq: EquivalentChannel, gamma):
-    """Steady-state E[S Y] and E[Y^2] of the true state; needs kappa Q > 0."""
-    omega = 1.0 + sk_dpc.state_forward_coefficient(_equivalent_dpc(params, eq), gamma)
-    ey2 = gamma * params.P + omega * omega * eq.state_var + eq.noise_var
-    return omega * eq.state_var + (1.0 - eq.kappa) * params.Q, ey2
+def _true_state_moments(params: NoisyObsParams, gamma):
+    """Steady-state E[S Y] and E[Y^2] of the true state."""
+    eq = make_equivalent(params)
+    omega = 1.0 + sk_dpc.state_forward_coefficient(eq, gamma)
+    ey2 = gamma * params.P + omega * omega * eq.Q + eq.sigma2
+    return omega * eq.Q + (1.0 - regions.observation_weight(params)) * params.Q, ey2
 
 
 def true_state_coefficient(params: NoisyObsParams, gamma):
@@ -68,10 +52,7 @@ def true_state_coefficient(params: NoisyObsParams, gamma):
 
     with omega' = 1 + sqrt((1-gamma) P / (kappa Q)).
     """
-    eq = make_equivalent(params)
-    if eq.state_var == 0.0:
-        return 0.0
-    cross, ey2 = _true_state_moments(params, eq, gamma)
+    cross, ey2 = _true_state_moments(params, gamma)
     return cross / ey2
 
 
@@ -85,23 +66,8 @@ def scheme_step_distortion(params: NoisyObsParams, gamma):
     simulation harness checks simulated distortion against this value and
     flags the gap from the conservative bound.
     """
-    eq = make_equivalent(params)
-    if params.Q == 0.0:
-        return 0.0
-    if eq.state_var == 0.0:
-        # Observation carries nothing; Y still contains S itself.
-        ey2 = params.P + params.Q + params.sigma2
-        return params.Q - params.Q * params.Q / ey2
-    cross, ey2 = _true_state_moments(params, eq, gamma)
+    cross, ey2 = _true_state_moments(params, gamma)
     return params.Q - cross * cross / ey2
-
-
-def estimate_true_state(Y, params: NoisyObsParams, gamma):
-    """Apply the true-state weight; the first slot has no estimate."""
-    Y = np.asarray(Y, dtype=float)
-    s_hat = true_state_coefficient(params, gamma) * Y
-    s_hat[..., 0] = 0.0
-    return s_hat
 
 
 def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
@@ -109,16 +75,16 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
 
     This is :func:`dpsk.sk_dpc.run_batch` on the equivalent channel, with
     ``M`` and ``coeffs`` from :func:`dpsk.sk_dpc.resolve_loop` on
-    :func:`equivalent_dpc_params`: the encoder is driven by kappa (S + Z)
-    and the state it cannot see joins the channel noise. The returned
-    trace carries the true S and its estimate.
+    :func:`make_equivalent`: the encoder is driven by kappa (S + Z), the
+    state it cannot see joins the channel noise, and the receiver weighs
+    Y by :func:`true_state_coefficient`. The returned trace carries the
+    true S and its estimate.
     """
-    eq = make_equivalent(params)
-    s_eq = eq.kappa * (S + Z)
+    s_eq = regions.observation_weight(params) * (S + Z)
     eta_eq = (S - s_eq) + eta
     trace = sk_dpc.run_batch(
-        _equivalent_dpc(params, eq), gamma, M, coeffs, W, s_eq, eta_eq,
-        estimate=lambda Y: estimate_true_state(Y, params, gamma),
+        make_equivalent(params), gamma, M, coeffs, W, s_eq, eta_eq,
+        weight=true_state_coefficient(params, gamma),
     )
     return dataclasses.replace(trace, S=S)
 
@@ -131,5 +97,5 @@ def noisy_run_block(params: NoisyObsParams, gamma, block, W, S, Z, eta):
     clean-observation trace sample for sample.
     """
     S, Z, eta = sk_dpc.batch_of_one(block.n, S=S, Z=Z, eta=eta)
-    _, M, coeffs = sk_dpc.resolve_loop(equivalent_dpc_params(params), gamma, block)
+    _, M, coeffs = sk_dpc.resolve_loop(make_equivalent(params), gamma, block)
     return sk_dpc.single_block(noisy_run_batch(params, gamma, M, coeffs, np.array([W]), S, Z, eta))

@@ -161,10 +161,6 @@ class NoisyObsParams(_Channel):
     sigma2: float
     sigma_z2: float
 
-    def base(self):
-        """The same channel with a perfectly observed state."""
-        return DpcParams(self.P, self.Q, self.sigma2)
-
 
 @dataclasses.dataclass(frozen=True)
 class PowerSplit:

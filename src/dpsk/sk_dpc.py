@@ -93,7 +93,8 @@ def compute_coefficients(params: DpcParams, gamma, n):
     float64's normal range, or so low that the next gain sqrt(gamma P /
     alpha) overflows, is rejected with ConfigError naming the longest
     block these parameters support. A gamma*P so small that the first
-    variance sigma2/(12 gamma P) overflows is rejected as well.
+    variance sigma2/(12 gamma P) overflows is rejected as well, and so is a
+    gamma*P/sigma2 so large that a variance update cancels to <= 0.
     """
     check_fraction("gamma", gamma)
     if n < 2:
@@ -118,6 +119,12 @@ def compute_coefficients(params: DpcParams, gamma, n):
         mu[k - 1] = math.sqrt(gp * alpha[k - 1]) / (gp + s2)
         alpha[k] = alpha[k - 1] - mu[k - 1] ** 2 * (gp + s2)
         gain[k] = math.sqrt(gp / alpha[k - 1])
+        if alpha[k] <= 0.0:
+            raise ConfigError(
+                f"gamma*P/sigma2 = {gp / s2:.3g} is too large: the error variance "
+                f"update cancels in float64 at step {k + 1}",
+                field="gamma",
+            )
         if alpha[k] < alpha_floor:
             raise ConfigError(
                 f"n = {n} is too long for these parameters: the error variance "
@@ -161,15 +168,14 @@ def estimation_coefficient(params: DpcParams, gamma):
     return math.sqrt(Q) * reach / (reach**2 + gamma * params.P + params.sigma2)
 
 
-def estimate_state(Y, params: DpcParams, gamma):
+def estimate_state(Y, weight):
     """Receiver state estimates for a block of outputs.
 
     S_hat_1 = 0 by construction (Y_1 carries no state after the offset
-    cancellation); later estimates are c * Y_t. Works on a trailing time
-    axis, so batched inputs pass through unchanged.
+    cancellation); later estimates are weight * Y_t. Works on a trailing
+    time axis, so batched inputs pass through unchanged.
     """
-    Y = np.asarray(Y, dtype=float)
-    s_hat = estimation_coefficient(params, gamma) * Y
+    s_hat = weight * np.asarray(Y, dtype=float)
     s_hat[..., 0] = 0.0
     return s_hat
 
@@ -191,10 +197,6 @@ class SchemeTrace:
     @property
     def distortion(self):
         return float(np.mean((self.S - self.S_hat) ** 2))
-
-    @property
-    def symbol_powers(self):
-        return self.X**2
 
 
 def batch_of_one(n, **draws):
@@ -232,13 +234,13 @@ def resolve_loop(params: DpcParams, gamma, block):
     return rate, M, compute_coefficients(params, gamma, block.n)
 
 
-def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, estimate=None):
+def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None):
     """Simulate a batch of blocks from supplied draws.
 
     ``M`` and ``coeffs`` come from :func:`resolve_loop`, ``W`` has shape
-    (B,) and ``S``, ``eta`` shape (B, n). ``estimate`` maps the outputs Y
-    to the state estimates; it defaults to :func:`estimate_state`. Returns
-    a :class:`SchemeTrace` of (B,) messages and (B, n) traces.
+    (B,) and ``S``, ``eta`` shape (B, n). ``weight`` is the receiver's
+    state-estimation weight; it defaults to :func:`estimation_coefficient`.
+    Returns a :class:`SchemeTrace` of (B,) messages and (B, n) traces.
     """
     if coeffs is None:
         X, Y = simulate_forwarding_batch(params, gamma, S, eta)
@@ -247,7 +249,9 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, estimate=None):
     else:
         X, Y, theta_hat, _ = simulate_message_batch(coeffs, message_to_theta(W, M), S, eta)
         W_hat = decode_batch(theta_hat[:, -1], M)
-    S_hat = estimate_state(Y, params, gamma) if estimate is None else estimate(Y)
+    if weight is None:
+        weight = estimation_coefficient(params, gamma)
+    S_hat = estimate_state(Y, weight)
     return SchemeTrace(W=W, W_hat=W_hat, M=M, X=X, Y=Y, theta_hat=theta_hat, S=S, S_hat=S_hat)
 
 

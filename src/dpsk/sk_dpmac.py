@@ -99,7 +99,8 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     where the correlation c12/sqrt(alpha1 alpha2) can no longer be formed,
     is rejected with ConfigError naming the longest block these parameters
     support. A gamma*P1 or beta*P2 so small that the first variance
-    sigma2/(12 gamma P1) or sigma2/(12 beta P2) overflows is rejected as well.
+    sigma2/(12 gamma P1) or sigma2/(12 beta P2) overflows is rejected as well,
+    and so is one so large that a variance update cancels to <= 0.
     """
     gamma = check_fraction("gamma", gamma)
     beta = check_fraction("beta", beta)
@@ -157,6 +158,13 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
         a1 = a1 - e1 * e1 / v
         a2 = a2 - e2 * e2 / v
         c12 = c12 - e1 * e2 / v
+        if min(a1, a2) <= 0.0:
+            name, label, power = ("gamma", "gamma*P1", A) if a1 <= 0.0 else ("beta", "beta*P2", B)
+            raise ConfigError(
+                f"{label}/sigma2 = {power / s2:.3g} is too large: the error variance "
+                f"update cancels in float64 at step {k + 1}",
+                field=name,
+            )
         if a1 * a2 < sys.float_info.min:
             raise ConfigError(
                 f"n = {n} is too long for these parameters: the error covariance "

@@ -97,7 +97,7 @@ def test_single_trial_report_equals_trace_statistics():
     assert report.empirical["distortion_se"] == 0.0
     assert report.empirical["pe"] == float(trace.W_hat != W)
     np.testing.assert_allclose(
-        report.empirical["symbol_power"], trace.symbol_powers, rtol=1e-12
+        report.empirical["symbol_power"], trace.X**2, rtol=1e-12
     )
 
 

@@ -15,10 +15,10 @@ CLEAN = NoisyObsParams(P=10, Q=10, sigma2=5, sigma_z2=0)
 
 def test_equivalent_channel_values():
     eq = noisy_obs.make_equivalent(FIG3)
-    assert eq.kappa == pytest.approx(10.0 / 11.0, rel=1e-15)
-    assert eq.state_var == pytest.approx(100.0 / 11.0, rel=1e-15)
-    assert eq.noise_var == pytest.approx(10.0 / 11.0 + 5.0, rel=1e-15)
-    assert noisy_obs.equivalent_dpc_params(CLEAN) == DpcParams(10, 10, 5)
+    assert regions.observation_weight(FIG3) == pytest.approx(10.0 / 11.0, rel=1e-15)
+    assert eq.Q == pytest.approx(100.0 / 11.0, rel=1e-15)
+    assert eq.sigma2 == pytest.approx(10.0 / 11.0 + 5.0, rel=1e-15)
+    assert noisy_obs.make_equivalent(CLEAN) == DpcParams(10, 10, 5)
 
 
 def test_state_decomposition_is_orthogonal():
@@ -51,6 +51,15 @@ def test_true_state_moments_match_oracle():
             )
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_zero_state_variance_gives_positive_zero(gamma):
+    # no special case: at Q = 0, omega' = 1 and E[S Y] = 0 while E[Y^2] > 0
+    params = NoisyObsParams(10, 0, 5, 1)
+    for value in (noisy_obs.true_state_coefficient(params, gamma),
+                  noisy_obs.scheme_step_distortion(params, gamma)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_fig3_frozen_values():
     assert noisy_obs.true_state_coefficient(FIG3, 0.5) == pytest.approx(
         0.46090600712613966, rel=1e-12
@@ -79,7 +88,7 @@ def test_zero_observation_noise_reproduces_clean_trace():
     S = rng.normal(0.0, math.sqrt(10.0), size=n)
     eta = rng.normal(0.0, math.sqrt(5.0), size=n)
     noisy = noisy_obs.noisy_run_block(CLEAN, 0.5, block, 5, S, np.zeros(n), eta)
-    clean = sk_dpc.run_block(CLEAN.base(), 0.5, block, 5, S, eta)
+    clean = sk_dpc.run_block(DpcParams(CLEAN.P, CLEAN.Q, CLEAN.sigma2), 0.5, block, 5, S, eta)
     np.testing.assert_array_equal(noisy.X, clean.X)
     np.testing.assert_array_equal(noisy.Y, clean.Y)
     np.testing.assert_array_equal(noisy.theta_hat, clean.theta_hat)
@@ -137,11 +146,17 @@ def test_run_block_matches_harness_traces(gamma):
 
 
 def test_estimate_true_state_zeroes_first_slot():
-    Y = np.arange(1.0, 9.0).reshape(2, 4)
-    s_hat = noisy_obs.estimate_true_state(Y, FIG3, 0.5)
-    assert np.all(s_hat[:, 0] == 0.0)
+    # the receiver weighs Y by the true-state coefficient, not the clean one
+    n = 12
+    block = BlockConfig(n=n, rate=0.25)
+    rng = np.random.default_rng(61)
+    S = rng.normal(0.0, math.sqrt(FIG3.Q), size=n)
+    Z = rng.normal(0.0, math.sqrt(FIG3.sigma_z2), size=n)
+    eta = rng.normal(0.0, math.sqrt(FIG3.sigma2), size=n)
+    trace = noisy_obs.noisy_run_block(FIG3, 0.5, block, 2, S, Z, eta)
+    assert trace.S_hat[0] == 0.0
     c = noisy_obs.true_state_coefficient(FIG3, 0.5)
-    np.testing.assert_allclose(s_hat[:, 1:], c * Y[:, 1:], rtol=1e-15)
+    np.testing.assert_array_equal(trace.S_hat[1:], c * trace.Y[1:])
 
 
 def test_forwarding_only_path_and_m_guard():
@@ -158,9 +173,9 @@ def test_forwarding_only_path_and_m_guard():
         noisy_obs.noisy_run_block(FIG3, 0.5, BlockConfig(n=n), 1, S[:3], Z, eta)
 
 
-def test_one_run_builds_the_equivalent_channel_at_most_six_times(monkeypatch):
-    # three for the report's theory, one for the loop coefficients, and one each
-    # for the batch's channel and draws and for its estimator weight
+def test_one_run_builds_the_equivalent_channel_at_most_four_times(monkeypatch):
+    # one each for the loop coefficients, the batch's channel, its estimator
+    # weight and the report's theory
     calls = []
     make_equivalent = noisy_obs.make_equivalent
 
@@ -171,4 +186,4 @@ def test_one_run_builds_the_equivalent_channel_at_most_six_times(monkeypatch):
     monkeypatch.setattr(noisy_obs, "make_equivalent", counted)
     block = BlockConfig(n=60, rate_fraction=0.7)
     harness.run_experiment("noisy", FIG3, PowerSplit(0.5), block, 800, harness.RandomPlan(7))
-    assert 0 < len(calls) <= 6
+    assert 0 < len(calls) <= 4

@@ -465,6 +465,30 @@ def test_tiny_message_power_is_rejected(capsys, scheme, gamma):
         assert "NaN" not in out and "Infinity" not in out
 
 
+CANCELLING_SPLITS = {
+    "dpc-n2": ["dpc", "--P", "1e10", "--Q", "1", "--sigma2", "1e-6", "--gamma", "0.5",
+               "--n", "2"],
+    "dpc-n20": ["dpc", "--P", "1e10", "--Q", "1", "--sigma2", "1e-6", "--gamma", "0.5",
+                "--n", "20"],
+    "noisy": ["noisy", "--P", "1e10", "--Q", "1", "--sigma2", "1e-6", "--sigma_z2", "1e-9",
+              "--gamma", "0.5", "--n", "20"],
+    "mac-both-negative": ["mac", "--P1", "1e10", "--P2", "1e10", "--Q", "1", "--sigma2", "1e-6",
+                          "--gamma", "0.5", "--beta", "0.5", "--n", "20"],
+    "mac-tiny-negative": ["mac", "--P1", "1e17", "--P2", "1e17", "--Q", "1", "--sigma2", "1",
+                          "--gamma", "0.5", "--beta", "0.5", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANCELLING_SPLITS))
+def test_variance_cancellation_is_rejected(capsys, name):
+    # a variance update that cancels to <= 0 once named an impossible longest
+    # block (n = 1 or 2), raised a math domain error, or gave a report with exit 0
+    code, out, err = run_cli(capsys, "simulate", *CANCELLING_SPLITS[name], "--trials", "20")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "cancels in float64" in err and "longest block" not in err
+
+
 @pytest.mark.xfail(strict=True, reason="a message grid finer than float64 resolves is accepted")
 def test_message_grid_finer_than_float64_is_rejected_or_decoded(capsys):
     # n*rate = 48 bits and alpha_n is near 1e-261, so the exact error rate is 0; but

@@ -16,7 +16,6 @@ from dpsk.params import (
     BlockConfig,
     DpcParams,
     MacParams,
-    NoisyObsParams,
     PowerSplit,
     dump_config,
     load_config,
@@ -50,11 +49,6 @@ def test_invalid_params_name_the_field():
     with pytest.raises(NegativeVariance) as info:
         MacParams(P1=1, P2=1, Q=1, sigma2=-1)
     assert info.value.field == "sigma2"
-
-
-def test_noisy_params_base_drops_observation_noise():
-    p = NoisyObsParams(P=7.7, Q=10, sigma2=5, sigma_z2=1)
-    assert p.base() == DpcParams(P=7.7, Q=10, sigma2=5)
 
 
 @pytest.mark.parametrize("gamma", [-0.1, 1.1, float("nan")])

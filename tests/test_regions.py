@@ -188,7 +188,7 @@ def test_noisy_boundary_reduces_to_clean_at_zero_obs_noise():
 
 
 def test_noisy_boundary_dominated_by_clean():
-    base = FIG3.base()
+    base = DpcParams(FIG3.P, FIG3.Q, FIG3.sigma2)
     for gamma in np.linspace(0.0, 1.0, 50):
         noisy = regions.noisy_boundary(FIG3, gamma)
         clean = regions.dpc_fb_boundary(base, gamma)

@@ -1,5 +1,6 @@
 """Source-wide style rules, checked over the package, the tests and the demos."""
 
+import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -7,13 +8,43 @@ PATTERNS = ("src/dpsk/*.py", "tests/*.py", "demos/*.py")
 MAX_COLUMNS = 99
 
 
-def test_lines_fit_in_99_columns():
+def _sources():
     sources = sorted(path for pattern in PATTERNS for path in ROOT.glob(pattern))
     assert {path.parent.name for path in sources} == {"dpsk", "tests", "demos"}
+    return sources
+
+
+def test_lines_fit_in_99_columns():
     long = [
         f"{path.relative_to(ROOT)}:{number}"
-        for path in sources
+        for path in _sources()
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if len(line) > MAX_COLUMNS
     ]
     assert long == []
+
+
+def _unused_imports(tree):
+    """Imported names that no expression reads and ``__all__`` does not list."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in _sources()
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []
