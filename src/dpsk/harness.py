@@ -4,12 +4,15 @@ Randomness contract: every trial owns one counter-based substream per
 random component (state, channel noise, observation noise, messages),
 keyed by (master_seed, trial, component) alone. Draws therefore do not
 depend on batch size or execution order, and two runs with the same seed
-and configuration produce bit-identical reports. Trials run in batches,
+and configuration produce bit-identical reports. A plan builds one Philox
+generator and re-keys it per substream, which draws exactly what a fresh
+``Philox(key=...)`` per substream would. Trials run in batches,
 one after the other; per-trial results land in preallocated slots and each
 batch's symbol powers are added to running per-user sums in batch order.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -23,6 +26,7 @@ from .params import PowerSplit, RunConfig, check_count, to_config_dict
 # noise and message draws as the plain run it must reproduce.
 STATE, NOISE, OBS_NOISE, MSG, MSG2 = range(5)
 _STREAMS_PER_TRIAL = 8
+_WORD = (1 << 64) - 1
 
 #: Trials simulated per batch; fixed so batching never affects output.
 BATCH = 4096
@@ -45,8 +49,29 @@ class RandomPlan:
             raise ConfigError(f"component must be in 0..7, got {component}", field="component")
         return (self.master_seed % (1 << 64)) + ((trial * _STREAMS_PER_TRIAL + component) << 64)
 
+    @functools.cached_property
+    def _shared(self):
+        return np.random.Generator(np.random.Philox(key=0))
+
     def generator(self, trial, component):
-        return np.random.Generator(np.random.Philox(key=self.key(trial, component)))
+        """The plan's one shared Generator, re-keyed to the substream of
+        (trial, component) and bit for bit a fresh ``Philox(key=...)``.
+
+        It stays valid only until the next draw from this plan, which
+        re-keys it again, so a plan is not for use from several threads
+        at once.
+        """
+        key = self.key(trial, component)
+        gen = self._shared
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (key & _WORD, key >> 64)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
     def normal_block(self, trial, component, n, std):
         """std * N(0,1)^n; drawing standard normals first keeps the stream
@@ -286,8 +311,11 @@ def run_experiment(scheme, params, split, block, trials, plan,
         coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
     else:
         # the noisy scheme runs on the clean-state channel it reduces to
-        kernel_params = noisy_obs.make_equivalent(params) if scheme == "noisy" else params
-        rate, M, coeffs = sk_dpc.resolve_loop(kernel_params, gamma, block)
+        if scheme == "noisy":
+            kernel_params, noise = noisy_obs.make_equivalent(params), noisy_obs.EQUIVALENT_NOISE
+        else:
+            kernel_params, noise = params, "sigma2"
+        rate, M, coeffs = sk_dpc.resolve_loop(kernel_params, gamma, block, noise)
         rates = {"rate": rate, "M": M}
         sizes = (M,)
 

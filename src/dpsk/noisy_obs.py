@@ -23,6 +23,9 @@ import numpy as np
 from . import regions, sk_dpc
 from .params import DpcParams, NoisyObsParams
 
+#: How coefficient errors name the equivalent channel's sigma2.
+EQUIVALENT_NOISE = "(the equivalent channel's noise kappa*sigma_z2 + sigma2)"
+
 
 def make_equivalent(params: NoisyObsParams):
     """The clean-observation channel the noisy problem reduces to: state
@@ -75,10 +78,10 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
 
     This is :func:`dpsk.sk_dpc.run_batch` on the equivalent channel, with
     ``M`` and ``coeffs`` from :func:`dpsk.sk_dpc.resolve_loop` on
-    :func:`make_equivalent`: the encoder is driven by kappa (S + Z), the
-    state it cannot see joins the channel noise, and the receiver weighs
-    Y by :func:`true_state_coefficient`. The returned trace carries the
-    true S and its estimate.
+    :func:`make_equivalent` with ``noise=EQUIVALENT_NOISE``: the encoder
+    is driven by kappa (S + Z), the state it cannot see joins the channel
+    noise, and the receiver weighs Y by :func:`true_state_coefficient`.
+    The returned trace carries the true S and its estimate.
     """
     s_eq = regions.observation_weight(params) * (S + Z)
     eta_eq = (S - s_eq) + eta
@@ -97,5 +100,5 @@ def noisy_run_block(params: NoisyObsParams, gamma, block, W, S, Z, eta):
     clean-observation trace sample for sample.
     """
     S, Z, eta = sk_dpc.batch_of_one(block.n, S=S, Z=Z, eta=eta)
-    _, M, coeffs = sk_dpc.resolve_loop(make_equivalent(params), gamma, block)
+    _, M, coeffs = sk_dpc.resolve_loop(make_equivalent(params), gamma, block, EQUIVALENT_NOISE)
     return sk_dpc.single_block(noisy_run_batch(params, gamma, M, coeffs, np.array([W]), S, Z, eta))

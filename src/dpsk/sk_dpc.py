@@ -86,7 +86,7 @@ def state_forward_coefficient(params: DpcParams, gamma):
     return math.sqrt((1.0 - gamma) * params.P / params.Q)
 
 
-def compute_coefficients(params: DpcParams, gamma, n):
+def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     """Evaluate the mu/alpha recursion for an n-step block.
 
     ``alpha`` decays geometrically; a block long enough to take it below
@@ -94,7 +94,8 @@ def compute_coefficients(params: DpcParams, gamma, n):
     alpha) overflows, is rejected with ConfigError naming the longest
     block these parameters support. A gamma*P so small that the first
     variance sigma2/(12 gamma P) overflows is rejected as well, and so is a
-    gamma*P/sigma2 so large that a variance update cancels to <= 0.
+    gamma*P/sigma2 so large that a variance update cancels to <= 0;
+    ``noise`` is the name that message gives ``params.sigma2``.
     """
     check_fraction("gamma", gamma)
     if n < 2:
@@ -121,7 +122,7 @@ def compute_coefficients(params: DpcParams, gamma, n):
         gain[k] = math.sqrt(gp / alpha[k - 1])
         if alpha[k] <= 0.0:
             raise ConfigError(
-                f"gamma*P/sigma2 = {gp / s2:.3g} is too large: the error variance "
+                f"gamma*P/{noise} = {gp / s2:.3g} is too large: the error variance "
                 f"update cancels in float64 at step {k + 1}",
                 field="gamma",
             )
@@ -220,18 +221,19 @@ def single_block(trace):
     return dataclasses.replace(trace, **row)
 
 
-def resolve_loop(params: DpcParams, gamma, block):
+def resolve_loop(params: DpcParams, gamma, block, noise="sigma2"):
     """Rate, message-set size and loop coefficients of one configuration.
 
     Returns ``(rate, M, coeffs)``; ``coeffs`` is None when gamma*P = 0,
-    which leaves only state forwarding and requires M = 1.
+    which leaves only state forwarding and requires M = 1. ``noise`` goes
+    to :func:`compute_coefficients`.
     """
     rate, M = resolve_block(block, regions.dpc_rate_cap(params, gamma))
     if gamma * params.P == 0.0:
         if M > 1:
             raise DegenerateSplit("gamma*P = 0 cannot carry a message, resolve M = 1")
         return rate, M, None
-    return rate, M, compute_coefficients(params, gamma, block.n)
+    return rate, M, compute_coefficients(params, gamma, block.n, noise)
 
 
 def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None):

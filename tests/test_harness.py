@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpsk import harness, noisy_obs, regions, sk_dpc, sk_dpmac
 from dpsk.errors import ConfigError, DegenerateSplit, EmptyGrid
@@ -50,6 +52,69 @@ def test_messages_cover_the_whole_range():
     draws = {plan.message(t, harness.MSG, 4) for t in range(200)}
     assert draws == {1, 2, 3, 4}
     assert plan.message(0, harness.MSG, 1) == 1
+
+
+# (trial, component, draw): a normal block of n > 0 values, or a message out
+# of M; M < 2**32 takes integers' buffered 32-bit path, M > 2**32 the 64-bit one
+SUBSTREAM_DRAWS = st.lists(
+    st.tuples(
+        st.integers(0, 2**61 - 1),
+        st.integers(0, harness._STREAMS_PER_TRIAL - 1),
+        st.one_of(
+            st.tuples(st.just("normal"), st.integers(1, 70)),
+            st.tuples(st.just("message"), st.integers(1, 1000)),
+            st.tuples(st.just("message"), st.integers(2**32 + 1, 2**62)),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+INTERLEAVED = [
+    (0, harness.STATE, ("normal", 5)),
+    (0, harness.MSG, ("message", 4)),
+    (0, harness.NOISE, ("normal", 3)),
+    (1, harness.MSG, ("message", 2**40)),
+    (1, harness.MSG2, ("message", 1)),
+    (1, harness.MSG, ("message", 7)),
+    (2**61 - 1, 7, ("normal", 9)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), draws=SUBSTREAM_DRAWS)
+@example(seed=0, draws=INTERLEAVED)
+@example(seed=2**64 - 1, draws=INTERLEAVED)
+def test_shared_generator_draws_what_a_fresh_philox_draws(seed, draws):
+    # the plan re-keys one cached Philox per draw; a buffered 32-bit word
+    # left by a small-M message must not leak into the next substream
+    plan = harness.RandomPlan(seed)
+    for trial, component, (kind, size) in draws:
+        fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
+        if kind == "normal":
+            np.testing.assert_array_equal(
+                plan.normal_block(trial, component, size, 1.0), fresh.standard_normal(size)
+            )
+        else:
+            assert plan.message(trial, component, size) == fresh.integers(1, size + 1)
+
+
+def test_a_run_and_a_sweep_build_one_philox(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    _small_dpc_report(trials=50)
+    assert len(built) == 1
+    built.clear()
+    harness.sweep(
+        "noisy", FIG3, [0.0, 0.5, 1.0], BlockConfig(30, rate_fraction=0.5), 50,
+        harness.RandomPlan(7),
+    )
+    assert len(built) == 1
 
 
 def _small_dpc_report(trials=600, seed=11):

@@ -489,6 +489,19 @@ def test_variance_cancellation_is_rejected(capsys, name):
     assert "cancels in float64" in err and "longest block" not in err
 
 
+def test_noisy_cancellation_names_the_equivalent_noise(capsys):
+    # the loop runs on the equivalent channel, whose noise kappa*sigma_z2 + sigma2 = 2e-6
+    # is twice the user's sigma2; the message once quoted its 5e15 as gamma*P/sigma2,
+    # while the user's gamma*P/sigma2 is 1e16
+    argv = ["simulate", "noisy", "--P", "2e10", "--Q", "1", "--sigma2", "1e-6",
+            "--sigma_z2", "1e-6", "--gamma", "0.5", "--n", "20", "--trials", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "gamma*P/sigma2" not in err and "cancels in float64" in err
+    assert "equivalent channel's noise kappa*sigma_z2 + sigma2) = 5e+15" in err
+
+
 @pytest.mark.xfail(strict=True, reason="a message grid finer than float64 resolves is accepted")
 def test_message_grid_finer_than_float64_is_rejected_or_decoded(capsys):
     # n*rate = 48 bits and alpha_n is near 1e-261, so the exact error rate is 0; but
