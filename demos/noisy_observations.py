@@ -3,9 +3,10 @@
 The encoder sees S + Z instead of S. Scaling by kappa = Q/(Q+sigma_z2)
 turns the residual into extra channel noise, so the clean-state scheme
 runs unchanged on an equivalent channel. At sigma_z2 = 0 everything
-reduces to the clean boundary. The module also carries a separate
-printed distortion bound that the scheme does not meet at the reference
-operating point; the harness flags the gap rather than hiding it.
+reduces to the clean boundary. The published closed-form distortion
+lies above what the scheme achieves at the reference operating point,
+so it is no lower bound there; the harness flags the gap rather than
+hiding it.
 """
 
 from dpsk import harness, noisy_obs, regions
@@ -28,7 +29,7 @@ def show_bound_gap():
     gamma = 0.5
     point = regions.noisy_boundary(PARAMS, gamma)
     scheme = noisy_obs.scheme_step_distortion(PARAMS, gamma)
-    print(f"printed bound at gamma={gamma}:  D = {point.distortion:.6f}")
+    print(f"published form at gamma={gamma}: D = {point.distortion:.6f}")
     print(f"scheme actually achieves:    D = {scheme:.6f}")
     print()
 
@@ -38,7 +39,7 @@ def show_bound_gap():
     )
     print(f"simulated n=100, 20000 trials: D = {report.empirical['distortion']:.6f}")
     print(f"finite-n scheme value:         D = {report.theory['distortion_scheme']:.6f}")
-    print(f"finite-n printed bound:        D = {report.theory['distortion_bound']:.6f}")
+    print(f"finite-n published form:       D = {report.theory['distortion_bound']:.6f}")
     print(f"flags: {report.flags}")
 
 

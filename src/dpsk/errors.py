@@ -27,7 +27,7 @@ class NegativeVariance(ConfigError):
 
 
 class PowerOutOfRange(ConfigError):
-    """A power budget is negative."""
+    """A power budget (P, P1, P2) is negative or, if nonzero, outside [1e-50, 1e50]."""
 
 
 class SplitOutOfRange(ConfigError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
 from .errors import ConfigError, DegenerateSplit
-from .params import PowerSplit, RunConfig, check_count, to_config_dict
+from .params import CHANNELS, PowerSplit, RunConfig, check_count, check_seed, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
 # noisy-observation run with sigma_z2 = 0 consumes exactly the same state,
@@ -27,6 +27,7 @@ from .params import PowerSplit, RunConfig, check_count, to_config_dict
 STATE, NOISE, OBS_NOISE, MSG, MSG2 = range(5)
 _STREAMS_PER_TRIAL = 8
 _WORD = (1 << 64) - 1
+_TRIALS = (1 << 64) // _STREAMS_PER_TRIAL
 
 #: Trials simulated per batch; fixed so batching never affects output.
 BATCH = 4096
@@ -41,13 +42,17 @@ class RandomPlan:
 
     master_seed: int
 
+    def __post_init__(self):
+        check_seed(self.master_seed)
+
     def key(self, trial, component):
-        """128-bit counter key; unique per (trial, component)."""
-        if trial < 0:
-            raise ConfigError(f"trial index must be >= 0, got {trial}", field="trial")
+        """128-bit counter key: the master seed in the low 64-bit word and
+        trial * 8 + component, unique per (trial, component), in the high one."""
+        if not 0 <= trial < _TRIALS:
+            raise ConfigError(f"trial index must be in 0..2**61-1, got {trial}", field="trial")
         if not 0 <= component < _STREAMS_PER_TRIAL:
             raise ConfigError(f"component must be in 0..7, got {component}", field="component")
-        return (self.master_seed % (1 << 64)) + ((trial * _STREAMS_PER_TRIAL + component) << 64)
+        return self.master_seed + ((trial * _STREAMS_PER_TRIAL + component) << 64)
 
     @functools.cached_property
     def _shared(self):
@@ -241,8 +246,9 @@ def _noisy_summary(params, eq_params, gamma, n, message_path, empirical):
     flags = []
     bound = theory["distortion_bound"]
     if bound > 0.0 and abs(distortion - bound) / bound > _DISTORTION_FLAG_REL:
-        # The conservative closed-form bound and the simulated scheme
-        # disagree beyond tolerance; report both rather than hide it.
+        # The published closed form and the simulated scheme disagree
+        # beyond tolerance (the scheme's distortion lies below it); report
+        # both rather than hide it.
         flags.append("distortion_bound_mismatch")
     return theory, deltas, flags
 
@@ -281,12 +287,15 @@ _MEASURED = {
 }
 
 
-def _check_run(scheme, block, trials):
+def _check_run(scheme, params, block, trials):
     if block is None:
         raise ConfigError("simulation needs a block configuration", field="n")
     check_count(trials, "trials")
     if scheme not in _MEASURED:
         raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
+    if not isinstance(params, channel := CHANNELS[scheme]):
+        got = type(params).__name__
+        raise ConfigError(f"{scheme} runs on {channel.__name__}, got {got}", field="scheme")
 
 
 def run_experiment(scheme, params, split, block, trials, plan,
@@ -299,7 +308,7 @@ def run_experiment(scheme, params, split, block, trials, plan,
     decoded messages and distortion the time-averaged squared estimation
     error including the estimate-free initial slots.
     """
-    _check_run(scheme, block, trials)
+    _check_run(scheme, params, block, trials)
     if scheme == "mac" and split.beta is None:
         raise ConfigError("the two-encoder scheme needs beta", field="beta")
 
@@ -394,7 +403,7 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     power on both sides, and single-user points at gamma*P = 0 under a
     fixed rate that needs more than one message.
     """
-    _check_run(scheme, block, trials)
+    _check_run(scheme, params, block, trials)
     if scheme != "mac" and beta_grid is not None:
         raise ConfigError("beta grid only applies to the two-encoder scheme", field="beta")
     keys = _MEASURED[scheme]

@@ -67,7 +67,7 @@ def scheme_step_distortion(params: NoisyObsParams, gamma):
     reports, which prices the unobserved state component (1-kappa) Q at
     its full variance instead of crediting its presence inside Y. The
     simulation harness checks simulated distortion against this value and
-    flags the gap from the conservative bound.
+    flags the gap from the published figure.
     """
     cross, ey2 = _true_state_moments(params, gamma)
     return params.Q - cross * cross / ey2

@@ -339,11 +339,15 @@ def trials_from(raw):
     return check_count(raw.get("trials", DEFAULT_TRIALS), "trials")
 
 
-def seed_from(raw):
-    seed = raw.get("seed", DEFAULT_SEED)
+def check_seed(seed):
+    """A master seed; ConfigError unless it is an integer in [0, 2**64)."""
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}", field="seed")
     return seed
+
+
+def seed_from(raw):
+    return check_seed(raw.get("seed", DEFAULT_SEED))
 
 
 def validate(raw, scheme=None):

@@ -43,11 +43,7 @@ import numpy as np
 
 from . import regions
 from .errors import (
-    BlocklengthTooSmall,
-    ConfigError,
-    DegenerateSplit,
-    LengthMismatch,
-    MessageOutOfRange,
+    BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange,
 )
 from .params import DpcParams, check_fraction, resolve_block
 
@@ -56,11 +52,11 @@ from .params import DpcParams, check_fraction, resolve_block
 class SkCoefficients:
     """Deterministic per-step constants of the message loop.
 
-    Arrays are aligned so that index k refers to time t = k+1:
-    ``alpha[k]`` is the tracking-error variance after step k+1, ``mu[k-1]``
-    the combining weight of step k+1 (k >= 1), and ``gain[k]`` the
-    amplitude sqrt(gamma P / alpha_k-1) applied at step k+1 (``gain[0]`` is
-    NaN; step 1 uses ``message_amp`` instead).
+    Arrays have length n and index k refers to time t = k+1, as in the
+    two-encoder record: ``alpha[k]`` is the tracking-error variance after
+    step k+1, ``mu[k]`` its combining weight and ``gain[k]`` the amplitude
+    sqrt(gamma P / alpha_k-1) it applies. Step 1 starts the loop with
+    ``message_amp`` instead, so ``mu[0]`` is 0 and ``gain[0]`` is NaN.
     """
 
     params: DpcParams
@@ -104,10 +100,9 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     if gp == 0.0:
         raise DegenerateSplit("gamma*P = 0 leaves no message power")
     s2 = params.sigma2
-    mu = np.empty(n - 1)
+    mu = np.zeros(n)
     alpha = np.empty(n)
-    gain = np.empty(n)
-    gain[0] = np.nan
+    gain = np.full(n, np.nan)
     alpha[0] = s2 / (12.0 * gp)
     if not math.isfinite(alpha[0]):
         raise ConfigError(
@@ -117,8 +112,8 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
         )
     alpha_floor = max(sys.float_info.min, gp / sys.float_info.max)
     for k in range(1, n):
-        mu[k - 1] = math.sqrt(gp * alpha[k - 1]) / (gp + s2)
-        alpha[k] = alpha[k - 1] - mu[k - 1] ** 2 * (gp + s2)
+        mu[k] = math.sqrt(gp * alpha[k - 1]) / (gp + s2)
+        alpha[k] = alpha[k - 1] - mu[k] ** 2 * (gp + s2)
         gain[k] = math.sqrt(gp / alpha[k - 1])
         if alpha[k] <= 0.0:
             raise ConfigError(
@@ -270,35 +265,59 @@ def run_block(params: DpcParams, gamma, block, W, S, eta):
     return single_block(run_batch(params, gamma, M, coeffs, np.array([W]), S, eta))
 
 
+def _closed_loop(lam, loops, S, eta):
+    """Closed loop of K = len(loops) encoders over (B, n) blocks S, eta.
+
+    A loop is one encoder's ``(theta, amp, state_coef, gain, mu)``; ``gain``
+    and ``mu`` are indexed by slot. Each encoder forwards state_coef S_k.
+    Encoder u starts in slot u with amp (theta - o_u), where o_u = lam (S_u /
+    amp - sum_{k>=K} mu[k] S_k) is the state its receiver chain adds back.
+    From slot K on it adds gain[k] eps and refines eps on Y_k - lam S_k.
+    Returns (X, Y, theta_hat, eps) with one entry of X, theta_hat (NaN
+    before the start) and eps per encoder.
+    """
+    K = len(loops)
+    for theta, _, _, gain, _ in loops:
+        shape = (len(theta), len(gain))
+        if S.shape != shape or eta.shape != S.shape:
+            raise LengthMismatch(f"batch shapes must be {shape}, got {S.shape} and {eta.shape}")
+    X = [sc * S for _, _, sc, _, _ in loops]
+    Y = np.empty_like(S)
+    theta_hat = [np.empty_like(S) for _ in loops]
+    eps = []
+    for k in range(S.shape[1]):
+        if k < K:
+            theta, amp, _, _, mu = loops[k]
+            send = amp * (theta - lam * (S[:, k] / amp - np.vecdot(S[:, K:], mu[K:])))
+            X[k][:, k] += send
+        else:
+            for x, e, (_, _, _, gain, _) in zip(X, eps, loops):
+                x[:, k] += gain[k] * e
+        # the encoders in order, then state and noise
+        Y[:, k] = sum((x[:, k] for x in X[1:]), X[0][:, k]) + S[:, k] + eta[:, k]
+        if k < K:
+            eps.append((Y[:, k] - send - lam * S[:, k]) / amp)
+            theta_hat[k][:, :k] = np.nan
+            theta_hat[k][:, k] = Y[:, k] / amp
+        else:
+            z = Y[:, k] - lam * S[:, k]
+        for u, (_, _, _, _, mu) in enumerate(loops[:k]):
+            if k >= K:
+                eps[u] = eps[u] - mu[k] * z
+            theta_hat[u][:, k] = theta_hat[u][:, k - 1] - mu[k] * Y[:, k]
+    return X, Y, theta_hat, eps
+
+
 def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta):
     """Vectorized closed loop over a batch of independent blocks.
 
-    ``theta`` has shape (B,), ``S`` and ``eta`` shape (B, n). Returns
-    (X, Y, theta_hat, eps) where the first three are (B, n) traces and
-    ``eps`` is the final tracking error per block. Matches the stepwise
-    protocol reference in ``tests/stepwise.py`` sample for sample.
+    ``theta`` has shape (B,), ``S`` and ``eta`` shape (B, n). Returns the
+    (B, n) traces X, Y, theta_hat and the final (B,) tracking error: the
+    one-encoder :func:`_closed_loop`, bit for bit ``tests/stepwise.py``.
     """
-    n = coeffs.n
-    theta = np.asarray(theta, dtype=float)
-    if S.shape != (theta.shape[0], n) or eta.shape != S.shape:
-        raise LengthMismatch(
-            f"batch shapes must be ({theta.shape[0]}, {n}), got {S.shape} and {eta.shape}"
-        )
-    amp = coeffs.message_amp
-    offset = coeffs.omega * (S[:, 0] / amp - np.vecdot(S[:, 1:], coeffs.mu))
-    X = np.empty_like(S)
-    Y = np.empty_like(S)
-    theta_hat = np.empty_like(S)
-    X[:, 0] = amp * (theta - offset) + coeffs.state_coef * S[:, 0]
-    Y[:, 0] = X[:, 0] + S[:, 0] + eta[:, 0]
-    theta_hat[:, 0] = Y[:, 0] / amp
-    eps = (Y[:, 0] - amp * (theta - offset) - coeffs.omega * S[:, 0]) / amp
-    for k in range(1, n):
-        X[:, k] = coeffs.gain[k] * eps + coeffs.state_coef * S[:, k]
-        Y[:, k] = X[:, k] + S[:, k] + eta[:, k]
-        eps = eps - coeffs.mu[k - 1] * (Y[:, k] - coeffs.omega * S[:, k])
-        theta_hat[:, k] = theta_hat[:, k - 1] - coeffs.mu[k - 1] * Y[:, k]
-    return X, Y, theta_hat, eps
+    loop = (theta, coeffs.message_amp, coeffs.state_coef, coeffs.gain, coeffs.mu)
+    X, Y, theta_hat, eps = _closed_loop(coeffs.omega, [loop], S, eta)
+    return *X, Y, *theta_hat, *eps
 
 
 def simulate_forwarding_batch(params: DpcParams, gamma, S, eta):
@@ -318,5 +337,5 @@ def time1_power_theory(coeffs: SkCoefficients, M):
     """Expected E[X_1^2] of the loop ``coeffs`` with theta on the M-point grid:
     gamma P (M^2-1)/M^2 + (1 + 12 gamma P omega^2 sum mu_i^2) Q."""
     gp = coeffs.gamma * coeffs.params.P
-    state_gain = 1.0 + 12.0 * gp * coeffs.omega**2 * float(np.sum(coeffs.mu**2))
+    state_gain = 1.0 + 12.0 * gp * coeffs.omega**2 * float(np.sum(coeffs.mu[1:] ** 2))
     return gp * (M**2 - 1) / M**2 + state_gain * coeffs.params.Q

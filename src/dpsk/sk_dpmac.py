@@ -29,6 +29,10 @@ covariance of (eps_1, eps_2): with z_t = Y_t - lambda S_t,
     eps_{i,t} = eps_{i,t-1} - mu_{i,t} z_t,
 
 which the propagation evaluates from raw second moments each step.
+
+The batch kernel runs the single-user closed loop, ``sk_dpc._closed_loop``,
+with two encoders that start in turn; it matches the reference that runs
+one channel use at a time, ``tests/stepwise.py``, bit for bit.
 """
 
 import dataclasses
@@ -38,9 +42,9 @@ import sys
 import numpy as np
 
 from . import regions
-from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch
+from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
 from .params import MacParams, check_fraction, resolve_block
-from .sk_dpc import batch_of_one, decode_batch, message_to_theta, single_block
+from .sk_dpc import _closed_loop, batch_of_one, decode_batch, message_to_theta, single_block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,11 +140,9 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
                 f"{power} is too small: the first error variance overflows float64", field=name
             )
     c12 = 0.0
-    alpha1[0] = a1
-    alpha1[1] = a1
+    alpha1[0] = alpha1[1] = a1
     alpha2[1] = a2
-    rho[1] = 0.0
-    rho_raw[1] = 0.0
+    rho[1] = rho_raw[1] = 0.0
 
     for k in range(2, n):
         raw_prev = c12 / math.sqrt(a1 * a2)
@@ -270,49 +272,13 @@ def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta):
     """Vectorized closed loop over a batch of independent blocks.
 
     Returns (X1, X2, Y, th1, th2, eps1, eps2); traces are (B, n), the final
-    tracking errors (B,). Matches the stepwise protocol reference in
-    ``tests/stepwise.py`` sample for sample.
+    tracking errors (B,): the two-encoder :func:`dpsk.sk_dpc._closed_loop`,
+    bit for bit ``tests/stepwise.py``.
     """
-    n = coeffs.n
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    batch = theta1.shape[0]
-    if S.shape != (batch, n) or eta.shape != S.shape:
-        raise LengthMismatch(f"batch shapes must be ({batch}, {n})")
-    amp1, amp2, lam = coeffs.message_amp1, coeffs.message_amp2, coeffs.lam
-    o1 = lam * (S[:, 0] / amp1 - np.vecdot(S[:, 2:], coeffs.mu1[2:]))
-    o2 = lam * (S[:, 1] / amp2 - np.vecdot(S[:, 2:], coeffs.mu2[2:]))
-
-    X1 = np.empty_like(S)
-    X2 = np.empty_like(S)
-    Y = np.empty_like(S)
-    th1 = np.empty_like(S)
-    th2 = np.empty_like(S)
-
-    X1[:, 0] = amp1 * (theta1 - o1) + coeffs.state_coef1 * S[:, 0]
-    X2[:, 0] = coeffs.state_coef2 * S[:, 0]
-    Y[:, 0] = X1[:, 0] + X2[:, 0] + S[:, 0] + eta[:, 0]
-    th1[:, 0] = Y[:, 0] / amp1
-    th2[:, 0] = np.nan
-    eps1 = (Y[:, 0] - amp1 * (theta1 - o1) - lam * S[:, 0]) / amp1
-
-    X1[:, 1] = coeffs.state_coef1 * S[:, 1]
-    X2[:, 1] = amp2 * (theta2 - o2) + coeffs.state_coef2 * S[:, 1]
-    Y[:, 1] = X1[:, 1] + X2[:, 1] + S[:, 1] + eta[:, 1]
-    th2[:, 1] = Y[:, 1] / amp2
-    th1[:, 1] = th1[:, 0] - coeffs.mu1[1] * Y[:, 1]
-    eps2 = (Y[:, 1] - amp2 * (theta2 - o2) - lam * S[:, 1]) / amp2
-
-    for k in range(2, n):
-        X1[:, k] = coeffs.gain1[k] * eps1 + coeffs.state_coef1 * S[:, k]
-        X2[:, k] = coeffs.gain2[k] * eps2 + coeffs.state_coef2 * S[:, k]
-        Y[:, k] = X1[:, k] + X2[:, k] + S[:, k] + eta[:, k]
-        z = Y[:, k] - lam * S[:, k]
-        eps1 = eps1 - coeffs.mu1[k] * z
-        eps2 = eps2 - coeffs.mu2[k] * z
-        th1[:, k] = th1[:, k - 1] - coeffs.mu1[k] * Y[:, k]
-        th2[:, k] = th2[:, k - 1] - coeffs.mu2[k] * Y[:, k]
-    return X1, X2, Y, th1, th2, eps1, eps2
+    loops = [(theta1, coeffs.message_amp1, coeffs.state_coef1, coeffs.gain1, coeffs.mu1),
+             (theta2, coeffs.message_amp2, coeffs.state_coef2, coeffs.gain2, coeffs.mu2)]
+    X, Y, theta_hat, eps = _closed_loop(coeffs.lam, loops, S, eta)
+    return *X, Y, *theta_hat, *eps
 
 
 def mac_decode_batch(th1_final, th2_final, M1, M2):

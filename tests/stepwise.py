@@ -33,7 +33,7 @@ def compute_offset(S, coeffs: SkCoefficients):
     S = np.asarray(S, dtype=float)
     if S.shape != (coeffs.n,):
         raise LengthMismatch(f"state sequence must have length {coeffs.n}, got {S.shape}")
-    return coeffs.omega * (S[0] / coeffs.message_amp - float(coeffs.mu @ S[1:]))
+    return coeffs.omega * (S[0] / coeffs.message_amp - float(coeffs.mu[1:] @ S[1:]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,7 +80,7 @@ def encode_step(state: EncoderState, coeffs: SkCoefficients, s_t, y_prev=None):
                 - coeffs.omega * state.s_prev
             ) / coeffs.message_amp
         else:
-            eps = state.epsilon - coeffs.mu[t - 3] * (y_prev - coeffs.omega * state.s_prev)
+            eps = state.epsilon - coeffs.mu[t - 2] * (y_prev - coeffs.omega * state.s_prev)
         x = coeffs.gain[t - 1] * eps + coeffs.state_coef * s_t
     return x, EncoderState(
         t=t, theta=state.theta, offset=state.offset, epsilon=eps, s_prev=float(s_t)

@@ -47,6 +47,17 @@ def test_substream_keys_are_unique():
         plan.key(0, 8)
 
 
+def test_plan_rejects_trials_and_seeds_outside_the_key():
+    # trial * 8 + component fills the key's high word, the seed its low word
+    with pytest.raises(ConfigError) as info:
+        harness.RandomPlan(1).normal_block(2**61, 0, 3, 1.0)
+    assert info.value.field == "trial"
+    for seed in (-1, 2**64, 1.5, True):
+        with pytest.raises(ConfigError) as info:
+            harness.RandomPlan(seed)
+        assert info.value.field == "seed"
+
+
 def test_messages_cover_the_whole_range():
     plan = harness.RandomPlan(7)
     draws = {plan.message(t, harness.MSG, 4) for t in range(200)}
@@ -277,6 +288,17 @@ def test_run_experiment_validation():
         harness.run_experiment(
             "laser", ACC, PowerSplit(0.5), BlockConfig(10), 10, harness.RandomPlan(0)
         )
+
+
+@pytest.mark.parametrize("scheme, params", [("dpc", FIG3), ("noisy", ACC), ("mac", ACC)])
+def test_a_run_and_a_sweep_reject_another_schemes_channel(scheme, params):
+    split, block = PowerSplit(0.5, 0.5), BlockConfig(10)
+    with pytest.raises(ConfigError) as info:
+        harness.run_experiment(scheme, params, split, block, 10, harness.RandomPlan(0))
+    assert info.value.field == "scheme"
+    with pytest.raises(ConfigError) as info:
+        harness.sweep(scheme, params, [0.5], block, 10, harness.RandomPlan(0))
+    assert info.value.field == "scheme"
 
 
 def test_run_config_wrapper():

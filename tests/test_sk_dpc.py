@@ -22,7 +22,7 @@ def test_coefficients_match_noise_basis_oracle():
                 params = DpcParams(P, 10.0, s2)
                 coeffs = sk_dpc.compute_coefficients(params, gamma, 30)
                 mu, alpha = sk_coefficient_oracle(P, 10.0, s2, gamma, 30)
-                np.testing.assert_allclose(coeffs.mu, mu, rtol=1e-10)
+                np.testing.assert_allclose(coeffs.mu[1:], mu, rtol=1e-10)
                 np.testing.assert_allclose(coeffs.alpha, alpha, rtol=1e-10)
 
 
@@ -116,7 +116,7 @@ def _stepwise_block(coeffs, theta, S, eta):
         Y[t - 1] = X[t - 1] + S[t - 1] + eta[t - 1]
     theta_hat[0] = Y[0] / coeffs.message_amp
     for k in range(1, n):
-        theta_hat[k] = stepwise.decode_update(theta_hat[k - 1], Y[k], coeffs.mu[k - 1])
+        theta_hat[k] = stepwise.decode_update(theta_hat[k - 1], Y[k], coeffs.mu[k])
     return X, Y, theta_hat
 
 
@@ -177,6 +177,10 @@ def test_offset_needs_full_state_block():
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 8)
     with pytest.raises(LengthMismatch):
         stepwise.compute_offset(np.ones(5), coeffs)
+    # the batch kernel's own checks: a wrong B, a wrong n, eta shaped unlike S
+    for S, eta in [(np.ones((3, 8)),) * 2, (np.ones((4, 7)),) * 2, (np.ones((4, 8)), np.ones(8))]:
+        with pytest.raises(LengthMismatch):
+            sk_dpc.simulate_message_batch(coeffs, np.zeros(4), S, eta)
 
 
 def test_estimation_coefficient_against_oracle():

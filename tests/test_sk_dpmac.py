@@ -227,6 +227,11 @@ def test_shape_checks():
         stepwise.mac_decode(np.ones(5), coeffs, 2, 2)
     with pytest.raises(LengthMismatch):
         sk_dpmac.mac_run_block(ACC, 0.8, 0.8, BlockConfig(n=8), 1, 1, np.ones(5), np.ones(8))
+    # the batch kernel's own checks: a wrong B, a wrong n, eta shaped unlike S
+    theta = np.zeros(4)
+    for S, eta in [(np.ones((3, 8)),) * 2, (np.ones((4, 7)),) * 2, (np.ones((4, 8)), np.ones(8))]:
+        with pytest.raises(LengthMismatch):
+            sk_dpmac.simulate_mac_batch(coeffs, theta, theta, S, eta)
 
 
 def test_resolve_rates_fraction_of_caps():
