@@ -9,6 +9,13 @@ generator and re-keys it per substream, which draws exactly what a fresh
 ``Philox(key=...)`` per substream would. Trials run in batches,
 one after the other; per-trial results land in preallocated slots and each
 batch's symbol powers are added to running per-user sums in batch order.
+Normal blocks are drawn straight into the rows of their batch.
+
+A plan keeps the last batch it drew for each component, read-only, and
+hands it back while the same draw (trials, length and scale, or message-set
+size) is asked for again. So the points of a sweep with at most ``BATCH``
+trials share one set of state, noise and observation-noise arrays, and
+arrays taken from a plan must not be written to.
 """
 
 import dataclasses
@@ -38,7 +45,8 @@ _DISTORTION_FLAG_REL = 0.02
 
 @dataclasses.dataclass(frozen=True)
 class RandomPlan:
-    """Derivation rule from a master seed to per-trial substreams."""
+    """Derivation rule from a master seed to per-trial substreams, and the
+    last batch of trials drawn for each component."""
 
     master_seed: int
 
@@ -78,13 +86,32 @@ class RandomPlan:
         }
         return gen
 
-    def normal_block(self, trial, component, n, std):
-        """std * N(0,1)^n; drawing standard normals first keeps the stream
-        layout identical across variance choices (std = 0 gives zeros)."""
-        return std * self.generator(trial, component).standard_normal(n)
+    def normal_block(self, trial, component, n, std, out=None):
+        """std * N(0,1)^n, written into ``out`` (a new array when None);
+        drawing standard normals first keeps the stream layout identical
+        across variance choices (std = 0 gives zeros)."""
+        out = self.generator(trial, component).standard_normal(n, out=out)
+        out *= std
+        return out
 
     def message(self, trial, component, M):
         return int(self.generator(trial, component).integers(1, M + 1))
+
+    @functools.cached_property
+    def _last(self):
+        return {}
+
+    def _batch(self, component, key, draw):
+        """``draw()``'s batch of ``component``, drawn again only when ``key``
+        differs from the last one drawn for it; the one batch kept per
+        component is read-only."""
+        last = self._last.get(component)
+        if last is not None and last[0] == key:
+            return last[1]
+        batch = draw()
+        batch.flags.writeable = False
+        self._last[component] = (key, batch)
+        return batch
 
 
 def _spans(trials):
@@ -92,17 +119,23 @@ def _spans(trials):
 
 
 def _draw_normals(plan, start, stop, n, std, component):
-    out = np.empty((stop - start, n))
-    for i, trial in enumerate(range(start, stop)):
-        out[i] = plan.normal_block(trial, component, n, std)
-    return out
+    def draw():
+        out = np.empty((stop - start, n))
+        for row, trial in zip(out, range(start, stop)):
+            plan.normal_block(trial, component, n, std, out=row)
+        return out
+
+    return plan._batch(component, (start, stop, n, std), draw)
 
 
 def _draw_messages(plan, start, stop, M, component):
-    out = np.empty(stop - start, dtype=np.int64)
-    for i, trial in enumerate(range(start, stop)):
-        out[i] = plan.message(trial, component, M)
-    return out
+    def draw():
+        out = np.empty(stop - start, dtype=np.int64)
+        for i, trial in enumerate(range(start, stop)):
+            out[i] = plan.message(trial, component, M)
+        return out
+
+    return plan._batch(component, (start, stop, M), draw)
 
 
 def _pe_with_ci(errors, trials):
@@ -178,7 +211,8 @@ def _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_write
                        if np.ndim(getattr(trace, f.name)) == 2}
             for i, trial in enumerate(range(start, stop)):
                 trace_writer(trial, {name: column[i] for name, column in columns.items()})
-        # the trace holds this batch's S too; free its (B, n) arrays before the next draw
+        # free the kernel's (B, n) outputs before the next draw; the draws
+        # themselves stay with the plan until it draws that component again
         del trace, users
     return _empirical(errors, sq_err, power_sums, trials)
 
@@ -395,8 +429,12 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     (the ``region`` command's boundary, or the two-encoder feedback region
     at rho*) with the report's measured columns in between. All points
     reuse the same per-trial substreams; rows are comparable but not
-    mutually independent. The two-encoder beta grid defaults to the gamma
-    grid; the region functions reject empty grids with EmptyGrid.
+    mutually independent. Every point runs on ``plan``, which keeps its
+    last batch per component, so with at most ``BATCH`` trials the state,
+    noise and observation-noise arrays are drawn once and shared by all
+    points, and messages are drawn again only where the message-set size
+    changes. The two-encoder beta grid defaults to the gamma grid; the
+    region functions reject empty grids with EmptyGrid.
 
     A point whose run raises DegenerateSplit keeps its theory columns and
     holds NaN in the measured ones: two-encoder points without message

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -65,30 +66,39 @@ def test_messages_cover_the_whole_range():
     assert plan.message(0, harness.MSG, 1) == 1
 
 
-# (trial, component, draw): a normal block of n > 0 values, or a message out
-# of M; M < 2**32 takes integers' buffered 32-bit path, M > 2**32 the 64-bit one
+# (trial, component, draw): a normal block of n > 0 values scaled by std, or
+# a message out of M; M < 2**32 takes integers' buffered 32-bit path,
+# M > 2**32 the 64-bit one
 SUBSTREAM_DRAWS = st.lists(
     st.tuples(
         st.integers(0, 2**61 - 1),
         st.integers(0, harness._STREAMS_PER_TRIAL - 1),
         st.one_of(
-            st.tuples(st.just("normal"), st.integers(1, 70)),
-            st.tuples(st.just("message"), st.integers(1, 1000)),
-            st.tuples(st.just("message"), st.integers(2**32 + 1, 2**62)),
+            st.tuples(
+                st.just("normal"), st.integers(1, 70),
+                st.one_of(st.just(0.0), st.floats(0.0, 1e50)),
+            ),
+            st.tuples(st.just("message"), st.integers(1, 1000), st.none()),
+            st.tuples(st.just("message"), st.integers(2**32 + 1, 2**62), st.none()),
         ),
     ),
     min_size=1,
     max_size=12,
 )
 INTERLEAVED = [
-    (0, harness.STATE, ("normal", 5)),
-    (0, harness.MSG, ("message", 4)),
-    (0, harness.NOISE, ("normal", 3)),
-    (1, harness.MSG, ("message", 2**40)),
-    (1, harness.MSG2, ("message", 1)),
-    (1, harness.MSG, ("message", 7)),
-    (2**61 - 1, 7, ("normal", 9)),
+    (0, harness.STATE, ("normal", 5, 1.0)),
+    (0, harness.MSG, ("message", 4, None)),
+    (0, harness.NOISE, ("normal", 3, 0.0)),
+    (1, harness.MSG, ("message", 2**40, None)),
+    (1, harness.MSG2, ("message", 1, None)),
+    (1, harness.MSG, ("message", 7, None)),
+    (2**61 - 1, 7, ("normal", 9, math.sqrt(5.0))),
 ]
+
+
+def _bits(x):
+    # compare bit patterns, so that -0.0 against 0.0 fails
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,13 +107,21 @@ INTERLEAVED = [
 @example(seed=2**64 - 1, draws=INTERLEAVED)
 def test_shared_generator_draws_what_a_fresh_philox_draws(seed, draws):
     # the plan re-keys one cached Philox per draw; a buffered 32-bit word
-    # left by a small-M message must not leak into the next substream
+    # left by a small-M message must not leak into the next substream. A
+    # normal block drawn into a row of a batch, in place, keeps the bits of
+    # std * standard_normal(n) from a fresh Philox.
     plan = harness.RandomPlan(seed)
-    for trial, component, (kind, size) in draws:
+    for trial, component, (kind, size, std) in draws:
         fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
         if kind == "normal":
+            expected = _bits(std * fresh.standard_normal(size))
+            batch = np.full((3, size), np.nan)
+            row = plan.normal_block(trial, component, size, std, out=batch[1])
+            assert row.base is batch
+            np.testing.assert_array_equal(_bits(batch[1]), expected)
+            assert np.isnan(batch[[0, 2]]).all()
             np.testing.assert_array_equal(
-                plan.normal_block(trial, component, size, 1.0), fresh.standard_normal(size)
+                _bits(plan.normal_block(trial, component, size, std)), expected
             )
         else:
             assert plan.message(trial, component, size) == fresh.integers(1, size + 1)
@@ -126,6 +144,90 @@ def test_a_run_and_a_sweep_build_one_philox(monkeypatch):
         harness.RandomPlan(7),
     )
     assert len(built) == 1
+
+
+def test_a_sweep_draws_each_normal_substream_once(monkeypatch):
+    drawn = collections.Counter()
+    normal_block = harness.RandomPlan.normal_block
+
+    def counted(plan, trial, component, *args, **kwargs):
+        drawn[trial, component] += 1
+        return normal_block(plan, trial, component, *args, **kwargs)
+
+    monkeypatch.setattr(harness.RandomPlan, "normal_block", counted)
+    rows = harness.sweep(
+        "noisy", FIG3, [0.0, 0.25, 0.5, 1.0], BlockConfig(30, rate_fraction=0.5), 50,
+        harness.RandomPlan(7),
+    )
+    assert len(rows) == 4
+    components = (harness.STATE, harness.NOISE, harness.OBS_NOISE)
+    assert drawn == collections.Counter({(t, c): 1 for t in range(50) for c in components})
+
+
+@pytest.mark.parametrize("trials", [40, harness.BATCH + 3])
+@pytest.mark.parametrize("scheme", ["dpc", "noisy", "mac"])
+def test_sweep_rows_equal_runs_on_fresh_plans(scheme, trials):
+    # the sweep's points share one plan and its kept batches; a run on a
+    # fresh plan at each point gives the same measured columns. With
+    # BATCH + 3 trials the last batch is partial and every point redraws.
+    channel, gammas, betas, block = SWEEP_CASES[scheme]
+    rows = harness.sweep(scheme, channel, gammas, block, trials, harness.RandomPlan(6),
+                         beta_grid=betas)
+    measured = harness._MEASURED[scheme]
+    compared = 0
+    for row in rows:
+        split = PowerSplit(row["gamma"], row.get("beta"))
+        if split.gamma == 0.0 or split.beta == 0.0:
+            continue
+        report = harness.run_experiment(
+            scheme, channel, split, block, trials, harness.RandomPlan(6)
+        )
+        values = {**report.rates, **report.empirical}
+        assert {key: row[key] for key in measured} == {key: values[key] for key in measured}
+        compared += 1
+    assert compared == 2
+
+
+# one field of the reference dpc run changed at a time: M alone, the state
+# scale alone, the noise scale alone, the block length (and M)
+PLAN_REUSE_CASES = {
+    "M": (ACC, BlockConfig(30, rate_fraction=0.2)),
+    "state std": (DpcParams(P=10, Q=4, sigma2=5), BlockConfig(30, rate_fraction=0.5)),
+    "noise std": (DpcParams(P=10, Q=10, sigma2=2), BlockConfig(30, rate_fraction=0.5)),
+    "n": (ACC, BlockConfig(20, rate_fraction=0.5)),
+}
+
+
+@pytest.mark.parametrize("change", sorted(PLAN_REUSE_CASES))
+def test_one_plan_across_configurations_draws_what_fresh_plans_draw(change):
+    reference = (ACC, BlockConfig(30, rate_fraction=0.5))
+    other = PLAN_REUSE_CASES[change]
+
+    def run(config, plan):
+        channel, block = config
+        return harness.run_experiment(
+            "dpc", channel, PowerSplit(0.5), block, 60, plan
+        ).as_dict()
+
+    assert run(other, harness.RandomPlan(3)) != run(reference, harness.RandomPlan(3))
+    shared = harness.RandomPlan(3)
+    for config in (reference, other, reference):
+        assert run(config, shared) == run(config, harness.RandomPlan(3))
+
+
+def test_kept_batches_are_read_only_and_returned_again():
+    plan = harness.RandomPlan(5)
+    S = harness._draw_normals(plan, 0, 6, 4, 2.0, harness.STATE)
+    W = harness._draw_messages(plan, 0, 6, 9, harness.MSG)
+    assert harness._draw_normals(plan, 0, 6, 4, 2.0, harness.STATE) is S
+    assert harness._draw_messages(plan, 0, 6, 9, harness.MSG) is W
+    for batch in (S, W):
+        with pytest.raises(ValueError):
+            batch[0] = 1
+    # another key draws again and replaces the kept batch
+    assert harness._draw_normals(plan, 0, 6, 4, 1.0, harness.STATE) is not S
+    assert harness._draw_normals(plan, 0, 6, 4, 2.0, harness.STATE) is not S
+    np.testing.assert_array_equal(harness._draw_normals(plan, 0, 6, 4, 2.0, harness.STATE), S)
 
 
 def _small_dpc_report(trials=600, seed=11):
