@@ -44,16 +44,18 @@ def show_monte_carlo():
 def show_cancellation():
     # with eta = 0 the only perturbation of theta_hat is the state, and
     # the transmit offset removes it term by term
-    n, M = 50, 16
+    # the block runs as a batch of one: (1,) messages and (1, n) draws
+    n = 50
     block = BlockConfig(n, rate=4.0 / n)
     rng = np.random.default_rng(SEED)
-    S = rng.normal(0.0, math.sqrt(PARAMS.Q), size=n)
-    trace = sk_dpc.run_block(PARAMS, 0.5, block, 11, S, np.zeros(n))
+    S = rng.normal(0.0, math.sqrt(PARAMS.Q), size=(1, n))
+    _, M, coeffs = sk_dpc.resolve_loop(PARAMS, 0.5, block)
+    trace = sk_dpc.run_batch(PARAMS, 0.5, M, coeffs, np.array([11]), S, np.zeros((1, n)))
     theta = sk_dpc.message_to_theta(11, M)
-    print("zero-noise block, message 11 of 16:")
+    print(f"zero-noise block, message 11 of {M}:")
     print(f"  theta sent      {theta:+.12f}")
-    print(f"  theta decoded   {trace.theta_hat[-1]:+.12f}")
-    print(f"  message decoded {trace.W_hat}")
+    print(f"  theta decoded   {trace.theta_hat[0, -1]:+.12f}")
+    print(f"  message decoded {trace.W_hat[0]}")
 
 
 if __name__ == "__main__":

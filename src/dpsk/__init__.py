@@ -15,7 +15,7 @@ Monte Carlo experiments and the ``dpsk`` command line in
 
 from .errors import ConfigError, DpskError
 from .harness import ExperimentReport, RandomPlan, run_experiment, sweep
-from .noisy_obs import make_equivalent, noisy_run_block
+from .noisy_obs import make_equivalent
 from .params import (
     BlockConfig,
     DpcParams,
@@ -36,8 +36,8 @@ from .regions import (
     noisy_boundary,
     solve_rho_star,
 )
-from .sk_dpc import SchemeTrace, compute_coefficients, run_block
-from .sk_dpmac import MacSchemeTrace, mac_coefficients, mac_run_block
+from .sk_dpc import SchemeTrace, compute_coefficients
+from .sk_dpmac import MacSchemeTrace, mac_coefficients
 
 __version__ = "0.1.0"
 
@@ -63,11 +63,8 @@ __all__ = [
     "mac_constraints",
     "mac_fb_region",
     "mac_nofb_region",
-    "mac_run_block",
     "make_equivalent",
     "noisy_boundary",
-    "noisy_run_block",
-    "run_block",
     "run_experiment",
     "solve_rho_star",
     "sweep",

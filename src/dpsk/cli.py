@@ -177,7 +177,7 @@ def build_parser():
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo experiment")
     simulate_sub = simulate.add_subparsers(dest="variant", required=True)
-    for variant in ("dpc", "mac", "noisy"):
+    for variant in params_mod.CHANNELS:
         p = simulate_sub.add_parser(variant, parents=[common])
         _add_channel_flags(p, variant)
         p.add_argument("--gamma", type=float, default=None)
@@ -194,7 +194,7 @@ def build_parser():
 
     sweep = sub.add_parser("sweep", help="simulate across a power-split grid")
     sweep_sub = sweep.add_subparsers(dest="variant", required=True)
-    for variant in ("dpc", "mac", "noisy"):
+    for variant in params_mod.CHANNELS:
         p = sweep_sub.add_parser(variant, parents=[common])
         _add_channel_flags(p, variant)
         p.add_argument("--grid", type=int, default=11, help="points on the gamma grid")

@@ -18,6 +18,7 @@ trials share one set of state, noise and observation-noise arrays, and
 arrays taken from a plan must not be written to.
 """
 
+import collections
 import dataclasses
 import functools
 import math
@@ -173,35 +174,26 @@ class ExperimentReport:
         return dataclasses.asdict(self)
 
 
-def _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_writer):
+def _simulate(params, n, trials, plan, users, run_batch, trace_writer):
     """Draw, simulate and reduce every batch of trials in order.
 
-    ``sizes`` holds one message-set size per user and ``coeffs`` the
-    scheme's loop coefficients (None on the single-user forwarding-only
-    path). Collects per-user error flags (users, trials), per-trial squared
-    estimation errors and per-user symbol power sums (users, n), and
-    returns the report's measured block built from them by :func:`_empirical`.
+    ``run_batch(start, stop, S, eta)`` draws the messages (and any other
+    draw the scheme needs) of trials start..stop-1, runs the scheme's batch
+    runner on them and returns its trace record with one ``(W, W_hat, X)``
+    per user; ``users`` is 1 or 2. Collects per-user error flags (users,
+    trials), per-trial squared estimation errors and per-user symbol power
+    sums (users, n), and returns the report's measured block built from
+    them by :func:`_empirical`.
     """
-    errors = np.zeros((len(sizes), trials), dtype=bool)
+    errors = np.zeros((users, trials), dtype=bool)
     sq_err = np.empty(trials)
-    power_sums = np.zeros((len(sizes), n))
+    power_sums = np.zeros((users, n))
 
     for start, stop in _spans(trials):
         S = _draw_normals(plan, start, stop, n, math.sqrt(params.Q), STATE)
         eta = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), NOISE)
-        if scheme == "mac":
-            W1, W2 = (_draw_messages(plan, start, stop, M, c) for M, c in zip(sizes, (MSG, MSG2)))
-            trace = sk_dpmac.mac_run_batch(coeffs, *sizes, W1, W2, S, eta)
-            users = ((W1, trace.W1_hat, trace.X1), (W2, trace.W2_hat, trace.X2))
-        else:
-            W = _draw_messages(plan, start, stop, sizes[0], MSG)
-            if scheme == "noisy":
-                Z = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma_z2), OBS_NOISE)
-                trace = noisy_obs.noisy_run_batch(params, gamma, sizes[0], coeffs, W, S, Z, eta)
-            else:
-                trace = sk_dpc.run_batch(params, gamma, sizes[0], coeffs, W, S, eta)
-            users = ((W, trace.W_hat, trace.X),)
-        for user, (w, w_hat, x) in enumerate(users):
+        trace, per_user = run_batch(start, stop, S, eta)
+        for user, (w, w_hat, x) in enumerate(per_user):
             errors[user, start:stop] = w_hat != w
             power_sums[user] += np.sum(x * x, axis=0)
         sq_err[start:stop] = np.mean((S - trace.S_hat) ** 2, axis=1)
@@ -213,7 +205,7 @@ def _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_write
                 trace_writer(trial, {name: column[i] for name, column in columns.items()})
         # free the kernel's (B, n) outputs before the next draw; the draws
         # themselves stay with the plan until it draws that component again
-        del trace, users
+        del trace, per_user
     return _empirical(errors, sq_err, power_sums, trials)
 
 
@@ -239,13 +231,24 @@ def _empirical(errors, sq_err, power_sums, trials):
     return empirical
 
 
-def _dpc_summary(params, gamma, n, M, coeffs, empirical):
+def _run_dpc(params, split, block, trials, plan, paper_sgn, trace_writer):
+    """The single-user scheme's rates, measured block, theory, deltas and
+    flags; ``paper_sgn`` does not apply to it."""
+    gamma = split.gamma
+    rate, M, coeffs = sk_dpc.resolve_loop(params, gamma, block)
+
+    def run_batch(start, stop, S, eta):
+        W = _draw_messages(plan, start, stop, M, MSG)
+        trace = sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta)
+        return trace, ((W, trace.W_hat, trace.X),)
+
+    empirical = _simulate(params, block.n, trials, plan, 1, run_batch, trace_writer)
     forwarded = sk_dpc.state_forward_coefficient(params, gamma) ** 2 * params.Q
     d_step = regions.dpc_min_distortion(params, gamma)
     message_path = coeffs is not None
     theory = {
         "rate_cap": regions.dpc_rate_cap(params, gamma),
-        "distortion": regions.finite_n_distortion(params.Q, n, d_step, 1),
+        "distortion": regions.finite_n_distortion(params.Q, block.n, d_step, 1),
         "distortion_step": d_step,
         "power": params.P if message_path else forwarded,
         "time1_power": sk_dpc.time1_power_theory(coeffs, M) if message_path else forwarded,
@@ -255,21 +258,34 @@ def _dpc_summary(params, gamma, n, M, coeffs, empirical):
         "time1_power": empirical["time1_power"] - theory["time1_power"],
         "steady_power": empirical["steady_power"] - theory["power"],
     }
-    return theory, deltas, []
+    return {"rate": rate, "M": M}, empirical, theory, deltas, []
 
 
-def _noisy_summary(params, eq_params, gamma, n, message_path, empirical):
+def _run_noisy(params, split, block, trials, plan, paper_sgn, trace_writer):
+    """:func:`_run_dpc` for the noisy-observation scheme, which runs on the
+    clean-state channel it reduces to."""
+    gamma = split.gamma
+    eq_params = noisy_obs.make_equivalent(params)
+    rate, M, coeffs = sk_dpc.resolve_loop(eq_params, gamma, block, noisy_obs.EQUIVALENT_NOISE)
+
+    def run_batch(start, stop, S, eta):
+        W = _draw_messages(plan, start, stop, M, MSG)
+        Z = _draw_normals(plan, start, stop, block.n, math.sqrt(params.sigma_z2), OBS_NOISE)
+        trace = noisy_obs.noisy_run_batch(params, gamma, M, coeffs, W, S, Z, eta)
+        return trace, ((W, trace.W_hat, trace.X),)
+
+    empirical = _simulate(params, block.n, trials, plan, 1, run_batch, trace_writer)
     forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
     bound_step = regions.noisy_min_distortion(params, gamma)
     scheme_step = noisy_obs.scheme_step_distortion(params, gamma)
     theory = {
         "rate_cap": regions.noisy_rate_cap(params, gamma),
         "kappa": regions.observation_weight(params),
-        "distortion_scheme": regions.finite_n_distortion(params.Q, n, scheme_step, 1),
+        "distortion_scheme": regions.finite_n_distortion(params.Q, block.n, scheme_step, 1),
         "distortion_scheme_step": scheme_step,
-        "distortion_bound": regions.finite_n_distortion(params.Q, n, bound_step, 1),
+        "distortion_bound": regions.finite_n_distortion(params.Q, block.n, bound_step, 1),
         "distortion_bound_step": bound_step,
-        "power": params.P if message_path else forward**2 * eq_params.Q,
+        "power": params.P if coeffs is not None else forward**2 * eq_params.Q,
     }
     distortion = empirical["distortion"]
     deltas = {
@@ -284,10 +300,24 @@ def _noisy_summary(params, eq_params, gamma, n, message_path, empirical):
         # beyond tolerance (the scheme's distortion lies below it); report
         # both rather than hide it.
         flags.append("distortion_bound_mismatch")
-    return theory, deltas, flags
+    return {"rate": rate, "M": M}, empirical, theory, deltas, flags
 
 
-def _mac_summary(params, n, coeffs, caps, empirical):
+def _run_mac(params, split, block, trials, plan, paper_sgn, trace_writer):
+    """:func:`_run_dpc` for the two-encoder scheme."""
+    if split.beta is None:
+        raise ConfigError("the two-encoder scheme needs beta", field="beta")
+    gamma, beta = split.gamma, split.beta
+    (rate1, M1), (rate2, M2), caps = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
+    coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, block.n, paper_sgn=paper_sgn)
+
+    def run_batch(start, stop, S, eta):
+        W1 = _draw_messages(plan, start, stop, M1, MSG)
+        W2 = _draw_messages(plan, start, stop, M2, MSG2)
+        trace = sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
+        return trace, ((W1, trace.W1_hat, trace.X1), (W2, trace.W2_hat, trace.X2))
+
+    empirical = _simulate(params, block.n, trials, plan, 2, run_batch, trace_writer)
     rho_final = float(coeffs.rho[-1])
     theory = {
         "rho_star": caps.rho,
@@ -295,7 +325,7 @@ def _mac_summary(params, n, coeffs, caps, empirical):
         "r1_max": caps.r1_max,
         "r2_max": caps.r2_max,
         "rsum_max": caps.rsum_max,
-        "distortion": regions.finite_n_distortion(params.Q, n, caps.d_min, 2),
+        "distortion": regions.finite_n_distortion(params.Q, block.n, caps.d_min, 2),
         "distortion_step": caps.d_min,
         "power1": params.P1,
         "power2": params.P2,
@@ -309,15 +339,49 @@ def _mac_summary(params, n, coeffs, caps, empirical):
     flags = []
     if abs(deltas["rho"]) > _RHO_CONVERGENCE_TOL:
         flags.append("mac_rho_nonconvergence")
-    return theory, deltas, flags
+    rates = {"rate1": rate1, "M1": M1, "rate2": rate2, "M2": M2}
+    return rates, empirical, theory, deltas, flags
 
 
-#: Each scheme's report entries (rates, then empirical values) that a sweep
-#: row carries.
-_MEASURED = {
-    "dpc": ("rate", "pe", "distortion"),
-    "noisy": ("rate", "pe", "distortion"),
-    "mac": ("rate1", "rate2", "pe1", "pe2", "distortion"),
+def _dpc_points(params, gamma_grid, beta_grid, n):
+    """Each sweep point's region record as the columns that lead its row
+    (the point) and the theory columns that end it."""
+    if beta_grid is not None:
+        raise ConfigError("beta grid only applies to the two-encoder scheme", field="beta")
+    return [({"gamma": p.gamma}, {"rate_cap": p.rate, "theory_distortion": p.distortion})
+            for p in regions.boundary_sweep(params, gamma_grid)]
+
+
+def _noisy_points(params, gamma_grid, beta_grid, n):
+    """:func:`_dpc_points` with sigma_z2 and the scheme's own finite-n distortion."""
+    points = _dpc_points(params, gamma_grid, beta_grid, n)
+    for lead, theory in points:
+        lead["sigma_z2"] = params.sigma_z2
+        step = noisy_obs.scheme_step_distortion(params, lead["gamma"])
+        theory["theory_distortion_scheme"] = regions.finite_n_distortion(params.Q, n, step, 1)
+    return points
+
+
+def _mac_points(params, gamma_grid, beta_grid, n):
+    """:func:`_dpc_points` over the two-encoder feedback region at rho*."""
+    records = regions.mac_fb_region(
+        params, gamma_grid, gamma_grid if beta_grid is None else beta_grid
+    )
+    return [
+        ({"gamma": c.gamma, "beta": c.beta, "rho_star": c.rho},
+         {"r1_max": c.r1_max, "r2_max": c.r2_max, "rsum_max": c.rsum_max, "d_min": c.d_min})
+        for c in records
+    ]
+
+
+_Scheme = collections.namedtuple("_Scheme", ("run", "points", "measured"))
+
+#: Each scheme's run function, its sweep points, and the report entries
+#: (rates, then empirical values) that a sweep row carries.
+_SCHEMES = {
+    "dpc": _Scheme(_run_dpc, _dpc_points, ("rate", "pe", "distortion")),
+    "mac": _Scheme(_run_mac, _mac_points, ("rate1", "rate2", "pe1", "pe2", "distortion")),
+    "noisy": _Scheme(_run_noisy, _noisy_points, ("rate", "pe", "distortion")),
 }
 
 
@@ -325,7 +389,7 @@ def _check_run(scheme, params, block, trials):
     if block is None:
         raise ConfigError("simulation needs a block configuration", field="n")
     check_count(trials, "trials")
-    if scheme not in _MEASURED:
+    if scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
     if not isinstance(params, channel := CHANNELS[scheme]):
         got = type(params).__name__
@@ -343,35 +407,9 @@ def run_experiment(scheme, params, split, block, trials, plan,
     error including the estimate-free initial slots.
     """
     _check_run(scheme, params, block, trials)
-    if scheme == "mac" and split.beta is None:
-        raise ConfigError("the two-encoder scheme needs beta", field="beta")
-
-    n, gamma, beta = block.n, split.gamma, split.beta
-    if scheme == "mac":
-        (rate1, M1), (rate2, M2), caps = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
-        rates = {"rate1": rate1, "M1": M1, "rate2": rate2, "M2": M2}
-        sizes = (M1, M2)
-        coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
-    else:
-        # the noisy scheme runs on the clean-state channel it reduces to
-        if scheme == "noisy":
-            kernel_params, noise = noisy_obs.make_equivalent(params), noisy_obs.EQUIVALENT_NOISE
-        else:
-            kernel_params, noise = params, "sigma2"
-        rate, M, coeffs = sk_dpc.resolve_loop(kernel_params, gamma, block, noise)
-        rates = {"rate": rate, "M": M}
-        sizes = (M,)
-
-    empirical = _simulate(scheme, params, gamma, n, trials, plan, sizes, coeffs, trace_writer)
-    if scheme == "mac":
-        theory, deltas, flags = _mac_summary(params, n, coeffs, caps, empirical)
-    elif scheme == "noisy":
-        theory, deltas, flags = _noisy_summary(
-            params, kernel_params, gamma, n, coeffs is not None, empirical
-        )
-    else:
-        theory, deltas, flags = _dpc_summary(params, gamma, n, M, coeffs, empirical)
-
+    rates, empirical, theory, deltas, flags = _SCHEMES[scheme].run(
+        params, split, block, trials, plan, paper_sgn, trace_writer
+    )
     return ExperimentReport(
         scheme=scheme,
         config=to_config_dict(RunConfig(
@@ -401,29 +439,6 @@ def run_config(config: RunConfig, paper_sgn=False, trace_writer=None):
     )
 
 
-def _sweep_points(scheme, params, gamma_grid, beta_grid, n):
-    """Each sweep point's region record as the columns that lead its row
-    (the point) and the theory columns that end it."""
-    if scheme == "mac":
-        records = regions.mac_fb_region(
-            params, gamma_grid, gamma_grid if beta_grid is None else beta_grid
-        )
-        return [
-            ({"gamma": c.gamma, "beta": c.beta, "rho_star": c.rho},
-             {"r1_max": c.r1_max, "r2_max": c.r2_max, "rsum_max": c.rsum_max, "d_min": c.d_min})
-            for c in records
-        ]
-    points = []
-    for p in regions.boundary_sweep(params, gamma_grid):
-        lead, theory = {"gamma": p.gamma}, {"rate_cap": p.rate, "theory_distortion": p.distortion}
-        if scheme == "noisy":
-            lead["sigma_z2"] = params.sigma_z2
-            step = noisy_obs.scheme_step_distortion(params, p.gamma)
-            theory["theory_distortion_scheme"] = regions.finite_n_distortion(params.Q, n, step, 1)
-        points.append((lead, theory))
-    return points
-
-
 def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper_sgn=False):
     """One experiment per grid point, each row the point's region record
     (the ``region`` command's boundary, or the two-encoder feedback region
@@ -442,11 +457,9 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     fixed rate that needs more than one message.
     """
     _check_run(scheme, params, block, trials)
-    if scheme != "mac" and beta_grid is not None:
-        raise ConfigError("beta grid only applies to the two-encoder scheme", field="beta")
-    keys = _MEASURED[scheme]
+    _, points, keys = _SCHEMES[scheme]
     rows = []
-    for lead, theory in _sweep_points(scheme, params, list(gamma_grid), beta_grid, block.n):
+    for lead, theory in points(params, list(gamma_grid), beta_grid, block.n):
         split = PowerSplit(lead["gamma"], lead.get("beta"))
         try:
             report = run_experiment(scheme, params, split, block, trials, plan, paper_sgn)

@@ -81,8 +81,10 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
     :func:`make_equivalent` with ``noise=EQUIVALENT_NOISE``: the encoder
     is driven by kappa (S + Z), the state it cannot see joins the channel
     noise, and the receiver weighs Y by :func:`true_state_coefficient`.
-    The returned trace carries the true S and its estimate.
+    The returned trace carries the true S and its estimate. With
+    sigma_z2 = 0 it reproduces the clean-observation trace sample for sample.
     """
+    sk_dpc.check_batch(np.shape(S), Z=Z, eta=eta)
     s_eq = regions.observation_weight(params) * (S + Z)
     eta_eq = (S - s_eq) + eta
     trace = sk_dpc.run_batch(
@@ -90,15 +92,3 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
         weight=true_state_coefficient(params, gamma),
     )
     return dataclasses.replace(trace, S=S)
-
-
-def noisy_run_block(params: NoisyObsParams, gamma, block, W, S, Z, eta):
-    """Simulate one block with physical state S and observation noise Z.
-
-    This is :func:`noisy_run_batch`, the path the simulation harness runs,
-    on a batch of one block. With sigma_z2 = 0 it reproduces the
-    clean-observation trace sample for sample.
-    """
-    S, Z, eta = sk_dpc.batch_of_one(block.n, S=S, Z=Z, eta=eta)
-    _, M, coeffs = sk_dpc.resolve_loop(make_equivalent(params), gamma, block, EQUIVALENT_NOISE)
-    return sk_dpc.single_block(noisy_run_batch(params, gamma, M, coeffs, np.array([W]), S, Z, eta))

@@ -178,11 +178,11 @@ def estimate_state(Y, weight):
 
 @dataclasses.dataclass(frozen=True)
 class SchemeTrace:
-    """Everything observable from one simulated block, or from a batch of
-    B blocks with (B,) message arrays and (B, n) traces."""
+    """Everything observable from a batch of B simulated blocks: (B,)
+    message arrays and (B, n) traces."""
 
-    W: int
-    W_hat: int
+    W: np.ndarray
+    W_hat: np.ndarray
     M: int
     X: np.ndarray
     Y: np.ndarray
@@ -190,30 +190,12 @@ class SchemeTrace:
     S: np.ndarray
     S_hat: np.ndarray
 
-    @property
-    def distortion(self):
-        return float(np.mean((self.S - self.S_hat) ** 2))
 
-
-def batch_of_one(n, **draws):
-    """Check that each draw has shape (n,) and return it as a (1, n) batch."""
-    batch = []
-    for name, arr in draws.items():
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (n,):
-            raise LengthMismatch(f"{name} must have shape ({n},), got {arr.shape}")
-        batch.append(arr[None])
-    return batch
-
-
-def single_block(trace):
-    """A batch record of one block as that block's record: ints and (n,) arrays."""
-    row = {}
-    for field in dataclasses.fields(trace):
-        value = getattr(trace, field.name)
-        if isinstance(value, np.ndarray):
-            row[field.name] = value[0] if value.ndim == 2 else int(value[0])
-    return dataclasses.replace(trace, **row)
+def check_batch(shape, **draws):
+    """Raise LengthMismatch unless every draw has ``shape``, a batch's (B, n)."""
+    for name, draw in draws.items():
+        if np.shape(draw) != shape:
+            raise LengthMismatch(f"{name} must have shape {shape}, got {np.shape(draw)}")
 
 
 def resolve_loop(params: DpcParams, gamma, block, noise="sigma2"):
@@ -240,6 +222,8 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None):
     Returns a :class:`SchemeTrace` of (B,) messages and (B, n) traces.
     """
     if coeffs is None:
+        # no loop fixes n here; the width of S does
+        check_batch((len(W), *np.shape(S)[-1:]), S=S, eta=eta)
         X, Y = simulate_forwarding_batch(params, gamma, S, eta)
         theta_hat = np.zeros_like(Y)
         W_hat = W
@@ -250,19 +234,6 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None):
         weight = estimation_coefficient(params, gamma)
     S_hat = estimate_state(Y, weight)
     return SchemeTrace(W=W, W_hat=W_hat, M=M, X=X, Y=Y, theta_hat=theta_hat, S=S, S_hat=S_hat)
-
-
-def run_block(params: DpcParams, gamma, block, W, S, eta):
-    """Simulate one complete block from externally supplied draws.
-
-    Deterministic: the trace is a pure function of the arguments. ``S`` and
-    ``eta`` must be length-n arrays. The message path is skipped when
-    gamma*P = 0, which requires M = 1. This is :func:`run_batch`, the path
-    the simulation harness runs, on a batch of one block.
-    """
-    S, eta = batch_of_one(block.n, S=S, eta=eta)
-    _, M, coeffs = resolve_loop(params, gamma, block)
-    return single_block(run_batch(params, gamma, M, coeffs, np.array([W]), S, eta))
 
 
 def _closed_loop(lam, loops, S, eta):
@@ -278,9 +249,7 @@ def _closed_loop(lam, loops, S, eta):
     """
     K = len(loops)
     for theta, _, _, gain, _ in loops:
-        shape = (len(theta), len(gain))
-        if S.shape != shape or eta.shape != S.shape:
-            raise LengthMismatch(f"batch shapes must be {shape}, got {S.shape} and {eta.shape}")
+        check_batch((len(theta), len(gain)), S=S, eta=eta)
     X = [sc * S for _, _, sc, _, _ in loops]
     Y = np.empty_like(S)
     theta_hat = [np.empty_like(S) for _ in loops]

@@ -44,7 +44,7 @@ import numpy as np
 from . import regions
 from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
 from .params import MacParams, check_fraction, resolve_block
-from .sk_dpc import _closed_loop, batch_of_one, decode_batch, message_to_theta, single_block
+from .sk_dpc import _closed_loop, decode_batch, message_to_theta
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,13 +208,13 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
 
 @dataclasses.dataclass(frozen=True)
 class MacSchemeTrace:
-    """Everything observable from one simulated two-encoder block, or from
-    a batch of B blocks with (B,) message arrays and (B, n) traces."""
+    """Everything observable from a batch of B simulated two-encoder blocks:
+    (B,) message arrays and (B, n) traces."""
 
-    W1: int
-    W2: int
-    W1_hat: int
-    W2_hat: int
+    W1: np.ndarray
+    W2: np.ndarray
+    W1_hat: np.ndarray
+    W2_hat: np.ndarray
     M1: int
     M2: int
     X1: np.ndarray
@@ -224,10 +224,6 @@ class MacSchemeTrace:
     theta2_hat: np.ndarray
     S: np.ndarray
     S_hat: np.ndarray
-
-    @property
-    def distortion(self):
-        return float(np.mean((self.S - self.S_hat) ** 2))
 
 
 def resolve_mac_rates(params: MacParams, gamma, beta, block):
@@ -254,18 +250,6 @@ def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta):
         W1=W1, W2=W2, W1_hat=W1_hat, W2_hat=W2_hat, M1=M1, M2=M2, X1=X1, X2=X2, Y=Y,
         theta1_hat=th1, theta2_hat=th2, S=S, S_hat=coeffs.est_coef * Y,
     )
-
-
-def mac_run_block(params: MacParams, gamma, beta, block, W1, W2, S, eta):
-    """Simulate one complete two-encoder block from supplied draws.
-
-    This is :func:`mac_run_batch`, the path the simulation harness runs,
-    on a batch of one block.
-    """
-    S, eta = batch_of_one(block.n, S=S, eta=eta)
-    (_, M1), (_, M2), _ = resolve_mac_rates(params, gamma, beta, block)
-    coeffs = mac_coefficients(params, gamma, beta, block.n)
-    return single_block(mac_run_batch(coeffs, M1, M2, np.array([W1]), np.array([W2]), S, eta))
 
 
 def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta):

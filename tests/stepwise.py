@@ -191,3 +191,10 @@ def mac_decode(Y, coeffs: MacSkCoefficients, M1, M2):
         th1[k] = th1[k - 1] - coeffs.mu1[k] * Y[k]
         th2[k] = th2[k - 1] - coeffs.mu2[k] * Y[k]
     return finalize_decode(th1[-1], M1), finalize_decode(th2[-1], M2), th1, th2
+
+
+def batch_row(trace, i):
+    """Row i of a batch trace record in the one-block form this reference
+    produces: its messages and its (n,) traces."""
+    rows = {k: v[i] for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
+    return dataclasses.replace(trace, **rows)

@@ -46,16 +46,17 @@ def calibration_run():
 def test_criterion_01_offset_cancellation_zero_noise():
     start = time.perf_counter()
     n, M = 50, 16
-    block = BlockConfig(n=n, rate=4.0 / n)
     rng = np.random.default_rng(SEED)
-    S = rng.normal(0.0, math.sqrt(DPC.Q), size=n)
-    eta = np.zeros(n)
+    S = rng.normal(0.0, math.sqrt(DPC.Q), size=(1, n))
+    eta = np.zeros((1, n))
+    coeffs = sk_dpc.compute_coefficients(DPC, 0.5, n)
     worst = 0.0
     exact = 0
     for w in range(1, M + 1):
-        trace = sk_dpc.run_block(DPC, 0.5, block, w, S, eta)
-        worst = max(worst, abs(trace.theta_hat[-1] - sk_dpc.message_to_theta(w, M)))
-        exact += trace.W_hat == w
+        # each message runs as a batch of one
+        trace = sk_dpc.run_batch(DPC, 0.5, M, coeffs, np.array([w]), S, eta)
+        worst = max(worst, abs(trace.theta_hat[0, -1] - sk_dpc.message_to_theta(w, M)))
+        exact += trace.W_hat[0] == w
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and exact == M and elapsed < 1.0
     _report(1, "offset cancellation with zero noise", ok,
@@ -187,15 +188,17 @@ def test_criterion_08_mac_distortion():
 
 def test_criterion_09_mac_zero_noise_exact_decode():
     n, M = 60, 8
-    block = BlockConfig(n=n, rate=3.0 / n)
     rng = np.random.default_rng(SEED)
-    S = rng.normal(0.0, math.sqrt(MAC.Q), size=n)
-    eta = np.zeros(n)
+    S = rng.normal(0.0, math.sqrt(MAC.Q), size=(1, n))
+    eta = np.zeros((1, n))
+    coeffs = sk_dpmac.mac_coefficients(MAC, 0.8, 0.8, n)
     exact = 0
     for w1 in range(1, M + 1):
         for w2 in range(1, M + 1):
-            trace = sk_dpmac.mac_run_block(MAC, 0.8, 0.8, block, w1, w2, S, eta)
-            exact += (trace.W1_hat, trace.W2_hat) == (w1, w2)
+            # each message pair runs as a batch of one
+            W1, W2 = np.array([w1]), np.array([w2])
+            trace = sk_dpmac.mac_run_batch(coeffs, M, M, W1, W2, S, eta)
+            exact += (trace.W1_hat[0], trace.W2_hat[0]) == (w1, w2)
     _report(9, "two-encoder exact decode with zero noise", exact == M * M,
             f"{exact}/{M * M} message pairs decoded exactly")
 

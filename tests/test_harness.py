@@ -173,7 +173,7 @@ def test_sweep_rows_equal_runs_on_fresh_plans(scheme, trials):
     channel, gammas, betas, block = SWEEP_CASES[scheme]
     rows = harness.sweep(scheme, channel, gammas, block, trials, harness.RandomPlan(6),
                          beta_grid=betas)
-    measured = harness._MEASURED[scheme]
+    measured = harness._SCHEMES[scheme].measured
     compared = 0
     for row in rows:
         split = PowerSplit(row["gamma"], row.get("beta"))
@@ -270,12 +270,14 @@ def test_single_trial_report_equals_trace_statistics():
     S = plan.normal_block(0, harness.STATE, n, math.sqrt(ACC.Q))
     eta = plan.normal_block(0, harness.NOISE, n, math.sqrt(ACC.sigma2))
     W = plan.message(0, harness.MSG, M)
-    trace = sk_dpc.run_block(ACC, 0.5, block, W, S, eta)
-    assert report.empirical["distortion"] == pytest.approx(trace.distortion, rel=1e-12)
+    _, _, coeffs = sk_dpc.resolve_loop(ACC, 0.5, block)
+    trace = sk_dpc.run_batch(ACC, 0.5, M, coeffs, np.array([W]), S[None], eta[None])
+    distortion = np.mean((trace.S[0] - trace.S_hat[0]) ** 2)
+    assert report.empirical["distortion"] == pytest.approx(distortion, rel=1e-12)
     assert report.empirical["distortion_se"] == 0.0
-    assert report.empirical["pe"] == float(trace.W_hat != W)
+    assert report.empirical["pe"] == float(trace.W_hat[0] != W)
     np.testing.assert_allclose(
-        report.empirical["symbol_power"], trace.X**2, rtol=1e-12
+        report.empirical["symbol_power"], trace.X[0] ** 2, rtol=1e-12
     )
 
 

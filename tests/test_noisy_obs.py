@@ -7,6 +7,7 @@ from dpsk import harness, noisy_obs, regions, sk_dpc
 from dpsk.errors import DegenerateSplit, LengthMismatch
 from dpsk.params import BlockConfig, DpcParams, NoisyObsParams, PowerSplit
 
+import stepwise
 from oracles import noisy_moment_oracle
 
 FIG3 = NoisyObsParams(P=7.7, Q=10, sigma2=5, sigma_z2=1)
@@ -81,14 +82,28 @@ def test_scheme_beats_printed_bound_when_observation_noisy():
     )
 
 
+def _one_block(params, gamma, block, w, S, Z, eta):
+    """Message w over one (n,) block, run through noisy_run_batch as a batch of one."""
+    eq, noise = noisy_obs.make_equivalent(params), noisy_obs.EQUIVALENT_NOISE
+    _, M, coeffs = sk_dpc.resolve_loop(eq, gamma, block, noise)
+    trace = noisy_obs.noisy_run_batch(
+        params, gamma, M, coeffs, np.array([w]), S[None], Z[None], eta[None]
+    )
+    return stepwise.batch_row(trace, 0)
+
+
 def test_zero_observation_noise_reproduces_clean_trace():
     n, M = 30, 8
     block = BlockConfig(n=n, rate=math.log2(M) / n)
     rng = np.random.default_rng(43)
     S = rng.normal(0.0, math.sqrt(10.0), size=n)
     eta = rng.normal(0.0, math.sqrt(5.0), size=n)
-    noisy = noisy_obs.noisy_run_block(CLEAN, 0.5, block, 5, S, np.zeros(n), eta)
-    clean = sk_dpc.run_block(DpcParams(CLEAN.P, CLEAN.Q, CLEAN.sigma2), 0.5, block, 5, S, eta)
+    noisy = _one_block(CLEAN, 0.5, block, 5, S, np.zeros(n), eta)
+    dpc = DpcParams(CLEAN.P, CLEAN.Q, CLEAN.sigma2)
+    _, M, coeffs = sk_dpc.resolve_loop(dpc, 0.5, block)
+    clean = stepwise.batch_row(
+        sk_dpc.run_batch(dpc, 0.5, M, coeffs, np.array([5]), S[None], eta[None]), 0
+    )
     np.testing.assert_array_equal(noisy.X, clean.X)
     np.testing.assert_array_equal(noisy.Y, clean.Y)
     np.testing.assert_array_equal(noisy.theta_hat, clean.theta_hat)
@@ -103,7 +118,7 @@ def test_zero_noise_zero_obs_noise_decodes_exactly():
     S = np.random.default_rng(47).normal(0.0, math.sqrt(FIG3.Q), size=n)
     zeros = np.zeros(n)
     for w in range(1, M + 1):
-        trace = noisy_obs.noisy_run_block(FIG3, 0.5, block, w, S, zeros, zeros)
+        trace = _one_block(FIG3, 0.5, block, w, S, zeros, zeros)
         assert trace.W_hat == w
 
 
@@ -115,15 +130,15 @@ def test_observation_noise_enters_decoding_error():
     rng = np.random.default_rng(53)
     S = rng.normal(0.0, math.sqrt(FIG3.Q), size=n)
     Z = rng.normal(0.0, math.sqrt(FIG3.sigma_z2), size=n)
-    trace = noisy_obs.noisy_run_block(FIG3, 0.5, block, 2, S, Z, np.zeros(n))
+    trace = _one_block(FIG3, 0.5, block, 2, S, Z, np.zeros(n))
     theta = sk_dpc.message_to_theta(2, M)
     assert abs(trace.theta_hat[-1] - theta) > 1e-9
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_run_block_matches_harness_traces(gamma):
-    # the per-block reference and the batch harness must agree bit for bit,
-    # on the forwarding-only path as well as the message path
+    # each trial as a batch of one and the batch harness must agree bit for
+    # bit, on the forwarding-only path as well as the message path
     n, trials = 60, 50
     block = BlockConfig(n, rate_fraction=0.7)
     plan = harness.RandomPlan(7)
@@ -139,7 +154,7 @@ def test_run_block_matches_harness_traces(gamma):
         Z = plan.normal_block(trial, harness.OBS_NOISE, n, math.sqrt(FIG3.sigma_z2))
         eta = plan.normal_block(trial, harness.NOISE, n, math.sqrt(FIG3.sigma2))
         W = plan.message(trial, harness.MSG, M)
-        trace = noisy_obs.noisy_run_block(FIG3, gamma, block, W, S, Z, eta)
+        trace = _one_block(FIG3, gamma, block, W, S, Z, eta)
         for name in ("X", "Y", "theta_hat", "S", "S_hat"):
             np.testing.assert_array_equal(getattr(trace, name), cols[name], err_msg=name)
         assert trace.W_hat == int(sk_dpc.decode_batch(cols["theta_hat"][-1], M))
@@ -153,7 +168,7 @@ def test_estimate_true_state_zeroes_first_slot():
     S = rng.normal(0.0, math.sqrt(FIG3.Q), size=n)
     Z = rng.normal(0.0, math.sqrt(FIG3.sigma_z2), size=n)
     eta = rng.normal(0.0, math.sqrt(FIG3.sigma2), size=n)
-    trace = noisy_obs.noisy_run_block(FIG3, 0.5, block, 2, S, Z, eta)
+    trace = _one_block(FIG3, 0.5, block, 2, S, Z, eta)
     assert trace.S_hat[0] == 0.0
     c = noisy_obs.true_state_coefficient(FIG3, 0.5)
     np.testing.assert_array_equal(trace.S_hat[1:], c * trace.Y[1:])
@@ -165,12 +180,21 @@ def test_forwarding_only_path_and_m_guard():
     S = rng.normal(0.0, math.sqrt(FIG3.Q), size=n)
     Z = rng.normal(0.0, 1.0, size=n)
     eta = rng.normal(0.0, math.sqrt(5.0), size=n)
-    trace = noisy_obs.noisy_run_block(FIG3, 0.0, BlockConfig(n=n), 1, S, Z, eta)
+    trace = _one_block(FIG3, 0.0, BlockConfig(n=n), 1, S, Z, eta)
     assert trace.M == 1 and trace.W_hat == 1
     with pytest.raises(DegenerateSplit):
-        noisy_obs.noisy_run_block(FIG3, 0.0, BlockConfig(n=n, rate=0.2), 1, S, Z, eta)
+        _one_block(FIG3, 0.0, BlockConfig(n=n, rate=0.2), 1, S, Z, eta)
     with pytest.raises(LengthMismatch):
-        noisy_obs.noisy_run_block(FIG3, 0.5, BlockConfig(n=n), 1, S[:3], Z, eta)
+        _one_block(FIG3, 0.5, BlockConfig(n=n), 1, S[:3], Z, eta)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_noisy_run_batch_rejects_a_short_observation_noise(gamma):
+    eq = noisy_obs.make_equivalent(FIG3)
+    _, M, coeffs = sk_dpc.resolve_loop(eq, gamma, BlockConfig(n=8), noisy_obs.EQUIVALENT_NOISE)
+    S = np.ones((4, 8))
+    with pytest.raises(LengthMismatch):
+        noisy_obs.noisy_run_batch(FIG3, gamma, M, coeffs, np.ones(4, int), S, S[:, :7], S)
 
 
 def test_one_run_builds_the_equivalent_channel_at_most_four_times(monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -6,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from dpsk import cli, output, regions, sk_dpmac
-from dpsk.params import DpcParams, MacParams
+from dpsk import cli, harness, output, regions, sk_dpmac
+from dpsk.params import CHANNELS, DpcParams, MacParams
 
 
 def run_cli(capsys, *argv):
@@ -420,6 +421,19 @@ def test_sweep_and_simulate_share_validation(capsys, scheme, shared, simulate_on
     assert out_sweep == ""
     assert err_sim == err_sweep
     assert ("n >= 3" if scheme == "mac" else "P is required for the dpc scheme") in err_sim
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_scheme_is_named_alike_by_harness_params_and_parser():
+    # a scheme added in one of these places and not the others fails here
+    commands = _subcommands(cli.build_parser())
+    assert list(harness._SCHEMES) == list(CHANNELS)
+    for command in ("simulate", "sweep"):
+        assert list(_subcommands(commands[command])) == list(CHANNELS), command
 
 
 LONG_BLOCKS = {

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -100,7 +99,7 @@ def test_zero_noise_decodes_exactly():
     S = rng.normal(0.0, math.sqrt(ACC.Q), size=n)
     eta = np.zeros(n)
     for w in (1, 7, 16):
-        trace = sk_dpc.run_block(ACC, 0.5, block, w, S, eta)
+        trace = _one_block(ACC, 0.5, block, w, S, eta)
         assert trace.W_hat == w
         assert abs(trace.theta_hat[-1] - sk_dpc.message_to_theta(w, M)) < 1e-9
 
@@ -120,10 +119,11 @@ def _stepwise_block(coeffs, theta, S, eta):
     return X, Y, theta_hat
 
 
-def _batch_row(trace, i):
-    """Row i of a batch trace in the one-block form run_block returns."""
-    rows = {k: v[i : i + 1] for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
-    return sk_dpc.single_block(dataclasses.replace(trace, **rows))
+def _one_block(params, gamma, block, w, S, eta):
+    """Message w over one (n,) block, run through run_batch as a batch of one."""
+    _, M, coeffs = sk_dpc.resolve_loop(params, gamma, block)
+    trace = sk_dpc.run_batch(params, gamma, M, coeffs, np.array([w]), S[None], eta[None])
+    return stepwise.batch_row(trace, 0)
 
 
 # (params, gamma, n): state forwarding, no forwarding, no state, longest accepted block
@@ -136,7 +136,8 @@ BIT_FOR_BIT_CASES = [
 
 
 def test_run_block_matches_batch_kernel_bit_for_bit():
-    # run_block and one B = 4 run_batch call against the stepwise protocol
+    # each block as a batch of one and one B = 4 run_batch call against the
+    # stepwise protocol
     M = 32
     W = np.array([1, 9, 20, 32])
     for params, gamma, n in BIT_FOR_BIT_CASES:
@@ -149,13 +150,26 @@ def test_run_block_matches_batch_kernel_bit_for_bit():
         for i, w in enumerate(W):
             theta = sk_dpc.message_to_theta(w, M)
             X, Y, th = _stepwise_block(coeffs, theta, S[i], eta[i])
-            trace = sk_dpc.run_block(params, gamma, block, w, S[i], eta[i])
-            for got in (trace, _batch_row(batch, i)):
+            trace = _one_block(params, gamma, block, w, S[i], eta[i])
+            for got in (trace, stepwise.batch_row(batch, i)):
                 case = f"{params}, gamma={gamma}, n={n}, row {i}"
                 np.testing.assert_array_equal(got.X, X, err_msg=case)
                 np.testing.assert_array_equal(got.Y, Y, err_msg=case)
                 np.testing.assert_array_equal(got.theta_hat, th, err_msg=case)
                 assert got.W_hat == stepwise.finalize_decode(th[-1], M), case
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_run_batch_rejects_misshapen_batches(gamma):
+    # on the forwarding path and the message path: three messages for four
+    # rows, a short eta, and one (n,) block that is not a (1, n) batch
+    _, M, coeffs = sk_dpc.resolve_loop(ACC, gamma, BlockConfig(n=8))
+    full = np.ones((4, 8))
+    cases = [(np.ones(3, int), full, full), (np.ones(4, int), full, np.ones((4, 7))),
+             (np.ones(8, int), np.ones(8), np.ones(8))]
+    for W, S, eta in cases:
+        with pytest.raises(LengthMismatch):
+            sk_dpc.run_batch(ACC, gamma, M, coeffs, W, S, eta)
 
 
 def test_encoder_enforces_step_order():
@@ -217,12 +231,12 @@ def test_forwarding_only_path():
     rng = np.random.default_rng(7)
     S = rng.normal(0.0, math.sqrt(ACC.Q), size=n)
     eta = rng.normal(0.0, math.sqrt(ACC.sigma2), size=n)
-    trace = sk_dpc.run_block(ACC, 0.0, block, 1, S, eta)
+    trace = _one_block(ACC, 0.0, block, 1, S, eta)
     np.testing.assert_allclose(trace.X, math.sqrt(ACC.P / ACC.Q) * S, rtol=1e-15)
     assert trace.W_hat == 1 and trace.M == 1
-    assert trace.distortion > 0.0
+    assert np.mean((trace.S - trace.S_hat) ** 2) > 0.0
     with pytest.raises(DegenerateSplit):
-        sk_dpc.run_block(ACC, 0.0, BlockConfig(n=n, rate=0.25), 1, S, eta)
+        _one_block(ACC, 0.0, BlockConfig(n=n, rate=0.25), 1, S, eta)
 
 
 def test_degenerate_state_variance_runs():
@@ -230,9 +244,9 @@ def test_degenerate_state_variance_runs():
     n = 10
     block = BlockConfig(n=n, rate=0.2)
     eta = np.random.default_rng(1).normal(0.0, math.sqrt(5.0), size=n)
-    trace = sk_dpc.run_block(params, 1.0, block, 2, np.zeros(n), eta)
+    trace = _one_block(params, 1.0, block, 2, np.zeros(n), eta)
     assert trace.S_hat.tolist() == [0.0] * n
-    assert trace.distortion == 0.0
+    assert np.mean((trace.S - trace.S_hat) ** 2) == 0.0
 
 
 def test_trace_statistics_properties():
@@ -241,8 +255,10 @@ def test_trace_statistics_properties():
     rng = np.random.default_rng(2)
     S = rng.normal(0.0, math.sqrt(ACC.Q), size=n)
     eta = rng.normal(0.0, math.sqrt(ACC.sigma2), size=n)
-    trace = sk_dpc.run_block(ACC, 0.5, block, 1, S, eta)
-    assert trace.distortion == pytest.approx(float(np.mean((S - trace.S_hat) ** 2)))
+    trace = _one_block(ACC, 0.5, block, 1, S, eta)
+    assert np.mean((trace.S - trace.S_hat) ** 2) == pytest.approx(
+        float(np.mean((S - trace.S_hat) ** 2))
+    )
 
 
 def test_short_monte_carlo_tracks_theory():

@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dpsk import regions, sk_dpc, sk_dpmac
+from dpsk import regions, sk_dpmac
 from dpsk.errors import BlocklengthTooSmall, DegenerateSplit, LengthMismatch, SplitOutOfRange
 from dpsk.params import BlockConfig, MacParams
 
@@ -123,11 +122,14 @@ def test_zero_noise_decodes_every_message_pair():
     n, M = 20, 4
     block = BlockConfig(n=n, rate=math.log2(M) / n)
     rng = np.random.default_rng(23)
-    S = rng.normal(0.0, math.sqrt(ACC.Q), size=n)
-    eta = np.zeros(n)
+    S = rng.normal(0.0, math.sqrt(ACC.Q), size=(1, n))
+    eta = np.zeros((1, n))
+    (_, M1), (_, M2), _ = sk_dpmac.resolve_mac_rates(ACC, 0.8, 0.8, block)
+    coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, n)
     for w1 in range(1, M + 1):
         for w2 in range(1, M + 1):
-            trace = sk_dpmac.mac_run_block(ACC, 0.8, 0.8, block, w1, w2, S, eta)
+            W1, W2 = np.array([w1]), np.array([w2])
+            trace = stepwise.batch_row(sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta), 0)
             assert (trace.W1_hat, trace.W2_hat) == (w1, w2)
 
 
@@ -143,14 +145,8 @@ def _stepwise_block(coeffs, theta1, theta2, S, eta):
     return X1, X2, Y
 
 
-def _batch_row(trace, i):
-    """Row i of a batch trace in the one-block form mac_run_block returns."""
-    rows = {k: v[i : i + 1] for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
-    return sk_dpc.single_block(dataclasses.replace(trace, **rows))
-
-
 # (params, gamma, beta, n, paper_sgn): short block, longest accepted block,
-# encoder 2 silenced on most steps (mac_run_block has no paper_sgn), asymmetric split
+# encoder 2 silenced on most steps, asymmetric split
 BIT_FOR_BIT_CASES = [
     (ACC, 0.8, 0.8, 15, False),
     (ACC, 0.8, 0.8, 414, False),
@@ -160,7 +156,8 @@ BIT_FOR_BIT_CASES = [
 
 
 def test_run_block_matches_batch_kernel_bit_for_bit():
-    # mac_run_block and one B = 4 mac_run_batch call against the stepwise protocol
+    # each block as a batch of one and one B = 4 mac_run_batch call against
+    # the stepwise protocol
     W1, W2 = np.array([1, 2, 2, 3]), np.array([2, 1, 2, 3])
     for params, gamma, beta, n, paper_sgn in BIT_FOR_BIT_CASES:
         block = BlockConfig(n=n, rate=1.5 / n)
@@ -176,12 +173,10 @@ def test_run_block_matches_batch_kernel_bit_for_bit():
             theta2 = sk_dpmac.message_to_theta(W2[i], M2)
             X1, X2, Y = _stepwise_block(coeffs, theta1, theta2, S[i], eta[i])
             w1_hat, w2_hat, th1, th2 = stepwise.mac_decode(Y, coeffs, M1, M2)
-            traces = [_batch_row(batch, i)]
-            if not paper_sgn:
-                traces.append(
-                    sk_dpmac.mac_run_block(params, gamma, beta, block, W1[i], W2[i], S[i], eta[i])
-                )
-            for trace in traces:
+            one = sk_dpmac.mac_run_batch(
+                coeffs, M1, M2, W1[i : i + 1], W2[i : i + 1], S[i : i + 1], eta[i : i + 1]
+            )
+            for trace in (stepwise.batch_row(one, 0), stepwise.batch_row(batch, i)):
                 case = f"{params}, gamma={gamma}, beta={beta}, n={n}, row {i}"
                 np.testing.assert_array_equal(trace.X1, X1, err_msg=case)
                 np.testing.assert_array_equal(trace.X2, X2, err_msg=case)
@@ -226,7 +221,8 @@ def test_shape_checks():
     with pytest.raises(LengthMismatch):
         stepwise.mac_decode(np.ones(5), coeffs, 2, 2)
     with pytest.raises(LengthMismatch):
-        sk_dpmac.mac_run_block(ACC, 0.8, 0.8, BlockConfig(n=8), 1, 1, np.ones(5), np.ones(8))
+        sk_dpmac.mac_run_batch(coeffs, 2, 2, np.ones(1, int), np.ones(1, int),
+                               np.ones((1, 5)), np.ones((1, 8)))
     # the batch kernel's own checks: a wrong B, a wrong n, eta shaped unlike S
     theta = np.zeros(4)
     for S, eta in [(np.ones((3, 8)),) * 2, (np.ones((4, 7)),) * 2, (np.ones((4, 8)), np.ones(8))]:
