@@ -36,30 +36,38 @@ def _grid(count, name="grid"):
     return regions.unit_grid(params_mod.check_count(count, name))
 
 
+def _split_grids(args, scheme):
+    """The grid of each split fraction, keyed ``gamma_grid``, ``beta_grid``;
+    a fraction after gamma runs over the gamma grid unless given its own."""
+    gamma_grid = _grid(args.grid)
+    grids = {"gamma_grid": gamma_grid}
+    for name in params_mod.CHANNELS[scheme].SPLIT[1:]:
+        count = getattr(args, f"{name}_grid")
+        grids[f"{name}_grid"] = gamma_grid if count is None else _grid(count, f"{name}-grid")
+    return grids
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
 
-#: Channel scheme of each region variant.
-_REGION_SCHEMES = {"dpc-fb": "dpc", "mac-fb": "mac", "mac-nofb": "mac", "noisy": "noisy"}
+#: Channel scheme and region function of each region variant.
+_REGIONS = {
+    "dpc-fb": ("dpc", regions.boundary_sweep),
+    "mac-fb": ("mac", regions.mac_fb_region),
+    "mac-nofb": ("mac", regions.mac_nofb_region),
+    "noisy": ("noisy", regions.boundary_sweep),
+}
 
 
 def _cmd_region(args):
-    variant = args.variant
-    scheme = _REGION_SCHEMES[variant]
+    scheme, region = _REGIONS[args.variant]
     channel = params_mod.channel_from(_merged_config(args, scheme), scheme)
-    gamma_grid = _grid(args.grid)
-    if scheme != "mac":
-        points = regions.boundary_sweep(channel, gamma_grid)
-        return output.region_rows(points, sigma_z2=channel.sigma_z2 if scheme == "noisy" else None)
-
-    beta_grid = _grid(args.beta_grid, "beta-grid") if args.beta_grid is not None else gamma_grid
-    if variant == "mac-fb":
-        rho_grid = _grid(args.rho_grid, "rho-grid") if args.rho_grid is not None else None
-        rows = regions.mac_fb_region(channel, gamma_grid, beta_grid, rho_grid=rho_grid)
-    else:
-        rows = regions.mac_nofb_region(channel, gamma_grid, beta_grid)
-    return output.region_rows(rows)
+    grids = _split_grids(args, scheme)
+    if getattr(args, "rho_grid", None) is not None:
+        grids["rho_grid"] = _grid(args.rho_grid, "rho-grid")
+    rows = region(channel, *grids.values())
+    return output.region_rows(rows, sigma_z2=getattr(channel, "sigma_z2", None))
 
 
 def _cmd_rho_star(args):
@@ -100,16 +108,12 @@ def _cmd_sweep(args):
     scheme = args.variant
     raw = _merged_config(args, scheme)
     channel = params_mod.channel_from(raw, scheme)
-    block = params_mod.block_from(raw, scheme)
-    trials = params_mod.trials_from(raw)
-    seed = params_mod.seed_from(raw)
-    gamma_grid = _grid(args.grid)
-    beta_grid = getattr(args, "beta_grid", None)
-    if beta_grid is not None:
-        beta_grid = _grid(beta_grid, "beta-grid")
+    block = params_mod.block_from(raw)
+    grids = _split_grids(args, scheme)
     return harness.sweep(
-        scheme, channel, gamma_grid, block, trials, harness.RandomPlan(seed),
-        beta_grid=beta_grid, paper_sgn=getattr(args, "paper_sgn", False),
+        scheme, channel, block=block, trials=raw.get("trials", params_mod.DEFAULT_TRIALS),
+        plan=harness.RandomPlan(raw.get("seed", params_mod.DEFAULT_SEED)),
+        paper_sgn=getattr(args, "paper_sgn", False), **grids,
     )
 
 
@@ -130,7 +134,24 @@ def _add_channel_flags(parser, scheme):
         parser.add_argument(f"--{field.name}", type=float, default=None)
 
 
-def _add_block_flags(parser):
+def _add_split_flags(parser, scheme):
+    for name in params_mod.CHANNELS[scheme].SPLIT:
+        parser.add_argument(f"--{name}", type=float, default=None)
+
+
+def _add_grid_flags(parser, scheme, default):
+    parser.add_argument("--grid", type=int, default=default, help="points on the gamma grid")
+    for name in params_mod.CHANNELS[scheme].SPLIT[1:]:
+        parser.add_argument(f"--{name}-grid", type=int, default=None, dest=f"{name}_grid")
+
+
+def _add_run_flags(parser, scheme):
+    """The flags of a simulated run: the sign rule of two encoders, the
+    block, trials and seed."""
+    if len(params_mod.CHANNELS[scheme].SPLIT) > 1:
+        parser.add_argument("--paper-sgn", action="store_true", dest="paper_sgn",
+                            help="sign convention that silences encoder 2 whenever the "
+                                 "error correlation goes negative")
     parser.add_argument("--n", type=int, default=None, help="block length")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--rate", type=float, default=None, help="bits per channel use")
@@ -138,9 +159,6 @@ def _add_block_flags(parser):
         "--rate_fraction", type=float, default=None,
         help="rate as a multiple of the theoretical cap",
     )
-
-
-def _add_trial_flags(parser):
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
 
@@ -155,12 +173,10 @@ def build_parser():
 
     region = sub.add_parser("region", help="closed-form trade-off boundaries")
     region_sub = region.add_subparsers(dest="variant", required=True)
-    for variant, scheme in _REGION_SCHEMES.items():
+    for variant, (scheme, _) in _REGIONS.items():
         p = region_sub.add_parser(variant, parents=[common])
         _add_channel_flags(p, scheme)
-        p.add_argument("--grid", type=int, default=101, help="points on the gamma grid")
-        if scheme == "mac":
-            p.add_argument("--beta-grid", type=int, default=None, dest="beta_grid")
+        _add_grid_flags(p, scheme, 101)
         if variant == "mac-fb":
             p.add_argument(
                 "--rho-grid", type=int, default=None, dest="rho_grid",
@@ -171,8 +187,7 @@ def build_parser():
     rho = sub.add_parser("rho-star", parents=[common],
                          help="fixed-point error correlation of the two-encoder loop")
     _add_channel_flags(rho, "mac")
-    rho.add_argument("--gamma", type=float, default=None)
-    rho.add_argument("--beta", type=float, default=None)
+    _add_split_flags(rho, "mac")
     rho.set_defaults(func=_cmd_rho_star, csv=_value_csv)
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo experiment")
@@ -180,14 +195,8 @@ def build_parser():
     for variant in params_mod.CHANNELS:
         p = simulate_sub.add_parser(variant, parents=[common])
         _add_channel_flags(p, variant)
-        p.add_argument("--gamma", type=float, default=None)
-        if variant == "mac":
-            p.add_argument("--beta", type=float, default=None)
-            p.add_argument("--paper-sgn", action="store_true", dest="paper_sgn",
-                           help="sign convention that silences encoder 2 whenever the "
-                                "error correlation goes negative")
-        _add_block_flags(p)
-        _add_trial_flags(p)
+        _add_split_flags(p, variant)
+        _add_run_flags(p, variant)
         p.add_argument("--dump-traces", metavar="DIR", dest="dump_traces",
                        help="write one per-symbol trace CSV per trial into DIR")
         p.set_defaults(func=_cmd_simulate, csv=output.report_csv)
@@ -197,12 +206,8 @@ def build_parser():
     for variant in params_mod.CHANNELS:
         p = sweep_sub.add_parser(variant, parents=[common])
         _add_channel_flags(p, variant)
-        p.add_argument("--grid", type=int, default=11, help="points on the gamma grid")
-        if variant == "mac":
-            p.add_argument("--beta-grid", type=int, default=None, dest="beta_grid")
-            p.add_argument("--paper-sgn", action="store_true", dest="paper_sgn")
-        _add_block_flags(p)
-        _add_trial_flags(p)
+        _add_grid_flags(p, variant, 11)
+        _add_run_flags(p, variant)
         p.set_defaults(func=_cmd_sweep, csv=output.rows_csv)
 
     return parser

@@ -35,7 +35,8 @@ class SplitOutOfRange(ConfigError):
 
 
 class BlocklengthTooSmall(ConfigError):
-    """Block length below the scheme's minimum (2 single-user, 3 MAC)."""
+    """Block length below the scheme's minimum: one start slot per encoder
+    and one more (2 single-user, 3 MAC)."""
 
 
 class DegenerateSplit(DpskError):

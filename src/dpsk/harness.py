@@ -27,7 +27,7 @@ import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
 from .errors import ConfigError, DegenerateSplit
-from .params import CHANNELS, PowerSplit, RunConfig, check_count, check_seed, to_config_dict
+from .params import PowerSplit, RunConfig, check_seed, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
 # noisy-observation run with sigma_z2 = 0 consumes exactly the same state,
@@ -305,8 +305,6 @@ def _run_noisy(params, split, block, trials, plan, paper_sgn, trace_writer):
 
 def _run_mac(params, split, block, trials, plan, paper_sgn, trace_writer):
     """:func:`_run_dpc` for the two-encoder scheme."""
-    if split.beta is None:
-        raise ConfigError("the two-encoder scheme needs beta", field="beta")
     gamma, beta = split.gamma, split.beta
     (rate1, M1), (rate2, M2), caps = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
     coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, block.n, paper_sgn=paper_sgn)
@@ -346,8 +344,6 @@ def _run_mac(params, split, block, trials, plan, paper_sgn, trace_writer):
 def _dpc_points(params, gamma_grid, beta_grid, n):
     """Each sweep point's region record as the columns that lead its row
     (the point) and the theory columns that end it."""
-    if beta_grid is not None:
-        raise ConfigError("beta grid only applies to the two-encoder scheme", field="beta")
     return [({"gamma": p.gamma}, {"rate_cap": p.rate, "theory_distortion": p.distortion})
             for p in regions.boundary_sweep(params, gamma_grid)]
 
@@ -364,13 +360,10 @@ def _noisy_points(params, gamma_grid, beta_grid, n):
 
 def _mac_points(params, gamma_grid, beta_grid, n):
     """:func:`_dpc_points` over the two-encoder feedback region at rho*."""
-    records = regions.mac_fb_region(
-        params, gamma_grid, gamma_grid if beta_grid is None else beta_grid
-    )
     return [
         ({"gamma": c.gamma, "beta": c.beta, "rho_star": c.rho},
          {"r1_max": c.r1_max, "r2_max": c.r2_max, "rsum_max": c.rsum_max, "d_min": c.d_min})
-        for c in records
+        for c in regions.mac_fb_region(params, gamma_grid, beta_grid)
     ]
 
 
@@ -385,15 +378,11 @@ _SCHEMES = {
 }
 
 
-def _check_run(scheme, params, block, trials):
+def _run_config(scheme, params, split, block, trials, plan):
+    """The run's validated :class:`RunConfig`; a run needs a block."""
     if block is None:
         raise ConfigError("simulation needs a block configuration", field="n")
-    check_count(trials, "trials")
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
-    if not isinstance(params, channel := CHANNELS[scheme]):
-        got = type(params).__name__
-        raise ConfigError(f"{scheme} runs on {channel.__name__}, got {got}", field="scheme")
+    return RunConfig(scheme, params, split, block, trials, plan.master_seed)
 
 
 def run_experiment(scheme, params, split, block, trials, plan,
@@ -406,16 +395,13 @@ def run_experiment(scheme, params, split, block, trials, plan,
     decoded messages and distortion the time-averaged squared estimation
     error including the estimate-free initial slots.
     """
-    _check_run(scheme, params, block, trials)
+    config = _run_config(scheme, params, split, block, trials, plan)
     rates, empirical, theory, deltas, flags = _SCHEMES[scheme].run(
         params, split, block, trials, plan, paper_sgn, trace_writer
     )
     return ExperimentReport(
         scheme=scheme,
-        config=to_config_dict(RunConfig(
-            scheme=scheme, channel=params, split=split, block=block,
-            trials=trials, seed=plan.master_seed,
-        )),
+        config=to_config_dict(config),
         trials=trials,
         rates=rates,
         empirical=empirical,
@@ -428,14 +414,8 @@ def run_experiment(scheme, params, split, block, trials, plan,
 def run_config(config: RunConfig, paper_sgn=False, trace_writer=None):
     """Convenience wrapper over :func:`run_experiment` for a RunConfig."""
     return run_experiment(
-        config.scheme,
-        config.channel,
-        config.split,
-        config.block,
-        config.trials,
-        RandomPlan(config.seed),
-        paper_sgn=paper_sgn,
-        trace_writer=trace_writer,
+        config.scheme, config.channel, config.split, config.block, config.trials,
+        RandomPlan(config.seed), paper_sgn=paper_sgn, trace_writer=trace_writer,
     )
 
 
@@ -456,10 +436,15 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     power on both sides, and single-user points at gamma*P = 0 under a
     fixed rate that needs more than one message.
     """
-    _check_run(scheme, params, block, trials)
+    gamma_grid = list(gamma_grid)
+    if beta_grid is None and "beta" in getattr(params, "SPLIT", ()):
+        beta_grid = gamma_grid
+    # a split with the fractions the grids vary checks the sweep up front
+    _run_config(scheme, params, PowerSplit(0.0, None if beta_grid is None else 0.0),
+                block, trials, plan)
     _, points, keys = _SCHEMES[scheme]
     rows = []
-    for lead, theory in points(params, list(gamma_grid), beta_grid, block.n):
+    for lead, theory in points(params, gamma_grid, beta_grid, block.n):
         split = PowerSplit(lead["gamma"], lead.get("beta"))
         try:
             report = run_experiment(scheme, params, split, block, trials, plan, paper_sgn)

@@ -111,6 +111,10 @@ _CHANNEL_CHECKS = {
 
 
 class _Channel:
+    #: The scheme's power-split fractions, one per encoder (a class
+    #: attribute, not a field, so ``asdict`` and the config echo omit it).
+    SPLIT = ("gamma",)
+
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = _CHANNEL_CHECKS[field.name](field.name, getattr(self, field.name))
@@ -144,6 +148,8 @@ class DpcParams(_Channel):
 class MacParams(_Channel):
     """Two-encoder channel: per-encoder budgets ``P1``, ``P2``, shared state
     variance ``Q``, channel-noise variance ``sigma2``."""
+
+    SPLIT = ("gamma", "beta")
 
     P1: float
     P2: float
@@ -241,9 +247,16 @@ def resolve_block(block, cap_bits):
     return rate, max(M, 1)
 
 
+#: Channel container of each scheme; its fields and split fractions are the
+#: scheme's own keys.
+CHANNELS = {"dpc": DpcParams, "mac": MacParams, "noisy": NoisyObsParams}
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """A fully validated simulation configuration."""
+    """A fully validated simulation configuration: the split sets exactly the
+    scheme's split fractions, and a block leaves one start slot per encoder
+    and at least one more."""
 
     scheme: str
     channel: DpcParams | MacParams | NoisyObsParams
@@ -252,23 +265,26 @@ class RunConfig:
     trials: int
     seed: int
 
-
-#: Channel container of each scheme; its fields are the channel keys.
-CHANNELS = {"dpc": DpcParams, "mac": MacParams, "noisy": NoisyObsParams}
-
-_FOREIGN_KEYS = {
-    "dpc": ("P1", "P2", "beta", "sigma_z2"),
-    "mac": ("P", "sigma_z2"),
-    "noisy": ("P1", "P2", "beta"),
-}
-
-
-def _infer_scheme(raw):
-    if "P1" in raw or "P2" in raw or "beta" in raw:
-        return "mac"
-    if "sigma_z2" in raw:
-        return "noisy"
-    return "dpc"
+    def __post_init__(self):
+        scheme = self.scheme
+        if scheme not in CHANNELS:
+            raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
+        channel = CHANNELS[scheme]
+        if not isinstance(self.channel, channel):
+            got = type(self.channel).__name__
+            raise ConfigError(f"{scheme} runs on {channel.__name__}, got {got}", field="scheme")
+        for field in dataclasses.fields(self.split):
+            needed = field.name in channel.SPLIT
+            if needed == (getattr(self.split, field.name) is None):
+                rule = "is required for" if needed else "does not apply to"
+                raise ConfigError(f"{field.name} {rule} the {scheme} scheme", field=field.name)
+        shortest = len(channel.SPLIT) + 1
+        if self.block is not None and self.block.n < shortest:
+            raise BlocklengthTooSmall(
+                f"the {scheme} scheme needs n >= {shortest}, got {self.block.n}", field="n"
+            )
+        check_count(self.trials, "trials")
+        check_seed(self.seed)
 
 
 def _required(raw, key, scheme):
@@ -281,18 +297,22 @@ def resolve_scheme(raw, scheme=None):
     """Scheme of a flat parameter mapping, inferred when ``scheme`` is None.
 
     Keys outside :data:`CONFIG_KEYS` and keys that belong to a different
-    scheme are rejected rather than ignored.
+    scheme are rejected rather than ignored. The inferred scheme is the one
+    whose keys leave the fewest given keys out, the one with fewer keys on
+    a tie.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration must be a mapping, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}", field=unknown[0])
+    own = {s: {f.name for f in dataclasses.fields(c)} | set(c.SPLIT) for s, c in CHANNELS.items()}
     if scheme is None:
-        scheme = _infer_scheme(raw)
+        scheme = min(own, key=lambda s: (len(set(raw) - own[s]), len(own[s])))
     if scheme not in CHANNELS:
         raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
-    foreign = [k for k in _FOREIGN_KEYS[scheme] if k in raw]
+    others = set().union(*own.values()) - own[scheme]
+    foreign = [k for k in CONFIG_KEYS if k in raw and k in others]
     if foreign:
         raise ConfigError(
             f"key {foreign[0]!r} does not apply to the {scheme} scheme", field=foreign[0]
@@ -307,24 +327,17 @@ def channel_from(raw, scheme):
 
 
 def split_from(raw, scheme):
-    """The power split; the two-encoder scheme also needs beta."""
-    gamma = _required(raw, "gamma", scheme)
-    beta = _required(raw, "beta", scheme) if scheme == "mac" else None
-    return PowerSplit(gamma=gamma, beta=beta)
+    """The power split; every split fraction of the scheme is required."""
+    return PowerSplit(**{name: _required(raw, name, scheme) for name in CHANNELS[scheme].SPLIT})
 
 
-def block_from(raw, scheme):
+def block_from(raw):
     """The block configuration, or None when no block key is given."""
     if not {"n", "rate", "rate_fraction"} & set(raw):
         return None
     if "n" not in raw:
         raise ConfigError("rate given without a block length n", field="n")
-    block = BlockConfig(n=raw["n"], rate=raw.get("rate"), rate_fraction=raw.get("rate_fraction"))
-    if scheme == "mac" and block.n < 3:
-        raise BlocklengthTooSmall(
-            f"the two-encoder scheme needs n >= 3, got {block.n}", field="n"
-        )
-    return block
+    return BlockConfig(n=raw["n"], rate=raw.get("rate"), rate_fraction=raw.get("rate_fraction"))
 
 
 def check_count(value, name):
@@ -335,10 +348,6 @@ def check_count(value, name):
     return value
 
 
-def trials_from(raw):
-    return check_count(raw.get("trials", DEFAULT_TRIALS), "trials")
-
-
 def check_seed(seed):
     """A master seed; ConfigError unless it is an integer in [0, 2**64)."""
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
@@ -346,25 +355,20 @@ def check_seed(seed):
     return seed
 
 
-def seed_from(raw):
-    return check_seed(raw.get("seed", DEFAULT_SEED))
-
-
 def validate(raw, scheme=None):
     """Validate a flat parameter mapping into a :class:`RunConfig`.
 
     ``raw`` uses the :data:`CONFIG_KEYS` vocabulary. When ``scheme`` is
-    None it is inferred: P1/P2/beta select the two-encoder scheme,
-    sigma_z2 the noisy-observation one, otherwise single-user.
+    None it is inferred by :func:`resolve_scheme`.
     """
     scheme = resolve_scheme(raw, scheme)
     return RunConfig(
         scheme=scheme,
         channel=channel_from(raw, scheme),
         split=split_from(raw, scheme),
-        block=block_from(raw, scheme),
-        trials=trials_from(raw),
-        seed=seed_from(raw),
+        block=block_from(raw),
+        trials=raw.get("trials", DEFAULT_TRIALS),
+        seed=raw.get("seed", DEFAULT_SEED),
     )
 
 

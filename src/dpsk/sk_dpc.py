@@ -145,7 +145,7 @@ def message_to_theta(w, M):
     """Map message index (or index array) w in 1..M to -1/2 + (2w-1)/(2M)."""
     if M < 1:
         raise MessageOutOfRange(f"message-set size must be >= 1, got {M}")
-    if np.min(w) < 1 or np.max(w) > M:
+    if np.any((w < 1) | (w > M)):
         raise MessageOutOfRange(f"message {w} outside 1..{M}")
     return -0.5 + (2.0 * w - 1.0) / (2.0 * M)
 
@@ -221,6 +221,7 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None):
     state-estimation weight; it defaults to :func:`estimation_coefficient`.
     Returns a :class:`SchemeTrace` of (B,) messages and (B, n) traces.
     """
+    theta = message_to_theta(W, M)
     if coeffs is None:
         # no loop fixes n here; the width of S does
         check_batch((len(W), *np.shape(S)[-1:]), S=S, eta=eta)
@@ -228,7 +229,7 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None):
         theta_hat = np.zeros_like(Y)
         W_hat = W
     else:
-        X, Y, theta_hat, _ = simulate_message_batch(coeffs, message_to_theta(W, M), S, eta)
+        X, Y, theta_hat, _ = simulate_message_batch(coeffs, theta, S, eta)
         W_hat = decode_batch(theta_hat[:, -1], M)
     if weight is None:
         weight = estimation_coefficient(params, gamma)

@@ -14,6 +14,7 @@ from dpsk.params import (
     MacParams,
     NoisyObsParams,
     PowerSplit,
+    RunConfig,
     validate,
 )
 
@@ -403,6 +404,36 @@ def test_a_run_and_a_sweep_reject_another_schemes_channel(scheme, params):
     with pytest.raises(ConfigError) as info:
         harness.sweep(scheme, params, [0.5], block, 10, harness.RandomPlan(0))
     assert info.value.field == "scheme"
+
+
+# scheme: (channel, its split, a split with a stray or a missing beta)
+SPLITS = {
+    "dpc": (ACC, PowerSplit(0.5), PowerSplit(0.5, 0.5)),
+    "noisy": (FIG3, PowerSplit(0.5), PowerSplit(0.5, 0.5)),
+    "mac": (MAC, PowerSplit(0.8, 0.8), PowerSplit(0.8)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SPLITS))
+def test_a_run_and_a_sweep_reject_another_schemes_split(scheme):
+    channel, _, wrong = SPLITS[scheme]
+    block = BlockConfig(10, rate_fraction=0.5)
+    with pytest.raises(ConfigError) as info:
+        harness.run_experiment(scheme, channel, wrong, block, 20, harness.RandomPlan(0))
+    assert info.value.field == "beta"
+    if wrong.beta is not None:  # a sweep's beta comes from its beta grid
+        with pytest.raises(ConfigError) as info:
+            harness.sweep(scheme, channel, [0.5], block, 20, harness.RandomPlan(0),
+                          beta_grid=[0.5])
+        assert info.value.field == "beta"
+
+
+@pytest.mark.parametrize("scheme", sorted(SPLITS))
+def test_a_reports_config_validates_to_its_run(scheme):
+    channel, split, _ = SPLITS[scheme]
+    block = BlockConfig(10, rate_fraction=0.5)
+    report = harness.run_experiment(scheme, channel, split, block, 20, harness.RandomPlan(3))
+    assert validate(report.config, scheme) == RunConfig(scheme, channel, split, block, 20, 3)
 
 
 def test_run_config_wrapper():

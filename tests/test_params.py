@@ -10,6 +10,7 @@ from dpsk.errors import (
     SplitOutOfRange,
 )
 from dpsk.params import (
+    CHANNELS,
     CONFIG_KEYS,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -109,23 +110,36 @@ def test_resolve_block_caps_message_set_size():
         resolve_block(BlockConfig(n=100, rate=1.0), cap_bits=1.0)
 
 
-def test_validate_infers_scheme():
-    assert validate({"P": 1, "Q": 1, "sigma2": 1, "gamma": 0.5}).scheme == "dpc"
-    assert validate(
-        {"P1": 1, "P2": 1, "Q": 1, "sigma2": 1, "gamma": 0.5, "beta": 0.5}
-    ).scheme == "mac"
-    assert validate(
-        {"P": 1, "Q": 1, "sigma2": 1, "sigma_z2": 0.5, "gamma": 0.5}
-    ).scheme == "noisy"
+#: Every key of each scheme, spelled out here apart from the declarations in params.
+SCHEME_KEYS = {
+    "dpc": {"P": 1, "Q": 1, "sigma2": 1, "gamma": 0.5},
+    "mac": {"P1": 1, "P2": 1, "Q": 1, "sigma2": 1, "gamma": 0.5, "beta": 0.5},
+    "noisy": {"P": 1, "Q": 1, "sigma2": 1, "sigma_z2": 0.5, "gamma": 0.5},
+}
 
 
-def test_validate_rejects_unknown_and_foreign_keys():
+@pytest.mark.parametrize("scheme", CHANNELS)
+def test_validate_infers_scheme(scheme):
+    assert validate(SCHEME_KEYS[scheme]).scheme == scheme
+
+
+@pytest.mark.parametrize("scheme", CHANNELS)
+def test_validate_rejects_unknown_and_foreign_keys(scheme):
+    own = SCHEME_KEYS[scheme]
+    with pytest.raises(ConfigError) as info:
+        validate({**own, "bogus": 3})
+    assert info.value.field == "bogus"
+    foreign = {k: v for keys in SCHEME_KEYS.values() for k, v in keys.items() if k not in own}
+    assert foreign
+    for key, value in foreign.items():
+        with pytest.raises(ConfigError) as info:
+            validate({**own, key: value}, scheme=scheme)
+        assert info.value.field == key
+    # keys of several schemes mixed, with the scheme inferred
     with pytest.raises(ConfigError):
-        validate({"P": 1, "Q": 1, "sigma2": 1, "gamma": 0.5, "bogus": 3})
+        validate({**own, **foreign})
     with pytest.raises(ConfigError):
-        validate({"P": 1, "Q": 1, "sigma2": 1, "gamma": 0.5, "sigma_z2": 1}, scheme="dpc")
-    with pytest.raises(ConfigError):
-        validate({"P1": 1, "P2": 1, "Q": 1, "sigma2": 1, "gamma": 0.5, "beta": 0.5, "P": 2})
+        validate({"P1": 1, "sigma_z2": 1, "Q": 1, "sigma2": 1, "gamma": 0.5})
 
 
 def test_validate_requires_scheme_fields():

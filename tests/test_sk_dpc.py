@@ -172,6 +172,19 @@ def test_run_batch_rejects_misshapen_batches(gamma):
             sk_dpc.run_batch(ACC, gamma, M, coeffs, W, S, eta)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_run_batch_rejects_messages_outside_the_set(gamma):
+    # the forwarding path (M = 1) checks its messages as the message path
+    # does, and on both an empty batch has none to reject
+    _, M, coeffs = sk_dpc.resolve_loop(ACC, gamma, BlockConfig(n=4))
+    for W in (np.array([M + 1, 1]), np.array([1, 0])):
+        with pytest.raises(MessageOutOfRange):
+            sk_dpc.run_batch(ACC, gamma, M, coeffs, W, np.ones((2, 4)), np.ones((2, 4)))
+    empty = sk_dpc.run_batch(ACC, gamma, M, coeffs, np.ones(0, int), np.ones((0, 4)),
+                             np.ones((0, 4)))
+    assert empty.W_hat.shape == (0,)
+
+
 def test_encoder_enforces_step_order():
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 5)
     S = np.ones(5)

@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+from dpsk.params import CHANNELS
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PATTERNS = ("src/dpsk/*.py", "tests/*.py", "demos/*.py")
 MAX_COLUMNS = 99
@@ -48,3 +50,27 @@ def test_every_import_is_used():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def _scheme_name_comparisons(tree):
+    """Lines that compare a value with a scheme name, as ``== "mac"`` or
+    ``in ("dpc", "noisy")`` would; names such as ``"mac-fb"`` are not one."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                items = getattr(operand, "elts", [operand])  # a tuple, list or set's items
+                if any(isinstance(i, ast.Constant) and i.value in CHANNELS for i in items):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_the_package_never_compares_with_a_scheme_name():
+    # every per-scheme rule comes from the channel containers' declared split
+    # fractions, so no branch picks a scheme out by name
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(ROOT.glob("src/dpsk/*.py"))
+        for line in _scheme_name_comparisons(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
