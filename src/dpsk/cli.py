@@ -4,10 +4,11 @@ Subcommands: ``region`` (closed-form trade-off boundaries), ``rho-star``
 (two-encoder fixed-point correlation), ``simulate`` (seeded Monte Carlo
 with a report), ``sweep`` (simulation across a power-split grid).
 
-Parameter flags are spelled exactly like the configuration-file keys, so a
-``--config`` JSON file and command-line flags are interchangeable; flags
-win. Exit codes: 0 success, 2 configuration or usage error, 1 runtime
-error.
+Parameter flags are spelled like the configuration-file keys, and a flag's
+text becomes an int or a float that :mod:`dpsk.params` alone checks, so a
+``--config`` JSON file and flags are interchangeable (flags win) and fail
+alike; a file key the command has no flag for is rejected. Exit codes: 0
+success, 2 configuration or usage error, 1 runtime error.
 """
 
 import argparse
@@ -20,20 +21,36 @@ from . import params as params_mod
 from .errors import ConfigError, DpskError
 
 
+def _number(text):
+    """A flag's text as an int if it reads as one, else as a float if it
+    reads as one, else unchanged; :mod:`params` checks the value."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _merged_config(args, scheme):
     """Config-file values overridden by whatever flags were given, checked
-    against the configuration vocabulary of ``scheme``."""
+    against the configuration vocabulary of ``scheme``; a key the command
+    has no flag for is rejected, not ignored."""
     raw = params_mod.load_config(args.config) if args.config else {}
     for key in params_mod.CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
+        text = getattr(args, key, None)
+        if text is not None:
+            raw[key] = _number(text)
     params_mod.resolve_scheme(raw, scheme)
+    for key in raw:
+        if not hasattr(args, key):
+            command = " ".join(filter(None, (args.command, getattr(args, "variant", None))))
+            raise ConfigError(f"key {key!r} does not apply to the {command} command", field=key)
     return raw
 
 
 def _grid(count, name="grid"):
-    return regions.unit_grid(params_mod.check_count(count, name))
+    return regions.unit_grid(params_mod.check_count(name, count))
 
 
 def _split_grids(args, scheme):
@@ -129,38 +146,35 @@ def _common_flags():
     return common
 
 
-def _add_channel_flags(parser, scheme):
-    for field in dataclasses.fields(params_mod.CHANNELS[scheme]):
-        parser.add_argument(f"--{field.name}", type=float, default=None)
+#: Help text of the configuration keys that have one.
+_KEY_HELP = {"n": "block length", "rate": "bits per channel use",
+             "rate_fraction": "rate as a multiple of the theoretical cap"}
 
 
-def _add_split_flags(parser, scheme):
-    for name in params_mod.CHANNELS[scheme].SPLIT:
-        parser.add_argument(f"--{name}", type=float, default=None)
+def _add_key_flags(parser, scheme, split=False, run=False):
+    """A flag spelled like each configuration key the command reads: the
+    scheme's channel fields, its split fractions if ``split``, and if
+    ``run`` the block, trials, seed and the sign rule of two encoders. A
+    key's flag keeps its text; :func:`_merged_config` reads it as a number
+    for params to check."""
+    channel = params_mod.CHANNELS[scheme]
+    keys = [field.name for field in dataclasses.fields(channel)]
+    if split:
+        keys += channel.SPLIT
+    if run:
+        keys += ("n", "rate", "rate_fraction", "trials", "seed")
+    for key in keys:
+        parser.add_argument(f"--{key}", help=_KEY_HELP.get(key))
+    if run and len(channel.SPLIT) > 1:
+        parser.add_argument("--paper-sgn", action="store_true", dest="paper_sgn",
+                            help="sign convention that silences encoder 2 whenever the "
+                                 "error correlation goes negative")
 
 
 def _add_grid_flags(parser, scheme, default):
     parser.add_argument("--grid", type=int, default=default, help="points on the gamma grid")
     for name in params_mod.CHANNELS[scheme].SPLIT[1:]:
         parser.add_argument(f"--{name}-grid", type=int, default=None, dest=f"{name}_grid")
-
-
-def _add_run_flags(parser, scheme):
-    """The flags of a simulated run: the sign rule of two encoders, the
-    block, trials and seed."""
-    if len(params_mod.CHANNELS[scheme].SPLIT) > 1:
-        parser.add_argument("--paper-sgn", action="store_true", dest="paper_sgn",
-                            help="sign convention that silences encoder 2 whenever the "
-                                 "error correlation goes negative")
-    parser.add_argument("--n", type=int, default=None, help="block length")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--rate", type=float, default=None, help="bits per channel use")
-    group.add_argument(
-        "--rate_fraction", type=float, default=None,
-        help="rate as a multiple of the theoretical cap",
-    )
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser():
@@ -175,7 +189,7 @@ def build_parser():
     region_sub = region.add_subparsers(dest="variant", required=True)
     for variant, (scheme, _) in _REGIONS.items():
         p = region_sub.add_parser(variant, parents=[common])
-        _add_channel_flags(p, scheme)
+        _add_key_flags(p, scheme)
         _add_grid_flags(p, scheme, 101)
         if variant == "mac-fb":
             p.add_argument(
@@ -186,17 +200,14 @@ def build_parser():
 
     rho = sub.add_parser("rho-star", parents=[common],
                          help="fixed-point error correlation of the two-encoder loop")
-    _add_channel_flags(rho, "mac")
-    _add_split_flags(rho, "mac")
+    _add_key_flags(rho, "mac", split=True)
     rho.set_defaults(func=_cmd_rho_star, csv=_value_csv)
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo experiment")
     simulate_sub = simulate.add_subparsers(dest="variant", required=True)
     for variant in params_mod.CHANNELS:
         p = simulate_sub.add_parser(variant, parents=[common])
-        _add_channel_flags(p, variant)
-        _add_split_flags(p, variant)
-        _add_run_flags(p, variant)
+        _add_key_flags(p, variant, split=True, run=True)
         p.add_argument("--dump-traces", metavar="DIR", dest="dump_traces",
                        help="write one per-symbol trace CSV per trial into DIR")
         p.set_defaults(func=_cmd_simulate, csv=output.report_csv)
@@ -205,9 +216,8 @@ def build_parser():
     sweep_sub = sweep.add_subparsers(dest="variant", required=True)
     for variant in params_mod.CHANNELS:
         p = sweep_sub.add_parser(variant, parents=[common])
-        _add_channel_flags(p, variant)
+        _add_key_flags(p, variant, run=True)
         _add_grid_flags(p, variant, 11)
-        _add_run_flags(p, variant)
         p.set_defaults(func=_cmd_sweep, csv=output.rows_csv)
 
     return parser

@@ -52,7 +52,7 @@ class RandomPlan:
     master_seed: int
 
     def __post_init__(self):
-        check_seed(self.master_seed)
+        check_seed("seed", self.master_seed)
 
     def key(self, trial, component):
         """128-bit counter key: the master seed in the low 64-bit word and

@@ -1,9 +1,11 @@
 """Validated parameter containers and configuration handling.
 
-Every container here is frozen and validates eagerly in ``__post_init__``,
-so a value that made it into one of these types can be handed to any other
-module without re-checking. Construction failures raise the structured
-errors from :mod:`dpsk.errors` with the offending field named.
+Each configuration key's check is declared once, in a table in
+:data:`CONFIG_KEYS` order. Every container here is frozen, runs in
+``__post_init__`` the check of each field named like a key and spells out
+only the rules that tie fields together, so a value in one of these types
+needs no re-checking elsewhere. Failures raise the structured errors from
+:mod:`dpsk.errors` with the offending field named.
 
 Configuration files are flat JSON objects whose keys are exactly the ones
 in :data:`CONFIG_KEYS`. :func:`validate` turns such a mapping into typed
@@ -25,23 +27,6 @@ from .errors import (
     SplitOutOfRange,
 )
 
-#: Allowed configuration keys, in canonical serialization order.
-CONFIG_KEYS = (
-    "P",
-    "P1",
-    "P2",
-    "Q",
-    "sigma2",
-    "sigma_z2",
-    "gamma",
-    "beta",
-    "n",
-    "rate",
-    "rate_fraction",
-    "trials",
-    "seed",
-)
-
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 0
 
@@ -58,37 +43,31 @@ _CHANNEL_RANGE = (1e-50, 1e50)
 def _require_number(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}", field=name)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float64
+        value = math.inf
     if math.isnan(value) or math.isinf(value):
         raise ConfigError(f"{name} must be finite, got {value!r}", field=name)
     return value
 
 
-def _range_error(name, value):
-    """Why a nonzero ``value`` lies outside the channel range; None if it does not."""
+def _check_channel(name, value, power=False, positive=False):
+    """A channel value: zero (unless ``positive``) or within the channel range;
+    a fault raises PowerOutOfRange for a ``power``, NegativeVariance otherwise."""
+    value = _require_number(name, value)
     low, high = _CHANNEL_RANGE
-    if value != 0.0 and not low <= value <= high:
-        return f"a nonzero {name} must lie in [{low:g}, {high:g}], got {value}"
-
-
-def _check_power(name, value):
-    value = _require_number(name, value)
-    if value < 0.0:
-        raise PowerOutOfRange(f"{name} must be >= 0, got {value}", field=name)
-    if message := _range_error(name, value):
+    if positive and value <= 0.0:
+        message = f"{name} must be > 0, got {value}"
+    elif value < 0.0:
+        message = f"{name} must be >= 0, got {value}"
+    elif value != 0.0 and not low <= value <= high:
+        message = f"a nonzero {name} must lie in [{low:g}, {high:g}], got {value}"
+    else:
+        return value
+    if power:
         raise PowerOutOfRange(message, field=name)
-    return value
-
-
-def _check_variance(name, value, strictly_positive=False):
-    value = _require_number(name, value)
-    if strictly_positive and value <= 0.0:
-        raise NegativeVariance(f"{name} must be > 0, got {value}", field=name)
-    if value < 0.0:
-        raise NegativeVariance(f"{name} must be >= 0, got {value}", field=name)
-    if message := _range_error(name, value):
-        raise NegativeVariance(message, field=name)
-    return value
+    raise NegativeVariance(message, field=name)
 
 
 def check_fraction(name, value):
@@ -98,27 +77,77 @@ def check_fraction(name, value):
     return float(value)
 
 
-#: Check applied to each channel field; a channel validates its fields in
-#: declaration order.
-_CHANNEL_CHECKS = {
-    "P": _check_power,
-    "P1": _check_power,
-    "P2": _check_power,
-    "Q": _check_variance,
-    "sigma2": functools.partial(_check_variance, strictly_positive=True),
-    "sigma_z2": _check_variance,
+def _check_split(name, value):
+    return check_fraction(name, _require_number(name, value))
+
+
+def _check_blocklength(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}", field=name)
+    if value < 2:
+        raise BlocklengthTooSmall(f"{name} must be >= 2, got {value}", field=name)
+    return value
+
+
+def _check_rate(name, value):
+    value = _require_number(name, value)
+    if value < 0.0:
+        raise ConfigError(f"{name} must be >= 0, got {value}", field=name)
+    return value
+
+
+def check_count(name, value):
+    """A count such as ``trials`` or a grid size; ConfigError naming ``name``
+    unless it is a positive integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}", field=name)
+    return value
+
+
+def check_seed(name, value):
+    """A master seed; ConfigError naming ``name`` unless an integer in [0, 2**64)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {value!r}", field=name)
+    return value
+
+
+#: The check of each configuration key, in canonical serialization order:
+#: ``check(name, value)`` returns the value as stored or raises naming the key.
+_CHECKS = {
+    "P": functools.partial(_check_channel, power=True),
+    "P1": functools.partial(_check_channel, power=True),
+    "P2": functools.partial(_check_channel, power=True),
+    "Q": _check_channel,
+    "sigma2": functools.partial(_check_channel, positive=True),
+    "sigma_z2": _check_channel,
+    "gamma": _check_split,
+    "beta": _check_split,
+    "n": _check_blocklength,
+    "rate": _check_rate,
+    "rate_fraction": _check_rate,
+    "trials": check_count,
+    "seed": check_seed,
 }
 
+#: Allowed configuration keys, in canonical serialization order.
+CONFIG_KEYS = tuple(_CHECKS)
 
-class _Channel:
-    #: The scheme's power-split fractions, one per encoder (a class
-    #: attribute, not a field, so ``asdict`` and the config echo omit it).
-    SPLIT = ("gamma",)
+
+class _Checked:
+    """Base of the containers: each field named like a configuration key
+    passes that key's check, unless it defaults to None and is None."""
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            value = _CHANNEL_CHECKS[field.name](field.name, getattr(self, field.name))
-            object.__setattr__(self, field.name, value)
+            value = getattr(self, field.name)
+            if field.name in _CHECKS and not (value is None and field.default is None):
+                object.__setattr__(self, field.name, _CHECKS[field.name](field.name, value))
+
+
+class _Channel(_Checked):
+    #: The scheme's power-split fractions, one per encoder (a class
+    #: attribute, not a field, so ``asdict`` and the config echo omit it).
+    SPLIT = ("gamma",)
 
     @classmethod
     def derived(cls, **values):
@@ -169,7 +198,7 @@ class NoisyObsParams(_Channel):
 
 
 @dataclasses.dataclass(frozen=True)
-class PowerSplit:
+class PowerSplit(_Checked):
     """Fraction of each transmitter's power spent on the message.
 
     ``gamma`` applies to the (first) encoder, ``beta`` to the second one in
@@ -180,18 +209,9 @@ class PowerSplit:
     gamma: float
     beta: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "gamma", check_fraction("gamma", _require_number("gamma", self.gamma))
-        )
-        if self.beta is not None:
-            object.__setattr__(
-                self, "beta", check_fraction("beta", _require_number("beta", self.beta))
-            )
-
 
 @dataclasses.dataclass(frozen=True)
-class BlockConfig:
+class BlockConfig(_Checked):
     """Block length and target rate.
 
     Exactly one of ``rate`` (bits per channel use) or ``rate_fraction``
@@ -204,24 +224,9 @@ class BlockConfig:
     rate_fraction: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ConfigError(f"n must be an integer, got {self.n!r}", field="n")
-        if self.n < 2:
-            raise BlocklengthTooSmall(f"n must be >= 2, got {self.n}", field="n")
+        super().__post_init__()
         if self.rate is not None and self.rate_fraction is not None:
             raise ConfigError("rate and rate_fraction are mutually exclusive", field="rate")
-        if self.rate is not None:
-            rate = _require_number("rate", self.rate)
-            if rate < 0.0:
-                raise ConfigError(f"rate must be >= 0, got {rate}", field="rate")
-            object.__setattr__(self, "rate", rate)
-        if self.rate_fraction is not None:
-            frac = _require_number("rate_fraction", self.rate_fraction)
-            if frac < 0.0:
-                raise ConfigError(
-                    f"rate_fraction must be >= 0, got {frac}", field="rate_fraction"
-                )
-            object.__setattr__(self, "rate_fraction", frac)
 
 
 def resolve_block(block, cap_bits):
@@ -253,7 +258,7 @@ CHANNELS = {"dpc": DpcParams, "mac": MacParams, "noisy": NoisyObsParams}
 
 
 @dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Checked):
     """A fully validated simulation configuration: the split sets exactly the
     scheme's split fractions, and a block leaves one start slot per encoder
     and at least one more."""
@@ -266,6 +271,7 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
+        super().__post_init__()
         scheme = self.scheme
         if scheme not in CHANNELS:
             raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
@@ -283,8 +289,6 @@ class RunConfig:
             raise BlocklengthTooSmall(
                 f"the {scheme} scheme needs n >= {shortest}, got {self.block.n}", field="n"
             )
-        check_count(self.trials, "trials")
-        check_seed(self.seed)
 
 
 def _required(raw, key, scheme):
@@ -340,21 +344,6 @@ def block_from(raw):
     return BlockConfig(n=raw["n"], rate=raw.get("rate"), rate_fraction=raw.get("rate_fraction"))
 
 
-def check_count(value, name):
-    """A count such as ``trials`` or a grid size; ConfigError naming ``name``
-    unless it is a positive integer."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}", field=name)
-    return value
-
-
-def check_seed(seed):
-    """A master seed; ConfigError unless it is an integer in [0, 2**64)."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}", field="seed")
-    return seed
-
-
 def validate(raw, scheme=None):
     """Validate a flat parameter mapping into a :class:`RunConfig`.
 
@@ -388,7 +377,7 @@ def load_config(path):
             raw = json.load(fp)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

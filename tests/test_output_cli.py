@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dpsk import cli, harness, output, regions, sk_dpmac
-from dpsk.params import CHANNELS, DpcParams, MacParams
+from dpsk.params import CHANNELS, CONFIG_KEYS, DpcParams, MacParams
 
 
 def run_cli(capsys, *argv):
@@ -602,3 +602,142 @@ def test_noisy_channel_runs_when_its_equivalent_channel_leaves_the_range(
                            "--n", "20", "--rate_fraction", "0.5", "--trials", "20",
                            "--format", "json")
     assert code == 0 and _all_finite(json.loads(out))
+
+
+# ---------------------------------------------------------------------------
+# flags and config files
+
+
+#: A valid run of each scheme, as configuration-file values.
+RUNS = {
+    "dpc": {"P": 10, "Q": 10, "sigma2": 5, "gamma": 0.5, "n": 10, "trials": 5},
+    "mac": {"P1": 10, "P2": 10, "Q": 10, "sigma2": 5, "gamma": 0.5, "beta": 0.5,
+            "n": 10, "trials": 5},
+    "noisy": {"P": 10, "Q": 10, "sigma2": 5, "sigma_z2": 1, "gamma": 0.5, "n": 10,
+              "trials": 5},
+}
+
+
+def _flags(config):
+    return [text for key, value in config.items() for text in (f"--{key}", str(value))]
+
+
+def _run_both_ways(capsys, tmp_path, command, flags, config):
+    """Exit code, stdout and stderr of ``command`` given ``config`` as flags
+    and then as a config file, each time after ``flags``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    by_flag = run_cli(capsys, *command, *flags, *_flags(config))
+    by_file = run_cli(capsys, *command, *flags, "--config", str(path))
+    return by_flag, by_file
+
+
+FLOAT_KEYS = [key for key in CONFIG_KEYS if key not in ("n", "trials", "seed")]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_an_integer_beyond_float64_fails_cleanly(capsys, tmp_path, key):
+    # float() of such an integer raises OverflowError; it must read as inf
+    scheme = next((s for s, run in RUNS.items() if key in run), "dpc")
+    flags = _flags({k: v for k, v in RUNS[scheme].items() if k != key})
+    by_flag, by_file = _run_both_ways(capsys, tmp_path, ["simulate", scheme], flags,
+                                      {key: 10**400})
+    assert by_flag == by_file == (2, "", f"error: {key} must be finite, got inf\n")
+
+
+BAD_VALUES = {
+    "trials": {"trials": 2.5},
+    "n": {"n": 10.0},
+    "rate-and-fraction": {"rate": 0.1, "rate_fraction": 0.3},
+    "seed": {"seed": -1},
+    "gamma": {"gamma": 1.5},
+    "P": {"P": math.nan},
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    *[("simulate", case) for case in BAD_VALUES],
+    *[("sweep", case) for case in BAD_VALUES if case != "gamma"],  # a sweep reads no gamma
+])
+def test_a_bad_flag_and_a_bad_config_entry_fail_alike(capsys, tmp_path, command, case):
+    bad = BAD_VALUES[case]
+    base = {k: v for k, v in RUNS["dpc"].items() if k not in bad}
+    if command == "sweep":
+        base.pop("gamma", None)
+    flags = _flags(base) + (["--grid", "2"] if command == "sweep" else [])
+    by_flag, by_file = _run_both_ways(capsys, tmp_path, [command, "dpc"], flags, bad)
+    assert by_flag == by_file
+    code, out, err = by_flag
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("scheme", CHANNELS)
+def test_a_flag_and_a_config_entry_give_the_same_report(capsys, tmp_path, scheme):
+    power = next(iter(RUNS[scheme]))
+    flags = _flags({k: v for k, v in RUNS[scheme].items() if k not in (power, "gamma")})
+    by_flag = run_cli(capsys, "simulate", scheme, *flags, f"--{power}", "10", "--gamma", "1",
+                      "--format", "json")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({power: 10.0, "gamma": 1.0}), encoding="utf-8")
+    by_file = run_cli(capsys, "simulate", scheme, *flags, "--config", str(path),
+                      "--format", "json")
+    assert by_flag[0] == 0 and by_flag == by_file
+
+
+def _leaf_commands():
+    """argv prefix and parser of every command that runs."""
+    for name, command in _subcommands(cli.build_parser()).items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in command._actions):
+            for variant, leaf in _subcommands(command).items():
+                yield [name, variant], leaf
+        else:
+            yield [name], command
+
+
+RHO_STAR = {"P1": 5, "P2": 5, "sigma2": 5, "gamma": 1, "beta": 1}
+
+
+@pytest.mark.parametrize("command, grid, config, key", [
+    (["sweep", "dpc"], ["--grid", "2"], RUNS["dpc"], "gamma"),
+    (["region", "dpc-fb"], ["--grid", "2"], RUNS["dpc"], "gamma"),
+    *[(["rho-star"], [], {**RHO_STAR, key: 1}, key) for key in ("n", "trials", "seed", "rate")],
+], ids=["sweep-dpc", "region-dpc-fb", "rho-star-n", "rho-star-trials", "rho-star-seed",
+        "rho-star-rate"])
+def test_a_config_key_the_command_does_not_read_is_rejected(capsys, tmp_path, command, grid,
+                                                            config, key):
+    # a key the command does not read must fail, not be ignored
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, *grid, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: key {key!r} does not apply to the {' '.join(command)} command\n"
+
+
+def test_every_command_rejects_each_key_it_has_no_flag_for(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    for argv, parser in _leaf_commands():
+        flags = {action.dest for action in parser._actions}
+        for key in CONFIG_KEYS:
+            if key in flags:
+                continue
+            path.write_text(json.dumps({key: 1}), encoding="utf-8")
+            code, out, err = run_cli(capsys, *argv, "--config", str(path))
+            assert (code, out) == (2, ""), (argv, key)
+            assert f"key {key!r} does not apply to the " in err, (argv, key)
+
+
+@pytest.mark.parametrize("command, config, key", [
+    *[(["simulate", "dpc"], {**RUNS["dpc"], key: None}, key)
+      for key in ("P", "gamma", "n", "trials", "seed")],
+    (["sweep", "dpc"], {k: v for k, v in RUNS["dpc"].items() if k != "gamma"} | {"n": None},
+     "n"),
+    (["rho-star"], {**RHO_STAR, "gamma": None}, "gamma"),
+], ids=["simulate-P", "simulate-gamma", "simulate-n", "simulate-trials", "simulate-seed",
+        "sweep-n", "rho-star-gamma"])
+def test_a_null_config_entry_of_a_required_key_fails_cleanly(capsys, tmp_path, command,
+                                                             config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key} must be ") and err.endswith(", got None\n")

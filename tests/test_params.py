@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from dpsk.errors import (
     PowerOutOfRange,
     SplitOutOfRange,
 )
+from dpsk import params
 from dpsk.params import (
     CHANNELS,
     CONFIG_KEYS,
@@ -17,7 +19,9 @@ from dpsk.params import (
     BlockConfig,
     DpcParams,
     MacParams,
+    NoisyObsParams,
     PowerSplit,
+    RunConfig,
     dump_config,
     load_config,
     resolve_block,
@@ -198,3 +202,50 @@ def test_load_config_failures(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_config(arr)
+
+
+def test_every_container_field_that_takes_a_config_key_has_a_check():
+    # the containers' shared check loop skips a field the table does not name
+    containers = (DpcParams, MacParams, NoisyObsParams, PowerSplit, BlockConfig)
+    fields = {field.name for cls in containers for field in dataclasses.fields(cls)}
+    assert {"trials", "seed"} <= {field.name for field in dataclasses.fields(RunConfig)}
+    assert fields | {"trials", "seed"} <= set(params._CHECKS)
+    assert CONFIG_KEYS == tuple(params._CHECKS)
+
+
+@pytest.mark.parametrize("key", [k for k in CONFIG_KEYS if k not in ("n", "trials", "seed")])
+def test_an_integer_beyond_float64_is_not_finite(key):
+    # float() of such an integer raises OverflowError; it must read as inf
+    raw = {**SCHEME_KEYS["mac" if key in SCHEME_KEYS["mac"] else "noisy"], "n": 10}
+    with pytest.raises(ConfigError, match=f"^{key} must be finite, got inf$") as info:
+        validate({**raw, key: 10**400})
+    assert info.value.field == key
+    with pytest.raises(ConfigError, match="^gamma must be finite"):
+        PowerSplit(10**400)
+
+
+def test_load_config_rejects_an_integer_too_long_to_read(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"P": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("build, key, message", [
+    (lambda: DpcParams(None, 10, 5), "P", "a number"),
+    (lambda: PowerSplit(None), "gamma", "a number"),
+    (lambda: BlockConfig(None), "n", "an integer"),
+    (lambda: validate({**SCHEME_KEYS["dpc"], "trials": None}), "trials", "a positive integer"),
+    (lambda: validate({**SCHEME_KEYS["dpc"], "seed": None}), "seed",
+     "a 64-bit unsigned integer"),
+], ids=["P", "gamma", "n", "trials", "seed"])
+def test_a_required_field_rejects_none(build, key, message):
+    # only a field that defaults to None may be left at None
+    with pytest.raises(ConfigError, match=f"^{key} must be {message}, got None$") as info:
+        build()
+    assert info.value.field == key
+
+
+def test_an_optional_field_may_be_none():
+    assert PowerSplit(0.5, None).beta is None
+    assert BlockConfig(10, None, None) == BlockConfig(10)
