@@ -8,8 +8,11 @@ and configuration produce bit-identical reports. A plan builds one Philox
 generator and re-keys it per substream, which draws exactly what a fresh
 ``Philox(key=...)`` per substream would. Trials run in batches,
 one after the other; per-trial results land in preallocated slots and each
-batch's symbol powers are added to running per-user sums in batch order.
-Normal blocks are drawn straight into the rows of their batch.
+batch's per-slot symbol powers, which the batch runner sums over the
+batch's trials in order, are added to running per-user sums in batch
+order. Normal blocks are drawn as unit normals straight into the rows of
+their batch, which is then scaled once. The runners store the per-symbol
+X and theta_hat traces only for a run with a trace writer.
 
 A plan keeps the last batch it drew for each component, read-only, and
 hands it back while the same draw (trials, length and scale, or message-set
@@ -92,7 +95,8 @@ class RandomPlan:
         drawing standard normals first keeps the stream layout identical
         across variance choices (std = 0 gives zeros)."""
         out = self.generator(trial, component).standard_normal(n, out=out)
-        out *= std
+        if std != 1.0:  # x * 1.0 is x bit for bit
+            out *= std
         return out
 
     def message(self, trial, component, M):
@@ -123,7 +127,8 @@ def _draw_normals(plan, start, stop, n, std, component):
     def draw():
         out = np.empty((stop - start, n))
         for row, trial in zip(out, range(start, stop)):
-            plan.normal_block(trial, component, n, std, out=row)
+            plan.normal_block(trial, component, n, 1.0, out=row)
+        out *= std
         return out
 
     return plan._batch(component, (start, stop, n, std), draw)
@@ -177,25 +182,29 @@ class ExperimentReport:
 def _simulate(params, n, trials, plan, users, run_batch, trace_writer):
     """Draw, simulate and reduce every batch of trials in order.
 
-    ``run_batch(start, stop, S, eta)`` draws the messages (and any other
-    draw the scheme needs) of trials start..stop-1, runs the scheme's batch
-    runner on them and returns its trace record with one ``(W, W_hat, X)``
-    per user; ``users`` is 1 or 2. Collects per-user error flags (users,
-    trials), per-trial squared estimation errors and per-user symbol power
-    sums (users, n), and returns the report's measured block built from
-    them by :func:`_empirical`.
+    ``run_batch(start, stop, S, eta, traces)`` draws the messages (and any
+    other draw the scheme needs) of trials start..stop-1, runs the scheme's
+    batch runner on them and returns its trace record with one
+    ``(W, W_hat, power)`` per user, ``power`` being the runner's per-slot
+    power summed over the batch; ``users`` is 1 or 2. The runner stores its
+    (B, n) X and theta_hat traces only when ``traces`` is set, that is,
+    when there is a ``trace_writer`` to hand them to. Collects per-user
+    error flags (users, trials), per-trial squared estimation errors and
+    per-user symbol power sums (users, n), and returns the report's
+    measured block built from them by :func:`_empirical`.
     """
     errors = np.zeros((users, trials), dtype=bool)
     sq_err = np.empty(trials)
     power_sums = np.zeros((users, n))
+    traces = trace_writer is not None
 
     for start, stop in _spans(trials):
         S = _draw_normals(plan, start, stop, n, math.sqrt(params.Q), STATE)
         eta = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), NOISE)
-        trace, per_user = run_batch(start, stop, S, eta)
-        for user, (w, w_hat, x) in enumerate(per_user):
+        trace, per_user = run_batch(start, stop, S, eta, traces)
+        for user, (w, w_hat, power) in enumerate(per_user):
             errors[user, start:stop] = w_hat != w
-            power_sums[user] += np.sum(x * x, axis=0)
+            power_sums[user] += power
         sq_err[start:stop] = np.mean((S - trace.S_hat) ** 2, axis=1)
         if trace_writer is not None:
             # the per-symbol (B, n) fields of the trace record, in field order
@@ -237,10 +246,10 @@ def _run_dpc(params, split, block, trials, plan, paper_sgn, trace_writer):
     gamma = split.gamma
     rate, M, coeffs = sk_dpc.resolve_loop(params, gamma, block)
 
-    def run_batch(start, stop, S, eta):
+    def run_batch(start, stop, S, eta, traces):
         W = _draw_messages(plan, start, stop, M, MSG)
-        trace = sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta)
-        return trace, ((W, trace.W_hat, trace.X),)
+        trace = sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta, traces=traces)
+        return trace, ((W, trace.W_hat, trace.power),)
 
     empirical = _simulate(params, block.n, trials, plan, 1, run_batch, trace_writer)
     forwarded = sk_dpc.state_forward_coefficient(params, gamma) ** 2 * params.Q
@@ -268,11 +277,11 @@ def _run_noisy(params, split, block, trials, plan, paper_sgn, trace_writer):
     eq_params = noisy_obs.make_equivalent(params)
     rate, M, coeffs = sk_dpc.resolve_loop(eq_params, gamma, block, noisy_obs.EQUIVALENT_NOISE)
 
-    def run_batch(start, stop, S, eta):
+    def run_batch(start, stop, S, eta, traces):
         W = _draw_messages(plan, start, stop, M, MSG)
         Z = _draw_normals(plan, start, stop, block.n, math.sqrt(params.sigma_z2), OBS_NOISE)
-        trace = noisy_obs.noisy_run_batch(params, gamma, M, coeffs, W, S, Z, eta)
-        return trace, ((W, trace.W_hat, trace.X),)
+        trace = noisy_obs.noisy_run_batch(params, gamma, M, coeffs, W, S, Z, eta, traces=traces)
+        return trace, ((W, trace.W_hat, trace.power),)
 
     empirical = _simulate(params, block.n, trials, plan, 1, run_batch, trace_writer)
     forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
@@ -309,11 +318,11 @@ def _run_mac(params, split, block, trials, plan, paper_sgn, trace_writer):
     (rate1, M1), (rate2, M2), caps = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
     coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, block.n, paper_sgn=paper_sgn)
 
-    def run_batch(start, stop, S, eta):
+    def run_batch(start, stop, S, eta, traces):
         W1 = _draw_messages(plan, start, stop, M1, MSG)
         W2 = _draw_messages(plan, start, stop, M2, MSG2)
-        trace = sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
-        return trace, ((W1, trace.W1_hat, trace.X1), (W2, trace.W2_hat, trace.X2))
+        trace = sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta, traces=traces)
+        return trace, ((W1, trace.W1_hat, trace.power1), (W2, trace.W2_hat, trace.power2))
 
     empirical = _simulate(params, block.n, trials, plan, 2, run_batch, trace_writer)
     rho_final = float(coeffs.rho[-1])

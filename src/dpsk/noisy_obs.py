@@ -73,7 +73,7 @@ def scheme_step_distortion(params: NoisyObsParams, gamma):
     return params.Q - cross * cross / ey2
 
 
-def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
+def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta, traces=True):
     """Simulate a batch of blocks with physical state S and observation noise Z.
 
     This is :func:`dpsk.sk_dpc.run_batch` on the equivalent channel, with
@@ -83,12 +83,13 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta):
     noise, and the receiver weighs Y by :func:`true_state_coefficient`.
     The returned trace carries the true S and its estimate. With
     sigma_z2 = 0 it reproduces the clean-observation trace sample for sample.
+    ``traces`` goes to :func:`dpsk.sk_dpc.run_batch`.
     """
     sk_dpc.check_batch(np.shape(S), Z=Z, eta=eta)
     s_eq = regions.observation_weight(params) * (S + Z)
     eta_eq = (S - s_eq) + eta
     trace = sk_dpc.run_batch(
         make_equivalent(params), gamma, M, coeffs, W, s_eq, eta_eq,
-        weight=true_state_coefficient(params, gamma),
+        weight=true_state_coefficient(params, gamma), traces=traces,
     )
     return dataclasses.replace(trace, S=S)

@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 
 from .errors import (
     BlocklengthTooSmall,
@@ -86,6 +87,13 @@ def _check_blocklength(name, value):
         raise ConfigError(f"{name} must be an integer, got {value!r}", field=name)
     if value < 2:
         raise BlocklengthTooSmall(f"{name} must be >= 2, got {value}", field=name)
+    if value > sys.float_info.max:
+        # the rate exponent n*rate and the finite-n targets are formed in float64
+        raise ConfigError(
+            f"{name} must lie within float64's range (<= {sys.float_info.max:.4g}), "
+            f"got an integer of {value.bit_length()} bits",
+            field=name,
+        )
     return value
 
 

@@ -179,7 +179,8 @@ def estimate_state(Y, weight):
 @dataclasses.dataclass(frozen=True)
 class SchemeTrace:
     """Everything observable from a batch of B simulated blocks: (B,)
-    message arrays and (B, n) traces."""
+    message arrays, (B, n) traces and the (n,) per-slot power of X summed
+    over the batch in trial order."""
 
     W: np.ndarray
     W_hat: np.ndarray
@@ -189,6 +190,7 @@ class SchemeTrace:
     theta_hat: np.ndarray
     S: np.ndarray
     S_hat: np.ndarray
+    power: np.ndarray
 
 
 def check_batch(shape, **draws):
@@ -213,31 +215,54 @@ def resolve_loop(params: DpcParams, gamma, block, noise="sigma2"):
     return rate, M, compute_coefficients(params, gamma, block.n, noise)
 
 
-def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None):
+def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, traces=True):
     """Simulate a batch of blocks from supplied draws.
 
     ``M`` and ``coeffs`` come from :func:`resolve_loop`, ``W`` has shape
     (B,) and ``S``, ``eta`` shape (B, n). ``weight`` is the receiver's
     state-estimation weight; it defaults to :func:`estimation_coefficient`.
-    Returns a :class:`SchemeTrace` of (B,) messages and (B, n) traces.
+    Returns a :class:`SchemeTrace` of (B,) messages, (B, n) traces and the
+    per-slot power of X summed over the batch. With ``traces`` false the
+    message path stores no X or theta_hat trace and leaves those fields None.
     """
     theta = message_to_theta(W, M)
     if coeffs is None:
         # no loop fixes n here; the width of S does
         check_batch((len(W), *np.shape(S)[-1:]), S=S, eta=eta)
         X, Y = simulate_forwarding_batch(params, gamma, S, eta)
-        theta_hat = np.zeros_like(Y)
-        W_hat = W
+        theta_hat, power, W_hat = np.zeros_like(Y), _power_sum(X.T), W
     else:
-        X, Y, theta_hat, _ = simulate_message_batch(coeffs, theta, S, eta)
-        W_hat = decode_batch(theta_hat[:, -1], M)
+        X, Y, theta_hat, _ = simulate_message_batch(coeffs, theta, S, eta, traces)
+        X, theta_hat, power, final = _reduced(X, theta_hat, traces)
+        W_hat = decode_batch(final, M)
     if weight is None:
         weight = estimation_coefficient(params, gamma)
     S_hat = estimate_state(Y, weight)
-    return SchemeTrace(W=W, W_hat=W_hat, M=M, X=X, Y=Y, theta_hat=theta_hat, S=S, S_hat=S_hat)
+    return SchemeTrace(W=W, W_hat=W_hat, M=M, X=X, Y=Y, theta_hat=theta_hat, S=S, S_hat=S_hat,
+                       power=power)
 
 
-def _closed_loop(lam, loops, S, eta):
+def _power_sum(x):
+    """Sum of x² over the last axis, the trials of a slot-major row or
+    (n, B) block, adding them one by one in order: the bits of
+    ``np.sum(X * X, axis=0)`` on the row-major (B, n) batch X, where
+    ``np.sum`` over a contiguous axis would add pairwise."""
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x * x, axis=-1)[..., -1]
+
+
+def _reduced(X, theta_hat, traces):
+    """``(X, theta_hat, power, final)`` of one encoder's kernel output: its
+    (B, n) traces (None without ``traces``), its per-slot power summed over
+    the batch and its final estimates. Without ``traces`` the kernel returns
+    these two reductions in the traces' places."""
+    if traces:
+        return X, theta_hat, _power_sum(X.T), theta_hat[:, -1]
+    return None, None, X, theta_hat
+
+
+def _closed_loop(lam, loops, S, eta, traces):
     """Closed loop of K = len(loops) encoders over (B, n) blocks S, eta.
 
     A loop is one encoder's ``(theta, amp, state_coef, gain, mu)``; ``gain``
@@ -245,48 +270,74 @@ def _closed_loop(lam, loops, S, eta):
     Encoder u starts in slot u with amp (theta - o_u), where o_u = lam (S_u /
     amp - sum_{k>=K} mu[k] S_k) is the state its receiver chain adds back.
     From slot K on it adds gain[k] eps and refines eps on Y_k - lam S_k.
-    Returns (X, Y, theta_hat, eps) with one entry of X, theta_hat (NaN
-    before the start) and eps per encoder.
+
+    The loop runs slot-major on (n, B) copies of S and eta, so each slot
+    computes on contiguous (B,) rows and only stores its column of the
+    row-major (B, n) traces; the offsets take ``np.vecdot`` on the
+    row-major S. Returns (X, Y, theta_hat, eps) with one entry of X,
+    theta_hat and eps per encoder; theta_hat is NaN before the encoder
+    starts. Without ``traces`` no X or theta_hat trace is stored: each X
+    entry is the (n,) per-slot power summed over the batch by
+    :func:`_power_sum`, and each theta_hat entry the (B,) final estimates.
     """
     K = len(loops)
     for theta, _, _, gain, _ in loops:
         check_batch((len(theta), len(gain)), S=S, eta=eta)
-    X = [sc * S for _, _, sc, _, _ in loops]
+    S_t, eta_t = np.ascontiguousarray(S.T), np.ascontiguousarray(eta.T)
+    n = len(S_t)
     Y = np.empty_like(S)
-    theta_hat = [np.empty_like(S) for _ in loops]
-    eps = []
-    for k in range(S.shape[1]):
+    if traces:
+        X = [np.empty_like(S) for _ in loops]
+        theta_hat = [np.empty_like(S) for _ in loops]
+    else:
+        power = np.empty((K, n))
+    eps, th = [], []
+    for k in range(n):
+        s = S_t[k]
+        xs = [sc * s for _, _, sc, _, _ in loops]
         if k < K:
             theta, amp, _, _, mu = loops[k]
-            send = amp * (theta - lam * (S[:, k] / amp - np.vecdot(S[:, K:], mu[K:])))
-            X[k][:, k] += send
+            send = amp * (theta - lam * (s / amp - np.vecdot(S[:, K:], mu[K:])))
+            xs[k] += send
         else:
-            for x, e, (_, _, _, gain, _) in zip(X, eps, loops):
-                x[:, k] += gain[k] * e
+            for x, e, (_, _, _, gain, _) in zip(xs, eps, loops):
+                x += gain[k] * e
         # the encoders in order, then state and noise
-        Y[:, k] = sum((x[:, k] for x in X[1:]), X[0][:, k]) + S[:, k] + eta[:, k]
+        y = sum(xs[1:], xs[0]) + s
+        y += eta_t[k]
+        Y[:, k] = y
         if k < K:
-            eps.append((Y[:, k] - send - lam * S[:, k]) / amp)
-            theta_hat[k][:, :k] = np.nan
-            theta_hat[k][:, k] = Y[:, k] / amp
+            eps.append((y - send - lam * s) / amp)
+            th.append(y / amp)
+            if traces:
+                theta_hat[k][:, :k] = np.nan
         else:
-            z = Y[:, k] - lam * S[:, k]
+            z = y - lam * s
         for u, (_, _, _, _, mu) in enumerate(loops[:k]):
             if k >= K:
                 eps[u] = eps[u] - mu[k] * z
-            theta_hat[u][:, k] = theta_hat[u][:, k - 1] - mu[k] * Y[:, k]
-    return X, Y, theta_hat, eps
+            th[u] = th[u] - mu[k] * y
+        if traces:
+            for trace, row in [*zip(X, xs), *zip(theta_hat, th)]:
+                trace[:, k] = row
+        else:
+            power[:, k] = [_power_sum(x) for x in xs]
+    if traces:
+        return X, Y, theta_hat, eps
+    return list(power), Y, th, eps
 
 
-def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta):
+def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta, traces=True):
     """Vectorized closed loop over a batch of independent blocks.
 
     ``theta`` has shape (B,), ``S`` and ``eta`` shape (B, n). Returns the
     (B, n) traces X, Y, theta_hat and the final (B,) tracking error: the
     one-encoder :func:`_closed_loop`, bit for bit ``tests/stepwise.py``.
+    Without ``traces``, X and theta_hat come back reduced as that function
+    says.
     """
     loop = (theta, coeffs.message_amp, coeffs.state_coef, coeffs.gain, coeffs.mu)
-    X, Y, theta_hat, eps = _closed_loop(coeffs.omega, [loop], S, eta)
+    X, Y, theta_hat, eps = _closed_loop(coeffs.omega, [loop], S, eta, traces)
     return *X, Y, *theta_hat, *eps
 
 

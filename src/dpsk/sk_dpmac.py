@@ -44,7 +44,7 @@ import numpy as np
 from . import regions
 from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
 from .params import MacParams, check_fraction, resolve_block
-from .sk_dpc import _closed_loop, decode_batch, message_to_theta
+from .sk_dpc import _closed_loop, _reduced, decode_batch, message_to_theta
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,7 +209,8 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
 @dataclasses.dataclass(frozen=True)
 class MacSchemeTrace:
     """Everything observable from a batch of B simulated two-encoder blocks:
-    (B,) message arrays and (B, n) traces."""
+    (B,) message arrays, (B, n) traces and each encoder's (n,) per-slot
+    power summed over the batch in trial order."""
 
     W1: np.ndarray
     W2: np.ndarray
@@ -224,6 +225,8 @@ class MacSchemeTrace:
     theta2_hat: np.ndarray
     S: np.ndarray
     S_hat: np.ndarray
+    power1: np.ndarray
+    power2: np.ndarray
 
 
 def resolve_mac_rates(params: MacParams, gamma, beta, block):
@@ -236,32 +239,38 @@ def resolve_mac_rates(params: MacParams, gamma, beta, block):
     return (rate1, m1), (rate2, m2), caps
 
 
-def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta):
+def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta, traces=True):
     """Simulate a batch of two-encoder blocks from supplied draws.
 
     ``W1``, ``W2`` have shape (B,) and ``S``, ``eta`` shape (B, n).
-    Returns a :class:`MacSchemeTrace` of (B,) messages and (B, n) traces.
+    Returns a :class:`MacSchemeTrace` of (B,) messages, (B, n) traces and
+    each encoder's per-slot power summed over the batch. With ``traces``
+    false it stores no X or theta_hat trace and leaves those fields None.
     """
     X1, X2, Y, th1, th2, _, _ = simulate_mac_batch(
-        coeffs, message_to_theta(W1, M1), message_to_theta(W2, M2), S, eta
+        coeffs, message_to_theta(W1, M1), message_to_theta(W2, M2), S, eta, traces
     )
-    W1_hat, W2_hat = mac_decode_batch(th1[:, -1], th2[:, -1], M1, M2)
+    X1, th1, power1, final1 = _reduced(X1, th1, traces)
+    X2, th2, power2, final2 = _reduced(X2, th2, traces)
+    W1_hat, W2_hat = mac_decode_batch(final1, final2, M1, M2)
     return MacSchemeTrace(
         W1=W1, W2=W2, W1_hat=W1_hat, W2_hat=W2_hat, M1=M1, M2=M2, X1=X1, X2=X2, Y=Y,
         theta1_hat=th1, theta2_hat=th2, S=S, S_hat=coeffs.est_coef * Y,
+        power1=power1, power2=power2,
     )
 
 
-def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta):
+def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta, traces=True):
     """Vectorized closed loop over a batch of independent blocks.
 
     Returns (X1, X2, Y, th1, th2, eps1, eps2); traces are (B, n), the final
     tracking errors (B,): the two-encoder :func:`dpsk.sk_dpc._closed_loop`,
-    bit for bit ``tests/stepwise.py``.
+    bit for bit ``tests/stepwise.py``. Without ``traces``, X1, X2, th1 and
+    th2 come back reduced as that function says.
     """
     loops = [(theta1, coeffs.message_amp1, coeffs.state_coef1, coeffs.gain1, coeffs.mu1),
              (theta2, coeffs.message_amp2, coeffs.state_coef2, coeffs.gain2, coeffs.mu2)]
-    X, Y, theta_hat, eps = _closed_loop(coeffs.lam, loops, S, eta)
+    X, Y, theta_hat, eps = _closed_loop(coeffs.lam, loops, S, eta, traces)
     return *X, Y, *theta_hat, *eps
 
 

@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -545,3 +546,74 @@ def test_sweep_rows_are_region_records_plus_report_columns(scheme):
         values = {**report.rates, **report.empirical}
         assert {key: row[key] for key in measured} == {key: values[key] for key in measured}
     assert degenerate == (2 if scheme == "mac" else 1)
+
+
+def _batch_runs(plan, scheme, params, split, block, rates, start, stop):
+    """The public batch runner of ``scheme`` on the harness's draws of trials
+    start..stop-1, with its (B, n) traces; ``rates`` is the report's."""
+    n = block.n
+    S = harness._draw_normals(plan, start, stop, n, math.sqrt(params.Q), harness.STATE)
+    eta = harness._draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), harness.NOISE)
+    if scheme == "mac":
+        M1, M2 = rates["M1"], rates["M2"]
+        W1 = harness._draw_messages(plan, start, stop, M1, harness.MSG)
+        W2 = harness._draw_messages(plan, start, stop, M2, harness.MSG2)
+        coeffs = sk_dpmac.mac_coefficients(params, split.gamma, split.beta, n)
+        return sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
+    M = rates["M"]
+    W = harness._draw_messages(plan, start, stop, M, harness.MSG)
+    if scheme == "noisy":
+        Z = harness._draw_normals(plan, start, stop, n, math.sqrt(params.sigma_z2),
+                                  harness.OBS_NOISE)
+        eq = noisy_obs.make_equivalent(params)
+        _, _, coeffs = sk_dpc.resolve_loop(eq, split.gamma, block, noisy_obs.EQUIVALENT_NOISE)
+        return noisy_obs.noisy_run_batch(params, split.gamma, M, coeffs, W, S, Z, eta)
+    _, _, coeffs = sk_dpc.resolve_loop(params, split.gamma, block)
+    return sk_dpc.run_batch(params, split.gamma, M, coeffs, W, S, eta)
+
+
+@pytest.mark.parametrize("scheme, params, split", [
+    ("dpc", ACC, PowerSplit(0.5)),
+    ("noisy", FIG3, PowerSplit(0.5)),
+    ("mac", MAC, PowerSplit(0.8, 0.8)),
+])
+def test_a_trace_writer_changes_no_report_value(scheme, params, split):
+    # with a writer the runners store their traces, without one they reduce
+    # each batch inside the loop; both must give the same report, and the
+    # written columns must be the public batch runners' rows
+    trials, block = harness.BATCH + 1, BlockConfig(6, rate_fraction=0.5)
+    columns = {}
+    traced = harness.run_experiment(
+        scheme, params, split, block, trials, harness.RandomPlan(11),
+        trace_writer=lambda trial, cols: columns.__setitem__(trial, cols),
+    )
+    reduced = harness.run_experiment(scheme, params, split, block, trials, harness.RandomPlan(11))
+    assert traced.as_dict() == reduced.as_dict()
+    assert sorted(columns) == list(range(trials))
+    plan = harness.RandomPlan(11)
+    for start, stop in [(0, harness.BATCH), (harness.BATCH, trials)]:
+        trace = _batch_runs(plan, scheme, params, split, block, traced.rates, start, stop)
+        names = [name for name, value in vars(trace).items() if np.ndim(value) == 2]
+        assert list(columns[start]) == names
+        for i, trial in enumerate(range(start, stop)):
+            for name in names:
+                np.testing.assert_array_equal(columns[trial][name], getattr(trace, name)[i])
+
+
+@pytest.mark.parametrize("scheme, params, split, n", [
+    ("mac", MAC, PowerSplit(0.8, 0.8), 200),
+    ("dpc", ACC, PowerSplit(0.5), 100),
+])
+def test_a_run_without_a_trace_writer_keeps_few_batch_arrays(scheme, params, split, n):
+    # the plan keeps S and eta, the loop adds their slot-major copies and Y;
+    # storing the X and theta_hat traces as well takes the peak to 9 (mac)
+    # and 7 (dpc) (B, n) arrays
+    B = harness.BATCH
+    block = BlockConfig(n, rate_fraction=0.5)
+    tracemalloc.start()
+    try:
+        harness.run_experiment(scheme, params, split, block, B, harness.RandomPlan(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (B * n * 8) < 6.0

@@ -645,6 +645,22 @@ def test_an_integer_beyond_float64_fails_cleanly(capsys, tmp_path, key):
     assert by_flag == by_file == (2, "", f"error: {key} must be finite, got inf\n")
 
 
+@pytest.mark.parametrize("scheme, command", [
+    ("dpc", ["simulate", "dpc"]), ("mac", ["simulate", "mac"]), ("noisy", ["sweep", "noisy"]),
+])
+def test_a_block_length_beyond_float64_fails_cleanly(capsys, tmp_path, scheme, command):
+    # n*rate and the finite-n targets are formed in float64, and once raised
+    # OverflowError with a traceback
+    base = {k: v for k, v in RUNS[scheme].items() if k != "n"}
+    if command[0] == "sweep":
+        base = {k: v for k, v in base.items() if k != "gamma"}
+        command = command + ["--grid", "3"]
+    by_flag, by_file = _run_both_ways(capsys, tmp_path, command, _flags(base), {"n": 10**400})
+    expected = ("error: n must lie within float64's range (<= 1.798e+308), "
+                "got an integer of 1329 bits\n")
+    assert by_flag == by_file == (2, "", expected)
+
+
 BAD_VALUES = {
     "trials": {"trials": 2.5},
     "n": {"n": 10.0},
