@@ -7,7 +7,8 @@ with a report), ``sweep`` (simulation across a power-split grid).
 Parameter flags are spelled like the configuration-file keys, and a flag's
 text becomes an int or a float that :mod:`dpsk.params` alone checks, so a
 ``--config`` JSON file and flags are interchangeable (flags win) and fail
-alike; a file key the command has no flag for is rejected. Exit codes: 0
+alike; a file key the command has no flag for is rejected. Grid sizes are
+read the same way and checked by ``params.check_count``. Exit codes: 0
 success, 2 configuration or usage error, 1 runtime error.
 """
 
@@ -172,9 +173,9 @@ def _add_key_flags(parser, scheme, split=False, run=False):
 
 
 def _add_grid_flags(parser, scheme, default):
-    parser.add_argument("--grid", type=int, default=default, help="points on the gamma grid")
+    parser.add_argument("--grid", type=_number, default=default, help="points on the gamma grid")
     for name in params_mod.CHANNELS[scheme].SPLIT[1:]:
-        parser.add_argument(f"--{name}-grid", type=int, default=None, dest=f"{name}_grid")
+        parser.add_argument(f"--{name}-grid", type=_number, default=None, dest=f"{name}_grid")
 
 
 def build_parser():
@@ -193,7 +194,7 @@ def build_parser():
         _add_grid_flags(p, scheme, 101)
         if variant == "mac-fb":
             p.add_argument(
-                "--rho-grid", type=int, default=None, dest="rho_grid",
+                "--rho-grid", type=_number, default=None, dest="rho_grid",
                 help="evaluate a rho grid instead of the fixed point rho*",
             )
         p.set_defaults(func=_cmd_region, csv=output.rows_csv)

@@ -87,9 +87,12 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta, trac
     """
     sk_dpc.check_batch(np.shape(S), Z=Z, eta=eta)
     s_eq = regions.observation_weight(params) * (S + Z)
-    eta_eq = (S - s_eq) + eta
+    # the equivalent noise is built slot-major, the order the closed loop
+    # reads noise in, and passed as its (B, n) view
+    eta_eq = np.subtract(S.T, s_eq.T, out=np.empty(S.shape[::-1]))
+    eta_eq += eta.T
     trace = sk_dpc.run_batch(
-        make_equivalent(params), gamma, M, coeffs, W, s_eq, eta_eq,
+        make_equivalent(params), gamma, M, coeffs, W, s_eq, eta_eq.T,
         weight=true_state_coefficient(params, gamma), traces=traces,
     )
     return dataclasses.replace(trace, S=S)

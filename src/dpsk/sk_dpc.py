@@ -35,6 +35,7 @@ closed form, and the tests re-derive every value through an independent
 covariance propagation.
 """
 
+import collections
 import dataclasses
 import math
 import sys
@@ -221,25 +222,23 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
     ``M`` and ``coeffs`` come from :func:`resolve_loop`, ``W`` has shape
     (B,) and ``S``, ``eta`` shape (B, n). ``weight`` is the receiver's
     state-estimation weight; it defaults to :func:`estimation_coefficient`.
-    Returns a :class:`SchemeTrace` of (B,) messages, (B, n) traces and the
-    per-slot power of X summed over the batch. With ``traces`` false the
-    message path stores no X or theta_hat trace and leaves those fields None.
+    Decodes and estimates from the :class:`ClosedLoop` of the message
+    kernel, or of the forwarding one when ``coeffs`` is None, and returns a
+    :class:`SchemeTrace`, whose X and theta_hat are None unless ``traces``.
     """
     theta = message_to_theta(W, M)
     if coeffs is None:
         # no loop fixes n here; the width of S does
         check_batch((len(W), *np.shape(S)[-1:]), S=S, eta=eta)
-        X, Y = simulate_forwarding_batch(params, gamma, S, eta)
-        theta_hat, power, W_hat = np.zeros_like(Y), _power_sum(X.T), W
+        loop = simulate_forwarding_batch(params, gamma, S, eta, traces)
     else:
-        X, Y, theta_hat, _ = simulate_message_batch(coeffs, theta, S, eta, traces)
-        X, theta_hat, power, final = _reduced(X, theta_hat, traces)
-        W_hat = decode_batch(final, M)
+        loop = simulate_message_batch(coeffs, theta, S, eta, traces)
     if weight is None:
         weight = estimation_coefficient(params, gamma)
-    S_hat = estimate_state(Y, weight)
-    return SchemeTrace(W=W, W_hat=W_hat, M=M, X=X, Y=Y, theta_hat=theta_hat, S=S, S_hat=S_hat,
-                       power=power)
+    X, theta_hat = (loop.X[0], loop.theta_hat[0]) if traces else (None, None)
+    return SchemeTrace(W=W, W_hat=decode_batch(loop.theta_final[0], M), M=M, X=X, Y=loop.Y,
+                       theta_hat=theta_hat, S=S, S_hat=estimate_state(loop.Y, weight),
+                       power=loop.power[0])
 
 
 def _power_sum(x):
@@ -252,14 +251,11 @@ def _power_sum(x):
     return np.cumsum(x * x, axis=-1)[..., -1]
 
 
-def _reduced(X, theta_hat, traces):
-    """``(X, theta_hat, power, final)`` of one encoder's kernel output: its
-    (B, n) traces (None without ``traces``), its per-slot power summed over
-    the batch and its final estimates. Without ``traces`` the kernel returns
-    these two reductions in the traces' places."""
-    if traces:
-        return X, theta_hat, _power_sum(X.T), theta_hat[:, -1]
-    return None, None, X, theta_hat
+#: A batch kernel's record for K encoders over B blocks of n slots: the (K, n)
+#: per-slot power summed over the batch by :func:`_power_sum`, the (B, n) Y,
+#: the (K, B) final estimates and tracking errors, and the (K, B, n) X and
+#: theta_hat traces, or None when the kernel was not asked for traces.
+ClosedLoop = collections.namedtuple("ClosedLoop", "power Y theta_final eps X theta_hat")
 
 
 def _closed_loop(lam, loops, S, eta, traces):
@@ -272,13 +268,10 @@ def _closed_loop(lam, loops, S, eta, traces):
     From slot K on it adds gain[k] eps and refines eps on Y_k - lam S_k.
 
     The loop runs slot-major on (n, B) copies of S and eta, so each slot
-    computes on contiguous (B,) rows and only stores its column of the
-    row-major (B, n) traces; the offsets take ``np.vecdot`` on the
-    row-major S. Returns (X, Y, theta_hat, eps) with one entry of X,
-    theta_hat and eps per encoder; theta_hat is NaN before the encoder
-    starts. Without ``traces`` no X or theta_hat trace is stored: each X
-    entry is the (n,) per-slot power summed over the batch by
-    :func:`_power_sum`, and each theta_hat entry the (B,) final estimates.
+    computes on contiguous (B,) rows, sums its power and only stores its
+    column of the row-major (B, n) outputs; the offsets take ``np.vecdot``
+    on the row-major S. Returns a :class:`ClosedLoop`; its theta_hat trace
+    is NaN before the encoder starts.
     """
     K = len(loops)
     for theta, _, _, gain, _ in loops:
@@ -286,11 +279,9 @@ def _closed_loop(lam, loops, S, eta, traces):
     S_t, eta_t = np.ascontiguousarray(S.T), np.ascontiguousarray(eta.T)
     n = len(S_t)
     Y = np.empty_like(S)
-    if traces:
-        X = [np.empty_like(S) for _ in loops]
-        theta_hat = [np.empty_like(S) for _ in loops]
-    else:
-        power = np.empty((K, n))
+    power = np.empty((K, n))
+    X = np.empty((K, *S.shape)) if traces else None
+    theta_hat = np.full((K, *S.shape), np.nan) if traces else None
     eps, th = [], []
     for k in range(n):
         s = S_t[k]
@@ -309,43 +300,35 @@ def _closed_loop(lam, loops, S, eta, traces):
         if k < K:
             eps.append((y - send - lam * s) / amp)
             th.append(y / amp)
-            if traces:
-                theta_hat[k][:, :k] = np.nan
         else:
             z = y - lam * s
         for u, (_, _, _, _, mu) in enumerate(loops[:k]):
             if k >= K:
                 eps[u] = eps[u] - mu[k] * z
             th[u] = th[u] - mu[k] * y
+        power[:, k] = [_power_sum(x) for x in xs]
         if traces:
-            for trace, row in [*zip(X, xs), *zip(theta_hat, th)]:
-                trace[:, k] = row
-        else:
-            power[:, k] = [_power_sum(x) for x in xs]
-    if traces:
-        return X, Y, theta_hat, eps
-    return list(power), Y, th, eps
+            X[:, :, k], theta_hat[:len(th), :, k] = xs, th
+    return ClosedLoop(power, Y, np.array(th), np.array(eps), X, theta_hat)
 
 
 def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta, traces=True):
-    """Vectorized closed loop over a batch of independent blocks.
-
-    ``theta`` has shape (B,), ``S`` and ``eta`` shape (B, n). Returns the
-    (B, n) traces X, Y, theta_hat and the final (B,) tracking error: the
-    one-encoder :func:`_closed_loop`, bit for bit ``tests/stepwise.py``.
-    Without ``traces``, X and theta_hat come back reduced as that function
-    says.
-    """
+    """Vectorized closed loop over a batch of independent blocks: the
+    one-encoder :class:`ClosedLoop` of :func:`_closed_loop` for ``theta`` of
+    shape (B,) and ``S``, ``eta`` of shape (B, n), bit for bit ``tests/stepwise.py``."""
     loop = (theta, coeffs.message_amp, coeffs.state_coef, coeffs.gain, coeffs.mu)
-    X, Y, theta_hat, eps = _closed_loop(coeffs.omega, [loop], S, eta, traces)
-    return *X, Y, *theta_hat, *eps
+    return _closed_loop(coeffs.omega, [loop], S, eta, traces)
 
 
-def simulate_forwarding_batch(params: DpcParams, gamma, S, eta):
-    """Vectorized no-message path (gamma*P = 0): pure state forwarding."""
+def simulate_forwarding_batch(params: DpcParams, gamma, S, eta, traces=True):
+    """Vectorized no-message path (gamma*P = 0), pure state forwarding: the
+    one-encoder :class:`ClosedLoop` of (B, n) blocks ``S``, ``eta`` whose
+    estimates and tracking errors are all 0."""
     X = state_forward_coefficient(params, gamma) * S
-    Y = X + S + eta
-    return X, Y
+    Y = X + S
+    Y += eta  # in place, so Y stays row-major when eta is a slot-major view
+    traced = (X[None], np.zeros((1, *S.shape))) if traces else (None, None)
+    return ClosedLoop(_power_sum(X.T)[None], Y, *np.zeros((2, 1, len(S))), *traced)
 
 
 def decode_batch(theta_hat_final, M):

@@ -44,7 +44,7 @@ import numpy as np
 from . import regions
 from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
 from .params import MacParams, check_fraction, resolve_block
-from .sk_dpc import _closed_loop, _reduced, decode_batch, message_to_theta
+from .sk_dpc import _closed_loop, decode_batch, message_to_theta
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,10 +101,12 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
 
     A block long enough to take alpha1*alpha2 below float64's normal range,
     where the correlation c12/sqrt(alpha1 alpha2) can no longer be formed,
-    is rejected with ConfigError naming the longest block these parameters
-    support. A gamma*P1 or beta*P2 so small that the first variance
-    sigma2/(12 gamma P1) or sigma2/(12 beta P2) overflows is rejected as well,
-    and so is one so large that a variance update cancels to <= 0.
+    or either variance so low that its next gain sqrt(gamma P1 / alpha1) or
+    sqrt(beta P2 / alpha2) overflows, is rejected with ConfigError naming
+    the longest block these parameters support. A gamma*P1 or beta*P2 so
+    small that the first variance sigma2/(12 gamma P1) or sigma2/(12 beta P2)
+    overflows is rejected as well, and so is one so large that a variance
+    update cancels to <= 0.
     """
     gamma = check_fraction("gamma", gamma)
     beta = check_fraction("beta", beta)
@@ -140,6 +142,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
                 f"{power} is too small: the first error variance overflows float64", field=name
             )
     c12 = 0.0
+    floor1, floor2 = (max(sys.float_info.min, p / sys.float_info.max) for p in (A, B))
     alpha1[0] = alpha1[1] = a1
     alpha2[1] = a2
     rho[1] = rho_raw[1] = 0.0
@@ -167,7 +170,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
                 f"update cancels in float64 at step {k + 1}",
                 field=name,
             )
-        if a1 * a2 < sys.float_info.min:
+        if a1 * a2 < sys.float_info.min or a1 < floor1 or a2 < floor2:
             raise ConfigError(
                 f"n = {n} is too long for these parameters: the error covariance "
                 f"underflows float64 at step {k + 1}; the longest block is n = {k}",
@@ -244,34 +247,28 @@ def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta, traces=True
 
     ``W1``, ``W2`` have shape (B,) and ``S``, ``eta`` shape (B, n).
     Returns a :class:`MacSchemeTrace` of (B,) messages, (B, n) traces and
-    each encoder's per-slot power summed over the batch. With ``traces``
-    false it stores no X or theta_hat trace and leaves those fields None.
+    each encoder's per-slot power summed over the batch; X1, X2 and the
+    theta_hat traces are None unless ``traces`` is set.
     """
-    X1, X2, Y, th1, th2, _, _ = simulate_mac_batch(
-        coeffs, message_to_theta(W1, M1), message_to_theta(W2, M2), S, eta, traces
-    )
-    X1, th1, power1, final1 = _reduced(X1, th1, traces)
-    X2, th2, power2, final2 = _reduced(X2, th2, traces)
-    W1_hat, W2_hat = mac_decode_batch(final1, final2, M1, M2)
+    thetas = message_to_theta(W1, M1), message_to_theta(W2, M2)
+    loop = simulate_mac_batch(coeffs, *thetas, S, eta, traces)
+    W1_hat, W2_hat = mac_decode_batch(*loop.theta_final, M1, M2)
+    X1, X2, th1, th2 = [*loop.X, *loop.theta_hat] if traces else [None] * 4
     return MacSchemeTrace(
-        W1=W1, W2=W2, W1_hat=W1_hat, W2_hat=W2_hat, M1=M1, M2=M2, X1=X1, X2=X2, Y=Y,
-        theta1_hat=th1, theta2_hat=th2, S=S, S_hat=coeffs.est_coef * Y,
-        power1=power1, power2=power2,
+        W1=W1, W2=W2, W1_hat=W1_hat, W2_hat=W2_hat, M1=M1, M2=M2, X1=X1, X2=X2, Y=loop.Y,
+        theta1_hat=th1, theta2_hat=th2, S=S, S_hat=coeffs.est_coef * loop.Y,
+        power1=loop.power[0], power2=loop.power[1],
     )
 
 
 def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta, traces=True):
-    """Vectorized closed loop over a batch of independent blocks.
-
-    Returns (X1, X2, Y, th1, th2, eps1, eps2); traces are (B, n), the final
-    tracking errors (B,): the two-encoder :func:`dpsk.sk_dpc._closed_loop`,
-    bit for bit ``tests/stepwise.py``. Without ``traces``, X1, X2, th1 and
-    th2 come back reduced as that function says.
-    """
+    """Vectorized closed loop over a batch of independent blocks: the
+    two-encoder :class:`dpsk.sk_dpc.ClosedLoop` of :func:`dpsk.sk_dpc._closed_loop`
+    for ``theta1``, ``theta2`` of shape (B,) and ``S``, ``eta`` of shape (B, n),
+    bit for bit ``tests/stepwise.py``."""
     loops = [(theta1, coeffs.message_amp1, coeffs.state_coef1, coeffs.gain1, coeffs.mu1),
              (theta2, coeffs.message_amp2, coeffs.state_coef2, coeffs.gain2, coeffs.mu2)]
-    X, Y, theta_hat, eps = _closed_loop(coeffs.lam, loops, S, eta, traces)
-    return *X, Y, *theta_hat, *eps
+    return _closed_loop(coeffs.lam, loops, S, eta, traces)
 
 
 def mac_decode_batch(th1_final, th2_final, M1, M2):

@@ -456,6 +456,36 @@ def test_long_blocks_are_rejected(capsys, scheme):
     assert "NaN" not in out and "Infinity" not in out
 
 
+def test_a_mac_variance_that_outruns_its_gain_is_rejected(capsys):
+    # alpha1 falls to about 4e-301 while alpha2 stays near 1, so alpha1*alpha2
+    # stays normal but gamma*P1/alpha1 overflows: the gain went inf and the
+    # report read NaN with exit 0
+    argv = ["simulate", "mac", "--P1", "1e12", "--P2", "1", "--Q", "1e50", "--sigma2", "10",
+            "--gamma", "0.5", "--beta", "0.5", "--trials", "3", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, "--n", "30")
+    assert code == 2 and out == ""
+    assert err.rstrip().endswith("the longest block is n = 28")
+    code, out, _ = run_cli(capsys, *argv, "--n", "28")
+    assert code == 0
+    assert "NaN" not in out and "Infinity" not in out
+
+
+BAD_GRIDS = {
+    "grid": ["sweep", "dpc", "--P", "10", "--Q", "10", "--sigma2", "5", "--n", "10",
+             "--trials", "5", "--grid", "2.5"],
+    "beta-grid": ["region", "mac-fb", *CHANNEL_MAC, "--beta-grid", "1e3"],
+    "rho-grid": ["region", "mac-fb", *CHANNEL_MAC, "--rho-grid", "x"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_a_bad_grid_size_fails_like_a_bad_key(capsys, name):
+    # grid flags once took argparse's int and ended in its usage text
+    code, out, err = run_cli(capsys, *BAD_GRIDS[name])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be a positive integer") and err.count("\n") == 1
+
+
 TINY_SPLIT = {
     "dpc": ["--P", "10", "--Q", "10", "--sigma2", "5"],
     "mac": CHANNEL_MAC + ["--beta", "0.5"],

@@ -5,7 +5,9 @@
 it charges to the kernels and decoders. The tracer wraps every public
 function defined in an ``ALL_PUBLIC`` module and nothing else there, so a
 renamed, inlined or privatized function would otherwise surface only in a
-traced benchmark run. Both files are read as they are.
+traced benchmark run. The kernels must also return a tuple of arrays, the
+only result whose outputs the tracer's ``kernel_mb_computed`` counts. Both
+files are read as they are.
 """
 
 import importlib
@@ -13,7 +15,11 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
+
+from dpsk import sk_dpc, sk_dpmac
+from dpsk.params import DpcParams, MacParams
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,3 +61,38 @@ def test_every_benchmark_target_resolves_and_is_wrapped(run):
         ):
             unwrapped.append(name)
     assert missing == [] and unwrapped == []
+
+
+def _kernel_calls():
+    """A call of each batch kernel on a 3-block batch of n = 5, by its name."""
+    S, eta = np.random.default_rng(0).standard_normal((2, 3, 5))
+    theta = np.zeros(3)
+    dpc = DpcParams(P=10, Q=10, sigma2=5)
+    message = sk_dpc.compute_coefficients(dpc, 0.5, 5)
+    mac = sk_dpmac.mac_coefficients(MacParams(P1=10, P2=10, Q=10, sigma2=5), 0.8, 0.8, 5)
+    return {
+        "sk_dpc.simulate_message_batch":
+            lambda traces: sk_dpc.simulate_message_batch(message, theta, S, eta, traces),
+        "sk_dpc.simulate_forwarding_batch":
+            lambda traces: sk_dpc.simulate_forwarding_batch(dpc, 0.0, S, eta, traces),
+        "sk_dpmac.simulate_mac_batch":
+            lambda traces: sk_dpmac.simulate_mac_batch(mac, theta, theta, S, eta, traces),
+    }
+
+
+@pytest.mark.parametrize("traces", [True, False])
+def test_every_kernel_returns_a_tuple_of_arrays_the_tracer_counts(run, traces):
+    # kernel_mb_computed counts the ndarray items of a kernel's tuple result
+    # only, so a result of another type, or with arrays nested deeper, would
+    # silently drop its outputs from that metric
+    calls = _kernel_calls()
+    assert sorted(calls) == sorted(name for names in run.tracer.KERNELS.values()
+                                   for name in names)
+    for name, call in calls.items():
+        result = call(traces)
+        assert isinstance(result, tuple), name
+        assert all(item is None or isinstance(item, np.ndarray) for item in result), name
+        outputs = sum(item.nbytes for item in result if item is not None)
+        assert run.tracer._array_bytes((), {}, result) == outputs > 0, name
+        # the traces are stored only on request
+        assert (result.X is None) == (result.theta_hat is None) == (not traces), name

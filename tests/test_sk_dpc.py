@@ -282,9 +282,9 @@ def test_short_monte_carlo_tracks_theory():
     S = rng.normal(0.0, math.sqrt(ACC.Q), size=(trials, n))
     eta = rng.normal(0.0, math.sqrt(ACC.sigma2), size=(trials, n))
     theta = np.full(trials, sk_dpc.message_to_theta(3, 8))
-    _, Y, _, eps = sk_dpc.simulate_message_batch(coeffs, theta, S, eta)
-    assert float(np.var(eps)) == pytest.approx(coeffs.alpha[-1], rel=0.1)
-    s_hat = sk_dpc.estimate_state(Y, sk_dpc.estimation_coefficient(ACC, 0.5))
+    loop = sk_dpc.simulate_message_batch(coeffs, theta, S, eta)
+    assert float(np.var(loop.eps)) == pytest.approx(coeffs.alpha[-1], rel=0.1)
+    s_hat = sk_dpc.estimate_state(loop.Y, sk_dpc.estimation_coefficient(ACC, 0.5))
     d_emp = float(np.mean((S - s_hat) ** 2))
     d_target = regions.finite_n_distortion(ACC.Q, n, regions.dpc_min_distortion(ACC, 0.5), 1)
     assert d_emp == pytest.approx(d_target, rel=0.05)
