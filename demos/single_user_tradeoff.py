@@ -54,8 +54,8 @@ def show_cancellation():
     theta = sk_dpc.message_to_theta(11, M)
     print(f"zero-noise block, message 11 of {M}:")
     print(f"  theta sent      {theta:+.12f}")
-    print(f"  theta decoded   {trace.theta_hat[0, -1]:+.12f}")
-    print(f"  message decoded {trace.W_hat[0]}")
+    print(f"  theta decoded   {trace.theta_hat[0, 0, -1]:+.12f}")
+    print(f"  message decoded {trace.W_hat[0, 0]}")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .regions import (
     solve_rho_star,
 )
 from .sk_dpc import SchemeTrace, compute_coefficients
-from .sk_dpmac import MacSchemeTrace, mac_coefficients
+from .sk_dpmac import mac_coefficients
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "DpskError",
     "ExperimentReport",
     "MacParams",
-    "MacSchemeTrace",
     "NoisyObsParams",
     "PowerSplit",
     "RandomPlan",

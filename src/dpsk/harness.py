@@ -179,53 +179,56 @@ class ExperimentReport:
         return dataclasses.asdict(self)
 
 
-def _simulate(params, n, trials, plan, users, run_batch, trace_writer):
+#: Per-user name suffixes of the report keys and trace columns, by user count.
+_SUFFIXES = {1: ("",), 2: ("1", "2")}
+
+
+def _simulate(params, n, trials, plan, run_batch, trace_writer):
     """Draw, simulate and reduce every batch of trials in order.
 
     ``run_batch(start, stop, S, eta, traces)`` draws the messages (and any
-    other draw the scheme needs) of trials start..stop-1, runs the scheme's
-    batch runner on them and returns its trace record with one
-    ``(W, W_hat, power)`` per user, ``power`` being the runner's per-slot
-    power summed over the batch; ``users`` is 1 or 2. The runner stores its
-    (B, n) X and theta_hat traces only when ``traces`` is set, that is,
-    when there is a ``trace_writer`` to hand them to. Collects per-user
-    error flags (users, trials), per-trial squared estimation errors and
-    per-user symbol power sums (users, n), and returns the report's
-    measured block built from them by :func:`_empirical`.
+    other draw the scheme needs) of trials start..stop-1 and returns the
+    :class:`dpsk.sk_dpc.SchemeTrace` of the scheme's batch runner on them,
+    with K = ``len(params.SPLIT)`` encoders. The runner stores its X and
+    theta_hat traces only when ``traces`` is set, that is, when there is a
+    ``trace_writer`` to hand them to, one column per user. Collects per-user
+    error flags (K, trials), per-trial squared estimation errors and
+    per-user symbol power sums (K, n), and returns the report's measured
+    block built from them by :func:`_empirical`.
     """
-    errors = np.zeros((users, trials), dtype=bool)
+    suffixes = _SUFFIXES[len(params.SPLIT)]
+    errors = np.zeros((len(suffixes), trials), dtype=bool)
     sq_err = np.empty(trials)
-    power_sums = np.zeros((users, n))
+    power_sums = np.zeros((len(suffixes), n))
     traces = trace_writer is not None
 
     for start, stop in _spans(trials):
         S = _draw_normals(plan, start, stop, n, math.sqrt(params.Q), STATE)
         eta = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), NOISE)
-        trace, per_user = run_batch(start, stop, S, eta, traces)
-        for user, (w, w_hat, power) in enumerate(per_user):
-            errors[user, start:stop] = w_hat != w
-            power_sums[user] += power
+        trace = run_batch(start, stop, S, eta, traces)
+        errors[:, start:stop] = trace.W_hat != trace.W
+        power_sums += trace.power
         sq_err[start:stop] = np.mean((S - trace.S_hat) ** 2, axis=1)
-        if trace_writer is not None:
-            # the per-symbol (B, n) fields of the trace record, in field order
-            columns = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)
-                       if np.ndim(getattr(trace, f.name)) == 2}
+        if traces:
+            columns = {**{f"X{s}": x for s, x in zip(suffixes, trace.X)}, "Y": trace.Y,
+                       **{f"theta{s}_hat": th for s, th in zip(suffixes, trace.theta_hat)},
+                       "S": trace.S, "S_hat": trace.S_hat}
             for i, trial in enumerate(range(start, stop)):
                 trace_writer(trial, {name: column[i] for name, column in columns.items()})
         # free the kernel's (B, n) outputs before the next draw; the draws
         # themselves stay with the plan until it draws that component again
-        del trace, per_user
+        del trace
     return _empirical(errors, sq_err, power_sums, trials)
 
 
 def _empirical(errors, sq_err, power_sums, trials):
     """The report's measured block for one or two users.
 
-    Per-user keys carry no suffix with one user and 1/2 with two. Steady
+    Per-user keys carry the :data:`_SUFFIXES` of the user count. Steady
     power skips the slots in which the loops start, one per user.
     """
     users = len(errors)
-    suffixes = ("",) if users == 1 else ("1", "2")
+    suffixes = _SUFFIXES[users]
     per_symbol = power_sums / trials
     rows = list(zip(suffixes, per_symbol))
     empirical = {}
@@ -248,10 +251,9 @@ def _run_dpc(params, split, block, trials, plan, paper_sgn, trace_writer):
 
     def run_batch(start, stop, S, eta, traces):
         W = _draw_messages(plan, start, stop, M, MSG)
-        trace = sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta, traces=traces)
-        return trace, ((W, trace.W_hat, trace.power),)
+        return sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta, traces=traces)
 
-    empirical = _simulate(params, block.n, trials, plan, 1, run_batch, trace_writer)
+    empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)
     forwarded = sk_dpc.state_forward_coefficient(params, gamma) ** 2 * params.Q
     d_step = regions.dpc_min_distortion(params, gamma)
     message_path = coeffs is not None
@@ -280,10 +282,9 @@ def _run_noisy(params, split, block, trials, plan, paper_sgn, trace_writer):
     def run_batch(start, stop, S, eta, traces):
         W = _draw_messages(plan, start, stop, M, MSG)
         Z = _draw_normals(plan, start, stop, block.n, math.sqrt(params.sigma_z2), OBS_NOISE)
-        trace = noisy_obs.noisy_run_batch(params, gamma, M, coeffs, W, S, Z, eta, traces=traces)
-        return trace, ((W, trace.W_hat, trace.power),)
+        return noisy_obs.noisy_run_batch(params, gamma, M, coeffs, W, S, Z, eta, traces=traces)
 
-    empirical = _simulate(params, block.n, trials, plan, 1, run_batch, trace_writer)
+    empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)
     forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
     bound_step = regions.noisy_min_distortion(params, gamma)
     scheme_step = noisy_obs.scheme_step_distortion(params, gamma)
@@ -321,10 +322,9 @@ def _run_mac(params, split, block, trials, plan, paper_sgn, trace_writer):
     def run_batch(start, stop, S, eta, traces):
         W1 = _draw_messages(plan, start, stop, M1, MSG)
         W2 = _draw_messages(plan, start, stop, M2, MSG2)
-        trace = sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta, traces=traces)
-        return trace, ((W1, trace.W1_hat, trace.power1), (W2, trace.W2_hat, trace.power2))
+        return sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta, traces=traces)
 
-    empirical = _simulate(params, block.n, trials, plan, 2, run_batch, trace_writer)
+    empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)
     rho_final = float(coeffs.rho[-1])
     theory = {
         "rho_star": caps.rho,

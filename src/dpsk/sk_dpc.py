@@ -83,16 +83,34 @@ def state_forward_coefficient(params: DpcParams, gamma):
     return math.sqrt((1.0 - gamma) * params.P / params.Q)
 
 
+def _check_variance(alpha, step, n, power, s2, field, label, noise="sigma2"):
+    """Reject the error variance ``alpha`` after ``step`` of an n-step loop
+    whose message power ``power`` is named ``label`` and set by ``field``:
+    one cancelled to <= 0, quoting the power over the noise ``s2`` named
+    ``noise``, and one under the floor max(float_info.min, power /
+    float_info.max), naming the limit that fired: the next gain sqrt(power /
+    alpha) overflows, or alpha underflows."""
+    if alpha <= 0.0:
+        raise ConfigError(f"{label}/{noise} = {power / s2:.3g} is too large: the error variance "
+                          f"update cancels in float64 at step {step}", field=field)
+    if alpha < max(sys.float_info.min, power / sys.float_info.max):
+        limit = (f"the gain sqrt({label}/variance) overflows float64 after step {step}"
+                 if alpha < power / sys.float_info.max
+                 else f"the error variance underflows float64 at step {step}")
+        raise ConfigError(f"n = {n} is too long for these parameters: {limit}; "
+                          f"the longest block is n = {step - 1}", field="n")
+
+
 def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     """Evaluate the mu/alpha recursion for an n-step block.
 
-    ``alpha`` decays geometrically; a block long enough to take it below
-    float64's normal range, or so low that the next gain sqrt(gamma P /
-    alpha) overflows, is rejected with ConfigError naming the longest
-    block these parameters support. A gamma*P so small that the first
-    variance sigma2/(12 gamma P) overflows is rejected as well, and so is a
-    gamma*P/sigma2 so large that a variance update cancels to <= 0;
-    ``noise`` is the name that message gives ``params.sigma2``.
+    ``alpha`` decays geometrically; :func:`_check_variance` rejects a block
+    long enough to take it below float64's normal range, or so low that the
+    next gain sqrt(gamma P / alpha) overflows, naming the longest block
+    these parameters support, and a gamma*P/sigma2 so large that a variance
+    update cancels to <= 0, calling ``params.sigma2`` ``noise``. A gamma*P
+    so small that the first variance sigma2/(12 gamma P) overflows is
+    rejected as well.
     """
     check_fraction("gamma", gamma)
     if n < 2:
@@ -111,23 +129,11 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
             "sigma2/(12 gamma P) overflows float64",
             field="gamma",
         )
-    alpha_floor = max(sys.float_info.min, gp / sys.float_info.max)
     for k in range(1, n):
         mu[k] = math.sqrt(gp * alpha[k - 1]) / (gp + s2)
         alpha[k] = alpha[k - 1] - mu[k] ** 2 * (gp + s2)
         gain[k] = math.sqrt(gp / alpha[k - 1])
-        if alpha[k] <= 0.0:
-            raise ConfigError(
-                f"gamma*P/{noise} = {gp / s2:.3g} is too large: the error variance "
-                f"update cancels in float64 at step {k + 1}",
-                field="gamma",
-            )
-        if alpha[k] < alpha_floor:
-            raise ConfigError(
-                f"n = {n} is too long for these parameters: the error variance "
-                f"underflows float64 at step {k + 1}; the longest block is n = {k}",
-                field="n",
-            )
+        _check_variance(alpha[k], k + 1, n, gp, s2, "gamma", "gamma*P", noise)
     state_coef = state_forward_coefficient(params, gamma)
     return SkCoefficients(
         params=params,
@@ -179,13 +185,16 @@ def estimate_state(Y, weight):
 
 @dataclasses.dataclass(frozen=True)
 class SchemeTrace:
-    """Everything observable from a batch of B simulated blocks: (B,)
-    message arrays, (B, n) traces and the (n,) per-slot power of X summed
-    over the batch in trial order."""
+    """Everything observable from a batch of B simulated blocks of n slots,
+    laid out like :data:`ClosedLoop` for K = 1 or 2 encoders: the (K, B)
+    messages and decisions, the K message-set sizes, the (K, B, n) X and
+    theta_hat traces, or None when the runner was not asked for traces, the
+    (B, n) Y, S and S_hat, and the (K, n) per-slot power of each encoder's X
+    summed over the batch in trial order."""
 
     W: np.ndarray
     W_hat: np.ndarray
-    M: int
+    M: tuple
     X: np.ndarray
     Y: np.ndarray
     theta_hat: np.ndarray
@@ -223,8 +232,9 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
     (B,) and ``S``, ``eta`` shape (B, n). ``weight`` is the receiver's
     state-estimation weight; it defaults to :func:`estimation_coefficient`.
     Decodes and estimates from the :class:`ClosedLoop` of the message
-    kernel, or of the forwarding one when ``coeffs`` is None, and returns a
-    :class:`SchemeTrace`, whose X and theta_hat are None unless ``traces``.
+    kernel, or of the forwarding one when ``coeffs`` is None, and returns
+    the one-encoder :class:`SchemeTrace`, whose X and theta_hat are None
+    unless ``traces``.
     """
     theta = message_to_theta(W, M)
     if coeffs is None:
@@ -235,17 +245,16 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
         loop = simulate_message_batch(coeffs, theta, S, eta, traces)
     if weight is None:
         weight = estimation_coefficient(params, gamma)
-    X, theta_hat = (loop.X[0], loop.theta_hat[0]) if traces else (None, None)
-    return SchemeTrace(W=W, W_hat=decode_batch(loop.theta_final[0], M), M=M, X=X, Y=loop.Y,
-                       theta_hat=theta_hat, S=S, S_hat=estimate_state(loop.Y, weight),
-                       power=loop.power[0])
+    return SchemeTrace(W=W[None], W_hat=decode_batch(loop.theta_final, M), M=(M,), X=loop.X,
+                       Y=loop.Y, theta_hat=loop.theta_hat, S=S,
+                       S_hat=estimate_state(loop.Y, weight), power=loop.power)
 
 
 def _power_sum(x):
-    """Sum of x² over the last axis, the trials of a slot-major row or
-    (n, B) block, adding them one by one in order: the bits of
-    ``np.sum(X * X, axis=0)`` on the row-major (B, n) batch X, where
-    ``np.sum`` over a contiguous axis would add pairwise."""
+    """Sum of x² over the last axis, the trials of a slot-major row, adding
+    them one by one in order: the bits of ``np.sum(X * X, axis=0)`` on the
+    row-major (B, n) batch X, where ``np.sum`` over a contiguous axis would
+    add pairwise."""
     if not x.shape[-1]:
         return np.zeros(x.shape[:-1])
     return np.cumsum(x * x, axis=-1)[..., -1]
@@ -328,7 +337,8 @@ def simulate_forwarding_batch(params: DpcParams, gamma, S, eta, traces=True):
     Y = X + S
     Y += eta  # in place, so Y stays row-major when eta is a slot-major view
     traced = (X[None], np.zeros((1, *S.shape))) if traces else (None, None)
-    return ClosedLoop(_power_sum(X.T)[None], Y, *np.zeros((2, 1, len(S))), *traced)
+    # down the rows of a row-major X of n >= 2 slots np.sum adds the trials in order
+    return ClosedLoop(np.sum(X * X, axis=0)[None], Y, *np.zeros((2, 1, len(S))), *traced)
 
 
 def decode_batch(theta_hat_final, M):

@@ -44,7 +44,7 @@ import numpy as np
 from . import regions
 from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
 from .params import MacParams, check_fraction, resolve_block
-from .sk_dpc import _closed_loop, decode_batch, message_to_theta
+from .sk_dpc import SchemeTrace, _check_variance, _closed_loop, decode_batch, message_to_theta
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,12 +101,12 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
 
     A block long enough to take alpha1*alpha2 below float64's normal range,
     where the correlation c12/sqrt(alpha1 alpha2) can no longer be formed,
-    or either variance so low that its next gain sqrt(gamma P1 / alpha1) or
-    sqrt(beta P2 / alpha2) overflows, is rejected with ConfigError naming
-    the longest block these parameters support. A gamma*P1 or beta*P2 so
-    small that the first variance sigma2/(12 gamma P1) or sigma2/(12 beta P2)
-    overflows is rejected as well, and so is one so large that a variance
-    update cancels to <= 0.
+    is rejected with ConfigError naming the longest block these parameters
+    support; :func:`dpsk.sk_dpc._check_variance` rejects, per encoder, a
+    variance so low that its next gain sqrt(gamma P1 / alpha1) or
+    sqrt(beta P2 / alpha2) overflows, or one whose update cancels to <= 0.
+    A gamma*P1 or beta*P2 so small that the first variance
+    sigma2/(12 gamma P1) or sigma2/(12 beta P2) overflows is rejected as well.
     """
     gamma = check_fraction("gamma", gamma)
     beta = check_fraction("beta", beta)
@@ -142,7 +142,6 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
                 f"{power} is too small: the first error variance overflows float64", field=name
             )
     c12 = 0.0
-    floor1, floor2 = (max(sys.float_info.min, p / sys.float_info.max) for p in (A, B))
     alpha1[0] = alpha1[1] = a1
     alpha2[1] = a2
     rho[1] = rho_raw[1] = 0.0
@@ -163,17 +162,13 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
         a1 = a1 - e1 * e1 / v
         a2 = a2 - e2 * e2 / v
         c12 = c12 - e1 * e2 / v
-        if min(a1, a2) <= 0.0:
-            name, label, power = ("gamma", "gamma*P1", A) if a1 <= 0.0 else ("beta", "beta*P2", B)
+        _check_variance(a1, k + 1, n, A, s2, "gamma", "gamma*P1")
+        _check_variance(a2, k + 1, n, B, s2, "beta", "beta*P2")
+        if a1 * a2 < sys.float_info.min:
             raise ConfigError(
-                f"{label}/sigma2 = {power / s2:.3g} is too large: the error variance "
-                f"update cancels in float64 at step {k + 1}",
-                field=name,
-            )
-        if a1 * a2 < sys.float_info.min or a1 < floor1 or a2 < floor2:
-            raise ConfigError(
-                f"n = {n} is too long for these parameters: the error covariance "
-                f"underflows float64 at step {k + 1}; the longest block is n = {k}",
+                f"n = {n} is too long for these parameters: alpha1*alpha2 underflows "
+                f"float64 at step {k + 1}, so the correlation c12/sqrt(alpha1 alpha2) "
+                f"cannot be formed; the longest block is n = {k}",
                 field="n",
             )
         alpha1[k] = a1
@@ -209,29 +204,6 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class MacSchemeTrace:
-    """Everything observable from a batch of B simulated two-encoder blocks:
-    (B,) message arrays, (B, n) traces and each encoder's (n,) per-slot
-    power summed over the batch in trial order."""
-
-    W1: np.ndarray
-    W2: np.ndarray
-    W1_hat: np.ndarray
-    W2_hat: np.ndarray
-    M1: int
-    M2: int
-    X1: np.ndarray
-    X2: np.ndarray
-    Y: np.ndarray
-    theta1_hat: np.ndarray
-    theta2_hat: np.ndarray
-    S: np.ndarray
-    S_hat: np.ndarray
-    power1: np.ndarray
-    power2: np.ndarray
-
-
 def resolve_mac_rates(params: MacParams, gamma, beta, block):
     """Per-user (rate, M) pairs resolved against the rate caps at rho*, and the
     :class:`dpsk.regions.MacRegionConstraints` record at rho* (``.rho``) they come from."""
@@ -246,19 +218,15 @@ def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta, traces=True
     """Simulate a batch of two-encoder blocks from supplied draws.
 
     ``W1``, ``W2`` have shape (B,) and ``S``, ``eta`` shape (B, n).
-    Returns a :class:`MacSchemeTrace` of (B,) messages, (B, n) traces and
-    each encoder's per-slot power summed over the batch; X1, X2 and the
-    theta_hat traces are None unless ``traces`` is set.
+    Returns the two-encoder :class:`dpsk.sk_dpc.SchemeTrace`, whose X and
+    theta_hat are None unless ``traces``.
     """
     thetas = message_to_theta(W1, M1), message_to_theta(W2, M2)
     loop = simulate_mac_batch(coeffs, *thetas, S, eta, traces)
-    W1_hat, W2_hat = mac_decode_batch(*loop.theta_final, M1, M2)
-    X1, X2, th1, th2 = [*loop.X, *loop.theta_hat] if traces else [None] * 4
-    return MacSchemeTrace(
-        W1=W1, W2=W2, W1_hat=W1_hat, W2_hat=W2_hat, M1=M1, M2=M2, X1=X1, X2=X2, Y=loop.Y,
-        theta1_hat=th1, theta2_hat=th2, S=S, S_hat=coeffs.est_coef * loop.Y,
-        power1=loop.power[0], power2=loop.power[1],
-    )
+    W_hat = np.stack(mac_decode_batch(*loop.theta_final, M1, M2))
+    return SchemeTrace(W=np.stack([W1, W2]), W_hat=W_hat, M=(M1, M2), X=loop.X, Y=loop.Y,
+                       theta_hat=loop.theta_hat, S=S, S_hat=coeffs.est_coef * loop.Y,
+                       power=loop.power)
 
 
 def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta, traces=True):

@@ -55,8 +55,8 @@ def test_criterion_01_offset_cancellation_zero_noise():
     for w in range(1, M + 1):
         # each message runs as a batch of one
         trace = sk_dpc.run_batch(DPC, 0.5, M, coeffs, np.array([w]), S, eta)
-        worst = max(worst, abs(trace.theta_hat[0, -1] - sk_dpc.message_to_theta(w, M)))
-        exact += trace.W_hat[0] == w
+        worst = max(worst, abs(trace.theta_hat[0, 0, -1] - sk_dpc.message_to_theta(w, M)))
+        exact += trace.W_hat[0, 0] == w
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and exact == M and elapsed < 1.0
     _report(1, "offset cancellation with zero noise", ok,
@@ -198,7 +198,7 @@ def test_criterion_09_mac_zero_noise_exact_decode():
             # each message pair runs as a batch of one
             W1, W2 = np.array([w1]), np.array([w2])
             trace = sk_dpmac.mac_run_batch(coeffs, M, M, W1, W2, S, eta)
-            exact += (trace.W1_hat[0], trace.W2_hat[0]) == (w1, w2)
+            exact += (trace.W_hat[0, 0], trace.W_hat[1, 0]) == (w1, w2)
     _report(9, "two-encoder exact decode with zero noise", exact == M * M,
             f"{exact}/{M * M} message pairs decoded exactly")
 

@@ -3,6 +3,10 @@
 Each command of ``perfbench/run.py`` runs in-process at program seed 7 and
 its output, plus the per-trial trace files for ``dump-traces``, is hashed
 the way the benchmark hashes it and compared with ``perfbench/goldens.json``.
+With ``DPSK_GOLDEN_SEEDS=all`` in the environment every seed the goldens
+hold (0-15) is checked instead:
+
+    DPSK_GOLDEN_SEEDS=all python -m pytest tests/test_goldens.py
 """
 
 import hashlib
@@ -14,7 +18,7 @@ import pytest
 from dpsk import cli
 
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "goldens.json")
-SEED = "7"
+SEEDS = None if os.environ.get("DPSK_GOLDEN_SEEDS") == "all" else ["7"]
 
 DPC = ["simulate", "dpc", "--P", "10", "--Q", "10", "--sigma2", "5", "--gamma", "0.5",
        "--n", "100", "--rate_fraction", "0.7", "--format", "json"]
@@ -46,12 +50,13 @@ def _digests(stdout_path, trace_dir):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_output_matches_golden(name, tmp_path):
     with open(GOLDENS, encoding="utf-8") as fp:
-        golden = json.load(fp)["outputs"][name][SEED]
-    out = tmp_path / "stdout.txt"
-    argv = WORKLOADS[name] + ["--seed", SEED, "--out", str(out)]
-    trace_dir = None
-    if name == "dump-traces":
-        trace_dir = tmp_path / "traces"
-        argv += ["--dump-traces", str(trace_dir)]
-    assert cli.main(argv) == 0
-    assert _digests(out, trace_dir) == golden
+        goldens = json.load(fp)["outputs"][name]
+    for seed in SEEDS or sorted(goldens, key=int):
+        out = tmp_path / f"stdout-{seed}.txt"
+        argv = WORKLOADS[name] + ["--seed", seed, "--out", str(out)]
+        trace_dir = None
+        if name == "dump-traces":
+            trace_dir = tmp_path / f"traces-{seed}"
+            argv += ["--dump-traces", str(trace_dir)]
+        assert cli.main(argv) == 0, seed
+        assert _digests(out, trace_dir) == goldens[seed], seed

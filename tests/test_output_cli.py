@@ -470,6 +470,27 @@ def test_a_mac_variance_that_outruns_its_gain_is_rejected(capsys):
     assert "NaN" not in out and "Infinity" not in out
 
 
+GAIN_LIMIT = ["mac", "--P1", "1e12", "--P2", "1", "--Q", "1e50", "--sigma2", "10",
+              "--gamma", "0.5", "--beta", "0.5", "--n", "30"]
+
+
+def test_a_long_block_message_names_the_limit_that_fired(capsys):
+    # the per-variance floor max(float_info.min, power/float_info.max) and the
+    # MAC's alpha1*alpha2 bound once all read "underflows float64"
+    dpc, mac = LONG_BLOCKS["dpc"][0], LONG_BLOCKS["mac"][0]
+    cases = [
+        (GAIN_LIMIT, "the gain sqrt(gamma*P1/variance) overflows float64 after step 29", 28),
+        (["mac", *mac, "--n", "450"], "alpha1*alpha2 underflows float64 at step 415", 414),
+        (["dpc", *dpc, "--n", "660"], "the gain sqrt(gamma*P/variance) overflows float64", 642),
+        (["dpc", "--P", "1", "--Q", "10", "--sigma2", "5", "--gamma", "1", "--n", "5000",
+          "--rate", "0.0001"], "the error variance underflows float64 at step 3882", 3881),
+    ]
+    for argv, limit, longest in cases:
+        code, out, err = run_cli(capsys, "simulate", *argv, "--trials", "3")
+        assert code == 2 and out == "", argv
+        assert limit in err and err.rstrip().endswith(f"the longest block is n = {longest}")
+
+
 BAD_GRIDS = {
     "grid": ["sweep", "dpc", "--P", "10", "--Q", "10", "--sigma2", "5", "--n", "10",
              "--trials", "5", "--grid", "2.5"],

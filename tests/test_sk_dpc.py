@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from dpsk import regions, sk_dpc
-from dpsk.errors import DegenerateSplit, LengthMismatch, MessageOutOfRange, SplitOutOfRange
-from dpsk.params import BlockConfig, DpcParams
+from dpsk import noisy_obs, regions, sk_dpc
+from dpsk.errors import (
+    ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange, SplitOutOfRange,
+)
+from dpsk.params import BlockConfig, DpcParams, NoisyObsParams
 
 import stepwise
 from oracles import estimation_coefficient_oracle, sk_coefficient_oracle, time1_power_oracle
@@ -159,6 +163,68 @@ def test_run_block_matches_batch_kernel_bit_for_bit():
                 assert got.W_hat == stepwise.finalize_decode(th[-1], M), case
 
 
+#: Channel values drawn log-uniformly over 1e-3..1e6, and 0 where a value may be 0
+VALUES = st.floats(-3, 6).map(lambda e: 10.0**e)
+MAYBE_ZERO = st.one_of(st.just(0.0), VALUES)
+
+
+def _stepwise_rows(params, gamma, M, W, S, eta):
+    """The stepwise protocol's X, Y, theta_hat and decisions of each row, and
+    the batch's per-slot power summed over the rows in order; gamma*P = 0
+    forwards the state alone, with estimate 0 and the one message."""
+    coeffs = sk_dpc.compute_coefficients(params, gamma, S.shape[1]) if gamma else None
+    rows, power = [], np.zeros(S.shape[1])
+    for w, s, e in zip(W, S, eta):
+        if coeffs is None:
+            X = sk_dpc.state_forward_coefficient(params, gamma) * s
+            Y, th = X + s + e, np.zeros(len(s))
+        else:
+            X, Y, th = _stepwise_block(coeffs, sk_dpc.message_to_theta(w, M), s, e)
+        rows.append((X, Y, th, stepwise.finalize_decode(th[-1], M)))
+        power += X * X
+    return coeffs, rows, power
+
+
+def _assert_rows_match(trace, rows, power):
+    np.testing.assert_array_equal(trace.power[0], power)
+    for i, (X, Y, th, w_hat) in enumerate(rows):
+        got = stepwise.batch_row(trace, i)
+        np.testing.assert_array_equal(got.X, X, err_msg=f"row {i}")
+        np.testing.assert_array_equal(got.Y, Y, err_msg=f"row {i}")
+        np.testing.assert_array_equal(got.theta_hat, th, err_msg=f"row {i}")
+        assert got.W_hat == w_hat, i
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=VALUES, Q=MAYBE_ZERO, sigma2=VALUES, gamma=st.floats(0, 1),
+       n=st.integers(2, 119), M=st.integers(1, 4096), sigma_z2=MAYBE_ZERO,
+       seed=st.integers(0, 2**32 - 1))
+def test_every_runner_row_is_the_stepwise_protocol(P, Q, sigma2, gamma, n, M, sigma_z2, seed):
+    # run_batch and noisy_run_batch against the stepwise protocol, bit for bit,
+    # on accepted configurations; the noisy loop runs the protocol on the
+    # equivalent channel, fed kappa (S + Z) and the noise S - kappa (S + Z) + eta
+    M = M if gamma else 1
+    rng = np.random.default_rng(seed)
+    S, Z, eta = rng.normal(size=(3, 3, n)) * np.sqrt([[[Q]], [[sigma_z2]], [[sigma2]]])
+    W = rng.integers(1, M + 1, size=3)
+    noisy = NoisyObsParams(P, Q, sigma2, sigma_z2) if Q else None
+    try:
+        clean = DpcParams(P, Q, sigma2)
+        coeffs, rows, power = _stepwise_rows(clean, gamma, M, W, S, eta)
+        if noisy is not None:
+            eq = noisy_obs.make_equivalent(noisy)
+            s_eq = regions.observation_weight(noisy) * (S + Z)
+            noisy_rows = _stepwise_rows(eq, gamma, M, W, s_eq, S - s_eq + eta)
+    except (ConfigError, DegenerateSplit):
+        reject()
+    _assert_rows_match(sk_dpc.run_batch(clean, gamma, M, coeffs, W, S, eta), rows, power)
+    if noisy is not None:
+        eq_coeffs, eq_rows, eq_power = noisy_rows
+        trace = noisy_obs.noisy_run_batch(noisy, gamma, M, eq_coeffs, W, S, Z, eta)
+        _assert_rows_match(trace, eq_rows, eq_power)
+        np.testing.assert_array_equal(trace.S, S)
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_run_batch_rejects_misshapen_batches(gamma):
     # on the forwarding path and the message path: three messages for four
@@ -182,7 +248,7 @@ def test_run_batch_rejects_messages_outside_the_set(gamma):
             sk_dpc.run_batch(ACC, gamma, M, coeffs, W, np.ones((2, 4)), np.ones((2, 4)))
     empty = sk_dpc.run_batch(ACC, gamma, M, coeffs, np.ones(0, int), np.ones((0, 4)),
                              np.ones((0, 4)))
-    assert empty.W_hat.shape == (0,)
+    assert empty.W_hat[0].shape == (0,)
 
 
 def test_encoder_enforces_step_order():

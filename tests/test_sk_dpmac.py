@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from dpsk import regions, sk_dpmac
-from dpsk.errors import BlocklengthTooSmall, DegenerateSplit, LengthMismatch, SplitOutOfRange
+from dpsk.errors import (
+    BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, SplitOutOfRange,
+)
 from dpsk.params import BlockConfig, MacParams
 
 import stepwise
@@ -130,7 +134,7 @@ def test_zero_noise_decodes_every_message_pair():
         for w2 in range(1, M + 1):
             W1, W2 = np.array([w1]), np.array([w2])
             trace = stepwise.batch_row(sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta), 0)
-            assert (trace.W1_hat, trace.W2_hat) == (w1, w2)
+            assert (trace.W_hat[0], trace.W_hat[1]) == (w1, w2)
 
 
 def _stepwise_block(coeffs, theta1, theta2, S, eta):
@@ -178,14 +182,52 @@ def test_run_block_matches_batch_kernel_bit_for_bit():
             )
             for trace in (stepwise.batch_row(one, 0), stepwise.batch_row(batch, i)):
                 case = f"{params}, gamma={gamma}, beta={beta}, n={n}, row {i}"
-                np.testing.assert_array_equal(trace.X1, X1, err_msg=case)
-                np.testing.assert_array_equal(trace.X2, X2, err_msg=case)
+                np.testing.assert_array_equal(trace.X[0], X1, err_msg=case)
+                np.testing.assert_array_equal(trace.X[1], X2, err_msg=case)
                 np.testing.assert_array_equal(trace.Y, Y, err_msg=case)
-                np.testing.assert_array_equal(trace.theta1_hat, th1, err_msg=case)
+                np.testing.assert_array_equal(trace.theta_hat[0], th1, err_msg=case)
                 # slot 1 carries no estimate for user 2
-                assert math.isnan(trace.theta2_hat[0]) and math.isnan(th2[0])
-                np.testing.assert_array_equal(trace.theta2_hat[1:], th2[1:], err_msg=case)
-                assert (trace.W1_hat, trace.W2_hat) == (w1_hat, w2_hat), case
+                assert math.isnan(trace.theta_hat[1][0]) and math.isnan(th2[0])
+                np.testing.assert_array_equal(trace.theta_hat[1][1:], th2[1:], err_msg=case)
+                assert (trace.W_hat[0], trace.W_hat[1]) == (w1_hat, w2_hat), case
+
+
+#: Channel values drawn log-uniformly over 1e-3..1e6
+VALUES = st.floats(-3, 6).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P1=VALUES, P2=VALUES, Q=st.one_of(st.just(0.0), VALUES), sigma2=VALUES,
+       gamma=st.floats(0, 1), beta=st.floats(0, 1), paper_sgn=st.booleans(),
+       n=st.integers(3, 119), M1=st.integers(1, 4096), M2=st.integers(1, 4096),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_runner_row_is_the_stepwise_protocol(P1, P2, Q, sigma2, gamma, beta, paper_sgn,
+                                                   n, M1, M2, seed):
+    # mac_run_batch against the stepwise protocol, bit for bit, on accepted
+    # configurations, with the per-slot power of each encoder summed over the
+    # rows in order
+    rng = np.random.default_rng(seed)
+    S, eta = rng.normal(size=(2, 3, n)) * np.sqrt([[[Q]], [[sigma2]]])
+    W1, W2 = rng.integers(1, M1 + 1, size=3), rng.integers(1, M2 + 1, size=3)
+    try:
+        coeffs = sk_dpmac.mac_coefficients(MacParams(P1, P2, Q, sigma2), gamma, beta, n,
+                                           paper_sgn=paper_sgn)
+    except (ConfigError, DegenerateSplit):
+        reject()
+    trace = sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
+    power = np.zeros((2, n))
+    for i in range(3):
+        theta1 = sk_dpmac.message_to_theta(W1[i], M1)
+        theta2 = sk_dpmac.message_to_theta(W2[i], M2)
+        X1, X2, Y = _stepwise_block(coeffs, theta1, theta2, S[i], eta[i])
+        w1_hat, w2_hat, th1, th2 = stepwise.mac_decode(Y, coeffs, M1, M2)
+        power += [X1 * X1, X2 * X2]
+        got = stepwise.batch_row(trace, i)
+        np.testing.assert_array_equal(got.X, [X1, X2], err_msg=f"row {i}")
+        np.testing.assert_array_equal(got.Y, Y, err_msg=f"row {i}")
+        np.testing.assert_array_equal(got.theta_hat, [th1, th2], err_msg=f"row {i}")
+        assert (got.W_hat[0], got.W_hat[1]) == (w1_hat, w2_hat), i
+    np.testing.assert_array_equal(trace.power, power)
 
 
 def test_decoder_slot_behaviour():
