@@ -8,12 +8,12 @@ theta of a uniform grid in (-1/2, 1/2) and refined over n channel uses.
 Power gamma*P drives the message loop; the remaining (1-gamma)*P
 re-transmits the scaled state sqrt((1-gamma)P/Q) * S_t so the receiver can
 estimate S as well. The receiver therefore sees the state through the
-combined gain omega = 1 + sqrt((1-gamma)P/Q).
+combined state gain lam = 1 + sqrt((1-gamma)P/Q).
 
 Everything the receiver will ever learn about the state enters its first
 estimate through the one-shot offset
 
-    O = omega/sqrt(12 gamma P) * S_1 - omega * sum_{i>=2} mu_i S_i,
+    O = lam/sqrt(12 gamma P) * S_1 - lam * sum_{i>=2} mu_i S_i,
 
 which the transmitter can pre-subtract because it knows the whole state
 sequence. X_1 = sqrt(12 gamma P) (theta - O) + sqrt((1-gamma)P/Q) S_1 then
@@ -23,8 +23,8 @@ already cancelled. After step n the receiver's estimate equals
 theta + eps_n where eps_n is the transmitter's tracking error:
 
     eps_1 = eta_1 / sqrt(12 gamma P),         alpha_1 = sigma2/(12 gamma P),
-    eps_t = eps_{t-1} - mu_t (Y_t - omega S_t),
-    mu_t  = E[eps_{t-1}(Y_t - omega S_t)] / E[(Y_t - omega S_t)^2]
+    eps_t = eps_{t-1} - mu_t (Y_t - lam S_t),
+    mu_t  = E[eps_{t-1}(Y_t - lam S_t)] / E[(Y_t - lam S_t)^2]
           = sqrt(gamma P alpha_{t-1}) / (gamma P + sigma2),
     alpha_t = alpha_{t-1} * sigma2 / (gamma P + sigma2).
 
@@ -33,6 +33,10 @@ expectations with X_t's message part at power gamma P; the implementation
 iterates the recursion explicitly rather than substituting the geometric
 closed form, and the tests re-derive every value through an independent
 covariance propagation.
+
+The per-step constants of K encoders go into one record,
+:class:`SkCoefficients` (K = 1 here, 2 in :mod:`dpsk.sk_dpmac`), which one
+closed loop, :func:`_closed_loop`, reads directly.
 """
 
 import collections
@@ -51,28 +55,35 @@ from .params import DpcParams, check_fraction, resolve_block
 
 @dataclasses.dataclass(frozen=True)
 class SkCoefficients:
-    """Deterministic per-step constants of the message loop.
+    """Deterministic per-step constants of the loop of K encoders, laid out
+    like :data:`ClosedLoop`: K = 1 from :func:`compute_coefficients`, 2 in
+    the subclass :class:`dpsk.sk_dpmac.MacSkCoefficients`.
 
-    Arrays have length n and index k refers to time t = k+1, as in the
-    two-encoder record: ``alpha[k]`` is the tracking-error variance after
-    step k+1, ``mu[k]`` its combining weight and ``gain[k]`` the amplitude
-    sqrt(gamma P / alpha_k-1) it applies. Step 1 starts the loop with
-    ``message_amp`` instead, so ``mu[0]`` is 0 and ``gain[0]`` is NaN.
+    ``mu``, ``alpha`` and ``gain`` are (K, n) and index k refers to time
+    t = k+1: ``alpha[u, k]`` is encoder u's tracking-error variance after
+    step k+1 (so per-user alpha_n is ``alpha[:, -1]``), ``mu[u, k]`` its
+    combining weight and ``gain[u, k]`` the amplitude sqrt(power_u /
+    alpha[u, k-1]) it applies. Encoder u starts in slot u with
+    ``message_amp[u]`` and refines from slot K on; ``mu`` is 0 and ``gain``
+    NaN before that. It forwards the state with ``state_coef[u]``, and the
+    receiver sees S through the combined state gain ``lam``.
     """
 
-    params: DpcParams
+    params: object
     gamma: float
     n: int
     mu: np.ndarray
     alpha: np.ndarray
     gain: np.ndarray
-    omega: float
-    state_coef: float
-    message_amp: float
+    lam: float
+    state_coef: np.ndarray
+    message_amp: np.ndarray
 
     def __post_init__(self):
-        for name in ("mu", "alpha", "gain"):
-            getattr(self, name).setflags(write=False)
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def state_forward_coefficient(params: DpcParams, gamma):
@@ -81,6 +92,17 @@ def state_forward_coefficient(params: DpcParams, gamma):
     if params.Q == 0.0:
         return 0.0
     return math.sqrt((1.0 - gamma) * params.P / params.Q)
+
+
+def _first_variance(power, s2, field, label, noise="sigma2"):
+    """The error variance s2/(12 power) after an encoder's first step, for the
+    message power ``power`` named ``label`` and set by ``field`` over the noise
+    ``s2`` named ``noise``; a power so small that it overflows is rejected."""
+    alpha = s2 / (12.0 * power)
+    if not math.isfinite(alpha):
+        raise ConfigError(f"{label} = {power!r} is too small: the first error variance "
+                          f"{noise}/(12 {label}) overflows float64", field=field)
+    return alpha
 
 
 def _check_variance(alpha, step, n, power, s2, field, label, noise="sigma2"):
@@ -101,16 +123,29 @@ def _check_variance(alpha, step, n, power, s2, field, label, noise="sigma2"):
                           f"the longest block is n = {step - 1}", field="n")
 
 
+def _check_storable(rows, n):
+    """Once ``rows`` holds 2**16 steps of a recursion still running, reject a
+    block of n steps whose rows numpy cannot allocate, so that it fails at
+    once, not after running for its length; the probe is never written."""
+    if len(rows) == 2**16:
+        try:
+            np.empty((len(rows[0]), n))
+        except (ValueError, MemoryError):
+            raise ConfigError(f"n = {n} is too long: its per-step coefficients do not fit "
+                              "in memory", field="n") from None
+
+
 def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
-    """Evaluate the mu/alpha recursion for an n-step block.
+    """Evaluate the mu/alpha recursion for an n-step block, on scalars, and
+    build its arrays once it has passed every check.
 
     ``alpha`` decays geometrically; :func:`_check_variance` rejects a block
     long enough to take it below float64's normal range, or so low that the
     next gain sqrt(gamma P / alpha) overflows, naming the longest block
     these parameters support, and a gamma*P/sigma2 so large that a variance
-    update cancels to <= 0, calling ``params.sigma2`` ``noise``. A gamma*P
-    so small that the first variance sigma2/(12 gamma P) overflows is
-    rejected as well.
+    update cancels to <= 0, calling ``params.sigma2`` ``noise``, as
+    :func:`_first_variance` does for a gamma*P so small that the first
+    variance overflows.
     """
     check_fraction("gamma", gamma)
     if n < 2:
@@ -119,33 +154,19 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     if gp == 0.0:
         raise DegenerateSplit("gamma*P = 0 leaves no message power")
     s2 = params.sigma2
-    mu = np.zeros(n)
-    alpha = np.empty(n)
-    gain = np.full(n, np.nan)
-    alpha[0] = s2 / (12.0 * gp)
-    if not math.isfinite(alpha[0]):
-        raise ConfigError(
-            f"gamma*P = {gp!r} is too small: the first error variance "
-            "sigma2/(12 gamma P) overflows float64",
-            field="gamma",
-        )
+    alpha = _first_variance(gp, s2, "gamma", "gamma*P", noise)
+    rows = [(0.0, alpha, math.nan)]
     for k in range(1, n):
-        mu[k] = math.sqrt(gp * alpha[k - 1]) / (gp + s2)
-        alpha[k] = alpha[k - 1] - mu[k] ** 2 * (gp + s2)
-        gain[k] = math.sqrt(gp / alpha[k - 1])
-        _check_variance(alpha[k], k + 1, n, gp, s2, "gamma", "gamma*P", noise)
-    state_coef = state_forward_coefficient(params, gamma)
-    return SkCoefficients(
-        params=params,
-        gamma=float(gamma),
-        n=int(n),
-        mu=mu,
-        alpha=alpha,
-        gain=gain,
-        omega=1.0 + state_coef,
-        state_coef=state_coef,
-        message_amp=math.sqrt(12.0 * gp),
-    )
+        _check_storable(rows, n)
+        mu = math.sqrt(gp * alpha) / (gp + s2)
+        gain = math.sqrt(gp / alpha)
+        alpha = alpha - mu**2 * (gp + s2)
+        _check_variance(alpha, k + 1, n, gp, s2, "gamma", "gamma*P", noise)
+        rows.append((mu, alpha, gain))
+    mu, alpha, gain = np.array(rows).T.copy()[:, None]  # contiguous (1, n) rows
+    sc = state_forward_coefficient(params, gamma)
+    return SkCoefficients(params, float(gamma), int(n), mu, alpha, gain, lam=1.0 + sc,
+                          state_coef=np.array([sc]), message_amp=np.array([math.sqrt(12.0 * gp)]))
 
 
 def message_to_theta(w, M):
@@ -267,14 +288,14 @@ def _power_sum(x):
 ClosedLoop = collections.namedtuple("ClosedLoop", "power Y theta_final eps X theta_hat")
 
 
-def _closed_loop(lam, loops, S, eta, traces):
-    """Closed loop of K = len(loops) encoders over (B, n) blocks S, eta.
+def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
+    """Closed loop of the K encoders of ``coeffs`` over (B, n) blocks S, eta.
 
-    A loop is one encoder's ``(theta, amp, state_coef, gain, mu)``; ``gain``
-    and ``mu`` are indexed by slot. Each encoder forwards state_coef S_k.
-    Encoder u starts in slot u with amp (theta - o_u), where o_u = lam (S_u /
-    amp - sum_{k>=K} mu[k] S_k) is the state its receiver chain adds back.
-    From slot K on it adds gain[k] eps and refines eps on Y_k - lam S_k.
+    ``thetas`` holds each encoder's (B,) message points. Encoder u forwards
+    state_coef[u] S_k. It starts in slot u with message_amp[u] (theta - o_u),
+    where o_u = lam (S_u / message_amp[u] - sum_{k>=K} mu[u, k] S_k) is the
+    state its receiver chain adds back. From slot K on it adds gain[u, k] eps
+    and refines eps on Y_k - lam S_k.
 
     The loop runs slot-major on (n, B) copies of S and eta, so each slot
     computes on contiguous (B,) rows, sums its power and only stores its
@@ -282,11 +303,11 @@ def _closed_loop(lam, loops, S, eta, traces):
     on the row-major S. Returns a :class:`ClosedLoop`; its theta_hat trace
     is NaN before the encoder starts.
     """
-    K = len(loops)
-    for theta, _, _, gain, _ in loops:
-        check_batch((len(theta), len(gain)), S=S, eta=eta)
+    K, n = coeffs.mu.shape
+    lam, amp, mu, gain = coeffs.lam, coeffs.message_amp, coeffs.mu, coeffs.gain
+    for theta in thetas:
+        check_batch((len(theta), n), S=S, eta=eta)
     S_t, eta_t = np.ascontiguousarray(S.T), np.ascontiguousarray(eta.T)
-    n = len(S_t)
     Y = np.empty_like(S)
     power = np.empty((K, n))
     X = np.empty((K, *S.shape)) if traces else None
@@ -294,27 +315,26 @@ def _closed_loop(lam, loops, S, eta, traces):
     eps, th = [], []
     for k in range(n):
         s = S_t[k]
-        xs = [sc * s for _, _, sc, _, _ in loops]
+        xs = [sc * s for sc in coeffs.state_coef]
         if k < K:
-            theta, amp, _, _, mu = loops[k]
-            send = amp * (theta - lam * (s / amp - np.vecdot(S[:, K:], mu[K:])))
+            send = amp[k] * (thetas[k] - lam * (s / amp[k] - np.vecdot(S[:, K:], mu[k, K:])))
             xs[k] += send
         else:
-            for x, e, (_, _, _, gain, _) in zip(xs, eps, loops):
-                x += gain[k] * e
+            for u, e in enumerate(eps):
+                xs[u] += gain[u, k] * e
         # the encoders in order, then state and noise
         y = sum(xs[1:], xs[0]) + s
         y += eta_t[k]
         Y[:, k] = y
         if k < K:
-            eps.append((y - send - lam * s) / amp)
-            th.append(y / amp)
+            eps.append((y - send - lam * s) / amp[k])
+            th.append(y / amp[k])
         else:
             z = y - lam * s
-        for u, (_, _, _, _, mu) in enumerate(loops[:k]):
+        for u in range(min(k, K)):
             if k >= K:
-                eps[u] = eps[u] - mu[k] * z
-            th[u] = th[u] - mu[k] * y
+                eps[u] = eps[u] - mu[u, k] * z
+            th[u] = th[u] - mu[u, k] * y
         power[:, k] = [_power_sum(x) for x in xs]
         if traces:
             X[:, :, k], theta_hat[:len(th), :, k] = xs, th
@@ -325,8 +345,7 @@ def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta, traces=True):
     """Vectorized closed loop over a batch of independent blocks: the
     one-encoder :class:`ClosedLoop` of :func:`_closed_loop` for ``theta`` of
     shape (B,) and ``S``, ``eta`` of shape (B, n), bit for bit ``tests/stepwise.py``."""
-    loop = (theta, coeffs.message_amp, coeffs.state_coef, coeffs.gain, coeffs.mu)
-    return _closed_loop(coeffs.omega, [loop], S, eta, traces)
+    return _closed_loop(coeffs, [theta], S, eta, traces)
 
 
 def simulate_forwarding_batch(params: DpcParams, gamma, S, eta, traces=True):
@@ -337,8 +356,9 @@ def simulate_forwarding_batch(params: DpcParams, gamma, S, eta, traces=True):
     Y = X + S
     Y += eta  # in place, so Y stays row-major when eta is a slot-major view
     traced = (X[None], np.zeros((1, *S.shape))) if traces else (None, None)
-    # down the rows of a row-major X of n >= 2 slots np.sum adds the trials in order
-    return ClosedLoop(np.sum(X * X, axis=0)[None], Y, *np.zeros((2, 1, len(S))), *traced)
+    # slot by slot, so the trials are added in order whatever the layout of S
+    power = np.array([_power_sum(x) for x in X.T])
+    return ClosedLoop(power[None], Y, *np.zeros((2, 1, len(S))), *traced)
 
 
 def decode_batch(theta_hat_final, M):
@@ -349,7 +369,7 @@ def decode_batch(theta_hat_final, M):
 
 def time1_power_theory(coeffs: SkCoefficients, M):
     """Expected E[X_1^2] of the loop ``coeffs`` with theta on the M-point grid:
-    gamma P (M^2-1)/M^2 + (1 + 12 gamma P omega^2 sum mu_i^2) Q."""
+    gamma P (M^2-1)/M^2 + (1 + 12 gamma P lam^2 sum mu_i^2) Q."""
     gp = coeffs.gamma * coeffs.params.P
-    state_gain = 1.0 + 12.0 * gp * coeffs.omega**2 * float(np.sum(coeffs.mu[1:] ** 2))
+    state_gain = 1.0 + 12.0 * gp * coeffs.lam**2 * float(np.sum(coeffs.mu[0, 1:] ** 2))
     return gp * (M**2 - 1) / M**2 + state_gain * coeffs.params.Q

@@ -33,7 +33,7 @@ def compute_offset(S, coeffs: SkCoefficients):
     S = np.asarray(S, dtype=float)
     if S.shape != (coeffs.n,):
         raise LengthMismatch(f"state sequence must have length {coeffs.n}, got {S.shape}")
-    return coeffs.omega * (S[0] / coeffs.message_amp - float(coeffs.mu[1:] @ S[1:]))
+    return coeffs.lam * (S[0] / coeffs.message_amp[0] - float(coeffs.mu[0, 1:] @ S[1:]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,7 +67,7 @@ def encode_step(state: EncoderState, coeffs: SkCoefficients, s_t, y_prev=None):
     if t == 1:
         if y_prev is not None:
             raise OutOfOrderStep("no feedback exists before the first use")
-        x = coeffs.message_amp * (state.theta - state.offset) + coeffs.state_coef * s_t
+        x = coeffs.message_amp[0] * (state.theta - state.offset) + coeffs.state_coef[0] * s_t
         eps = None
     else:
         if y_prev is None:
@@ -76,12 +76,12 @@ def encode_step(state: EncoderState, coeffs: SkCoefficients, s_t, y_prev=None):
             # First feedback reveals eta_1, hence eps_1, exactly.
             eps = (
                 y_prev
-                - coeffs.message_amp * (state.theta - state.offset)
-                - coeffs.omega * state.s_prev
-            ) / coeffs.message_amp
+                - coeffs.message_amp[0] * (state.theta - state.offset)
+                - coeffs.lam * state.s_prev
+            ) / coeffs.message_amp[0]
         else:
-            eps = state.epsilon - coeffs.mu[t - 2] * (y_prev - coeffs.omega * state.s_prev)
-        x = coeffs.gain[t - 1] * eps + coeffs.state_coef * s_t
+            eps = state.epsilon - coeffs.mu[0, t - 2] * (y_prev - coeffs.lam * state.s_prev)
+        x = coeffs.gain[0, t - 1] * eps + coeffs.state_coef[0] * s_t
     return x, EncoderState(
         t=t, theta=state.theta, offset=state.offset, epsilon=eps, s_prev=float(s_t)
     )
@@ -92,10 +92,10 @@ def mac_offsets(S, coeffs: MacSkCoefficients):
     S = np.asarray(S, dtype=float)
     if S.shape != (coeffs.n,):
         raise LengthMismatch(f"state sequence must have length {coeffs.n}, got {S.shape}")
-    tail1 = float(coeffs.mu1[2:] @ S[2:])
-    tail2 = float(coeffs.mu2[2:] @ S[2:])
-    o1 = coeffs.lam * (S[0] / coeffs.message_amp1 - tail1)
-    o2 = coeffs.lam * (S[1] / coeffs.message_amp2 - tail2)
+    tail1 = float(coeffs.mu[0, 2:] @ S[2:])
+    tail2 = float(coeffs.mu[1, 2:] @ S[2:])
+    o1 = coeffs.lam * (S[0] / coeffs.message_amp[0] - tail1)
+    o2 = coeffs.lam * (S[1] / coeffs.message_amp[1] - tail2)
     return o1, o2
 
 
@@ -134,20 +134,20 @@ def mac_encode_step(state: MacEncoderState, coeffs: MacSkCoefficients, s_t, y_pr
     eps1, eps2 = state.eps1, state.eps2
     if t == 1:
         x1 = (
-            coeffs.message_amp1 * (state.theta1 - state.offset1)
-            + coeffs.state_coef1 * s_t
+            coeffs.message_amp[0] * (state.theta1 - state.offset1)
+            + coeffs.state_coef[0] * s_t
         )
-        x2 = coeffs.state_coef2 * s_t
+        x2 = coeffs.state_coef[1] * s_t
     elif t == 2:
         eps1 = (
             y_prev
-            - coeffs.message_amp1 * (state.theta1 - state.offset1)
+            - coeffs.message_amp[0] * (state.theta1 - state.offset1)
             - coeffs.lam * state.s_prev
-        ) / coeffs.message_amp1
-        x1 = coeffs.state_coef1 * s_t
+        ) / coeffs.message_amp[0]
+        x1 = coeffs.state_coef[0] * s_t
         x2 = (
-            coeffs.message_amp2 * (state.theta2 - state.offset2)
-            + coeffs.state_coef2 * s_t
+            coeffs.message_amp[1] * (state.theta2 - state.offset2)
+            + coeffs.state_coef[1] * s_t
         )
     else:
         if t == 3:
@@ -155,15 +155,15 @@ def mac_encode_step(state: MacEncoderState, coeffs: MacSkCoefficients, s_t, y_pr
             # its slot-1 error through unchanged.
             eps2 = (
                 y_prev
-                - coeffs.message_amp2 * (state.theta2 - state.offset2)
+                - coeffs.message_amp[1] * (state.theta2 - state.offset2)
                 - coeffs.lam * state.s_prev
-            ) / coeffs.message_amp2
+            ) / coeffs.message_amp[1]
         else:
             z = y_prev - coeffs.lam * state.s_prev
-            eps1 = eps1 - coeffs.mu1[t - 2] * z
-            eps2 = eps2 - coeffs.mu2[t - 2] * z
-        x1 = coeffs.gain1[t - 1] * eps1 + coeffs.state_coef1 * s_t
-        x2 = coeffs.gain2[t - 1] * eps2 + coeffs.state_coef2 * s_t
+            eps1 = eps1 - coeffs.mu[0, t - 2] * z
+            eps2 = eps2 - coeffs.mu[1, t - 2] * z
+        x1 = coeffs.gain[0, t - 1] * eps1 + coeffs.state_coef[0] * s_t
+        x2 = coeffs.gain[1, t - 1] * eps2 + coeffs.state_coef[1] * s_t
 
     return x1, x2, MacEncoderState(
         t=t, theta1=state.theta1, theta2=state.theta2, offset1=state.offset1,
@@ -183,13 +183,13 @@ def mac_decode(Y, coeffs: MacSkCoefficients, M1, M2):
         raise LengthMismatch(f"output sequence must have length {coeffs.n}, got {Y.shape}")
     th1 = np.empty(coeffs.n)
     th2 = np.empty(coeffs.n)
-    th1[0] = Y[0] / coeffs.message_amp1
+    th1[0] = Y[0] / coeffs.message_amp[0]
     th2[0] = np.nan
-    th2[1] = Y[1] / coeffs.message_amp2
-    th1[1] = th1[0] - coeffs.mu1[1] * Y[1]
+    th2[1] = Y[1] / coeffs.message_amp[1]
+    th1[1] = th1[0] - coeffs.mu[0, 1] * Y[1]
     for k in range(2, coeffs.n):
-        th1[k] = th1[k - 1] - coeffs.mu1[k] * Y[k]
-        th2[k] = th2[k - 1] - coeffs.mu2[k] * Y[k]
+        th1[k] = th1[k - 1] - coeffs.mu[0, k] * Y[k]
+        th2[k] = th2[k - 1] - coeffs.mu[1, k] * Y[k]
     return finalize_decode(th1[-1], M1), finalize_decode(th2[-1], M2), th1, th2
 
 

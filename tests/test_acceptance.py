@@ -76,8 +76,8 @@ def test_criterion_02_coefficients_match_oracle_grid():
                     mu, alpha = sk_coefficient_oracle(P, Q, s2, gamma, n)
                     worst = max(
                         worst,
-                        float(np.max(np.abs(coeffs.mu[1:] / mu - 1.0))),
-                        float(np.max(np.abs(coeffs.alpha / alpha - 1.0))),
+                        float(np.max(np.abs(coeffs.mu[0, 1:] / mu - 1.0))),
+                        float(np.max(np.abs(coeffs.alpha[0] / alpha - 1.0))),
                     )
                     cases += 1
     elapsed = time.perf_counter() - start
@@ -126,7 +126,7 @@ def test_criterion_05_power_contract(calibration_run):
     steady_dev = float(np.max(np.abs(power[1:] - P)))
     coeffs = sk_dpc.compute_coefficients(DPC, g, 100)
     gp = g * P
-    t1_closed = gp + (1.0 + 12.0 * gp * coeffs.omega**2 * float(np.sum(coeffs.mu[1:] ** 2))) * Q
+    t1_closed = gp + (1.0 + 12.0 * gp * coeffs.lam**2 * float(np.sum(coeffs.mu[0, 1:] ** 2))) * Q
     t1_rel = abs(power[0] - t1_closed) / t1_closed
     ok = steady_dev <= 5.0 * se and t1_rel <= 0.01
     _report(5, "per-symbol transmit power", ok,

@@ -491,6 +491,35 @@ def test_a_long_block_message_names_the_limit_that_fired(capsys):
         assert limit in err and err.rstrip().endswith(f"the longest block is n = {longest}")
 
 
+HUGE_BLOCKS = {
+    # scheme: (flags, message); n*rate stays under the rate exponent's bound, so
+    # the first check n met was numpy's own size limit, with a ValueError traceback
+    "dpc": (["--P", "10", "--Q", "10", "--sigma2", "5", "--gamma", "0.5"],
+            "the longest block is n = 1019"),
+    "noisy": (["--P", "10", "--Q", "10", "--sigma2", "5", "--sigma_z2", "1", "--gamma", "0.5"],
+              "the longest block is n = 1152"),
+    "mac": (CHANNEL_MAC + ["--gamma", "0.8", "--beta", "0.8"], "the longest block is n = 414"),
+    # gamma*P/sigma2 = 1e-17 leaves alpha where it is, so the recursion never
+    # reaches its floor; it stops once it has run long enough to check the block
+    "dpc-stalled": (["--P", "1e-17", "--Q", "10", "--sigma2", "1", "--gamma", "1"],
+                    "its per-step coefficients do not fit in memory"),
+    "mac-stalled": (["--P1", "1e-17", "--P2", "1e-17", "--Q", "10", "--sigma2", "1",
+                     "--gamma", "1", "--beta", "1"],
+                    "its per-step coefficients do not fit in memory"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_BLOCKS))
+def test_a_block_numpy_cannot_hold_is_rejected_in_one_line(capsys, name):
+    flags, message = HUGE_BLOCKS[name]
+    argv = ["simulate", name.split("-")[0], *flags, "--n", "100000000000000000000",
+            "--rate", "1e-30", "--trials", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: n = 100000000000000000000 is too long") and err.count("\n") == 1
+    assert err.rstrip().endswith(message)
+
+
 BAD_GRIDS = {
     "grid": ["sweep", "dpc", "--P", "10", "--Q", "10", "--sigma2", "5", "--n", "10",
              "--trials", "5", "--grid", "2.5"],
@@ -528,6 +557,17 @@ def test_tiny_message_power_is_rejected(capsys, scheme, gamma):
     else:
         assert code == 0
         assert "NaN" not in out and "Infinity" not in out
+
+
+def test_tiny_noisy_message_power_names_the_equivalent_noise(capsys):
+    # the loop runs on the equivalent channel, whose noise the first variance divides;
+    # the message once said sigma2/(12 gamma P)
+    argv = ["simulate", "noisy", *TINY_SPLIT["noisy"], "--gamma", "1e-310", "--n", "10",
+            "--trials", "10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert ("the first error variance (the equivalent channel's noise kappa*sigma_z2 + sigma2)"
+            "/(12 gamma*P) overflows float64") in err
 
 
 CANCELLING_SPLITS = {

@@ -1,15 +1,17 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from dpsk import noisy_obs, regions, sk_dpc
+from dpsk import noisy_obs, regions, sk_dpc, sk_dpmac
 from dpsk.errors import (
     ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange, SplitOutOfRange,
 )
-from dpsk.params import BlockConfig, DpcParams, NoisyObsParams
+from dpsk.params import BlockConfig, DpcParams, MacParams, NoisyObsParams
 
 import stepwise
 from oracles import estimation_coefficient_oracle, sk_coefficient_oracle, time1_power_oracle
@@ -25,24 +27,24 @@ def test_coefficients_match_noise_basis_oracle():
                 params = DpcParams(P, 10.0, s2)
                 coeffs = sk_dpc.compute_coefficients(params, gamma, 30)
                 mu, alpha = sk_coefficient_oracle(P, 10.0, s2, gamma, 30)
-                np.testing.assert_allclose(coeffs.mu[1:], mu, rtol=1e-10)
-                np.testing.assert_allclose(coeffs.alpha, alpha, rtol=1e-10)
+                np.testing.assert_allclose(coeffs.mu[0, 1:], mu, rtol=1e-10)
+                np.testing.assert_allclose(coeffs.alpha[0], alpha, rtol=1e-10)
 
 
 def test_alpha_halves_when_message_power_equals_noise():
     # gamma P = sigma2 makes every refinement remove half the variance
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 20)
-    ratios = coeffs.alpha[1:] / coeffs.alpha[:-1]
+    ratios = coeffs.alpha[0, 1:] / coeffs.alpha[0, :-1]
     np.testing.assert_allclose(ratios, 0.5, rtol=1e-13)
 
 
 def test_gain_restores_exact_message_power():
     coeffs = sk_dpc.compute_coefficients(ACC, 0.3, 25)
-    sent = coeffs.gain[1:] ** 2 * coeffs.alpha[:-1]
+    sent = coeffs.gain[0, 1:] ** 2 * coeffs.alpha[0, :-1]
     np.testing.assert_allclose(sent, 0.3 * ACC.P, rtol=1e-12)
     # plus the forwarded state this is the full budget, every step
     np.testing.assert_allclose(
-        sent + coeffs.state_coef**2 * ACC.Q, ACC.P, rtol=1e-12
+        sent + coeffs.state_coef[0] ** 2 * ACC.Q, ACC.P, rtol=1e-12
     )
 
 
@@ -55,10 +57,23 @@ def test_coefficient_validation():
         sk_dpc.compute_coefficients(DpcParams(0, 10, 5), 1.0, 10)
 
 
+def test_a_rejected_long_block_allocates_nothing_per_step():
+    # the per-step arrays of all n steps were allocated, and written, before the
+    # recursion stopped at step 1020: 24 MB at n = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="the longest block is n = 1019"):
+            sk_dpc.compute_coefficients(ACC, 0.5, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_coefficient_arrays_are_frozen():
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 10)
     with pytest.raises(ValueError):
-        coeffs.mu[0] = 0.0
+        coeffs.mu[0, 0] = 0.0
 
 
 def test_message_grid_is_symmetric_and_bounded():
@@ -117,9 +132,9 @@ def _stepwise_block(coeffs, theta, S, eta):
         y_prev = Y[t - 2] if t >= 2 else None
         X[t - 1], state = stepwise.encode_step(state, coeffs, S[t - 1], y_prev)
         Y[t - 1] = X[t - 1] + S[t - 1] + eta[t - 1]
-    theta_hat[0] = Y[0] / coeffs.message_amp
+    theta_hat[0] = Y[0] / coeffs.message_amp[0]
     for k in range(1, n):
-        theta_hat[k] = stepwise.decode_update(theta_hat[k - 1], Y[k], coeffs.mu[k])
+        theta_hat[k] = stepwise.decode_update(theta_hat[k - 1], Y[k], coeffs.mu[0, k])
     return X, Y, theta_hat
 
 
@@ -225,6 +240,69 @@ def test_every_runner_row_is_the_stepwise_protocol(P, Q, sigma2, gamma, n, M, si
         np.testing.assert_array_equal(trace.S, S)
 
 
+#: The longest block the coefficient property test draws: at a low
+#: gamma*P/sigma2 the recursions accept blocks far longer than this.
+LONGEST_DRAWN = 2000
+#: Channel values log-uniform over 1e-4..1e8 (1e-4..1 for a split), and 0 where Q may be 0
+WIDE = st.floats(-4, 8).map(lambda e: 10.0**e)
+SPLITS = st.floats(-4, 0).map(lambda e: 10.0**e)
+
+
+def _longest_block(recursion, shortest):
+    """The longest block up to LONGEST_DRAWN that ``recursion`` accepts, as the
+    check that stops a longer one names it, or None when it accepts none."""
+    try:
+        recursion(LONGEST_DRAWN)
+        return LONGEST_DRAWN
+    except ConfigError as err:
+        longest = re.search(r"the longest block is n = (\d+)$", str(err))
+        if longest and int(longest.group(1)) >= shortest:
+            return int(longest.group(1))
+    return None
+
+
+def _assert_coefficient_invariants(coeffs, powers):
+    K = len(coeffs.mu)
+    assert np.isfinite([coeffs.lam, *coeffs.state_coef, *coeffs.message_amp]).all()
+    assert np.isfinite(coeffs.mu).all()
+    for u, power in enumerate(powers):
+        alpha = coeffs.alpha[u, u:]  # encoder u starts in slot u
+        assert np.isfinite(alpha).all() and np.all(np.diff(alpha) <= 0.0), u
+        gain = coeffs.gain[u, K:]  # and refines from slot K on
+        assert np.isfinite(gain).all(), u
+        if u:  # the two-encoder loop's sign rule scales encoder 2's gain
+            power = power * coeffs.signs[K:] ** 2
+        np.testing.assert_allclose(gain**2 * coeffs.alpha[u, K - 1:-1], power, rtol=1e-12)
+    if K == 2:
+        for values in (coeffs.rho[1:], coeffs.rho_raw[1:], coeffs.signs, coeffs.ey2[2:],
+                       coeffs.est_coef):
+            assert np.isfinite(values).all()
+        assert np.all((coeffs.rho[1:] >= 0.0) & (coeffs.rho[1:] <= 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(P1=WIDE, P2=WIDE, Q=st.one_of(st.just(0.0), WIDE), sigma2=WIDE, gamma=SPLITS,
+       beta=SPLITS, paper_sgn=st.booleans(), data=st.data())
+def test_every_coefficient_record_keeps_its_invariants(P1, P2, Q, sigma2, gamma, beta,
+                                                       paper_sgn, data):
+    # both recursions over the encoder axis, at an n up to the longest block
+    # they accept: finite coefficients, a non-increasing alpha per encoder, a
+    # gain that restores its encoder's message power, and an aligned rho in [0, 1]
+    def dpc(n):
+        return sk_dpc.compute_coefficients(DpcParams(P1, Q, sigma2), gamma, n)
+
+    def mac(n):
+        return sk_dpmac.mac_coefficients(MacParams(P1, P2, Q, sigma2), gamma, beta, n,
+                                         paper_sgn=paper_sgn)
+
+    for recursion, shortest, powers in ((dpc, 2, [gamma * P1]),
+                                        (mac, 3, [gamma * P1, beta * P2])):
+        longest = _longest_block(recursion, shortest)
+        if longest is not None:
+            coeffs = recursion(data.draw(st.integers(shortest, longest), label=recursion.__name__))
+            _assert_coefficient_invariants(coeffs, powers)
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_run_batch_rejects_misshapen_batches(gamma):
     # on the forwarding path and the message path: three messages for four
@@ -318,6 +396,19 @@ def test_forwarding_only_path():
         _one_block(ACC, 0.0, BlockConfig(n=n, rate=0.25), 1, S, eta)
 
 
+@pytest.mark.parametrize("n, order", [(50, "C"), (50, "F"), (1, "C")])
+def test_forwarding_power_adds_the_trials_in_order_in_any_layout(n, order):
+    # np.sum over the trials of X added them pairwise on a column-major S and
+    # at n = 1, where the trial axis is contiguous
+    rng = np.random.default_rng(43)
+    S, eta = (np.asarray(rng.normal(size=(5000, n)), order=order) for _ in range(2))
+    loop = sk_dpc.simulate_forwarding_batch(ACC, 0.0, S, eta)
+    power = np.zeros(n)
+    for x in sk_dpc.state_forward_coefficient(ACC, 0.0) * S:
+        power += x * x
+    np.testing.assert_array_equal(loop.power, [power])
+
+
 def test_degenerate_state_variance_runs():
     params = DpcParams(10, 0, 5)
     n = 10
@@ -349,7 +440,7 @@ def test_short_monte_carlo_tracks_theory():
     eta = rng.normal(0.0, math.sqrt(ACC.sigma2), size=(trials, n))
     theta = np.full(trials, sk_dpc.message_to_theta(3, 8))
     loop = sk_dpc.simulate_message_batch(coeffs, theta, S, eta)
-    assert float(np.var(loop.eps)) == pytest.approx(coeffs.alpha[-1], rel=0.1)
+    assert float(np.var(loop.eps)) == pytest.approx(coeffs.alpha[0, -1], rel=0.1)
     s_hat = sk_dpc.estimate_state(loop.Y, sk_dpc.estimation_coefficient(ACC, 0.5))
     d_emp = float(np.mean((S - s_hat) ** 2))
     d_target = regions.finite_n_distortion(ACC.Q, n, regions.dpc_min_distortion(ACC, 0.5), 1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ def _assert_matches_oracle(params, gamma, beta, n, paper_sgn=False):
     oracle = mac_coefficient_oracle(
         params.P1, params.P2, params.Q, params.sigma2, gamma, beta, n, paper_sgn=paper_sgn
     )
-    for name in ("mu1", "mu2", "alpha1", "alpha2", "rho_raw", "rho", "signs"):
-        lib = getattr(coeffs, name)
+    fields = {"mu1": coeffs.mu[0], "mu2": coeffs.mu[1], "alpha1": coeffs.alpha[0],
+              "alpha2": coeffs.alpha[1], "rho_raw": coeffs.rho_raw, "rho": coeffs.rho,
+              "signs": coeffs.signs}
+    for name, lib in fields.items():
         ref = np.asarray(oracle[name])
         mask = ~np.isnan(ref)
         np.testing.assert_allclose(lib[mask], ref[mask], rtol=1e-10, atol=1e-12, err_msg=name)
@@ -47,13 +50,13 @@ def test_paper_sign_mode_matches_oracle_too():
 
 def test_initialization_slot_conventions():
     coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, 12)
-    assert coeffs.mu1[0] == 0.0 and coeffs.mu1[1] == 0.0
-    assert coeffs.mu2[0] == 0.0 and coeffs.mu2[1] == 0.0
-    assert math.isnan(coeffs.alpha2[0]) and coeffs.alpha2[1] > 0.0
-    assert coeffs.alpha1[0] == coeffs.alpha1[1]  # no update while encoder 2 joins
+    assert coeffs.mu[0, 0] == 0.0 and coeffs.mu[0, 1] == 0.0
+    assert coeffs.mu[1, 0] == 0.0 and coeffs.mu[1, 1] == 0.0
+    assert math.isnan(coeffs.alpha[1, 0]) and coeffs.alpha[1, 1] > 0.0
+    assert coeffs.alpha[0, 0] == coeffs.alpha[0, 1]  # no update while encoder 2 joins
     assert math.isnan(coeffs.rho[0]) and coeffs.rho[1] == 0.0
     assert coeffs.signs[0] == 1.0 and coeffs.signs[1] == 1.0
-    assert math.isnan(coeffs.gain1[1]) and math.isnan(coeffs.gain2[1])
+    assert math.isnan(coeffs.gain[0, 1]) and math.isnan(coeffs.gain[1, 1])
     assert coeffs.est_coef[0] == 0.0 and coeffs.est_coef[1] == 0.0
     assert np.all(coeffs.est_coef[2:] > 0.0)
 
@@ -76,12 +79,12 @@ def test_aligned_rho_converges_within_tolerance_at_n200():
 def test_signs_alternate_and_message_power_is_exact():
     coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, 40)
     assert set(np.unique(coeffs.signs)) == {-1.0, 1.0}
-    sent1 = coeffs.gain1[2:] ** 2 * coeffs.alpha1[1:-1]
-    sent2 = coeffs.gain2[2:] ** 2 * coeffs.alpha2[1:-1]
+    sent1 = coeffs.gain[0, 2:] ** 2 * coeffs.alpha[0, 1:-1]
+    sent2 = coeffs.gain[1, 2:] ** 2 * coeffs.alpha[1, 1:-1]
     np.testing.assert_allclose(sent1, 0.8 * ACC.P1, rtol=1e-12)
     np.testing.assert_allclose(sent2, 0.8 * ACC.P2, rtol=1e-12)
     np.testing.assert_allclose(
-        sent1 + coeffs.state_coef1**2 * ACC.Q, ACC.P1, rtol=1e-12
+        sent1 + coeffs.state_coef[0] ** 2 * ACC.Q, ACC.P1, rtol=1e-12
     )
 
 
@@ -90,7 +93,7 @@ def test_paper_sign_mode_silences_encoder_two_on_negative_raw():
     assert set(np.unique(coeffs.signs)) <= {0.0, 1.0}
     silent = coeffs.signs[2:] == 0.0
     assert silent.any()
-    np.testing.assert_array_equal(coeffs.gain2[2:][silent], 0.0)
+    np.testing.assert_array_equal(coeffs.gain[1, 2:][silent], 0.0)
 
 
 def test_per_step_distortion_reproduces_region_formula():
@@ -120,6 +123,19 @@ def test_validation():
         sk_dpmac.mac_coefficients(ACC, 0.0, 0.5, 10)
     with pytest.raises(DegenerateSplit):
         sk_dpmac.mac_coefficients(MacParams(10, 0, 10, 5), 0.5, 0.5, 10)
+
+
+def test_a_rejected_long_block_allocates_nothing_per_step():
+    # the per-step arrays of all n steps were allocated, and written, before the
+    # propagation stopped at step 415: 88 MB at n = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="the longest block is n = 414"):
+            sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_zero_noise_decodes_every_message_pair():
@@ -237,7 +253,7 @@ def test_decoder_slot_behaviour():
     _, _, th1, th2 = stepwise.mac_decode(Y, coeffs, 4, 4)
     assert th1[1] == th1[0]  # encoder 2's init slot does not move user 1
     assert math.isnan(th2[0])
-    assert th2[1] == Y[1] / coeffs.message_amp2
+    assert th2[1] == Y[1] / coeffs.message_amp[1]
 
 
 def test_encoder_step_order_checks():
