@@ -51,7 +51,7 @@ def _merged_config(args, scheme):
 
 
 def _grid(count, name="grid"):
-    return regions.unit_grid(params_mod.check_count(name, count))
+    return regions.unit_grid(params_mod.check_count(name, count), name)
 
 
 def _split_grids(args, scheme):

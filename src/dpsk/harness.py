@@ -194,11 +194,16 @@ def _simulate(params, n, trials, plan, run_batch, trace_writer):
     ``trace_writer`` to hand them to, one column per user. Collects per-user
     error flags (K, trials), per-trial squared estimation errors and
     per-user symbol power sums (K, n), and returns the report's measured
-    block built from them by :func:`_empirical`.
+    block built from them by :func:`_empirical`. A trial count whose
+    per-trial results numpy cannot allocate is rejected before any draw.
     """
     suffixes = _SUFFIXES[len(params.SPLIT)]
-    errors = np.zeros((len(suffixes), trials), dtype=bool)
-    sq_err = np.empty(trials)
+    try:
+        errors = np.zeros((len(suffixes), trials), dtype=bool)
+        sq_err = np.empty(trials)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"trials = {trials} is too many: their per-trial results do not "
+                          "fit in memory", field="trials") from None
     power_sums = np.zeros((len(suffixes), n))
     traces = trace_writer is not None
 

@@ -16,8 +16,6 @@ changes the estimator weight and the achieved distortion; see
 :func:`true_state_coefficient` and :func:`scheme_step_distortion`.
 """
 
-import dataclasses
-
 import numpy as np
 
 from . import regions, sk_dpc
@@ -81,9 +79,10 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta, trac
     :func:`make_equivalent` with ``noise=EQUIVALENT_NOISE``: the encoder
     is driven by kappa (S + Z), the state it cannot see joins the channel
     noise, and the receiver weighs Y by :func:`true_state_coefficient`.
-    The returned trace carries the true S and its estimate. With
-    sigma_z2 = 0 it reproduces the clean-observation trace sample for sample.
-    ``traces`` goes to :func:`dpsk.sk_dpc.run_batch`.
+    Returns the record of :func:`dpsk.sk_dpc.run_batch` with the true S
+    swapped in, beside its estimate. With sigma_z2 = 0 it reproduces the
+    clean-observation trace sample for sample. ``traces`` goes to
+    :func:`dpsk.sk_dpc.run_batch`.
     """
     sk_dpc.check_batch(np.shape(S), Z=Z, eta=eta)
     s_eq = regions.observation_weight(params) * (S + Z)
@@ -95,4 +94,4 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta, trac
         make_equivalent(params), gamma, M, coeffs, W, s_eq, eta_eq.T,
         weight=true_state_coefficient(params, gamma), traces=traces,
     )
-    return dataclasses.replace(trace, S=S)
+    return trace._replace(S=S)

@@ -391,9 +391,3 @@ def load_config(path):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return raw
 
-
-def dump_config(run_config, path):
-    """Write a configuration JSON that round-trips through :func:`validate`."""
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(to_config_dict(run_config), fp, indent=2)
-        fp.write("\n")

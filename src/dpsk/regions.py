@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyGrid, SplitOutOfRange
+from .errors import ConfigError, EmptyGrid, SplitOutOfRange
 from .params import DpcParams, MacParams, NoisyObsParams, check_fraction
 
 
@@ -260,10 +260,15 @@ def finite_n_distortion(Q, n, d_step, init_slots):
     return init_slots * Q / n + (n - init_slots) / n * d_step
 
 
-def unit_grid(count):
-    """count evenly spaced points covering [0, 1]."""
+def unit_grid(count, field="grid"):
+    """count evenly spaced points covering [0, 1]; a count whose points numpy
+    cannot allocate is a ConfigError naming ``field``."""
     if count < 1:
         raise EmptyGrid("grid count must be >= 1")
     if count == 1:
         return np.array([0.0])
-    return np.linspace(0.0, 1.0, count)
+    try:
+        return np.linspace(0.0, 1.0, count)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"{field} = {count} is too large: its points do not fit in memory",
+                          field=field) from None

@@ -36,7 +36,9 @@ covariance propagation.
 
 The per-step constants of K encoders go into one record,
 :class:`SkCoefficients` (K = 1 here, 2 in :mod:`dpsk.sk_dpmac`), which one
-closed loop, :func:`_closed_loop`, reads directly.
+closed loop, :func:`_closed_loop`, reads directly. Each batch it runs has
+one record too, :data:`SchemeTrace`, which the kernel fills and its batch
+runner completes.
 """
 
 import collections
@@ -56,7 +58,7 @@ from .params import DpcParams, check_fraction, resolve_block
 @dataclasses.dataclass(frozen=True)
 class SkCoefficients:
     """Deterministic per-step constants of the loop of K encoders, laid out
-    like :data:`ClosedLoop`: K = 1 from :func:`compute_coefficients`, 2 in
+    like :data:`SchemeTrace`: K = 1 from :func:`compute_coefficients`, 2 in
     the subclass :class:`dpsk.sk_dpmac.MacSkCoefficients`.
 
     ``mu``, ``alpha`` and ``gain`` are (K, n) and index k refers to time
@@ -204,26 +206,6 @@ def estimate_state(Y, weight):
     return s_hat
 
 
-@dataclasses.dataclass(frozen=True)
-class SchemeTrace:
-    """Everything observable from a batch of B simulated blocks of n slots,
-    laid out like :data:`ClosedLoop` for K = 1 or 2 encoders: the (K, B)
-    messages and decisions, the K message-set sizes, the (K, B, n) X and
-    theta_hat traces, or None when the runner was not asked for traces, the
-    (B, n) Y, S and S_hat, and the (K, n) per-slot power of each encoder's X
-    summed over the batch in trial order."""
-
-    W: np.ndarray
-    W_hat: np.ndarray
-    M: tuple
-    X: np.ndarray
-    Y: np.ndarray
-    theta_hat: np.ndarray
-    S: np.ndarray
-    S_hat: np.ndarray
-    power: np.ndarray
-
-
 def check_batch(shape, **draws):
     """Raise LengthMismatch unless every draw has ``shape``, a batch's (B, n)."""
     for name, draw in draws.items():
@@ -252,10 +234,10 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
     ``M`` and ``coeffs`` come from :func:`resolve_loop`, ``W`` has shape
     (B,) and ``S``, ``eta`` shape (B, n). ``weight`` is the receiver's
     state-estimation weight; it defaults to :func:`estimation_coefficient`.
-    Decodes and estimates from the :class:`ClosedLoop` of the message
+    Decodes and estimates from the :data:`SchemeTrace` of the message
     kernel, or of the forwarding one when ``coeffs`` is None, and returns
-    the one-encoder :class:`SchemeTrace`, whose X and theta_hat are None
-    unless ``traces``.
+    it completed for one encoder; its X and theta_hat are None unless
+    ``traces``.
     """
     theta = message_to_theta(W, M)
     if coeffs is None:
@@ -266,9 +248,8 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
         loop = simulate_message_batch(coeffs, theta, S, eta, traces)
     if weight is None:
         weight = estimation_coefficient(params, gamma)
-    return SchemeTrace(W=W[None], W_hat=decode_batch(loop.theta_final, M), M=(M,), X=loop.X,
-                       Y=loop.Y, theta_hat=loop.theta_hat, S=S,
-                       S_hat=estimate_state(loop.Y, weight), power=loop.power)
+    return loop._replace(W=W[None], W_hat=decode_batch(loop.theta_final, M), M=(M,), S=S,
+                         S_hat=estimate_state(loop.Y, weight))
 
 
 def _power_sum(x):
@@ -281,11 +262,15 @@ def _power_sum(x):
     return np.cumsum(x * x, axis=-1)[..., -1]
 
 
-#: A batch kernel's record for K encoders over B blocks of n slots: the (K, n)
-#: per-slot power summed over the batch by :func:`_power_sum`, the (B, n) Y,
-#: the (K, B) final estimates and tracking errors, and the (K, B, n) X and
-#: theta_hat traces, or None when the kernel was not asked for traces.
-ClosedLoop = collections.namedtuple("ClosedLoop", "power Y theta_final eps X theta_hat")
+#: The one record of a batch of B blocks of n slots for K = 1 or 2 encoders.
+#: A kernel fills the loop fields: the (K, n) per-slot power summed over the
+#: batch by :func:`_power_sum`, the (B, n) Y, the (K, B) final estimates and
+#: tracking errors, and the (K, B, n) X and theta_hat traces, or None when it
+#: was not asked for traces. Its batch runner completes the record with the
+#: (K, B) messages W and decisions W_hat, the K message-set sizes M and the
+#: (B, n) S and S_hat, which a kernel leaves None.
+SchemeTrace = collections.namedtuple(
+    "SchemeTrace", "power Y theta_final eps X theta_hat W W_hat M S S_hat", defaults=(None,) * 5)
 
 
 def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
@@ -300,8 +285,8 @@ def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
     The loop runs slot-major on (n, B) copies of S and eta, so each slot
     computes on contiguous (B,) rows, sums its power and only stores its
     column of the row-major (B, n) outputs; the offsets take ``np.vecdot``
-    on the row-major S. Returns a :class:`ClosedLoop`; its theta_hat trace
-    is NaN before the encoder starts.
+    on the row-major S. Returns the loop fields of a :data:`SchemeTrace`;
+    its theta_hat trace is NaN before the encoder starts.
     """
     K, n = coeffs.mu.shape
     lam, amp, mu, gain = coeffs.lam, coeffs.message_amp, coeffs.mu, coeffs.gain
@@ -338,19 +323,19 @@ def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
         power[:, k] = [_power_sum(x) for x in xs]
         if traces:
             X[:, :, k], theta_hat[:len(th), :, k] = xs, th
-    return ClosedLoop(power, Y, np.array(th), np.array(eps), X, theta_hat)
+    return SchemeTrace(power, Y, np.array(th), np.array(eps), X, theta_hat)
 
 
 def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta, traces=True):
     """Vectorized closed loop over a batch of independent blocks: the
-    one-encoder :class:`ClosedLoop` of :func:`_closed_loop` for ``theta`` of
+    one-encoder :data:`SchemeTrace` of :func:`_closed_loop` for ``theta`` of
     shape (B,) and ``S``, ``eta`` of shape (B, n), bit for bit ``tests/stepwise.py``."""
     return _closed_loop(coeffs, [theta], S, eta, traces)
 
 
 def simulate_forwarding_batch(params: DpcParams, gamma, S, eta, traces=True):
     """Vectorized no-message path (gamma*P = 0), pure state forwarding: the
-    one-encoder :class:`ClosedLoop` of (B, n) blocks ``S``, ``eta`` whose
+    one-encoder :data:`SchemeTrace` of (B, n) blocks ``S``, ``eta`` whose
     estimates and tracking errors are all 0."""
     X = state_forward_coefficient(params, gamma) * S
     Y = X + S
@@ -358,7 +343,7 @@ def simulate_forwarding_batch(params: DpcParams, gamma, S, eta, traces=True):
     traced = (X[None], np.zeros((1, *S.shape))) if traces else (None, None)
     # slot by slot, so the trials are added in order whatever the layout of S
     power = np.array([_power_sum(x) for x in X.T])
-    return ClosedLoop(power[None], Y, *np.zeros((2, 1, len(S))), *traced)
+    return SchemeTrace(power[None], Y, *np.zeros((2, 1, len(S))), *traced)
 
 
 def decode_batch(theta_hat_final, M):

@@ -46,8 +46,8 @@ from . import regions
 from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
 from .params import MacParams, check_fraction, resolve_block
 from .sk_dpc import (
-    SchemeTrace, SkCoefficients, _check_storable, _check_variance, _closed_loop,
-    _first_variance, decode_batch, message_to_theta,
+    SkCoefficients, _check_storable, _check_variance, _closed_loop, _first_variance,
+    decode_batch, estimate_state, message_to_theta,
 )
 
 
@@ -165,20 +165,20 @@ def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta, traces=True
     """Simulate a batch of two-encoder blocks from supplied draws.
 
     ``W1``, ``W2`` have shape (B,) and ``S``, ``eta`` shape (B, n).
-    Returns the two-encoder :class:`dpsk.sk_dpc.SchemeTrace`, whose X and
-    theta_hat are None unless ``traces``.
+    Returns the kernel's :data:`dpsk.sk_dpc.SchemeTrace` completed for two
+    encoders, whose X and theta_hat are None unless ``traces``; the state
+    is estimated with the per-slot weights ``coeffs.est_coef``.
     """
     thetas = message_to_theta(W1, M1), message_to_theta(W2, M2)
     loop = simulate_mac_batch(coeffs, *thetas, S, eta, traces)
     W_hat = np.stack(mac_decode_batch(*loop.theta_final, M1, M2))
-    return SchemeTrace(W=np.stack([W1, W2]), W_hat=W_hat, M=(M1, M2), X=loop.X, Y=loop.Y,
-                       theta_hat=loop.theta_hat, S=S, S_hat=coeffs.est_coef * loop.Y,
-                       power=loop.power)
+    return loop._replace(W=np.stack([W1, W2]), W_hat=W_hat, M=(M1, M2), S=S,
+                         S_hat=estimate_state(loop.Y, coeffs.est_coef))
 
 
 def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta, traces=True):
     """Vectorized closed loop over a batch of independent blocks: the
-    two-encoder :class:`dpsk.sk_dpc.ClosedLoop` of :func:`dpsk.sk_dpc._closed_loop`
+    two-encoder :data:`dpsk.sk_dpc.SchemeTrace` of :func:`dpsk.sk_dpc._closed_loop`
     for ``theta1``, ``theta2`` of shape (B,) and ``S``, ``eta`` of shape (B, n),
     bit for bit ``tests/stepwise.py``."""
     return _closed_loop(coeffs, [theta1, theta2], S, eta, traces)

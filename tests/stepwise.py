@@ -195,11 +195,12 @@ def mac_decode(Y, coeffs: MacSkCoefficients, M1, M2):
 
 def batch_row(trace, i):
     """Row i of a batch trace record in the one-block form this reference
-    produces: its messages and its (n,) traces, per encoder, without the
-    encoder axis when there is one encoder."""
-    per_encoder = {k: getattr(trace, k)[:, i] for k in ("W", "W_hat", "X", "theta_hat")}
+    produces: its messages, final estimates and errors and its (n,) traces,
+    per encoder, without the encoder axis when there is one encoder."""
+    per_encoder = {k: getattr(trace, k)[:, i]
+                   for k in ("W", "W_hat", "theta_final", "eps", "X", "theta_hat")}
     per_encoder.update(M=trace.M, power=trace.power)
     if len(trace.M) == 1:
         per_encoder = {k: v[0] for k, v in per_encoder.items()}
     rows = {k: getattr(trace, k)[i] for k in ("Y", "S", "S_hat")}
-    return dataclasses.replace(trace, **per_encoder, **rows)
+    return trace._replace(**per_encoder, **rows)

@@ -618,10 +618,11 @@ def test_a_trace_writer_changes_no_report_value(scheme, params, split):
     ("noisy", FIG3, PowerSplit(0.0)),
 ])
 def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, traces):
-    # one record for K = len(SPLIT) encoders, laid out like the kernels'
-    # ClosedLoop: (K, B) messages, K message-set sizes, (K, B, n) traces or
-    # None, (B, n) Y, S and S_hat and the (K, n) power; gamma = 0 takes the
-    # state-forwarding kernel
+    # the kernel's record completed for K = len(SPLIT) encoders: (K, B)
+    # messages, decisions, final estimates and errors, K message-set sizes,
+    # (K, B, n) traces or None, (B, n) Y, S and S_hat and the (K, n) power;
+    # gamma = 0 takes the state-forwarding kernel, whose estimates and
+    # errors are 0
     B, n, K = 5, 7, len(params.SPLIT)
     S, Z, eta = np.random.default_rng(17).normal(size=(3, B, n))
     W = np.array([1, 2, 1, 2, 1])
@@ -645,6 +646,9 @@ def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, 
         np.testing.assert_array_equal(trace.W, [W])
     assert type(trace) is sk_dpc.SchemeTrace
     assert trace.W.shape == trace.W_hat.shape == (K, B)
+    assert trace.theta_final.shape == trace.eps.shape == (K, B)
+    if not split.gamma:
+        assert not trace.theta_final.any() and not trace.eps.any()
     assert trace.Y.shape == trace.S.shape == trace.S_hat.shape == (B, n)
     assert trace.power.shape == (K, n)
     if traces:

@@ -536,6 +536,32 @@ def test_a_bad_grid_size_fails_like_a_bad_key(capsys, name):
     assert err.startswith(f"error: {name} must be a positive integer") and err.count("\n") == 1
 
 
+CHANNEL_DPC = ["--P", "10", "--Q", "10", "--sigma2", "5"]
+HUGE_COUNTS = {
+    # command: (the flag the count goes to last, the command without it)
+    "simulate-dpc": ("trials", ["simulate", "dpc", *CHANNEL_DPC, "--gamma", "0.5", "--n", "30"]),
+    "simulate-mac": ("trials", ["simulate", "mac", *CHANNEL_MAC, "--gamma", "0.8",
+                                "--beta", "0.8", "--n", "30"]),
+    "sweep-noisy": ("trials", ["sweep", "noisy", *CHANNEL_DPC, "--sigma_z2", "1", "--n", "30"]),
+    "sweep-dpc": ("grid", ["sweep", "dpc", *CHANNEL_DPC, "--n", "30", "--trials", "5"]),
+    "region-dpc-fb": ("grid", ["region", "dpc-fb", *CHANNEL_DPC]),
+    "region-mac-fb": ("rho-grid", ["region", "mac-fb", *CHANNEL_MAC, "--grid", "2"]),
+    "region-mac-nofb": ("beta-grid", ["region", "mac-nofb", *CHANNEL_MAC, "--grid", "2"]),
+}
+
+
+# numpy refuses both counts without allocating; only such counts are tried here
+@pytest.mark.parametrize("count", [10**21, 2**62])
+@pytest.mark.parametrize("name", sorted(HUGE_COUNTS))
+def test_a_count_numpy_cannot_allocate_is_rejected_in_one_line(capsys, name, count):
+    # the allocation's ValueError or MemoryError once ended in a traceback
+    flag, argv = HUGE_COUNTS[name]
+    code, out, err = run_cli(capsys, *argv, f"--{flag}", str(count))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} = {count} is too") and err.count("\n") == 1
+    assert err.rstrip().endswith("do not fit in memory")
+
+
 TINY_SPLIT = {
     "dpc": ["--P", "10", "--Q", "10", "--sigma2", "5"],
     "mac": CHANNEL_MAC + ["--beta", "0.5"],

@@ -10,7 +10,7 @@ from dpsk.errors import (
     PowerOutOfRange,
     SplitOutOfRange,
 )
-from dpsk import params
+from dpsk import output, params
 from dpsk.params import (
     CHANNELS,
     CONFIG_KEYS,
@@ -22,7 +22,6 @@ from dpsk.params import (
     NoisyObsParams,
     PowerSplit,
     RunConfig,
-    dump_config,
     load_config,
     resolve_block,
     to_config_dict,
@@ -186,8 +185,9 @@ def test_config_round_trip_is_exact(tmp_path):
     echoed = to_config_dict(run)
     assert echoed == raw
     assert list(echoed) == [k for k in CONFIG_KEYS if k in echoed]
+    # a report's config block, read back as a config file
     path = tmp_path / "config.json"
-    dump_config(run, path)
+    path.write_text(output.json_text(echoed))
     assert validate(load_config(path)) == run
 
 

@@ -6,14 +6,18 @@ it charges to the kernels and decoders. The tracer wraps every public
 function defined in an ``ALL_PUBLIC`` module and nothing else there, so a
 renamed, inlined or privatized function would otherwise surface only in a
 traced benchmark run. The kernels must also return a tuple of arrays, the
-only result whose outputs the tracer's ``kernel_mb_computed`` counts. Both
-files are read as they are.
+only result whose outputs the tracer's ``kernel_mb_computed`` counts, and
+every workload's command must reach the functions its lists require and
+none that they forbid. Both files are read as they are.
 """
 
+import collections
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,3 +100,36 @@ def test_every_kernel_returns_a_tuple_of_arrays_the_tracer_counts(run, traces):
         assert run.tracer._array_bytes((), {}, result) == outputs > 0, name
         # the traces are stored only on request
         assert (result.X is None) == (result.theta_hat is None) == (not traces), name
+        # the one record of a batch, whose runner fills in the rest
+        assert type(result) is sk_dpc.SchemeTrace, name
+        assert all(getattr(result, field) is None
+                   for field in ("W", "W_hat", "M", "S", "S_hat")), name
+
+
+def test_every_workload_reaches_the_calls_its_lists_name(run, tmp_path):
+    # the coverage guard of a traced benchmark run, on each workload's command
+    # with 2 trials: the functions a command reaches do not depend on its
+    # trial count. The commands run side by side, each in its own process.
+    children = {}
+    try:
+        for name, workload in run.WORKLOADS.items():
+            argv = list(workload.argv)
+            argv[argv.index("--trials") + 1] = "2"
+            if workload.dump_traces:
+                argv += ["--dump-traces", str(tmp_path / name)]
+            spans = tmp_path / f"{name}.spans.csv"
+            cmd = [sys.executable, "-I", run.CHILD, run.ROOT, str(tmp_path / f"{name}.json"),
+                   "--spans", str(spans), "--", *argv]
+            children[name] = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, cwd=run.ROOT), spans
+        for name, (child, spans) in children.items():
+            assert child.wait(timeout=60) == 0, name
+            calls = collections.Counter(span["name"] for span in run.tracer.read_spans(spans))
+            try:
+                run.check_coverage(name, run.WORKLOADS[name], calls)
+            except SystemExit as exc:
+                pytest.fail(str(exc))
+    finally:
+        for child, _ in children.values():
+            if child.poll() is None:
+                child.kill()
+                child.wait()
