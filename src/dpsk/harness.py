@@ -13,17 +13,10 @@ batch's trials in order, are added to running per-user sums in batch
 order. Normal blocks are drawn as unit normals straight into the rows of
 their batch, which is then scaled once. The runners store the per-symbol
 X and theta_hat traces only for a run with a trace writer.
-
-A plan keeps the last batch it drew for each component, read-only, and
-hands it back while the same draw (trials, length and scale, or message-set
-size) is asked for again. So the points of a sweep with at most ``BATCH``
-trials share one set of state, noise and observation-noise arrays, and
-arrays taken from a plan must not be written to.
 """
 
 import collections
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -50,12 +43,22 @@ _DISTORTION_FLAG_REL = 0.02
 @dataclasses.dataclass(frozen=True)
 class RandomPlan:
     """Derivation rule from a master seed to per-trial substreams, and the
-    last batch of trials drawn for each component."""
+    last batch of trials drawn for each component.
+
+    A plan keeps that batch read-only and hands it back while the same draw
+    (trials, length and scale, or message-set size) is asked for again. So
+    the points of a sweep with at most ``BATCH`` trials share one set of
+    state, noise and observation-noise arrays, and arrays taken from a plan
+    must not be written to. The kept batches are not keyed by the seed,
+    which is why a plan is frozen.
+    """
 
     master_seed: int
 
     def __post_init__(self):
         check_seed("seed", self.master_seed)
+        object.__setattr__(self, "_shared", np.random.Generator(np.random.Philox(key=0)))
+        object.__setattr__(self, "_kept", {})
 
     def key(self, trial, component):
         """128-bit counter key: the master seed in the low 64-bit word and
@@ -66,21 +69,12 @@ class RandomPlan:
             raise ConfigError(f"component must be in 0..7, got {component}", field="component")
         return self.master_seed + ((trial * _STREAMS_PER_TRIAL + component) << 64)
 
-    @functools.cached_property
-    def _shared(self):
-        return np.random.Generator(np.random.Philox(key=0))
-
-    def generator(self, trial, component):
-        """The plan's one shared Generator, re-keyed to the substream of
-        (trial, component) and bit for bit a fresh ``Philox(key=...)``.
-
-        It stays valid only until the next draw from this plan, which
-        re-keys it again, so a plan is not for use from several threads
-        at once.
-        """
+    def _generator(self, trial, component):
+        """The shared Generator re-keyed to the substream of (trial, component),
+        bit for bit a fresh ``Philox(key=...)`` until the next draw re-keys it
+        again, so a plan is not for use from several threads at once."""
         key = self.key(trial, component)
-        gen = self._shared
-        gen.bit_generator.state = {
+        self._shared.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": (0, 0, 0, 0), "key": (key & _WORD, key >> 64)},
             "buffer": (0, 0, 0, 0),
@@ -88,60 +82,51 @@ class RandomPlan:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        return gen
+        return self._shared
 
-    def normal_block(self, trial, component, n, std, out=None):
-        """std * N(0,1)^n, written into ``out`` (a new array when None);
-        drawing standard normals first keeps the stream layout identical
-        across variance choices (std = 0 gives zeros)."""
-        out = self.generator(trial, component).standard_normal(n, out=out)
-        if std != 1.0:  # x * 1.0 is x bit for bit
-            out *= std
-        return out
+    def normal_block(self, trial, component, n, out=None):
+        """N(0,1)^n, written into ``out`` (a new array when None)."""
+        return self._generator(trial, component).standard_normal(n, out=out)
 
     def message(self, trial, component, M):
-        return int(self.generator(trial, component).integers(1, M + 1))
+        """A message drawn uniformly from 1..M."""
+        return int(self._generator(trial, component).integers(1, M + 1))
 
-    @functools.cached_property
-    def _last(self):
-        return {}
+    def normals(self, start, stop, component, n, std):
+        """std * N(0,1)^n of trials start..stop-1, one row each; each row is
+        drawn as unit normals and the batch scaled once, so the stream layout
+        does not depend on std (std = 0 gives zeros)."""
+        def draw():
+            out = np.empty((stop - start, n))
+            for row, trial in zip(out, range(start, stop)):
+                self.normal_block(trial, component, n, out=row)
+            out *= std
+            return out
+
+        return self._batch(component, (start, stop, n, std), draw)
+
+    def messages(self, start, stop, component, M):
+        """The messages out of 1..M of trials start..stop-1."""
+        def draw():
+            return np.fromiter((self.message(trial, component, M) for trial in range(start, stop)),
+                               dtype=np.int64, count=stop - start)
+
+        return self._batch(component, (start, stop, M), draw)
 
     def _batch(self, component, key, draw):
         """``draw()``'s batch of ``component``, drawn again only when ``key``
-        differs from the last one drawn for it; the one batch kept per
-        component is read-only."""
-        last = self._last.get(component)
-        if last is not None and last[0] == key:
-            return last[1]
+        differs from the last one drawn for it."""
+        kept = self._kept.get(component)
+        if kept is not None and kept[0] == key:
+            return kept[1]
         batch = draw()
         batch.flags.writeable = False
-        self._last[component] = (key, batch)
+        self._kept[component] = (key, batch)
         return batch
 
 
 def _spans(trials):
     return [(s, min(s + BATCH, trials)) for s in range(0, trials, BATCH)]
-
-
-def _draw_normals(plan, start, stop, n, std, component):
-    def draw():
-        out = np.empty((stop - start, n))
-        for row, trial in zip(out, range(start, stop)):
-            plan.normal_block(trial, component, n, 1.0, out=row)
-        out *= std
-        return out
-
-    return plan._batch(component, (start, stop, n, std), draw)
-
-
-def _draw_messages(plan, start, stop, M, component):
-    def draw():
-        out = np.empty(stop - start, dtype=np.int64)
-        for i, trial in enumerate(range(start, stop)):
-            out[i] = plan.message(trial, component, M)
-        return out
-
-    return plan._batch(component, (start, stop, M), draw)
 
 
 def _pe_with_ci(errors, trials):
@@ -208,8 +193,8 @@ def _simulate(params, n, trials, plan, run_batch, trace_writer):
     traces = trace_writer is not None
 
     for start, stop in _spans(trials):
-        S = _draw_normals(plan, start, stop, n, math.sqrt(params.Q), STATE)
-        eta = _draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), NOISE)
+        S = plan.normals(start, stop, STATE, n, math.sqrt(params.Q))
+        eta = plan.normals(start, stop, NOISE, n, math.sqrt(params.sigma2))
         trace = run_batch(start, stop, S, eta, traces)
         errors[:, start:stop] = trace.W_hat != trace.W
         power_sums += trace.power
@@ -255,7 +240,7 @@ def _run_dpc(params, split, block, trials, plan, paper_sgn, trace_writer):
     rate, M, coeffs = sk_dpc.resolve_loop(params, gamma, block)
 
     def run_batch(start, stop, S, eta, traces):
-        W = _draw_messages(plan, start, stop, M, MSG)
+        W = plan.messages(start, stop, MSG, M)
         return sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta, traces=traces)
 
     empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)
@@ -285,8 +270,8 @@ def _run_noisy(params, split, block, trials, plan, paper_sgn, trace_writer):
     rate, M, coeffs = sk_dpc.resolve_loop(eq_params, gamma, block, noisy_obs.EQUIVALENT_NOISE)
 
     def run_batch(start, stop, S, eta, traces):
-        W = _draw_messages(plan, start, stop, M, MSG)
-        Z = _draw_normals(plan, start, stop, block.n, math.sqrt(params.sigma_z2), OBS_NOISE)
+        W = plan.messages(start, stop, MSG, M)
+        Z = plan.normals(start, stop, OBS_NOISE, block.n, math.sqrt(params.sigma_z2))
         return noisy_obs.noisy_run_batch(params, gamma, M, coeffs, W, S, Z, eta, traces=traces)
 
     empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)
@@ -325,8 +310,8 @@ def _run_mac(params, split, block, trials, plan, paper_sgn, trace_writer):
     coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, block.n, paper_sgn=paper_sgn)
 
     def run_batch(start, stop, S, eta, traces):
-        W1 = _draw_messages(plan, start, stop, M1, MSG)
-        W2 = _draw_messages(plan, start, stop, M2, MSG2)
+        W1 = plan.messages(start, stop, MSG, M1)
+        W2 = plan.messages(start, stop, MSG2, M2)
         return sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta, traces=traces)
 
     empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)

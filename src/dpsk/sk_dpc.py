@@ -41,6 +41,7 @@ one record too, :data:`SchemeTrace`, which the kernel fills and its batch
 runner completes.
 """
 
+import array
 import collections
 import dataclasses
 import math
@@ -125,13 +126,14 @@ def _check_variance(alpha, step, n, power, s2, field, label, noise="sigma2"):
                           f"the longest block is n = {step - 1}", field="n")
 
 
-def _check_storable(rows, n):
-    """Once ``rows`` holds 2**16 steps of a recursion still running, reject a
-    block of n steps whose rows numpy cannot allocate, so that it fails at
-    once, not after running for its length; the probe is never written."""
-    if len(rows) == 2**16:
+def _check_storable(steps, width, n):
+    """Once a recursion still running has taken 2**16 steps, reject a block of
+    n steps whose ``width`` per-step values numpy cannot allocate, so that it
+    fails at once, not after running for its length; the probe is never
+    written."""
+    if steps == 2**16:
         try:
-            np.empty((len(rows[0]), n))
+            np.empty((width, n))
         except (ValueError, MemoryError):
             raise ConfigError(f"n = {n} is too long: its per-step coefficients do not fit "
                               "in memory", field="n") from None
@@ -157,15 +159,15 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
         raise DegenerateSplit("gamma*P = 0 leaves no message power")
     s2 = params.sigma2
     alpha = _first_variance(gp, s2, "gamma", "gamma*P", noise)
-    rows = [(0.0, alpha, math.nan)]
+    rows = array.array("d", (0.0, alpha, math.nan))  # per step: mu, alpha, gain
     for k in range(1, n):
-        _check_storable(rows, n)
+        _check_storable(k, 3, n)
         mu = math.sqrt(gp * alpha) / (gp + s2)
         gain = math.sqrt(gp / alpha)
         alpha = alpha - mu**2 * (gp + s2)
         _check_variance(alpha, k + 1, n, gp, s2, "gamma", "gamma*P", noise)
-        rows.append((mu, alpha, gain))
-    mu, alpha, gain = np.array(rows).T.copy()[:, None]  # contiguous (1, n) rows
+        rows.extend((mu, alpha, gain))
+    mu, alpha, gain = np.frombuffer(rows).reshape(n, 3).T.copy()[:, None]  # contiguous (1, n) rows
     sc = state_forward_coefficient(params, gamma)
     return SkCoefficients(params, float(gamma), int(n), mu, alpha, gain, lam=1.0 + sc,
                           state_coef=np.array([sc]), message_amp=np.array([math.sqrt(12.0 * gp)]))

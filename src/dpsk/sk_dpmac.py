@@ -36,6 +36,7 @@ for K = 2 encoders, and the batch kernel runs its closed loop,
 channel use at a time, ``tests/stepwise.py``, bit for bit.
 """
 
+import array
 import dataclasses
 import math
 import sys
@@ -114,11 +115,11 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     c12 = 0.0
     nan = math.nan
     # per step: mu1, mu2, alpha1, alpha2, gain1, gain2, rho, rho_raw, sign, ey2, est_coef
-    rows = [(0.0, 0.0, a1, nan, nan, nan, nan, nan, 1.0, nan, 0.0),
-            (0.0, 0.0, a1, a2, nan, nan, 0.0, 0.0, 1.0, nan, 0.0)]
+    rows = array.array("d", (0.0, 0.0, a1, nan, nan, nan, nan, nan, 1.0, nan, 0.0,
+                             0.0, 0.0, a1, a2, nan, nan, 0.0, 0.0, 1.0, nan, 0.0))
 
     for k in range(2, n):
-        _check_storable(rows, n)
+        _check_storable(k, 11, n)
         raw_prev = c12 / math.sqrt(a1 * a2)
         s = _sign(raw_prev, paper_sgn)
         g1 = math.sqrt(A / a1)
@@ -138,10 +139,10 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
                               f"is n = {k}", field="n")
         raw = c12 / math.sqrt(a1 * a2)
         ey2 = v + lam * lam * Q
-        rows.append((e1 / v, e2 / v, a1, a2, g1, g2, _sign(raw, paper_sgn) * raw, raw, s, ey2,
+        rows.extend((e1 / v, e2 / v, a1, a2, g1, g2, _sign(raw, paper_sgn) * raw, raw, s, ey2,
                      lam * Q / ey2))
 
-    per_step = np.array(rows).T.copy()  # contiguous rows
+    per_step = np.frombuffer(rows).reshape(n, 11).T.copy()  # contiguous rows
     mu, alpha, gain = per_step[:6].reshape(3, 2, n)
     rho, rho_raw, signs, ey2, est_coef = per_step[6:]
     amp = np.array([math.sqrt(12.0 * A), math.sqrt(12.0 * B)])

@@ -26,14 +26,14 @@ FIG3 = NoisyObsParams(P=7.7, Q=10, sigma2=5, sigma_z2=1)
 
 def test_substreams_are_reproducible_and_distinct():
     plan = harness.RandomPlan(123)
-    a = plan.normal_block(0, harness.STATE, 8, 1.0)
-    b = plan.normal_block(0, harness.STATE, 8, 1.0)
+    a = plan.normal_block(0, harness.STATE, 8)
+    b = plan.normal_block(0, harness.STATE, 8)
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, plan.normal_block(1, harness.STATE, 8, 1.0))
-    assert not np.array_equal(a, plan.normal_block(0, harness.NOISE, 8, 1.0))
+    assert not np.array_equal(a, plan.normal_block(1, harness.STATE, 8))
+    assert not np.array_equal(a, plan.normal_block(0, harness.NOISE, 8))
     # scaling happens after the standard draw
-    np.testing.assert_array_equal(plan.normal_block(0, harness.STATE, 8, 2.0), 2.0 * a)
-    assert np.all(plan.normal_block(0, harness.STATE, 8, 0.0) == 0.0)
+    np.testing.assert_array_equal(plan.normals(0, 1, harness.STATE, 8, 2.0), [2.0 * a])
+    assert np.all(plan.normals(0, 1, harness.STATE, 8, 0.0) == 0.0)
 
 
 def test_substream_keys_are_unique():
@@ -53,7 +53,7 @@ def test_substream_keys_are_unique():
 def test_plan_rejects_trials_and_seeds_outside_the_key():
     # trial * 8 + component fills the key's high word, the seed its low word
     with pytest.raises(ConfigError) as info:
-        harness.RandomPlan(1).normal_block(2**61, 0, 3, 1.0)
+        harness.RandomPlan(1).normal_block(2**61, 0, 3)
     assert info.value.field == "trial"
     for seed in (-1, 2**64, 1.5, True):
         with pytest.raises(ConfigError) as info:
@@ -111,22 +111,58 @@ def test_shared_generator_draws_what_a_fresh_philox_draws(seed, draws):
     # the plan re-keys one cached Philox per draw; a buffered 32-bit word
     # left by a small-M message must not leak into the next substream. A
     # normal block drawn into a row of a batch, in place, keeps the bits of
-    # std * standard_normal(n) from a fresh Philox.
+    # standard_normal(n) from a fresh Philox, and a batch of one trial those
+    # of std * standard_normal(n).
     plan = harness.RandomPlan(seed)
     for trial, component, (kind, size, std) in draws:
         fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
         if kind == "normal":
-            expected = _bits(std * fresh.standard_normal(size))
+            unit = fresh.standard_normal(size)
             batch = np.full((3, size), np.nan)
-            row = plan.normal_block(trial, component, size, std, out=batch[1])
+            row = plan.normal_block(trial, component, size, out=batch[1])
             assert row.base is batch
-            np.testing.assert_array_equal(_bits(batch[1]), expected)
+            np.testing.assert_array_equal(_bits(batch[1]), _bits(unit))
             assert np.isnan(batch[[0, 2]]).all()
             np.testing.assert_array_equal(
-                _bits(plan.normal_block(trial, component, size, std)), expected
+                _bits(plan.normal_block(trial, component, size)), _bits(unit)
+            )
+            np.testing.assert_array_equal(
+                _bits(plan.normals(trial, trial + 1, component, size, std)), _bits([std * unit])
             )
         else:
             assert plan.message(trial, component, size) == fresh.integers(1, size + 1)
+
+
+# a span of up to 6 trials ending at trial 2**61 - 1 at the latest
+SPANS = st.integers(0, 2**61 - 1).flatmap(
+    lambda start: st.tuples(st.just(start), st.integers(start + 1, min(start + 6, 2**61)))
+)
+MESSAGE_SET_SIZES = st.one_of(
+    st.integers(1, 2**62), st.sampled_from([1, 2**32 - 1, 2**32, 2**32 + 1, 2**62])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), span=SPANS,
+       component=st.integers(0, harness._STREAMS_PER_TRIAL - 1), n=st.integers(1, 40),
+       std=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1e50)), M=MESSAGE_SET_SIZES)
+@example(seed=0, span=(0, 3), component=harness.MSG, n=1, std=1.0, M=2**32 - 1)
+@example(seed=2**64 - 1, span=(2**61 - 4, 2**61), component=7, n=5, std=0.0, M=2**32)
+@example(seed=3, span=(5, 9), component=harness.MSG2, n=2, std=2.5, M=2**32 + 1)
+@example(seed=7, span=(0, 6), component=harness.STATE, n=3, std=1e-300, M=2**62)
+def test_batch_draws_equal_the_per_trial_draws(seed, span, component, n, std, M):
+    # every row of a normal batch is std * standard_normal(n) from a fresh
+    # Philox on the trial's key, bit for bit, and every message of a message
+    # batch is the trial's own message
+    start, stop = span
+    plan = harness.RandomPlan(seed)
+    normals = plan.normals(start, stop, component, n, std)
+    messages = plan.messages(start, stop, component, M)
+    assert normals.shape == (stop - start, n) and messages.shape == (stop - start,)
+    for row, trial in zip(normals, range(start, stop)):
+        fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
+        np.testing.assert_array_equal(_bits(row), _bits(std * fresh.standard_normal(n)))
+    assert messages.tolist() == [plan.message(t, component, M) for t in range(start, stop)]
 
 
 def test_a_run_and_a_sweep_build_one_philox(monkeypatch):
@@ -219,17 +255,17 @@ def test_one_plan_across_configurations_draws_what_fresh_plans_draw(change):
 
 def test_kept_batches_are_read_only_and_returned_again():
     plan = harness.RandomPlan(5)
-    S = harness._draw_normals(plan, 0, 6, 4, 2.0, harness.STATE)
-    W = harness._draw_messages(plan, 0, 6, 9, harness.MSG)
-    assert harness._draw_normals(plan, 0, 6, 4, 2.0, harness.STATE) is S
-    assert harness._draw_messages(plan, 0, 6, 9, harness.MSG) is W
+    S = plan.normals(0, 6, harness.STATE, 4, 2.0)
+    W = plan.messages(0, 6, harness.MSG, 9)
+    assert plan.normals(0, 6, harness.STATE, 4, 2.0) is S
+    assert plan.messages(0, 6, harness.MSG, 9) is W
     for batch in (S, W):
         with pytest.raises(ValueError):
             batch[0] = 1
     # another key draws again and replaces the kept batch
-    assert harness._draw_normals(plan, 0, 6, 4, 1.0, harness.STATE) is not S
-    assert harness._draw_normals(plan, 0, 6, 4, 2.0, harness.STATE) is not S
-    np.testing.assert_array_equal(harness._draw_normals(plan, 0, 6, 4, 2.0, harness.STATE), S)
+    assert plan.normals(0, 6, harness.STATE, 4, 1.0) is not S
+    assert plan.normals(0, 6, harness.STATE, 4, 2.0) is not S
+    np.testing.assert_array_equal(plan.normals(0, 6, harness.STATE, 4, 2.0), S)
 
 
 def _small_dpc_report(trials=600, seed=11):
@@ -269,11 +305,11 @@ def test_single_trial_report_equals_trace_statistics():
     plan = harness.RandomPlan(5)
     report = harness.run_experiment("dpc", ACC, PowerSplit(0.5), block, trials, plan)
     _, M = (report.rates["rate"], report.rates["M"])
-    S = plan.normal_block(0, harness.STATE, n, math.sqrt(ACC.Q))
-    eta = plan.normal_block(0, harness.NOISE, n, math.sqrt(ACC.sigma2))
+    S = plan.normals(0, 1, harness.STATE, n, math.sqrt(ACC.Q))
+    eta = plan.normals(0, 1, harness.NOISE, n, math.sqrt(ACC.sigma2))
     W = plan.message(0, harness.MSG, M)
     _, _, coeffs = sk_dpc.resolve_loop(ACC, 0.5, block)
-    trace = sk_dpc.run_batch(ACC, 0.5, M, coeffs, np.array([W]), S[None], eta[None])
+    trace = sk_dpc.run_batch(ACC, 0.5, M, coeffs, np.array([W]), S, eta)
     distortion = np.mean((trace.S[0] - trace.S_hat[0]) ** 2)
     assert report.empirical["distortion"] == pytest.approx(distortion, rel=1e-12)
     assert report.empirical["distortion_se"] == 0.0
@@ -552,19 +588,18 @@ def _batch_runs(plan, scheme, params, split, block, rates, start, stop):
     """The public batch runner of ``scheme`` on the harness's draws of trials
     start..stop-1, with its (B, n) traces; ``rates`` is the report's."""
     n = block.n
-    S = harness._draw_normals(plan, start, stop, n, math.sqrt(params.Q), harness.STATE)
-    eta = harness._draw_normals(plan, start, stop, n, math.sqrt(params.sigma2), harness.NOISE)
+    S = plan.normals(start, stop, harness.STATE, n, math.sqrt(params.Q))
+    eta = plan.normals(start, stop, harness.NOISE, n, math.sqrt(params.sigma2))
     if scheme == "mac":
         M1, M2 = rates["M1"], rates["M2"]
-        W1 = harness._draw_messages(plan, start, stop, M1, harness.MSG)
-        W2 = harness._draw_messages(plan, start, stop, M2, harness.MSG2)
+        W1 = plan.messages(start, stop, harness.MSG, M1)
+        W2 = plan.messages(start, stop, harness.MSG2, M2)
         coeffs = sk_dpmac.mac_coefficients(params, split.gamma, split.beta, n)
         return sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
     M = rates["M"]
-    W = harness._draw_messages(plan, start, stop, M, harness.MSG)
+    W = plan.messages(start, stop, harness.MSG, M)
     if scheme == "noisy":
-        Z = harness._draw_normals(plan, start, stop, n, math.sqrt(params.sigma_z2),
-                                  harness.OBS_NOISE)
+        Z = plan.normals(start, stop, harness.OBS_NOISE, n, math.sqrt(params.sigma_z2))
         eq = noisy_obs.make_equivalent(params)
         _, _, coeffs = sk_dpc.resolve_loop(eq, split.gamma, block, noisy_obs.EQUIVALENT_NOISE)
         return noisy_obs.noisy_run_batch(params, split.gamma, M, coeffs, W, S, Z, eta)

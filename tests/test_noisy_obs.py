@@ -150,9 +150,9 @@ def test_run_block_matches_harness_traces(gamma):
     M = report.rates["M"]
     assert sorted(columns) == list(range(trials))
     for trial, cols in columns.items():
-        S = plan.normal_block(trial, harness.STATE, n, math.sqrt(FIG3.Q))
-        Z = plan.normal_block(trial, harness.OBS_NOISE, n, math.sqrt(FIG3.sigma_z2))
-        eta = plan.normal_block(trial, harness.NOISE, n, math.sqrt(FIG3.sigma2))
+        S = plan.normals(trial, trial + 1, harness.STATE, n, math.sqrt(FIG3.Q))[0]
+        Z = plan.normals(trial, trial + 1, harness.OBS_NOISE, n, math.sqrt(FIG3.sigma_z2))[0]
+        eta = plan.normals(trial, trial + 1, harness.NOISE, n, math.sqrt(FIG3.sigma2))[0]
         W = plan.message(trial, harness.MSG, M)
         trace = _one_block(FIG3, gamma, block, W, S, Z, eta)
         for name in ("X", "Y", "theta_hat", "S", "S_hat"):

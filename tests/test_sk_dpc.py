@@ -70,6 +70,21 @@ def test_a_rejected_long_block_allocates_nothing_per_step():
     assert peak < 1e6
 
 
+def test_a_stalled_recursion_holds_its_rows_in_about_the_final_arrays():
+    # gamma*P/sigma2 = 1e-20 keeps alpha from moving, so every step is kept;
+    # rows held as a list of tuples took about 200 B a step, 8.4x the 24 B of
+    # the final arrays that _check_storable probes for
+    tracemalloc.start()
+    try:
+        coeffs = sk_dpc.compute_coefficients(DpcParams(P=1e-10, Q=10, sigma2=1e10), 1.0, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = sum(v.nbytes for v in vars(coeffs).values() if isinstance(v, np.ndarray))
+    assert coeffs.mu.shape == (1, 20_000)
+    assert peak < 3 * final
+
+
 def test_coefficient_arrays_are_frozen():
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 10)
     with pytest.raises(ValueError):

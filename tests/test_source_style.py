@@ -74,3 +74,27 @@ def test_the_package_never_compares_with_a_scheme_name():
         for line in _scheme_name_comparisons(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def _private_reads(tree):
+    """Lines that read another object's private attribute, as ``plan._kept``
+    would; ``self._x``, ``cls._x``, dunders and namedtuple ``_replace`` are
+    not one."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and node.attr != "_replace"
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_the_package_reads_no_other_objects_privates():
+    # an object's private state is read through its own methods, so that a
+    # class can change its internals without breaking its callers
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(ROOT.glob("src/dpsk/*.py"))
+        for line in _private_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
