@@ -159,15 +159,16 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
         raise DegenerateSplit("gamma*P = 0 leaves no message power")
     s2 = params.sigma2
     alpha = _first_variance(gp, s2, "gamma", "gamma*P", noise)
-    rows = array.array("d", (0.0, alpha, math.nan))  # per step: mu, alpha, gain
+    width = 3  # per step: mu, alpha, gain
+    rows = array.array("d", (0.0, alpha, math.nan))
     for k in range(1, n):
-        _check_storable(k, 3, n)
+        _check_storable(k, width, n)
         mu = math.sqrt(gp * alpha) / (gp + s2)
         gain = math.sqrt(gp / alpha)
         alpha = alpha - mu**2 * (gp + s2)
         _check_variance(alpha, k + 1, n, gp, s2, "gamma", "gamma*P", noise)
         rows.extend((mu, alpha, gain))
-    mu, alpha, gain = np.frombuffer(rows).reshape(n, 3).T.copy()[:, None]  # contiguous (1, n) rows
+    mu, alpha, gain = np.frombuffer(rows).reshape(n, width).T.copy()[:, None]  # (1, n) rows
     sc = state_forward_coefficient(params, gamma)
     return SkCoefficients(params, float(gamma), int(n), mu, alpha, gain, lam=1.0 + sc,
                           state_coef=np.array([sc]), message_amp=np.array([math.sqrt(12.0 * gp)]))

@@ -115,11 +115,12 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     c12 = 0.0
     nan = math.nan
     # per step: mu1, mu2, alpha1, alpha2, gain1, gain2, rho, rho_raw, sign, ey2, est_coef
+    width = 11
     rows = array.array("d", (0.0, 0.0, a1, nan, nan, nan, nan, nan, 1.0, nan, 0.0,
                              0.0, 0.0, a1, a2, nan, nan, 0.0, 0.0, 1.0, nan, 0.0))
 
     for k in range(2, n):
-        _check_storable(k, 11, n)
+        _check_storable(k, width, n)
         raw_prev = c12 / math.sqrt(a1 * a2)
         s = _sign(raw_prev, paper_sgn)
         g1 = math.sqrt(A / a1)
@@ -142,7 +143,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
         rows.extend((e1 / v, e2 / v, a1, a2, g1, g2, _sign(raw, paper_sgn) * raw, raw, s, ey2,
                      lam * Q / ey2))
 
-    per_step = np.frombuffer(rows).reshape(n, 11).T.copy()  # contiguous rows
+    per_step = np.frombuffer(rows).reshape(n, width).T.copy()  # contiguous rows
     mu, alpha, gain = per_step[:6].reshape(3, 2, n)
     rho, rho_raw, signs, ey2, est_coef = per_step[6:]
     amp = np.array([math.sqrt(12.0 * A), math.sqrt(12.0 * B)])

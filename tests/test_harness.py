@@ -68,33 +68,30 @@ def test_messages_cover_the_whole_range():
     assert plan.message(0, harness.MSG, 1) == 1
 
 
-# (trial, component, draw): a normal block of n > 0 values scaled by std, or
-# a message out of M; M < 2**32 takes integers' buffered 32-bit path,
-# M > 2**32 the 64-bit one
+# (trial, component, draw): a unit normal block of n > 0 values, or a message
+# out of M; M < 2**32 takes integers' buffered 32-bit path, M > 2**32 the
+# 64-bit one
 SUBSTREAM_DRAWS = st.lists(
     st.tuples(
         st.integers(0, 2**61 - 1),
         st.integers(0, harness._STREAMS_PER_TRIAL - 1),
         st.one_of(
-            st.tuples(
-                st.just("normal"), st.integers(1, 70),
-                st.one_of(st.just(0.0), st.floats(0.0, 1e50)),
-            ),
-            st.tuples(st.just("message"), st.integers(1, 1000), st.none()),
-            st.tuples(st.just("message"), st.integers(2**32 + 1, 2**62), st.none()),
+            st.tuples(st.just("normal"), st.integers(1, 70)),
+            st.tuples(st.just("message"), st.integers(1, 1000)),
+            st.tuples(st.just("message"), st.integers(2**32 + 1, 2**62)),
         ),
     ),
     min_size=1,
     max_size=12,
 )
 INTERLEAVED = [
-    (0, harness.STATE, ("normal", 5, 1.0)),
-    (0, harness.MSG, ("message", 4, None)),
-    (0, harness.NOISE, ("normal", 3, 0.0)),
-    (1, harness.MSG, ("message", 2**40, None)),
-    (1, harness.MSG2, ("message", 1, None)),
-    (1, harness.MSG, ("message", 7, None)),
-    (2**61 - 1, 7, ("normal", 9, math.sqrt(5.0))),
+    (0, harness.STATE, ("normal", 5)),
+    (0, harness.MSG, ("message", 4)),
+    (0, harness.NOISE, ("normal", 3)),
+    (1, harness.MSG, ("message", 2**40)),
+    (1, harness.MSG2, ("message", 1)),
+    (1, harness.MSG, ("message", 7)),
+    (2**61 - 1, 7, ("normal", 9)),
 ]
 
 
@@ -111,23 +108,19 @@ def test_shared_generator_draws_what_a_fresh_philox_draws(seed, draws):
     # the plan re-keys one cached Philox per draw; a buffered 32-bit word
     # left by a small-M message must not leak into the next substream. A
     # normal block drawn into a row of a batch, in place, keeps the bits of
-    # standard_normal(n) from a fresh Philox, and a batch of one trial those
-    # of std * standard_normal(n).
+    # standard_normal(n) from a fresh Philox.
     plan = harness.RandomPlan(seed)
-    for trial, component, (kind, size, std) in draws:
+    for trial, component, (kind, size) in draws:
         fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
         if kind == "normal":
-            unit = fresh.standard_normal(size)
+            expected = _bits(fresh.standard_normal(size))
             batch = np.full((3, size), np.nan)
             row = plan.normal_block(trial, component, size, out=batch[1])
             assert row.base is batch
-            np.testing.assert_array_equal(_bits(batch[1]), _bits(unit))
+            np.testing.assert_array_equal(_bits(batch[1]), expected)
             assert np.isnan(batch[[0, 2]]).all()
             np.testing.assert_array_equal(
-                _bits(plan.normal_block(trial, component, size)), _bits(unit)
-            )
-            np.testing.assert_array_equal(
-                _bits(plan.normals(trial, trial + 1, component, size, std)), _bits([std * unit])
+                _bits(plan.normal_block(trial, component, size)), expected
             )
         else:
             assert plan.message(trial, component, size) == fresh.integers(1, size + 1)

@@ -636,29 +636,30 @@ def test_noisy_cancellation_names_the_equivalent_noise(capsys):
 # Y_1 cancels S_1 against the offset, and on the theta scale that rounds terms
 # of size omega sqrt(Q / (12 gamma P)); where that reaches half a grid step, the
 # decoder errs although the exact error rate is near 0. So the limit scales with
-# sqrt(Q / (gamma P)), not with n*rate alone.
+# sqrt(Q / (gamma P)), not with n*rate alone. Each input names the error
+# rates its report must hold.
 FINER_THAN_FLOAT64 = {
     # n*rate = 48 bits and alpha_n is near 1e-261; the theta scale is ~9
-    "dpc-48-bits": ["dpc", "--P", "10", "--Q", "1e4", "--sigma2", "1e-12", "--gamma", "1",
-                    "--n", "20", "--rate", "2.4"],
+    "dpc-48-bits": (("pe",), ["dpc", "--P", "10", "--Q", "1e4", "--sigma2", "1e-12",
+                              "--gamma", "1", "--n", "20", "--rate", "2.4"]),
     # M = 21 (4.4 bits) under a state of Q = 1e32; steady_power reads 1.3 against P = 1
-    "dpc-large-state": ["dpc", "--P", "1", "--Q", "1e32", "--sigma2", "1", "--gamma", "0.5",
-                        "--n", "30", "--rate_fraction", "0.5"],
+    "dpc-large-state": (("pe",), ["dpc", "--P", "1", "--Q", "1e32", "--sigma2", "1",
+                                  "--gamma", "0.5", "--n", "30", "--rate_fraction", "0.5"]),
     # M1 = M2 = 19 under the same state
-    "mac-large-state": ["mac", "--P1", "1", "--P2", "1", "--Q", "1e32", "--sigma2", "1",
-                        "--gamma", "0.5", "--beta", "0.5", "--n", "30", "--rate_fraction", "0.5"],
+    "mac-large-state": (("pe1", "pe2"), ["mac", "--P1", "1", "--P2", "1", "--Q", "1e32",
+                                         "--sigma2", "1", "--gamma", "0.5", "--beta", "0.5",
+                                         "--n", "30", "--rate_fraction", "0.5"]),
 }
 
 
 @pytest.mark.xfail(strict=True, reason="a message grid finer than float64 resolves is accepted")
 @pytest.mark.parametrize("name", sorted(FINER_THAN_FLOAT64))
 def test_message_grid_finer_than_float64_is_rejected_or_decoded(capsys, name):
-    argv = ["simulate", *FINER_THAN_FLOAT64[name], "--trials", "400", "--seed", "7",
-            "--format", "json"]
+    keys, command = FINER_THAN_FLOAT64[name]
+    argv = ["simulate", *command, "--trials", "400", "--seed", "7", "--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
-    empirical = json.loads(out)["empirical"] if code == 0 else {}
-    assert code == 2 or all(empirical[key] == 0.0 for key in ("pe", "pe1", "pe2")
-                            if key in empirical)
+    assert code == 2 or (code == 0 and all(json.loads(out)["empirical"][key] == 0.0
+                                           for key in keys))
 
 
 OVERFLOWING_CHANNELS = {
