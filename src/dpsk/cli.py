@@ -4,12 +4,12 @@ Subcommands: ``region`` (closed-form trade-off boundaries), ``rho-star``
 (two-encoder fixed-point correlation), ``simulate`` (seeded Monte Carlo
 with a report), ``sweep`` (simulation across a power-split grid).
 
-Parameter flags are spelled like the configuration-file keys, and a flag's
-text becomes an int or a float that :mod:`dpsk.params` alone checks, so a
-``--config`` JSON file and flags are interchangeable (flags win) and fail
-alike; a file key the command has no flag for is rejected. Grid sizes are
-read the same way and checked by ``params.check_count``. Exit codes: 0
-success, 2 configuration or usage error, 1 runtime error.
+Parameter flags are spelled like the configuration-file keys. Argparse
+reads the text of every key and grid-size flag with :func:`_number`, and
+:mod:`dpsk.params` alone checks the value, so a ``--config`` JSON file and
+flags are interchangeable (flags win) and fail alike; a file key the
+command has no flag for is rejected. Exit codes: 0 success, 2
+configuration or usage error, 1 runtime error.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from .errors import ConfigError, DpskError
 
 def _number(text):
     """A flag's text as an int if it reads as one, else as a float if it
-    reads as one, else unchanged; :mod:`params` checks the value."""
+    reads as one, else unchanged."""
     for parse in (int, float):
         try:
             return parse(text)
@@ -39,9 +39,9 @@ def _merged_config(args, scheme):
     has no flag for is rejected, not ignored."""
     raw = params_mod.load_config(args.config) if args.config else {}
     for key in params_mod.CONFIG_KEYS:
-        text = getattr(args, key, None)
-        if text is not None:
-            raw[key] = _number(text)
+        value = getattr(args, key, None)
+        if value is not None:
+            raw[key] = value
     params_mod.resolve_scheme(raw, scheme)
     for key in raw:
         if not hasattr(args, key):
@@ -155,9 +155,7 @@ _KEY_HELP = {"n": "block length", "rate": "bits per channel use",
 def _add_key_flags(parser, scheme, split=False, run=False):
     """A flag spelled like each configuration key the command reads: the
     scheme's channel fields, its split fractions if ``split``, and if
-    ``run`` the block, trials, seed and the sign rule of two encoders. A
-    key's flag keeps its text; :func:`_merged_config` reads it as a number
-    for params to check."""
+    ``run`` the block, trials, seed and the sign rule of two encoders."""
     channel = params_mod.CHANNELS[scheme]
     keys = [field.name for field in dataclasses.fields(channel)]
     if split:
@@ -165,7 +163,7 @@ def _add_key_flags(parser, scheme, split=False, run=False):
     if run:
         keys += ("n", "rate", "rate_fraction", "trials", "seed")
     for key in keys:
-        parser.add_argument(f"--{key}", help=_KEY_HELP.get(key))
+        parser.add_argument(f"--{key}", type=_number, help=_KEY_HELP.get(key))
     if run and len(channel.SPLIT) > 1:
         parser.add_argument("--paper-sgn", action="store_true", dest="paper_sgn",
                             help="sign convention that silences encoder 2 whenever the "

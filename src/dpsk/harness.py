@@ -129,8 +129,8 @@ def _spans(trials):
     return [(s, min(s + BATCH, trials)) for s in range(0, trials, BATCH)]
 
 
-def _pe_with_ci(errors, trials):
-    pe = float(np.count_nonzero(errors)) / trials
+def _pe_with_ci(count, trials):
+    pe = float(count) / trials
     half = 1.96 * math.sqrt(max(pe * (1.0 - pe), 0.0) / trials)
     return pe, half
 
@@ -177,18 +177,18 @@ def _simulate(params, n, trials, plan, run_batch, trace_writer):
     with K = ``len(params.SPLIT)`` encoders. The runner stores its X and
     theta_hat traces only when ``traces`` is set, that is, when there is a
     ``trace_writer`` to hand them to, one column per user. Collects per-user
-    error flags (K, trials), per-trial squared estimation errors and
-    per-user symbol power sums (K, n), and returns the report's measured
-    block built from them by :func:`_empirical`. A trial count whose
-    per-trial results numpy cannot allocate is rejected before any draw.
+    error counts (K,), per-trial squared estimation errors and per-user
+    symbol power sums (K, n), and returns the report's measured block built
+    from them by :func:`_empirical`. A trial count whose per-trial results
+    numpy cannot allocate is rejected before any draw.
     """
     suffixes = _SUFFIXES[len(params.SPLIT)]
     try:
-        errors = np.zeros((len(suffixes), trials), dtype=bool)
         sq_err = np.empty(trials)
     except (ValueError, MemoryError):
         raise ConfigError(f"trials = {trials} is too many: their per-trial results do not "
                           "fit in memory", field="trials") from None
+    errors = np.zeros(len(suffixes), dtype=np.int64)
     power_sums = np.zeros((len(suffixes), n))
     traces = trace_writer is not None
 
@@ -196,7 +196,7 @@ def _simulate(params, n, trials, plan, run_batch, trace_writer):
         S = plan.normals(start, stop, STATE, n, math.sqrt(params.Q))
         eta = plan.normals(start, stop, NOISE, n, math.sqrt(params.sigma2))
         trace = run_batch(start, stop, S, eta, traces)
-        errors[:, start:stop] = trace.W_hat != trace.W
+        errors += np.count_nonzero(trace.W_hat != trace.W, axis=1)
         power_sums += trace.power
         sq_err[start:stop] = np.mean((S - trace.S_hat) ** 2, axis=1)
         if traces:
@@ -222,8 +222,8 @@ def _empirical(errors, sq_err, power_sums, trials):
     per_symbol = power_sums / trials
     rows = list(zip(suffixes, per_symbol))
     empirical = {}
-    for s, flags in zip(suffixes, errors):
-        empirical[f"pe{s}"], empirical[f"pe{s}_ci95"] = _pe_with_ci(flags, trials)
+    for s, count in zip(suffixes, errors):
+        empirical[f"pe{s}"], empirical[f"pe{s}_ci95"] = _pe_with_ci(count, trials)
     empirical["distortion"], empirical["distortion_se"] = _mean_with_se(sq_err)
     empirical.update({f"power{s}": float(row.mean()) for s, row in rows})
     if users == 1:

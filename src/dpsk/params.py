@@ -256,8 +256,7 @@ def resolve_block(block, cap_bits):
             "message set would not fit in int64",
             field="rate",
         )
-    M = int(round(2.0**exponent))
-    return rate, max(M, 1)
+    return rate, round(2.0**exponent)
 
 
 #: Channel container of each scheme; its fields and split fractions are the

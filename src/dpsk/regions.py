@@ -153,14 +153,12 @@ def solve_rho_star(params: MacParams, gamma, beta):
         return s2 * (A + B + cross * r + s2) - (B * shrink + s2) * (A * shrink + s2)
 
     lo, hi = 0.0, 1.0
-    for _ in range(200):
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13:
-            break
     return 0.5 * (lo + hi)
 
 
@@ -265,8 +263,6 @@ def unit_grid(count, field="grid"):
     cannot allocate is a ConfigError naming ``field``."""
     if count < 1:
         raise EmptyGrid("grid count must be >= 1")
-    if count == 1:
-        return np.array([0.0])
     try:
         return np.linspace(0.0, 1.0, count)
     except (ValueError, MemoryError):

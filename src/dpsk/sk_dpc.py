@@ -319,10 +319,9 @@ def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
             th.append(y / amp[k])
         else:
             z = y - lam * s
-        for u in range(min(k, K)):
-            if k >= K:
+            for u in range(K):
                 eps[u] = eps[u] - mu[u, k] * z
-            th[u] = th[u] - mu[u, k] * y
+                th[u] = th[u] - mu[u, k] * y
         power[:, k] = [_power_sum(x) for x in xs]
         if traces:
             X[:, :, k], theta_hat[:len(th), :, k] = xs, th

@@ -112,7 +112,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     # Initialization slots: each encoder learns its own eps exactly once.
     a1 = _first_variance(A, s2, "gamma", "gamma*P1")
     a2 = _first_variance(B, s2, "beta", "beta*P2")
-    c12 = 0.0
+    c12 = raw = 0.0
     nan = math.nan
     # per step: mu1, mu2, alpha1, alpha2, gain1, gain2, rho, rho_raw, sign, ey2, est_coef
     width = 11
@@ -121,8 +121,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
 
     for k in range(2, n):
         _check_storable(k, width, n)
-        raw_prev = c12 / math.sqrt(a1 * a2)
-        s = _sign(raw_prev, paper_sgn)
+        s = _sign(raw, paper_sgn)
         g1 = math.sqrt(A / a1)
         g2 = s * math.sqrt(B / a2)
         e1 = g1 * a1 + g2 * c12

@@ -195,6 +195,23 @@ def test_a_sweep_draws_each_normal_substream_once(monkeypatch):
     assert drawn == collections.Counter({(t, c): 1 for t in range(50) for c in components})
 
 
+def test_a_fixed_rate_sweep_draws_each_message_substream_once(monkeypatch):
+    drawn = collections.Counter()
+    message = harness.RandomPlan.message
+
+    def counted(plan, trial, component, *args, **kwargs):
+        drawn[trial, component] += 1
+        return message(plan, trial, component, *args, **kwargs)
+
+    monkeypatch.setattr(harness.RandomPlan, "message", counted)
+    rows = harness.sweep(
+        "dpc", ACC, [0.25, 0.5, 1.0], BlockConfig(30, rate=0.2), 50, harness.RandomPlan(7),
+    )
+    # n * rate = 6 bits at every point, so all three share M = 64
+    assert [row["rate"] for row in rows] == [0.2] * 3
+    assert drawn == collections.Counter({(t, harness.MSG): 1 for t in range(50)})
+
+
 @pytest.mark.parametrize("trials", [40, harness.BATCH + 3])
 @pytest.mark.parametrize("scheme", ["dpc", "noisy", "mac"])
 def test_sweep_rows_equal_runs_on_fresh_plans(scheme, trials):

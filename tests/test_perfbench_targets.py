@@ -13,9 +13,7 @@ none that they forbid. Both files are read as they are.
 
 import collections
 import importlib
-import importlib.util
 import inspect
-import pathlib
 import subprocess
 import sys
 
@@ -25,17 +23,12 @@ import pytest
 from dpsk import sk_dpc, sk_dpmac
 from dpsk.params import DpcParams, MacParams
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+from perfbench_loader import load_run
 
 
 @pytest.fixture
-def run(monkeypatch):
-    # run.py puts perfbench/ on sys.path to import tracer; the fixture restores it
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def run():
+    return load_run()
 
 
 def _targets(run):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsk import noisy_obs, regions
 from dpsk.errors import EmptyGrid, SplitOutOfRange
@@ -106,6 +108,34 @@ def test_rho_star_residual_is_tiny():
             scale = s2 * (math.sqrt(A) + math.sqrt(B)) ** 2
             assert abs(residual) <= 1e-11 * scale
             assert 0.0 < rho < 1.0
+
+
+def _aligned_rho_map(params, gamma, beta, rho):
+    """The next sign-aligned error correlation of the two-encoder loop at rho,
+    from the normalized update: with a = sqrt(gamma P1), b = sqrt(beta P2)
+    and v = a^2 + b^2 + 2ab rho + sigma2, each variance shrinks by 1 - f_u."""
+    a, b = math.sqrt(gamma * params.P1), math.sqrt(beta * params.P2)
+    v = a * a + b * b + 2.0 * a * b * rho + params.sigma2
+    f1, f2 = (a + b * rho) ** 2 / v, (a * rho + b) ** 2 / v
+    return abs(rho - (a + b * rho) * (a * rho + b) / v) / math.sqrt((1.0 - f1) * (1.0 - f2))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# The range stops at gamma P / sigma2 = 1e5. 1 - f_u falls like 1/SNR and the
+# map's own float64 evaluation cancels with it: at P1 = P2 = 1e7, sigma2 =
+# 1e-7 and gamma = beta = 1 (SNR 1e14) its residual is 2.3e-9, at SNR 1e20
+# 8.9e-6. That error is the checker's, not solve_rho_star's.
+@settings(deadline=None)
+@given(P1=_log_uniform(1e-2, 1e3), P2=_log_uniform(1e-2, 1e3), Q=_log_uniform(1e-3, 1e4),
+       sigma2=_log_uniform(1e-2, 1e2), gamma=st.floats(0.05, 1), beta=st.floats(0.05, 1))
+def test_rho_star_is_a_fixed_point_of_the_aligned_rho_map(P1, P2, Q, sigma2, gamma, beta):
+    # a check of the bisection that does not use its root function
+    params = MacParams(P1, P2, Q, sigma2)
+    rho = regions.solve_rho_star(params, gamma, beta)
+    assert abs(_aligned_rho_map(params, gamma, beta, rho) - rho) <= 1e-10
 
 
 def test_rho_star_zero_when_either_message_silent():

@@ -10,7 +10,7 @@ from dpsk import regions, sk_dpmac
 from dpsk.errors import (
     BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, SplitOutOfRange,
 )
-from dpsk.params import BlockConfig, MacParams
+from dpsk.params import BlockConfig, DpcParams, MacParams
 
 import stepwise
 from oracles import mac_coefficient_oracle
@@ -88,12 +88,47 @@ def test_signs_alternate_and_message_power_is_exact():
     )
 
 
+# (params, gamma, beta, encoder 2's alpha at t = 4 and t = 40 under paper_sgn)
+DECAY_CASES = [
+    (ACC, 0.8, 0.8, 0.02473, 0.02003),
+    (ASYM, 0.6, 0.9, 0.006523, 0.005032),
+    (ACC, 1.0, 0.5, 0.04861, 0.04167),
+    (MacParams(P1=2, P2=20, Q=1, sigma2=1), 0.5, 0.7, 0.0005704, 0.0003968),
+]
+
+
+def _last_decays(coeffs):
+    """Each encoder's last-step decay 0.5 log2(alpha_{n-1} / alpha_n), in bits."""
+    return 0.5 * np.log2(coeffs.alpha[:, -2] / coeffs.alpha[:, -1])
+
+
 def test_paper_sign_mode_silences_encoder_two_on_negative_raw():
-    coeffs = sk_dpmac.mac_coefficients(ACC, 0.8, 0.8, 40, paper_sgn=True)
-    assert set(np.unique(coeffs.signs)) <= {0.0, 1.0}
-    silent = coeffs.signs[2:] == 0.0
-    assert silent.any()
-    np.testing.assert_array_equal(coeffs.gain[1, 2:][silent], 0.0)
+    # the raw correlation is negative after the first joint step, so s = 0
+    # silences encoder 2, c12 keeps its sign and encoder 2 never restarts:
+    # the rule leaves the two-encoder region
+    for params, gamma, beta, alpha2_t4, alpha2_n in DECAY_CASES:
+        coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, 40, paper_sgn=True)
+        np.testing.assert_array_equal(coeffs.signs, [1.0, 1.0, 1.0] + [0.0] * 37)
+        np.testing.assert_array_equal(coeffs.gain[1, 3:], 0.0)
+        # encoder 2's error variance levels off, so its decay tends to 0 ...
+        assert np.all(np.diff(coeffs.alpha[1, 1:]) <= 0.0)
+        assert coeffs.alpha[1, 3] == pytest.approx(alpha2_t4, rel=1e-3)
+        assert coeffs.alpha[1, -1] == pytest.approx(alpha2_n, rel=1e-3)
+        decay1, decay2 = _last_decays(coeffs)
+        assert 0.0 <= decay2 < 1e-9
+        # ... and encoder 1 runs alone, at the single-user cap
+        single = regions.dpc_rate_cap(DpcParams(params.P1, params.Q, params.sigma2), gamma)
+        assert decay1 == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize("params, gamma, beta", [case[:3] for case in DECAY_CASES])
+def test_default_sign_rule_decays_at_the_caps_at_rho_star(params, gamma, beta):
+    coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, 40)
+    rho_star = regions.solve_rho_star(params, gamma, beta)
+    caps = regions.mac_constraints(params, gamma, beta, rho_star)
+    decays = _last_decays(coeffs)
+    np.testing.assert_allclose(decays, [caps.r1_max, caps.r2_max], rtol=0, atol=2e-5)
+    assert decays.sum() == pytest.approx(caps.rsum_max, abs=2e-5)
 
 
 def test_per_step_distortion_reproduces_region_formula():
