@@ -104,7 +104,7 @@ def _value_csv(data):
 
 def _trace_writer(directory, trials):
     os.makedirs(directory, exist_ok=True)
-    width = max(6, len(str(max(trials - 1, 0))))
+    width = max(6, len(str(trials - 1)))
     def write(trial, columns):
         name = f"trial_{trial:0{width}d}.csv"
         output.write_text(output.trace_csv(columns), os.path.join(directory, name))

@@ -131,7 +131,7 @@ def _spans(trials):
 
 def _pe_with_ci(count, trials):
     pe = float(count) / trials
-    half = 1.96 * math.sqrt(max(pe * (1.0 - pe), 0.0) / trials)
+    half = 1.96 * math.sqrt(pe * (1.0 - pe) / trials)
     return pe, half
 
 

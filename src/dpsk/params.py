@@ -1,11 +1,12 @@
 """Validated parameter containers and configuration handling.
 
 Each configuration key's check is declared once, in a table in
-:data:`CONFIG_KEYS` order. Every container here is frozen, runs in
-``__post_init__`` the check of each field named like a key and spells out
-only the rules that tie fields together, so a value in one of these types
-needs no re-checking elsewhere. Failures raise the structured errors from
-:mod:`dpsk.errors` with the offending field named.
+:data:`CONFIG_KEYS` order; a float key stores a zero of either sign as +0.0.
+Every container here is frozen, runs in ``__post_init__`` the check of each
+field named like a key and spells out only the rules that tie fields
+together, so a value in one of these types needs no re-checking elsewhere.
+Failures raise the structured errors from :mod:`dpsk.errors` with the
+offending field named.
 
 Configuration files are flat JSON objects whose keys are exactly the ones
 in :data:`CONFIG_KEYS`. :func:`validate` turns such a mapping into typed
@@ -50,7 +51,7 @@ def _require_number(name, value):
         value = math.inf
     if math.isnan(value) or math.isinf(value):
         raise ConfigError(f"{name} must be finite, got {value!r}", field=name)
-    return value
+    return value + 0.0  # -0.0 + 0.0 is +0.0; every other float is unchanged
 
 
 def _check_channel(name, value, power=False, positive=False):

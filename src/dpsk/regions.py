@@ -65,8 +65,6 @@ def dpc_min_distortion(params: DpcParams, gamma):
     """
     gamma = check_fraction("gamma", gamma)
     P, Q, s2 = params.P, params.Q, params.sigma2
-    if Q == 0.0:
-        return 0.0
     forwarded = (math.sqrt(Q) + math.sqrt((1.0 - gamma) * P)) ** 2
     return Q * (gamma * P + s2) / (forwarded + gamma * P + s2)
 
@@ -128,7 +126,7 @@ def mac_constraints(params: MacParams, gamma, beta, rho):
         r1_max=_half_log2(A * one / s2),
         r2_max=_half_log2(B * one / s2),
         rsum_max=_half_log2((A + B + cross) / s2),
-        d_min=params.Q * (A + B + s2 + cross) / (L + cross) if params.Q else 0.0,
+        d_min=params.Q * (A + B + s2 + cross) / (L + cross),
     )
 
 
@@ -222,8 +220,6 @@ def noisy_min_distortion(params: NoisyObsParams, gamma):
     """
     gamma = check_fraction("gamma", gamma)
     P, Q, s2 = params.P, params.Q, params.sigma2
-    if Q == 0.0:
-        return 0.0
     kappa = observation_weight(params)
     forwarded = (math.sqrt(kappa * Q) + math.sqrt((1.0 - gamma) * P)) ** 2
     w = kappa * params.sigma_z2

@@ -190,11 +190,8 @@ def estimation_coefficient(params: DpcParams, gamma):
         / ((sqrt(Q) + sqrt((1-gamma)P))^2 + gamma P + sigma2).
     """
     check_fraction("gamma", gamma)
-    Q = params.Q
-    if Q == 0.0:
-        return 0.0
-    reach = math.sqrt(Q) + math.sqrt((1.0 - gamma) * params.P)
-    return math.sqrt(Q) * reach / (reach**2 + gamma * params.P + params.sigma2)
+    reach = math.sqrt(params.Q) + math.sqrt((1.0 - gamma) * params.P)
+    return math.sqrt(params.Q) * reach / (reach**2 + gamma * params.P + params.sigma2)
 
 
 def estimate_state(Y, weight):

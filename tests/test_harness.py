@@ -525,6 +525,15 @@ def test_sweep_mac_and_noisy_schemas():
         harness.sweep("dpc", ACC, [0.5], BlockConfig(12), 10, plan, beta_grid=[0.5])
 
 
+def test_a_mac_sweep_without_a_beta_grid_reuses_the_gamma_grid():
+    block = BlockConfig(12, rate_fraction=0.4)
+    gammas = [0.5, 1.0]
+    rows = harness.sweep("mac", MAC, gammas, block, 40, harness.RandomPlan(4))
+    assert len(rows) == 4
+    assert rows == harness.sweep("mac", MAC, gammas, block, 40, harness.RandomPlan(4),
+                                 beta_grid=gammas)
+
+
 def test_sweep_mac_keeps_theory_at_degenerate_points():
     rows = harness.sweep(
         "mac", MAC, [0.0, 0.8], BlockConfig(12, rate_fraction=0.4), 40,

@@ -780,6 +780,37 @@ def test_an_integer_beyond_float64_fails_cleanly(capsys, tmp_path, key):
     assert by_flag == by_file == (2, "", f"error: {key} must be finite, got inf\n")
 
 
+def _without(config, *keys):
+    return {k: v for k, v in config.items() if k not in keys}
+
+
+SIGNED_ZEROS = {
+    "simulate-dpc-Q-gamma0": (["simulate", "dpc"], {**RUNS["dpc"], "gamma": 0}, "Q"),
+    **{f"simulate-dpc-{key}": (["simulate", "dpc"], RUNS["dpc"], key)
+       for key in ("Q", "P", "gamma", "rate", "rate_fraction")},
+    **{f"simulate-noisy-{key}": (["simulate", "noisy"], RUNS["noisy"], key)
+       for key in ("Q", "sigma_z2")},
+    **{f"simulate-mac-{key}": (["simulate", "mac"], RUNS["mac"], key) for key in ("Q", "beta")},
+    "sweep-noisy-Q": (["sweep", "noisy", "--grid", "2"], _without(RUNS["noisy"], "gamma"), "Q"),
+    "sweep-dpc-rate": (["sweep", "dpc", "--grid", "2"], _without(RUNS["dpc"], "gamma"), "rate"),
+    **{f"region-{variant}-Q": (["region", variant, "--grid", "3"],
+                               _without(RUNS[scheme], "gamma", "beta", "n", "trials"), "Q")
+       for variant, scheme in (("dpc-fb", "dpc"), ("noisy", "noisy"), ("mac-fb", "mac"))},
+}
+
+
+@pytest.mark.parametrize("name", SIGNED_ZEROS)
+def test_zero_has_one_sign(capsys, name):
+    # validation stores -0.0 as +0.0, so neither the config echo nor any
+    # value formed from it can print a negative zero
+    command, config, key = SIGNED_ZEROS[name]
+    negative, positive = (
+        run_cli(capsys, *command, *_flags({**config, key: zero}), "--format", "json")
+        for zero in ("-0.0", "0.0")
+    )
+    assert negative == positive
+
+
 @pytest.mark.parametrize("scheme, command", [
     ("dpc", ["simulate", "dpc"]), ("mac", ["simulate", "mac"]), ("noisy", ["sweep", "noisy"]),
 ])

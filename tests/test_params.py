@@ -145,6 +145,14 @@ def test_validate_rejects_unknown_and_foreign_keys(scheme):
         validate({"P1": 1, "sigma_z2": 1, "Q": 1, "sigma2": 1, "gamma": 0.5})
 
 
+def test_validate_rejects_a_non_mapping_and_an_unknown_scheme():
+    with pytest.raises(ConfigError, match="^configuration must be a mapping, got list$"):
+        params.resolve_scheme([1])
+    with pytest.raises(ConfigError, match="^unknown scheme 'foo'$") as info:
+        validate(SCHEME_KEYS["dpc"], scheme="foo")
+    assert info.value.field == "scheme"
+
+
 def test_validate_requires_scheme_fields():
     with pytest.raises(ConfigError) as info:
         validate({"P": 1, "Q": 1, "sigma2": 1})
@@ -222,6 +230,24 @@ def test_an_integer_beyond_float64_is_not_finite(key):
     assert info.value.field == key
     with pytest.raises(ConfigError, match="^gamma must be finite"):
         PowerSplit(10**400)
+
+
+ZERO_BASES = {
+    DpcParams: {"P": 1, "Q": 1, "sigma2": 1},
+    MacParams: {"P1": 1, "P2": 1, "Q": 1, "sigma2": 1},
+    NoisyObsParams: {"P": 1, "Q": 1, "sigma2": 1, "sigma_z2": 1},
+    PowerSplit: {"gamma": 0.5, "beta": 0.5},
+    BlockConfig: {"n": 10},
+}
+
+
+@pytest.mark.parametrize("cls, key", [
+    (cls, field.name) for cls in ZERO_BASES for field in dataclasses.fields(cls)
+    if field.name not in ("sigma2", "n")  # the keys where zero is rejected or not a float
+])
+def test_a_negative_zero_is_stored_as_positive_zero(cls, key):
+    value = getattr(cls(**{**ZERO_BASES[cls], key: -0.0}), key)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_load_config_rejects_an_integer_too_long_to_read(tmp_path):

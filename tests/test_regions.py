@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsk import noisy_obs, regions
+from dpsk import noisy_obs, regions, sk_dpc
 from dpsk.errors import EmptyGrid, SplitOutOfRange
 from dpsk.params import DpcParams, MacParams, NoisyObsParams
 
@@ -40,6 +40,20 @@ def test_min_distortion_extremes():
 
 def test_min_distortion_degenerate_state():
     assert regions.dpc_min_distortion(DpcParams(10, 0, 5), 0.5) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_zero_state_variance_gives_positive_zero(gamma):
+    # no special case: at Q = 0 each form is +0.0 times a finite value over a
+    # denominator of at least sigma2 > 0
+    values = (
+        regions.dpc_min_distortion(DpcParams(10, 0, 5), gamma),
+        regions.noisy_min_distortion(NoisyObsParams(10, 0, 5, 1), gamma),
+        regions.mac_constraints(MacParams(10, 10, 0, 5), gamma, gamma, 0.3).d_min,
+        sk_dpc.estimation_coefficient(DpcParams(10, 0, 5), gamma),
+    )
+    for value in values:
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_boundary_monotone_in_gamma():

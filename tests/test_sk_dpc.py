@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dpsk import noisy_obs, regions, sk_dpc, sk_dpmac
 from dpsk.errors import (
-    ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange, SplitOutOfRange,
+    BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange,
+    SplitOutOfRange,
 )
 from dpsk.params import BlockConfig, DpcParams, MacParams, NoisyObsParams
 
@@ -55,6 +56,9 @@ def test_coefficient_validation():
         sk_dpc.compute_coefficients(ACC, 0.0, 10)
     with pytest.raises(DegenerateSplit):
         sk_dpc.compute_coefficients(DpcParams(0, 10, 5), 1.0, 10)
+    with pytest.raises(BlocklengthTooSmall) as info:
+        sk_dpc.compute_coefficients(ACC, 0.5, 1)
+    assert info.value.field == "n"
 
 
 def test_a_rejected_long_block_allocates_nothing_per_step():
@@ -101,6 +105,8 @@ def test_message_grid_is_symmetric_and_bounded():
         sk_dpc.message_to_theta(0, M)
     with pytest.raises(MessageOutOfRange):
         sk_dpc.message_to_theta(M + 1, M)
+    with pytest.raises(MessageOutOfRange, match="message-set size must be >= 1"):
+        sk_dpc.message_to_theta(1, 0)
 
 
 def test_decode_rounds_to_nearest_grid_point():
