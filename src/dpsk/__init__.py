@@ -13,6 +13,10 @@ Monte Carlo experiments and the ``dpsk`` command line in
 :mod:`dpsk.harness` and :mod:`dpsk.cli`.
 """
 
+import os
+# OpenBLAS reads this once, when numpy loads: one thread rounds alike on any CPU count.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import ConfigError, DpskError
 from .harness import ExperimentReport, RandomPlan, run_experiment, sweep
 from .noisy_obs import make_equivalent

@@ -12,7 +12,9 @@ batch's per-slot symbol powers, which the batch runner sums over the
 batch's trials in order, are added to running per-user sums in batch
 order. Normal blocks are drawn as unit normals straight into the rows of
 their batch, which is then scaled once. The runners store the per-symbol
-X and theta_hat traces only for a run with a trace writer.
+X and theta_hat traces only for a run with a trace writer. Importing
+``dpsk`` pins BLAS to one thread, so dots longer than 10,000 terms round
+alike on any CPU count unless the program imported numpy first.
 """
 
 import collections

@@ -76,7 +76,7 @@ def check_fraction(name, value):
     """A power-split fraction as a float; SplitOutOfRange outside [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise SplitOutOfRange(f"{name} must lie in [0, 1], got {value}", field=name)
-    return float(value)
+    return float(value) + 0.0  # -0.0 becomes +0.0, as in _require_number
 
 
 def _check_split(name, value):

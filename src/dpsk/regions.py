@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGrid, SplitOutOfRange
+from .errors import ConfigError, EmptyGrid
 from .params import DpcParams, MacParams, NoisyObsParams, check_fraction
 
 
@@ -72,7 +72,7 @@ def dpc_min_distortion(params: DpcParams, gamma):
 def dpc_fb_boundary(params: DpcParams, gamma):
     """Boundary point of the single-user trade-off at a given split."""
     return RdPoint(
-        gamma=float(gamma),
+        gamma=check_fraction("gamma", gamma),
         rate=dpc_rate_cap(params, gamma),
         distortion=dpc_min_distortion(params, gamma),
     )
@@ -113,8 +113,7 @@ def mac_constraints(params: MacParams, gamma, beta, rho):
     """Feedback-region constraints at correlation rho between the two
     encoders' message errors."""
     gamma, beta, A, B = _mac_split_terms(params, gamma, beta)
-    if not -1.0 <= rho <= 1.0:
-        raise SplitOutOfRange(f"rho must lie in [-1, 1], got {rho}", field="rho")
+    rho = check_fraction("rho", rho)
     s2 = params.sigma2
     cross = 2.0 * math.sqrt(A * B) * rho
     L = mac_power_normalizer(params, gamma, beta)
@@ -122,7 +121,7 @@ def mac_constraints(params: MacParams, gamma, beta, rho):
     return MacRegionConstraints(
         gamma=gamma,
         beta=beta,
-        rho=float(rho),
+        rho=rho,
         r1_max=_half_log2(A * one / s2),
         r2_max=_half_log2(B * one / s2),
         rsum_max=_half_log2((A + B + cross) / s2),
@@ -231,7 +230,7 @@ def noisy_min_distortion(params: NoisyObsParams, gamma):
 def noisy_boundary(params: NoisyObsParams, gamma):
     """Boundary point of the noisy-observation trade-off at a given split."""
     return RdPoint(
-        gamma=float(gamma),
+        gamma=check_fraction("gamma", gamma),
         rate=noisy_rate_cap(params, gamma),
         distortion=noisy_min_distortion(params, gamma),
     )

@@ -212,6 +212,12 @@ def test_a_fixed_rate_sweep_draws_each_message_substream_once(monkeypatch):
     assert drawn == collections.Counter({(t, harness.MSG): 1 for t in range(50)})
 
 
+def test_a_negative_zero_grid_point_gives_a_positive_zero_row():
+    rows = harness.sweep("dpc", ACC, [-0.0], BlockConfig(30, rate_fraction=0.5), 10,
+                         harness.RandomPlan(7))
+    assert [math.copysign(1.0, row["gamma"]) for row in rows] == [1.0]
+
+
 @pytest.mark.parametrize("trials", [40, harness.BATCH + 3])
 @pytest.mark.parametrize("scheme", ["dpc", "noisy", "mac"])
 def test_sweep_rows_equal_runs_on_fresh_plans(scheme, trials):

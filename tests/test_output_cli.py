@@ -1,8 +1,11 @@
 import argparse
+import hashlib
 import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -923,3 +926,56 @@ def test_a_null_config_entry_of_a_required_key_fails_cleanly(capsys, tmp_path, c
     code, out, err = run_cli(capsys, *command, "--config", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {key} must be ") and err.endswith(", got None\n")
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+# a fresh interpreter that ignores PYTHON* variables and imports dpsk from SRC
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); "
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_env(**setting):
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARIABLES}
+    return {**env, **setting}
+
+
+def _run_child(code, *args, env):
+    done = subprocess.run([sys.executable, "-I", "-c", CHILD + code, SRC, *args],
+                          env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b""), done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "dpc", "--P", "0.001"],
+    ["simulate", "mac", "--P1", "0.001", "--P2", "0.001", "--beta", "1"],
+], ids=["dpc", "mac"])
+def test_long_block_bytes_do_not_depend_on_blas_threads(argv):
+    # OpenBLAS splits a dot of more than 10,000 terms across its threads, and
+    # the offsets of these 20,000-slot blocks are such dots; dpsk pins one thread
+    argv = [*argv, "--Q", "1", "--sigma2", "1", "--gamma", "1", "--n", "20000",
+            "--rate_fraction", "0.1", "--trials", "8", "--seed", "7", "--format", "json"]
+    outputs = {
+        name: _run_child("from dpsk import cli; sys.exit(cli.main(sys.argv[2:]))", *argv,
+                         env=_child_env(**setting))
+        for name, setting in {
+            "unset": {},
+            "openblas-1": {"OPENBLAS_NUM_THREADS": "1"},
+            "openblas-2": {"OPENBLAS_NUM_THREADS": "2"},
+            "omp-2": {"OMP_NUM_THREADS": "2"},
+        }.items()
+    }
+    digests = {name: hashlib.sha256(out).hexdigest()[:8] for name, out in outputs.items()}
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("setting", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+                         ids=["unset", "openblas-2", "omp-2"])
+def test_importing_dpsk_leaves_one_thread(setting):
+    code = ("import os; assert 'numpy' not in sys.modules; import dpsk, numpy; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    assert _run_child(code, env=_child_env(**setting)).split() == [b"1", b"1"]

@@ -56,6 +56,19 @@ def test_zero_state_variance_gives_positive_zero(gamma):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+def test_a_negative_zero_split_is_stored_as_positive_zero():
+    records = [
+        regions.dpc_fb_boundary(ACC, -0.0),
+        *regions.boundary_sweep(ACC, [-0.0]),
+        *regions.boundary_sweep(FIG3, [-0.0]),
+        regions.mac_constraints(MAC, -0.0, -0.0, -0.0),
+    ]
+    for record in records:
+        for name in ("gamma", "beta", "rho"):
+            value = getattr(record, name, 0.0)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, (record, name)
+
+
 def test_boundary_monotone_in_gamma():
     # more message power: rate up, distortion up / never down
     gammas = np.linspace(0.0, 1.0, 41)
@@ -102,6 +115,16 @@ def test_mac_constraints_at_zero_rho_match_nofb_baseline():
 def test_mac_constraints_reject_bad_rho():
     with pytest.raises(SplitOutOfRange):
         regions.mac_constraints(MAC, 0.5, 0.5, 1.5)
+    # rho lies in [0, 1], as the CLI's grids and rho* do: a negative rho can
+    # cancel A + B + 2 sqrt(A B) rho, which raised ValueError or ZeroDivisionError
+    for params, rho in [
+        (MAC, -0.5),
+        (MAC, math.nan),
+        (MacParams(141.31181236175578, 141.31181236175564, 0, 6.943743455152369e-18), -1.0),
+        (MacParams(2.297344991164547, 2.297344991164547, 0, 8.681521952131953e-20), -1.0),
+    ]:
+        with pytest.raises(SplitOutOfRange, match="rho must lie in"):
+            regions.mac_constraints(params, 1.0, 1.0, rho)
 
 
 def test_mac_degenerate_state():
