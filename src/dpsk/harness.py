@@ -10,8 +10,10 @@ generator and re-keys it per substream, which draws exactly what a fresh
 one after the other; per-trial results land in preallocated slots and each
 batch's per-slot symbol powers, which the batch runner sums over the
 batch's trials in order, are added to running per-user sums in batch
-order. Normal blocks are drawn as unit normals straight into the rows of
-their batch, which is then scaled once. The runners store the per-symbol
+order. Normal blocks are drawn as unit normals, copied into the rows of
+their batch, which is then scaled once, and a message batch asked for
+again under another message-set size is mapped from kept 32-bit words
+where it can (:meth:`RandomPlan.messages`). The runners store the per-symbol
 X and theta_hat traces only for a run with a trace writer. Importing
 ``dpsk`` pins BLAS to one thread, so dots longer than 10,000 terms round
 alike on any CPU count unless the program imported numpy first.
@@ -50,9 +52,9 @@ class RandomPlan:
     A plan keeps that batch read-only and hands it back while the same draw
     (trials, length and scale, or message-set size) is asked for again. So
     the points of a sweep with at most ``BATCH`` trials share one set of
-    state, noise and observation-noise arrays, and arrays taken from a plan
-    must not be written to. The kept batches are not keyed by the seed,
-    which is why a plan is frozen.
+    state, noise and observation-noise arrays and message words (see
+    :meth:`messages`), and arrays taken from a plan must not be written to.
+    The kept batches are not keyed by the seed, which is why a plan is frozen.
     """
 
     master_seed: int
@@ -86,9 +88,9 @@ class RandomPlan:
         }
         return self._shared
 
-    def normal_block(self, trial, component, n, out=None):
-        """N(0,1)^n, written into ``out`` (a new array when None)."""
-        return self._generator(trial, component).standard_normal(n, out=out)
+    def normal_block(self, trial, component, n):
+        """N(0,1)^n."""
+        return self._generator(trial, component).standard_normal(n)
 
     def message(self, trial, component, M):
         """A message drawn uniformly from 1..M."""
@@ -100,24 +102,40 @@ class RandomPlan:
         does not depend on std (std = 0 gives zeros)."""
         def draw():
             out = np.empty((stop - start, n))
-            for row, trial in zip(out, range(start, stop)):
-                self.normal_block(trial, component, n, out=row)
+            for i, trial in enumerate(range(start, stop)):
+                out[i] = self.normal_block(trial, component, n)
             out *= std
             return out
 
         return self._batch(component, (start, stop, n, std), draw)
 
     def messages(self, start, stop, component, M):
-        """The messages out of 1..M of trials start..stop-1."""
-        def draw():
+        """The messages out of 1..M of trials start..stop-1. Asked for the kept
+        trials again under another M <= 2**32, a plan maps each trial's first
+        32-bit word (its message out of 1..2**32, less one, drawn once and
+        kept) to 1..M by Lemire's multiply-shift rule, as numpy's ``integers``
+        does, and redraws the trials that rule rejects."""
+        def draw(M):
             return np.fromiter((self.message(trial, component, M) for trial in range(start, stop)),
                                dtype=np.int64, count=stop - start)
 
-        return self._batch(component, (start, stop, M), draw)
+        def mapped():
+            words = self._batch(("words", component), (start, stop),
+                                lambda: draw(1 << 32).astype(np.uint64) - 1)
+            m = words * np.uint64(M)
+            W = (m >> 32).astype(np.int64) + 1
+            for i in np.flatnonzero(m & 0xFFFFFFFF < (2**32 - M) % M).tolist():
+                W[i] = self.message(start + i, component, M)
+            return W
+
+        kept = self._kept.get(component)
+        again = M <= 1 << 32 and kept is not None and kept[0][:2] == (start, stop)
+        return self._batch(component, (start, stop, M), mapped if again else lambda: draw(M))
 
     def _batch(self, component, key, draw):
-        """``draw()``'s batch of ``component``, drawn again only when ``key``
-        differs from the last one drawn for it."""
+        """``draw()``'s batch of ``component`` (or of its message words, under
+        ``("words", component)``), drawn again only when ``key`` differs from
+        the last one drawn for it."""
         kept = self._kept.get(component)
         if kept is not None and kept[0] == key:
             return kept[1]
@@ -428,9 +446,9 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     mutually independent. Every point runs on ``plan``, which keeps its
     last batch per component, so with at most ``BATCH`` trials the state,
     noise and observation-noise arrays are drawn once and shared by all
-    points, and messages are drawn again only where the message-set size
-    changes. The two-encoder beta grid defaults to the gamma grid; the
-    region functions reject empty grids with EmptyGrid.
+    points, and one kept 32-bit word per trial gives every later point's
+    messages up to M = 2**32. The two-encoder beta grid defaults to the
+    gamma grid; the region functions reject empty grids with EmptyGrid.
 
     A point whose run raises DegenerateSplit keeps its theory columns and
     holds NaN in the measured ones: two-encoder points without message

@@ -106,21 +106,14 @@ def _bits(x):
 @example(seed=2**64 - 1, draws=INTERLEAVED)
 def test_shared_generator_draws_what_a_fresh_philox_draws(seed, draws):
     # the plan re-keys one cached Philox per draw; a buffered 32-bit word
-    # left by a small-M message must not leak into the next substream. A
-    # normal block drawn into a row of a batch, in place, keeps the bits of
-    # standard_normal(n) from a fresh Philox.
+    # left by a small-M message must not leak into the next substream
     plan = harness.RandomPlan(seed)
     for trial, component, (kind, size) in draws:
         fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
         if kind == "normal":
-            expected = _bits(fresh.standard_normal(size))
-            batch = np.full((3, size), np.nan)
-            row = plan.normal_block(trial, component, size, out=batch[1])
-            assert row.base is batch
-            np.testing.assert_array_equal(_bits(batch[1]), expected)
-            assert np.isnan(batch[[0, 2]]).all()
             np.testing.assert_array_equal(
-                _bits(plan.normal_block(trial, component, size)), expected
+                _bits(plan.normal_block(trial, component, size)),
+                _bits(fresh.standard_normal(size)),
             )
         else:
             assert plan.message(trial, component, size) == fresh.integers(1, size + 1)
@@ -156,6 +149,97 @@ def test_batch_draws_equal_the_per_trial_draws(seed, span, component, n, std, M)
         fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
         np.testing.assert_array_equal(_bits(row), _bits(std * fresh.standard_normal(n)))
     assert messages.tolist() == [plan.message(t, component, M) for t in range(start, stop)]
+
+
+# sizes asked for one after another on one plan: the first draws per trial,
+# later ones up to 2**32 map the kept 32-bit words (Lemire's rule); the seed-7
+# examples reach its redraws (see MAPPED_REDRAWS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), span=SPANS,
+       component=st.integers(0, harness._STREAMS_PER_TRIAL - 1),
+       sizes=st.lists(MESSAGE_SET_SIZES, min_size=2, max_size=4))
+@example(seed=0, span=(0, 3), component=harness.MSG, sizes=[5, 1])
+@example(seed=1, span=(4, 9), component=harness.MSG, sizes=[2**40, 2**32 - 1])
+@example(seed=2, span=(0, 6), component=harness.MSG2, sizes=[1, 2**32])
+@example(seed=3, span=(2**61 - 4, 2**61), component=7, sizes=[7, 2**32 + 1])
+@example(seed=4, span=(0, 5), component=harness.MSG, sizes=[2**32, 2**62, 9])
+@example(seed=7, span=(0, 8), component=harness.MSG, sizes=[5, 3 * 2**30])
+@example(seed=7, span=(0, 8), component=harness.MSG, sizes=[1, 1_736_557_809, 3 * 2**30])
+def test_a_batch_asked_again_under_another_M_equals_the_per_trial_draws(
+    seed, span, component, sizes
+):
+    start, stop = span
+    plan = harness.RandomPlan(seed)
+    for M in sizes:
+        messages = plan.messages(start, stop, component, M)
+        assert messages.tolist() == [plan.message(t, component, M) for t in range(start, stop)]
+
+
+def _count_messages(monkeypatch):
+    """The sizes each (trial, component) message substream is drawn at, in order."""
+    drawn = collections.defaultdict(list)
+    message = harness.RandomPlan.message
+
+    def counted(plan, trial, component, M):
+        drawn[trial, component].append(M)
+        return message(plan, trial, component, M)
+
+    monkeypatch.setattr(harness.RandomPlan, "message", counted)
+    return drawn
+
+
+# M, and the trials 0..7 of seed 7's MSG substream that Lemire's rule rejects
+# at M (above 2**32, numpy's 64-bit rule applies and every trial is drawn at M)
+MAPPED_REDRAWS = [(3 * 2**30, [3]), (1_736_557_809, [2]), (2**32 + 1, range(8))]
+
+
+@pytest.mark.parametrize("M, redrawn", MAPPED_REDRAWS)
+def test_a_batch_asked_again_draws_words_and_the_trials_lemires_rule_rejects(
+    monkeypatch, M, redrawn
+):
+    plan = harness.RandomPlan(7)
+    plan.messages(0, 8, harness.MSG, 5)
+    drawn = _count_messages(monkeypatch)
+    plan.messages(0, 8, harness.MSG, M)
+    assert drawn == {
+        (t, harness.MSG): [2**32] * (M <= 2**32) + [M] * (t in redrawn) for t in range(8)
+    }
+
+
+# a rate-fraction sweep: the message-set sizes differ from point to point
+FRACTION_SWEEPS = {
+    "dpc": (ACC, [0.0, 0.25, 0.5, 1.0], None, BlockConfig(30, rate_fraction=0.5), (harness.MSG,)),
+    "noisy": (FIG3, [0.0, 0.25, 0.5, 1.0], None, BlockConfig(30, rate_fraction=0.5),
+              (harness.MSG,)),
+    "mac": (MAC, [0.3, 0.8], [0.6, 1.0], BlockConfig(20, rate_fraction=0.4),
+            (harness.MSG, harness.MSG2)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(FRACTION_SWEEPS))
+def test_a_fraction_rate_sweep_draws_each_message_substream_at_most_twice(monkeypatch, scheme):
+    # the first point draws each trial's message, the second its 32-bit word,
+    # and every later point maps the word, drawing again only the trials
+    # Lemire's rule rejects; one run draws each substream once
+    channel, gammas, betas, block, components = FRACTION_SWEEPS[scheme]
+    drawn = _count_messages(monkeypatch)
+    split = PowerSplit(gammas[-1], None if betas is None else betas[-1])
+    harness.run_experiment(scheme, channel, split, block, 50, harness.RandomPlan(7))
+    assert {key: len(sizes) for key, sizes in drawn.items()} == {
+        (t, c): 1 for t in range(50) for c in components
+    }
+    drawn.clear()
+    rows = harness.sweep(scheme, channel, gammas, block, 50, harness.RandomPlan(7),
+                         beta_grid=betas)
+    assert len(rows) == 4
+    assert set(drawn) == {(t, c) for t in range(50) for c in components}
+    redraws = 0
+    for sizes in drawn.values():
+        first, word, *again = sizes
+        assert first != 2**32 and word == 2**32
+        assert len(again) == len(set(again)) and 2**32 not in again
+        redraws += len(again)
+    assert redraws <= len(drawn) // 10
 
 
 def test_a_run_and_a_sweep_build_one_philox(monkeypatch):
