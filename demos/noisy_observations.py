@@ -34,8 +34,8 @@ def show_bound_gap():
     print()
 
     block = BlockConfig(100, rate_fraction=0.5)
-    report = harness.run_experiment(
-        "noisy", PARAMS, PowerSplit(gamma), block, 20000, harness.RandomPlan(7)
+    (report,) = harness.run_experiment(
+        "noisy", PARAMS, [PowerSplit(gamma)], block, 20000, harness.RandomPlan(7)
     )
     print(f"simulated n=100, 20000 trials: D = {report.empirical['distortion']:.6f}")
     print(f"finite-n scheme value:         D = {report.theory['distortion_scheme']:.6f}")

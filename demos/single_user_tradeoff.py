@@ -31,9 +31,11 @@ def show_monte_carlo():
     print(f"Monte Carlo at n={N}, {TRIALS} trials, rate at 70% of each cap")
     print(f"{'gamma':>6} {'pe':>9} {'empirical D':>12} {'theory D':>9}")
     block = BlockConfig(N, rate_fraction=0.7)
+    gammas = (0.25, 0.5, 0.75)
+    splits = [PowerSplit(gamma) for gamma in gammas]
     plan = harness.RandomPlan(SEED)
-    for gamma in (0.25, 0.5, 0.75):
-        report = harness.run_experiment("dpc", PARAMS, PowerSplit(gamma), block, TRIALS, plan)
+    reports = harness.run_experiment("dpc", PARAMS, splits, block, TRIALS, plan)
+    for gamma, report in zip(gammas, reports):
         print(
             f"{gamma:6.2f} {report.empirical['pe']:9.2e} "
             f"{report.empirical['distortion']:12.4f} {report.theory['distortion']:9.4f}"

@@ -49,7 +49,8 @@ def show_simulation():
     n, trials = 120, 3000
     block = BlockConfig(n, rate_fraction=0.25)
     plan = harness.RandomPlan(23)
-    report = harness.run_experiment("mac", PARAMS, PowerSplit(GAMMA, BETA), block, trials, plan)
+    split = PowerSplit(GAMMA, BETA)
+    (report,) = harness.run_experiment("mac", PARAMS, [split], block, trials, plan)
     print(f"simulated n={n}, {trials} trials, both rates at 25% of cap")
     print(f"  pe1 {report.empirical['pe1']:.2e}  pe2 {report.empirical['pe2']:.2e}")
     print(f"  empirical distortion {report.empirical['distortion']:.4f}")

@@ -6,17 +6,15 @@ keyed by (master_seed, trial, component) alone. Draws therefore do not
 depend on batch size or execution order, and two runs with the same seed
 and configuration produce bit-identical reports. A plan builds one Philox
 generator and re-keys it per substream, which draws exactly what a fresh
-``Philox(key=...)`` per substream would. Trials run in batches,
-one after the other; per-trial results land in preallocated slots and each
-batch's per-slot symbol powers, which the batch runner sums over the
-batch's trials in order, are added to running per-user sums in batch
-order. Normal blocks are drawn as unit normals, copied into the rows of
-their batch, which is then scaled once, and a message batch asked for
-again under another message-set size is mapped from kept 32-bit words
-where it can (:meth:`RandomPlan.messages`). The runners store the per-symbol
-X and theta_hat traces only for a run with a trace writer. Importing
-``dpsk`` pins BLAS to one thread, so dots longer than 10,000 terms round
-alike on any CPU count unless the program imported numpy first.
+``Philox(key=...)`` per substream would. An experiment runs its power splits
+on the same trials, batch after batch: each batch is drawn once, every
+split's batch runner runs on it, and each split adds its per-trial
+results and per-slot symbol powers to its own sums in batch order.
+Several message-set sizes are mapped from one 32-bit word per trial
+where they can (:meth:`RandomPlan.messages`). The runners store the
+per-symbol X and theta_hat traces only for a run with a trace writer.
+Importing ``dpsk`` pins BLAS to one thread, so dots longer than 10,000
+terms round alike on any CPU count unless the program imported numpy first.
 """
 
 import collections
@@ -26,7 +24,7 @@ import math
 import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
-from .errors import ConfigError, DegenerateSplit
+from .errors import ConfigError, DegenerateSplit, EmptyGrid
 from .params import PowerSplit, RunConfig, check_seed, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
@@ -37,6 +35,9 @@ _STREAMS_PER_TRIAL = 8
 _WORD = (1 << 64) - 1
 _TRIALS = (1 << 64) // _STREAMS_PER_TRIAL
 
+#: The normal components a run draws, each by the channel field of its variance.
+_VARIANCES = ((STATE, "Q"), (NOISE, "sigma2"), (OBS_NOISE, "sigma_z2"))
+
 #: Trials simulated per batch; fixed so batching never affects output.
 BATCH = 4096
 
@@ -46,15 +47,10 @@ _DISTORTION_FLAG_REL = 0.02
 
 @dataclasses.dataclass(frozen=True)
 class RandomPlan:
-    """Derivation rule from a master seed to per-trial substreams, and the
-    last batch of trials drawn for each component.
+    """Derivation rule from a master seed to per-trial substreams.
 
-    A plan keeps that batch read-only and hands it back while the same draw
-    (trials, length and scale, or message-set size) is asked for again. So
-    the points of a sweep with at most ``BATCH`` trials share one set of
-    state, noise and observation-noise arrays and message words (see
-    :meth:`messages`), and arrays taken from a plan must not be written to.
-    The kept batches are not keyed by the seed, which is why a plan is frozen.
+    A plan keeps no draws: every call draws its batch anew. Batches come
+    back read-only, since every split of a batch shares them.
     """
 
     master_seed: int
@@ -62,7 +58,6 @@ class RandomPlan:
     def __post_init__(self):
         check_seed("seed", self.master_seed)
         object.__setattr__(self, "_shared", np.random.Generator(np.random.Philox(key=0)))
-        object.__setattr__(self, "_kept", {})
 
     def key(self, trial, component):
         """128-bit counter key: the master seed in the low 64-bit word and
@@ -100,53 +95,37 @@ class RandomPlan:
         """std * N(0,1)^n of trials start..stop-1, one row each; each row is
         drawn as unit normals and the batch scaled once, so the stream layout
         does not depend on std (std = 0 gives zeros)."""
-        def draw():
-            out = np.empty((stop - start, n))
-            for i, trial in enumerate(range(start, stop)):
-                out[i] = self.normal_block(trial, component, n)
-            out *= std
-            return out
+        out = np.empty((stop - start, n))
+        for i, trial in enumerate(range(start, stop)):
+            out[i] = self.normal_block(trial, component, n)
+        out *= std
+        out.flags.writeable = False
+        return out
 
-        return self._batch(component, (start, stop, n, std), draw)
-
-    def messages(self, start, stop, component, M):
-        """The messages out of 1..M of trials start..stop-1. Asked for the kept
-        trials again under another M <= 2**32, a plan maps each trial's first
-        32-bit word (its message out of 1..2**32, less one, drawn once and
-        kept) to 1..M by Lemire's multiply-shift rule, as numpy's ``integers``
-        does, and redraws the trials that rule rejects."""
+    def messages(self, start, stop, component, sizes):
+        """{M: the messages of trials start..stop-1 out of 1..M} for each M in
+        ``sizes``. Two or more M <= 2**32 map each trial's first 32-bit word
+        (its message out of 1..2**32, less one) by Lemire's multiply-shift
+        rule, as numpy's ``integers`` does, and redraw the trials it rejects;
+        a single M, and any M > 2**32, is drawn trial by trial."""
         def draw(M):
             return np.fromiter((self.message(trial, component, M) for trial in range(start, stop)),
                                dtype=np.int64, count=stop - start)
 
-        def mapped():
-            words = self._batch(("words", component), (start, stop),
-                                lambda: draw(1 << 32).astype(np.uint64) - 1)
-            m = words * np.uint64(M)
-            W = (m >> 32).astype(np.int64) + 1
-            for i in np.flatnonzero(m & 0xFFFFFFFF < (2**32 - M) % M).tolist():
-                W[i] = self.message(start + i, component, M)
-            return W
-
-        kept = self._kept.get(component)
-        again = M <= 1 << 32 and kept is not None and kept[0][:2] == (start, stop)
-        return self._batch(component, (start, stop, M), mapped if again else lambda: draw(M))
-
-    def _batch(self, component, key, draw):
-        """``draw()``'s batch of ``component`` (or of its message words, under
-        ``("words", component)``), drawn again only when ``key`` differs from
-        the last one drawn for it."""
-        kept = self._kept.get(component)
-        if kept is not None and kept[0] == key:
-            return kept[1]
-        batch = draw()
-        batch.flags.writeable = False
-        self._kept[component] = (key, batch)
-        return batch
-
-
-def _spans(trials):
-    return [(s, min(s + BATCH, trials)) for s in range(0, trials, BATCH)]
+        mapped = sorted({M for M in sizes if M <= 1 << 32})
+        if len(mapped) < 2:  # a lone M is drawn as it is; its word would add redraws
+            mapped = []
+        out = {M: draw(M) for M in sorted(set(sizes) - set(mapped))}
+        if mapped:
+            words = draw(1 << 32).astype(np.uint64) - 1
+            for M in mapped:
+                m = words * np.uint64(M)
+                out[M] = W = (m >> 32).astype(np.int64) + 1
+                for i in np.flatnonzero(m & 0xFFFFFFFF < (2**32 - M) % M).tolist():
+                    W[i] = self.message(start + i, component, M)
+        for W in out.values():
+            W.flags.writeable = False
+        return out
 
 
 def _pe_with_ci(count, trials):
@@ -187,48 +166,54 @@ class ExperimentReport:
 #: Per-user name suffixes of the report keys and trace columns, by user count.
 _SUFFIXES = {1: ("",), 2: ("1", "2")}
 
+#: A scheme run function's rates, M per message component, batch runner and report tail.
+_Run = collections.namedtuple("_Run", ("rates", "sizes", "run_batch", "tail"))
 
-def _simulate(params, n, trials, plan, run_batch, trace_writer):
-    """Draw, simulate and reduce every batch of trials in order.
 
-    ``run_batch(start, stop, S, eta, traces)`` draws the messages (and any
-    other draw the scheme needs) of trials start..stop-1 and returns the
-    :class:`dpsk.sk_dpc.SchemeTrace` of the scheme's batch runner on them,
-    with K = ``len(params.SPLIT)`` encoders. The runner stores its X and
-    theta_hat traces only when ``traces`` is set, that is, when there is a
-    ``trace_writer`` to hand them to, one column per user. Collects per-user
-    error counts (K,), per-trial squared estimation errors and per-user
-    symbol power sums (K, n), and returns the report's measured block built
-    from them by :func:`_empirical`. A trial count whose per-trial results
-    numpy cannot allocate is rejected before any draw.
+def _simulate(params, n, trials, plan, runs, trace_writer):
+    """Each run's measured block (:func:`_empirical`) over every batch.
+
+    A batch draws each normal component as (B, n) rows and each message
+    component as {M: messages} over every run's M, once. Each
+    ``run.run_batch(draws, traces)`` returns its :class:`dpsk.sk_dpc.SchemeTrace`
+    on them, with X and theta_hat traces only for a ``trace_writer``. A trial
+    count whose per-trial results numpy cannot allocate is rejected first.
     """
     suffixes = _SUFFIXES[len(params.SPLIT)]
     try:
-        sq_err = np.empty(trials)
+        sq_err = np.empty((len(runs), trials))
     except (ValueError, MemoryError):
         raise ConfigError(f"trials = {trials} is too many: their per-trial results do not "
                           "fit in memory", field="trials") from None
-    errors = np.zeros(len(suffixes), dtype=np.int64)
-    power_sums = np.zeros((len(suffixes), n))
+    errors = np.zeros((len(runs), len(suffixes)), dtype=np.int64)
+    power_sums = np.zeros((len(runs), len(suffixes), n))
+    stds = [(c, math.sqrt(getattr(params, v))) for c, v in _VARIANCES if hasattr(params, v)]
+    sizes = {component: {run.sizes[component] for run in runs} for component in runs[0].sizes}
     traces = trace_writer is not None
 
-    for start, stop in _spans(trials):
-        S = plan.normals(start, stop, STATE, n, math.sqrt(params.Q))
-        eta = plan.normals(start, stop, NOISE, n, math.sqrt(params.sigma2))
-        trace = run_batch(start, stop, S, eta, traces)
-        errors += np.count_nonzero(trace.W_hat != trace.W, axis=1)
-        power_sums += trace.power
-        sq_err[start:stop] = np.mean((S - trace.S_hat) ** 2, axis=1)
-        if traces:
-            columns = {**{f"X{s}": x for s, x in zip(suffixes, trace.X)}, "Y": trace.Y,
-                       **{f"theta{s}_hat": th for s, th in zip(suffixes, trace.theta_hat)},
-                       "S": trace.S, "S_hat": trace.S_hat}
-            for i, trial in enumerate(range(start, stop)):
-                trace_writer(trial, {name: column[i] for name, column in columns.items()})
-        # free the kernel's (B, n) outputs before the next draw; the draws
-        # themselves stay with the plan until it draws that component again
-        del trace
-    return _empirical(errors, sq_err, power_sums, trials)
+    draws = {}
+    for start in range(0, trials, BATCH):
+        stop = min(start + BATCH, trials)
+        # each batch replaces the last one's component by component, as it
+        # is drawn, so at most one component is held twice
+        for component, std in stds:
+            draws[component] = plan.normals(start, stop, component, n, std)
+        for component, Ms in sizes.items():
+            draws[component] = plan.messages(start, stop, component, Ms)
+        for i, run in enumerate(runs):
+            trace = run.run_batch(draws, traces)
+            errors[i] += np.count_nonzero(trace.W_hat != trace.W, axis=1)
+            power_sums[i] += trace.power
+            sq_err[i, start:stop] = np.mean((draws[STATE] - trace.S_hat) ** 2, axis=1)
+            if traces:
+                columns = {**{f"X{s}": x for s, x in zip(suffixes, trace.X)}, "Y": trace.Y,
+                           **{f"theta{s}_hat": th for s, th in zip(suffixes, trace.theta_hat)},
+                           "S": trace.S, "S_hat": trace.S_hat}
+                for j, trial in enumerate(range(start, stop)):
+                    trace_writer(trial, {name: column[j] for name, column in columns.items()})
+            # free the kernel's (B, n) outputs before the next runner or draw
+            del trace
+    return [_empirical(*sums, trials) for sums in zip(errors, sq_err, power_sums)]
 
 
 def _empirical(errors, sq_err, power_sums, trials):
@@ -253,111 +238,113 @@ def _empirical(errors, sq_err, power_sums, trials):
     return empirical
 
 
-def _run_dpc(params, split, block, trials, plan, paper_sgn, trace_writer):
-    """The single-user scheme's rates, measured block, theory, deltas and
-    flags; ``paper_sgn`` does not apply to it."""
+def _run_dpc(params, split, block, paper_sgn):
+    """The single-user scheme's :class:`_Run`, whose tail maps the measured block
+    to the report's theory, deltas and flags; ``paper_sgn`` does not apply."""
     gamma = split.gamma
     rate, M, coeffs = sk_dpc.resolve_loop(params, gamma, block)
 
-    def run_batch(start, stop, S, eta, traces):
-        W = plan.messages(start, stop, MSG, M)
-        return sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta, traces=traces)
+    def run_batch(draws, traces):
+        return sk_dpc.run_batch(params, gamma, M, coeffs, draws[MSG][M], draws[STATE],
+                                draws[NOISE], traces=traces)
 
-    empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)
-    forwarded = sk_dpc.state_forward_coefficient(params, gamma) ** 2 * params.Q
-    d_step = regions.dpc_min_distortion(params, gamma)
-    message_path = coeffs is not None
-    theory = {
-        "rate_cap": regions.dpc_rate_cap(params, gamma),
-        "distortion": regions.finite_n_distortion(params.Q, block.n, d_step, 1),
-        "distortion_step": d_step,
-        "power": params.P if message_path else forwarded,
-        "time1_power": sk_dpc.time1_power_theory(coeffs, M) if message_path else forwarded,
-    }
-    deltas = {
-        "distortion": empirical["distortion"] - theory["distortion"],
-        "time1_power": empirical["time1_power"] - theory["time1_power"],
-        "steady_power": empirical["steady_power"] - theory["power"],
-    }
-    return {"rate": rate, "M": M}, empirical, theory, deltas, []
+    def tail(empirical):
+        forwarded = sk_dpc.state_forward_coefficient(params, gamma) ** 2 * params.Q
+        d_step = regions.dpc_min_distortion(params, gamma)
+        message_path = coeffs is not None
+        theory = {
+            "rate_cap": regions.dpc_rate_cap(params, gamma),
+            "distortion": regions.finite_n_distortion(params.Q, block.n, d_step, 1),
+            "distortion_step": d_step,
+            "power": params.P if message_path else forwarded,
+            "time1_power": sk_dpc.time1_power_theory(coeffs, M) if message_path else forwarded,
+        }
+        deltas = {
+            "distortion": empirical["distortion"] - theory["distortion"],
+            "time1_power": empirical["time1_power"] - theory["time1_power"],
+            "steady_power": empirical["steady_power"] - theory["power"],
+        }
+        return theory, deltas, []
+
+    return _Run({"rate": rate, "M": M}, {MSG: M}, run_batch, tail)
 
 
-def _run_noisy(params, split, block, trials, plan, paper_sgn, trace_writer):
+def _run_noisy(params, split, block, paper_sgn):
     """:func:`_run_dpc` for the noisy-observation scheme, which runs on the
     clean-state channel it reduces to."""
     gamma = split.gamma
     eq_params = noisy_obs.make_equivalent(params)
     rate, M, coeffs = sk_dpc.resolve_loop(eq_params, gamma, block, noisy_obs.EQUIVALENT_NOISE)
 
-    def run_batch(start, stop, S, eta, traces):
-        W = plan.messages(start, stop, MSG, M)
-        Z = plan.normals(start, stop, OBS_NOISE, block.n, math.sqrt(params.sigma_z2))
-        return noisy_obs.noisy_run_batch(params, gamma, M, coeffs, W, S, Z, eta, traces=traces)
+    def run_batch(draws, traces):
+        return noisy_obs.noisy_run_batch(params, gamma, M, coeffs, draws[MSG][M], draws[STATE],
+                                         draws[OBS_NOISE], draws[NOISE], traces=traces)
 
-    empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)
-    forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
-    bound_step = regions.noisy_min_distortion(params, gamma)
-    scheme_step = noisy_obs.scheme_step_distortion(params, gamma)
-    theory = {
-        "rate_cap": regions.noisy_rate_cap(params, gamma),
-        "kappa": regions.observation_weight(params),
-        "distortion_scheme": regions.finite_n_distortion(params.Q, block.n, scheme_step, 1),
-        "distortion_scheme_step": scheme_step,
-        "distortion_bound": regions.finite_n_distortion(params.Q, block.n, bound_step, 1),
-        "distortion_bound_step": bound_step,
-        "power": params.P if coeffs is not None else forward**2 * eq_params.Q,
-    }
-    distortion = empirical["distortion"]
-    deltas = {
-        "distortion_scheme": distortion - theory["distortion_scheme"],
-        "distortion_bound": distortion - theory["distortion_bound"],
-        "steady_power": empirical["steady_power"] - theory["power"],
-    }
-    flags = []
-    bound = theory["distortion_bound"]
-    if bound > 0.0 and abs(distortion - bound) / bound > _DISTORTION_FLAG_REL:
-        # The published closed form and the simulated scheme disagree
-        # beyond tolerance (the scheme's distortion lies below it); report
-        # both rather than hide it.
-        flags.append("distortion_bound_mismatch")
-    return {"rate": rate, "M": M}, empirical, theory, deltas, flags
+    def tail(empirical):
+        forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
+        bound_step = regions.noisy_min_distortion(params, gamma)
+        scheme_step = noisy_obs.scheme_step_distortion(params, gamma)
+        theory = {
+            "rate_cap": regions.noisy_rate_cap(params, gamma),
+            "kappa": regions.observation_weight(params),
+            "distortion_scheme": regions.finite_n_distortion(params.Q, block.n, scheme_step, 1),
+            "distortion_scheme_step": scheme_step,
+            "distortion_bound": regions.finite_n_distortion(params.Q, block.n, bound_step, 1),
+            "distortion_bound_step": bound_step,
+            "power": params.P if coeffs is not None else forward**2 * eq_params.Q,
+        }
+        distortion = empirical["distortion"]
+        deltas = {
+            "distortion_scheme": distortion - theory["distortion_scheme"],
+            "distortion_bound": distortion - theory["distortion_bound"],
+            "steady_power": empirical["steady_power"] - theory["power"],
+        }
+        flags = []
+        bound = theory["distortion_bound"]
+        if bound > 0.0 and abs(distortion - bound) / bound > _DISTORTION_FLAG_REL:
+            # The published closed form and the simulated scheme disagree
+            # beyond tolerance (the scheme's distortion lies below it); report
+            # both rather than hide it.
+            flags.append("distortion_bound_mismatch")
+        return theory, deltas, flags
+
+    return _Run({"rate": rate, "M": M}, {MSG: M}, run_batch, tail)
 
 
-def _run_mac(params, split, block, trials, plan, paper_sgn, trace_writer):
+def _run_mac(params, split, block, paper_sgn):
     """:func:`_run_dpc` for the two-encoder scheme."""
     gamma, beta = split.gamma, split.beta
     (rate1, M1), (rate2, M2), caps = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
     coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, block.n, paper_sgn=paper_sgn)
 
-    def run_batch(start, stop, S, eta, traces):
-        W1 = plan.messages(start, stop, MSG, M1)
-        W2 = plan.messages(start, stop, MSG2, M2)
-        return sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta, traces=traces)
+    def run_batch(draws, traces):
+        return sk_dpmac.mac_run_batch(coeffs, M1, M2, draws[MSG][M1], draws[MSG2][M2],
+                                      draws[STATE], draws[NOISE], traces=traces)
 
-    empirical = _simulate(params, block.n, trials, plan, run_batch, trace_writer)
-    rho_final = float(coeffs.rho[-1])
-    theory = {
-        "rho_star": caps.rho,
-        "rho_final": rho_final,
-        "r1_max": caps.r1_max,
-        "r2_max": caps.r2_max,
-        "rsum_max": caps.rsum_max,
-        "distortion": regions.finite_n_distortion(params.Q, block.n, caps.d_min, 2),
-        "distortion_step": caps.d_min,
-        "power1": params.P1,
-        "power2": params.P2,
-    }
-    deltas = {
-        "distortion": empirical["distortion"] - theory["distortion"],
-        "steady_power1": empirical["steady_power1"] - params.P1,
-        "steady_power2": empirical["steady_power2"] - params.P2,
-        "rho": rho_final - caps.rho,
-    }
-    flags = []
-    if abs(deltas["rho"]) > _RHO_CONVERGENCE_TOL:
-        flags.append("mac_rho_nonconvergence")
-    rates = {"rate1": rate1, "M1": M1, "rate2": rate2, "M2": M2}
-    return rates, empirical, theory, deltas, flags
+    def tail(empirical):
+        rho_final = float(coeffs.rho[-1])
+        theory = {
+            "rho_star": caps.rho,
+            "rho_final": rho_final,
+            "r1_max": caps.r1_max, "r2_max": caps.r2_max, "rsum_max": caps.rsum_max,
+            "distortion": regions.finite_n_distortion(params.Q, block.n, caps.d_min, 2),
+            "distortion_step": caps.d_min,
+            "power1": params.P1,
+            "power2": params.P2,
+        }
+        deltas = {
+            "distortion": empirical["distortion"] - theory["distortion"],
+            "steady_power1": empirical["steady_power1"] - params.P1,
+            "steady_power2": empirical["steady_power2"] - params.P2,
+            "rho": rho_final - caps.rho,
+        }
+        flags = []
+        if abs(deltas["rho"]) > _RHO_CONVERGENCE_TOL:
+            flags.append("mac_rho_nonconvergence")
+        return theory, deltas, flags
+
+    return _Run({"rate1": rate1, "M1": M1, "rate2": rate2, "M2": M2}, {MSG: M1, MSG2: M2},
+                run_batch, tail)
 
 
 def _dpc_points(params, gamma_grid, beta_grid, n):
@@ -404,56 +391,65 @@ def _run_config(scheme, params, split, block, trials, plan):
     return RunConfig(scheme, params, split, block, trials, plan.master_seed)
 
 
-def run_experiment(scheme, params, split, block, trials, plan,
+def run_experiment(scheme, params, splits, block, trials, plan,
                    paper_sgn=False, trace_writer=None):
-    """Run a seeded Monte Carlo experiment and aggregate a report.
+    """One seeded Monte Carlo report per power split of ``splits``, in
+    order, all on the same trials and each batch drawn once.
 
-    ``trace_writer``, when given, is called once per trial, in trial
-    order, with the trial index and a dict of per-symbol columns. Messages
-    are drawn uniformly; the error probability is the fraction of wrongly
-    decoded messages and distortion the time-averaged squared estimation
-    error including the estimate-free initial slots.
+    A split whose resolution raises DegenerateSplit gets None; if every
+    split does, the first one's is raised. ``trace_writer``, for one split
+    only, is called per trial, in trial order, with the trial index and a
+    dict of per-symbol columns. Messages are drawn uniformly; the error
+    probability is the fraction of wrongly decoded messages and distortion
+    the time-averaged squared estimation error including the estimate-free
+    initial slots.
     """
-    config = _run_config(scheme, params, split, block, trials, plan)
-    rates, empirical, theory, deltas, flags = _SCHEMES[scheme].run(
-        params, split, block, trials, plan, paper_sgn, trace_writer
-    )
-    return ExperimentReport(
-        scheme=scheme,
-        config=to_config_dict(config),
-        trials=trials,
-        rates=rates,
-        empirical=empirical,
-        theory=theory,
-        deltas=deltas,
-        flags=flags,
-    )
+    splits = list(splits)
+    if trace_writer is not None and len(splits) > 1:
+        raise ConfigError(f"a trace writer takes the trials of one split, not {len(splits)}")
+    runs, configs = [], []
+    for split in splits:
+        configs.append(_run_config(scheme, params, split, block, trials, plan))
+        try:
+            runs.append(_SCHEMES[scheme].run(params, split, block, paper_sgn))
+        except DegenerateSplit as exc:
+            runs.append(exc)
+    live = [run for run in runs if isinstance(run, _Run)]
+    if not live:
+        raise runs[0] if runs else EmptyGrid("an experiment needs at least one split")
+    measured = iter(_simulate(params, block.n, trials, plan, live, trace_writer))
+    reports = []
+    for config, run in zip(configs, runs):
+        report = None
+        if isinstance(run, _Run):
+            empirical = next(measured)
+            report = ExperimentReport(scheme, to_config_dict(config), trials, run.rates,
+                                      empirical, *run.tail(empirical))
+        reports.append(report)
+    return reports
 
 
 def run_config(config: RunConfig, paper_sgn=False, trace_writer=None):
-    """Convenience wrapper over :func:`run_experiment` for a RunConfig."""
-    return run_experiment(
-        config.scheme, config.channel, config.split, config.block, config.trials,
+    """The report of :func:`run_experiment` on a RunConfig's one split."""
+    (report,) = run_experiment(
+        config.scheme, config.channel, [config.split], config.block, config.trials,
         RandomPlan(config.seed), paper_sgn=paper_sgn, trace_writer=trace_writer,
     )
+    return report
 
 
 def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper_sgn=False):
-    """One experiment per grid point, each row the point's region record
-    (the ``region`` command's boundary, or the two-encoder feedback region
-    at rho*) with the report's measured columns in between. All points
-    reuse the same per-trial substreams; rows are comparable but not
-    mutually independent. Every point runs on ``plan``, which keeps its
-    last batch per component, so with at most ``BATCH`` trials the state,
-    noise and observation-noise arrays are drawn once and shared by all
-    points, and one kept 32-bit word per trial gives every later point's
-    messages up to M = 2**32. The two-encoder beta grid defaults to the
-    gamma grid; the region functions reject empty grids with EmptyGrid.
+    """One experiment over every grid point's split, each row the point's
+    region record (the ``region`` command's boundary, or the two-encoder
+    feedback region at rho*) with its report's measured columns in between.
+    All points share each batch's draws; rows are comparable but not
+    mutually independent. The two-encoder beta grid defaults to the gamma
+    grid; the region functions reject empty grids with EmptyGrid.
 
-    A point whose run raises DegenerateSplit keeps its theory columns and
-    holds NaN in the measured ones: two-encoder points without message
-    power on both sides, and single-user points at gamma*P = 0 under a
-    fixed rate that needs more than one message.
+    A point whose resolution raises DegenerateSplit keeps its theory
+    columns and holds NaN in the measured ones: two-encoder points without
+    message power on both sides, and single-user points at gamma*P = 0
+    under a fixed rate that needs more than one message.
     """
     gamma_grid = list(gamma_grid)
     if beta_grid is None and "beta" in getattr(params, "SPLIT", ()):
@@ -461,13 +457,16 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     # a split with the fractions the grids vary checks the sweep up front
     _run_config(scheme, params, PowerSplit(0.0, None if beta_grid is None else 0.0),
                 block, trials, plan)
-    _, points, keys = _SCHEMES[scheme]
+    _, region_points, keys = _SCHEMES[scheme]
+    points = region_points(params, gamma_grid, beta_grid, block.n)
+    splits = [PowerSplit(lead["gamma"], lead.get("beta")) for lead, _ in points]
+    try:
+        reports = run_experiment(scheme, params, splits, block, trials, plan, paper_sgn)
+    except DegenerateSplit:
+        reports = [None] * len(splits)
     rows = []
-    for lead, theory in points(params, gamma_grid, beta_grid, block.n):
-        split = PowerSplit(lead["gamma"], lead.get("beta"))
-        try:
-            report = run_experiment(scheme, params, split, block, trials, plan, paper_sgn)
-        except DegenerateSplit:
+    for (lead, theory), report in zip(points, reports):
+        if report is None:
             measured = dict.fromkeys(keys, math.nan)
         else:
             values = {**report.rates, **report.empirical}

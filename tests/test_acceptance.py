@@ -36,8 +36,8 @@ def calibration_run():
     """One 1e5-trial single-user run shared by the distortion and power checks."""
     plan = harness.RandomPlan(SEED)
     start = time.perf_counter()
-    report = harness.run_experiment(
-        "dpc", DPC, PowerSplit(0.5), BlockConfig(100, rate_fraction=0.7),
+    (report,) = harness.run_experiment(
+        "dpc", DPC, [PowerSplit(0.5)], BlockConfig(100, rate_fraction=0.7),
         100_000, plan,
     )
     return report, time.perf_counter() - start
@@ -104,8 +104,8 @@ def test_criterion_04_single_user_reliability():
     plan = harness.RandomPlan(SEED)
     pes = []
     for n in (10, 20, 40):
-        report = harness.run_experiment(
-            "dpc", DPC, PowerSplit(0.5), BlockConfig(n, rate_fraction=0.7),
+        (report,) = harness.run_experiment(
+            "dpc", DPC, [PowerSplit(0.5)], BlockConfig(n, rate_fraction=0.7),
             10_000, plan,
         )
         pes.append(report.empirical["pe"])
@@ -171,8 +171,8 @@ def test_criterion_07_mac_correlation_convergence():
 def test_criterion_08_mac_distortion():
     start = time.perf_counter()
     n = 200
-    report = harness.run_experiment(
-        "mac", MAC, PowerSplit(0.8, 0.8), BlockConfig(n, rate_fraction=0.25),
+    (report,) = harness.run_experiment(
+        "mac", MAC, [PowerSplit(0.8, 0.8)], BlockConfig(n, rate_fraction=0.25),
         100_000, harness.RandomPlan(SEED),
     )
     elapsed = time.perf_counter() - start
@@ -253,8 +253,8 @@ def test_criterion_11_noisy_reduction_and_dominance():
 def test_criterion_12_noisy_distortion_or_flagged_mismatch():
     start = time.perf_counter()
     n = 100
-    report = harness.run_experiment(
-        "noisy", FIG_NOISY, PowerSplit(0.5), BlockConfig(n, rate_fraction=0.7),
+    (report,) = harness.run_experiment(
+        "noisy", FIG_NOISY, [PowerSplit(0.5)], BlockConfig(n, rate_fraction=0.7),
         100_000, harness.RandomPlan(SEED),
     )
     elapsed = time.perf_counter() - start

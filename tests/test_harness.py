@@ -143,7 +143,7 @@ def test_batch_draws_equal_the_per_trial_draws(seed, span, component, n, std, M)
     start, stop = span
     plan = harness.RandomPlan(seed)
     normals = plan.normals(start, stop, component, n, std)
-    messages = plan.messages(start, stop, component, M)
+    messages = plan.messages(start, stop, component, [M])[M]
     assert normals.shape == (stop - start, n) and messages.shape == (stop - start,)
     for row, trial in zip(normals, range(start, stop)):
         fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
@@ -151,9 +151,9 @@ def test_batch_draws_equal_the_per_trial_draws(seed, span, component, n, std, M)
     assert messages.tolist() == [plan.message(t, component, M) for t in range(start, stop)]
 
 
-# sizes asked for one after another on one plan: the first draws per trial,
-# later ones up to 2**32 map the kept 32-bit words (Lemire's rule); the seed-7
-# examples reach its redraws (see MAPPED_REDRAWS)
+# sizes asked for at once: two or more up to 2**32 map one 32-bit word per
+# trial (Lemire's rule), the others are drawn per trial; the seed-7 examples
+# reach its redraws (see MAPPED_REDRAWS)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), span=SPANS,
        component=st.integers(0, harness._STREAMS_PER_TRIAL - 1),
@@ -170,8 +170,9 @@ def test_a_batch_asked_again_under_another_M_equals_the_per_trial_draws(
 ):
     start, stop = span
     plan = harness.RandomPlan(seed)
-    for M in sizes:
-        messages = plan.messages(start, stop, component, M)
+    batches = plan.messages(start, stop, component, sizes)
+    assert sorted(batches) == sorted(set(sizes))
+    for M, messages in batches.items():
         assert messages.tolist() == [plan.message(t, component, M) for t in range(start, stop)]
 
 
@@ -197,13 +198,13 @@ MAPPED_REDRAWS = [(3 * 2**30, [3]), (1_736_557_809, [2]), (2**32 + 1, range(8))]
 def test_a_batch_asked_again_draws_words_and_the_trials_lemires_rule_rejects(
     monkeypatch, M, redrawn
 ):
+    # asked for M = 1 and M, a plan draws each trial's word (M = 1 never
+    # rejects), or, with M > 2**32, draws M = 1 as it is and then every M
     plan = harness.RandomPlan(7)
-    plan.messages(0, 8, harness.MSG, 5)
     drawn = _count_messages(monkeypatch)
-    plan.messages(0, 8, harness.MSG, M)
-    assert drawn == {
-        (t, harness.MSG): [2**32] * (M <= 2**32) + [M] * (t in redrawn) for t in range(8)
-    }
+    plan.messages(0, 8, harness.MSG, [1, M])
+    first = [2**32] if M <= 2**32 else [1]
+    assert drawn == {(t, harness.MSG): first + [M] * (t in redrawn) for t in range(8)}
 
 
 # a rate-fraction sweep: the message-set sizes differ from point to point
@@ -218,13 +219,13 @@ FRACTION_SWEEPS = {
 
 @pytest.mark.parametrize("scheme", sorted(FRACTION_SWEEPS))
 def test_a_fraction_rate_sweep_draws_each_message_substream_at_most_twice(monkeypatch, scheme):
-    # the first point draws each trial's message, the second its 32-bit word,
-    # and every later point maps the word, drawing again only the trials
-    # Lemire's rule rejects; one run draws each substream once
+    # the sweep draws each trial's 32-bit word once and maps it to every
+    # point's M, drawing again only the trials Lemire's rule rejects at an M;
+    # one run draws each substream once
     channel, gammas, betas, block, components = FRACTION_SWEEPS[scheme]
     drawn = _count_messages(monkeypatch)
     split = PowerSplit(gammas[-1], None if betas is None else betas[-1])
-    harness.run_experiment(scheme, channel, split, block, 50, harness.RandomPlan(7))
+    harness.run_experiment(scheme, channel, [split], block, 50, harness.RandomPlan(7))
     assert {key: len(sizes) for key, sizes in drawn.items()} == {
         (t, c): 1 for t in range(50) for c in components
     }
@@ -235,8 +236,8 @@ def test_a_fraction_rate_sweep_draws_each_message_substream_at_most_twice(monkey
     assert set(drawn) == {(t, c) for t in range(50) for c in components}
     redraws = 0
     for sizes in drawn.values():
-        first, word, *again = sizes
-        assert first != 2**32 and word == 2**32
+        word, *again = sizes
+        assert word == 2**32
         assert len(again) == len(set(again)) and 2**32 not in again
         redraws += len(again)
     assert redraws <= len(drawn) // 10
@@ -270,13 +271,19 @@ def test_a_sweep_draws_each_normal_substream_once(monkeypatch):
         return normal_block(plan, trial, component, *args, **kwargs)
 
     monkeypatch.setattr(harness.RandomPlan, "normal_block", counted)
-    rows = harness.sweep(
-        "noisy", FIG3, [0.0, 0.25, 0.5, 1.0], BlockConfig(30, rate_fraction=0.5), 50,
-        harness.RandomPlan(7),
-    )
-    assert len(rows) == 4
     components = (harness.STATE, harness.NOISE, harness.OBS_NOISE)
-    assert drawn == collections.Counter({(t, c): 1 for t in range(50) for c in components})
+    # with BATCH + 3 trials the last batch is partial, and each batch is
+    # drawn once for every point
+    for trials in (50, harness.BATCH + 3):
+        drawn.clear()
+        rows = harness.sweep(
+            "noisy", FIG3, [0.0, 0.25, 0.5, 1.0], BlockConfig(30, rate_fraction=0.5), trials,
+            harness.RandomPlan(7),
+        )
+        assert len(rows) == 4
+        assert drawn == collections.Counter(
+            {(t, c): 1 for t in range(trials) for c in components}
+        )
 
 
 def test_a_fixed_rate_sweep_draws_each_message_substream_once(monkeypatch):
@@ -305,9 +312,9 @@ def test_a_negative_zero_grid_point_gives_a_positive_zero_row():
 @pytest.mark.parametrize("trials", [40, harness.BATCH + 3])
 @pytest.mark.parametrize("scheme", ["dpc", "noisy", "mac"])
 def test_sweep_rows_equal_runs_on_fresh_plans(scheme, trials):
-    # the sweep's points share one plan and its kept batches; a run on a
-    # fresh plan at each point gives the same measured columns. With
-    # BATCH + 3 trials the last batch is partial and every point redraws.
+    # the sweep's points share each batch's draws; a run on a fresh plan at
+    # each point gives the same measured columns. With BATCH + 3 trials the
+    # last batch is partial.
     channel, gammas, betas, block = SWEEP_CASES[scheme]
     rows = harness.sweep(scheme, channel, gammas, block, trials, harness.RandomPlan(6),
                          beta_grid=betas)
@@ -317,8 +324,8 @@ def test_sweep_rows_equal_runs_on_fresh_plans(scheme, trials):
         split = PowerSplit(row["gamma"], row.get("beta"))
         if split.gamma == 0.0 or split.beta == 0.0:
             continue
-        report = harness.run_experiment(
-            scheme, channel, split, block, trials, harness.RandomPlan(6)
+        (report,) = harness.run_experiment(
+            scheme, channel, [split], block, trials, harness.RandomPlan(6)
         )
         values = {**report.rates, **report.empirical}
         assert {key: row[key] for key in measured} == {key: values[key] for key in measured}
@@ -343,9 +350,8 @@ def test_one_plan_across_configurations_draws_what_fresh_plans_draw(change):
 
     def run(config, plan):
         channel, block = config
-        return harness.run_experiment(
-            "dpc", channel, PowerSplit(0.5), block, 60, plan
-        ).as_dict()
+        (report,) = harness.run_experiment("dpc", channel, [PowerSplit(0.5)], block, 60, plan)
+        return report.as_dict()
 
     assert run(other, harness.RandomPlan(3)) != run(reference, harness.RandomPlan(3))
     shared = harness.RandomPlan(3)
@@ -353,26 +359,51 @@ def test_one_plan_across_configurations_draws_what_fresh_plans_draw(change):
         assert run(config, shared) == run(config, harness.RandomPlan(3))
 
 
-def test_kept_batches_are_read_only_and_returned_again():
+def test_plan_batches_are_read_only():
+    # every split of an experiment's batch shares its draws
     plan = harness.RandomPlan(5)
     S = plan.normals(0, 6, harness.STATE, 4, 2.0)
-    W = plan.messages(0, 6, harness.MSG, 9)
-    assert plan.normals(0, 6, harness.STATE, 4, 2.0) is S
-    assert plan.messages(0, 6, harness.MSG, 9) is W
-    for batch in (S, W):
+    for batch in (S, *plan.messages(0, 6, harness.MSG, [9]).values(),
+                  *plan.messages(0, 6, harness.MSG, [9, 12, 2**40]).values()):
         with pytest.raises(ValueError):
             batch[0] = 1
-    # another key draws again and replaces the kept batch
-    assert plan.normals(0, 6, harness.STATE, 4, 1.0) is not S
-    assert plan.normals(0, 6, harness.STATE, 4, 2.0) is not S
-    np.testing.assert_array_equal(plan.normals(0, 6, harness.STATE, 4, 2.0), S)
+
+
+def test_a_plan_holds_no_draws():
+    plan = harness.RandomPlan(5)
+    harness.sweep("noisy", FIG3, [0.0, 0.5, 1.0], BlockConfig(20, rate_fraction=0.5), 30, plan)
+    harness.run_experiment("dpc", ACC, [PowerSplit(0.5)], BlockConfig(20, rate=0.2), 30, plan)
+    assert set(vars(plan)) == {"master_seed", "_shared"}
+
+
+def test_an_experiment_rejects_no_splits_and_a_trace_writer_of_several():
+    block = BlockConfig(10, rate=0.2)
+    with pytest.raises(EmptyGrid):
+        harness.run_experiment("dpc", ACC, [], block, 10, harness.RandomPlan(0))
+    with pytest.raises(ConfigError, match="trace writer"):
+        harness.run_experiment("dpc", ACC, [PowerSplit(0.5), PowerSplit(1.0)], block, 10,
+                               harness.RandomPlan(0), trace_writer=lambda trial, cols: None)
+
+
+def test_an_experiment_returns_none_for_each_degenerate_split():
+    # gamma = 0 leaves no message power for a fixed rate of 2 bits
+    block = BlockConfig(20, rate=0.1)
+    splits = [PowerSplit(0.0), PowerSplit(0.5), PowerSplit(0.0)]
+    reports = harness.run_experiment("dpc", ACC, splits, block, 30, harness.RandomPlan(2))
+    (alone,) = harness.run_experiment("dpc", ACC, [PowerSplit(0.5)], block, 30,
+                                      harness.RandomPlan(2))
+    assert reports[0] is None and reports[2] is None
+    assert reports[1].as_dict() == alone.as_dict()
+    with pytest.raises(DegenerateSplit):
+        harness.run_experiment("dpc", ACC, splits[::2], block, 30, harness.RandomPlan(2))
 
 
 def _small_dpc_report(trials=600, seed=11):
-    return harness.run_experiment(
-        "dpc", ACC, PowerSplit(0.5), BlockConfig(30, rate_fraction=0.5),
+    (report,) = harness.run_experiment(
+        "dpc", ACC, [PowerSplit(0.5)], BlockConfig(30, rate_fraction=0.5),
         trials, harness.RandomPlan(seed),
     )
+    return report
 
 
 def test_report_is_identical_across_repeat_runs():
@@ -403,7 +434,7 @@ def test_single_trial_report_equals_trace_statistics():
     n, trials = 20, 1
     block = BlockConfig(n, rate=0.25)
     plan = harness.RandomPlan(5)
-    report = harness.run_experiment("dpc", ACC, PowerSplit(0.5), block, trials, plan)
+    (report,) = harness.run_experiment("dpc", ACC, [PowerSplit(0.5)], block, trials, plan)
     _, M = (report.rates["rate"], report.rates["M"])
     S = plan.normals(0, 1, harness.STATE, n, math.sqrt(ACC.Q))
     eta = plan.normals(0, 1, harness.NOISE, n, math.sqrt(ACC.sigma2))
@@ -420,8 +451,8 @@ def test_single_trial_report_equals_trace_statistics():
 
 
 def test_zero_rate_never_errs():
-    report = harness.run_experiment(
-        "dpc", ACC, PowerSplit(0.5), BlockConfig(12), 300, harness.RandomPlan(2)
+    (report,) = harness.run_experiment(
+        "dpc", ACC, [PowerSplit(0.5)], BlockConfig(12), 300, harness.RandomPlan(2)
     )
     assert report.rates["M"] == 1
     assert report.empirical["pe"] == 0.0
@@ -445,12 +476,12 @@ def test_dpc_report_structure_and_theory_fields():
 
 def test_mac_report_convergence_flag_wiring():
     plan = harness.RandomPlan(3)
-    ok = harness.run_experiment(
-        "mac", MAC, PowerSplit(0.8, 0.8), BlockConfig(60, rate_fraction=0.5), 200, plan
+    (ok,) = harness.run_experiment(
+        "mac", MAC, [PowerSplit(0.8, 0.8)], BlockConfig(60, rate_fraction=0.5), 200, plan
     )
     assert "mac_rho_nonconvergence" not in ok.flags
-    short = harness.run_experiment(
-        "mac", MAC, PowerSplit(0.8, 0.8), BlockConfig(3), 50, plan
+    (short,) = harness.run_experiment(
+        "mac", MAC, [PowerSplit(0.8, 0.8)], BlockConfig(3), 50, plan
     )
     coeffs = sk_dpmac.mac_coefficients(MAC, 0.8, 0.8, 3)
     rho_star = regions.solve_rho_star(MAC, 0.8, 0.8)
@@ -462,19 +493,19 @@ def test_mac_report_convergence_flag_wiring():
 def test_mac_requires_beta():
     with pytest.raises(ConfigError):
         harness.run_experiment(
-            "mac", MAC, PowerSplit(0.8), BlockConfig(10), 10, harness.RandomPlan(0)
+            "mac", MAC, [PowerSplit(0.8)], BlockConfig(10), 10, harness.RandomPlan(0)
         )
 
 
 def test_noisy_bound_mismatch_flag():
     plan = harness.RandomPlan(9)
-    flagged = harness.run_experiment(
-        "noisy", FIG3, PowerSplit(0.5), BlockConfig(40, rate_fraction=0.5), 2000, plan
+    (flagged,) = harness.run_experiment(
+        "noisy", FIG3, [PowerSplit(0.5)], BlockConfig(40, rate_fraction=0.5), 2000, plan
     )
     assert "distortion_bound_mismatch" in flagged.flags
     assert flagged.theory["distortion_scheme"] < flagged.theory["distortion_bound"]
-    clean = harness.run_experiment(
-        "noisy", NoisyObsParams(10, 10, 5, 0), PowerSplit(0.5),
+    (clean,) = harness.run_experiment(
+        "noisy", NoisyObsParams(10, 10, 5, 0), [PowerSplit(0.5)],
         BlockConfig(40, rate_fraction=0.5), 2000, plan,
     )
     assert clean.flags == []
@@ -484,10 +515,10 @@ def test_noisy_with_zero_obs_noise_equals_dpc_run():
     # component substreams line up, so the reduction is bit-exact
     plan = harness.RandomPlan(21)
     block = BlockConfig(25, rate_fraction=0.5)
-    noisy = harness.run_experiment(
-        "noisy", NoisyObsParams(10, 10, 5, 0), PowerSplit(0.5), block, 400, plan
+    (noisy,) = harness.run_experiment(
+        "noisy", NoisyObsParams(10, 10, 5, 0), [PowerSplit(0.5)], block, 400, plan
     )
-    plain = harness.run_experiment("dpc", ACC, PowerSplit(0.5), block, 400, plan)
+    (plain,) = harness.run_experiment("dpc", ACC, [PowerSplit(0.5)], block, 400, plan)
     assert noisy.empirical["pe"] == plain.empirical["pe"]
     assert noisy.empirical["distortion"] == pytest.approx(
         plain.empirical["distortion"], rel=1e-12
@@ -504,7 +535,7 @@ def test_trace_writer_sees_every_trial():
         calls[trial] = columns
 
     harness.run_experiment(
-        "dpc", ACC, PowerSplit(0.5), BlockConfig(10, rate=0.2), 3,
+        "dpc", ACC, [PowerSplit(0.5)], BlockConfig(10, rate=0.2), 3,
         harness.RandomPlan(1), trace_writer=writer,
     )
     assert sorted(calls) == [0, 1, 2]
@@ -513,7 +544,7 @@ def test_trace_writer_sees_every_trial():
 
     calls.clear()
     harness.run_experiment(
-        "mac", MAC, PowerSplit(0.8, 0.8), BlockConfig(10, rate=0.1), 2,
+        "mac", MAC, [PowerSplit(0.8, 0.8)], BlockConfig(10, rate=0.1), 2,
         harness.RandomPlan(1), trace_writer=writer,
     )
     assert set(calls[0]) == {"X1", "X2", "Y", "theta1_hat", "theta2_hat", "S", "S_hat"}
@@ -521,14 +552,14 @@ def test_trace_writer_sees_every_trial():
 
 def test_run_experiment_validation():
     with pytest.raises(ConfigError):
-        harness.run_experiment("dpc", ACC, PowerSplit(0.5), None, 10, harness.RandomPlan(0))
+        harness.run_experiment("dpc", ACC, [PowerSplit(0.5)], None, 10, harness.RandomPlan(0))
     with pytest.raises(ConfigError):
         harness.run_experiment(
-            "dpc", ACC, PowerSplit(0.5), BlockConfig(10), 0, harness.RandomPlan(0)
+            "dpc", ACC, [PowerSplit(0.5)], BlockConfig(10), 0, harness.RandomPlan(0)
         )
     with pytest.raises(ConfigError):
         harness.run_experiment(
-            "laser", ACC, PowerSplit(0.5), BlockConfig(10), 10, harness.RandomPlan(0)
+            "laser", ACC, [PowerSplit(0.5)], BlockConfig(10), 10, harness.RandomPlan(0)
         )
 
 
@@ -536,7 +567,7 @@ def test_run_experiment_validation():
 def test_a_run_and_a_sweep_reject_another_schemes_channel(scheme, params):
     split, block = PowerSplit(0.5, 0.5), BlockConfig(10)
     with pytest.raises(ConfigError) as info:
-        harness.run_experiment(scheme, params, split, block, 10, harness.RandomPlan(0))
+        harness.run_experiment(scheme, params, [split], block, 10, harness.RandomPlan(0))
     assert info.value.field == "scheme"
     with pytest.raises(ConfigError) as info:
         harness.sweep(scheme, params, [0.5], block, 10, harness.RandomPlan(0))
@@ -556,7 +587,7 @@ def test_a_run_and_a_sweep_reject_another_schemes_split(scheme):
     channel, _, wrong = SPLITS[scheme]
     block = BlockConfig(10, rate_fraction=0.5)
     with pytest.raises(ConfigError) as info:
-        harness.run_experiment(scheme, channel, wrong, block, 20, harness.RandomPlan(0))
+        harness.run_experiment(scheme, channel, [wrong], block, 20, harness.RandomPlan(0))
     assert info.value.field == "beta"
     if wrong.beta is not None:  # a sweep's beta comes from its beta grid
         with pytest.raises(ConfigError) as info:
@@ -569,7 +600,8 @@ def test_a_run_and_a_sweep_reject_another_schemes_split(scheme):
 def test_a_reports_config_validates_to_its_run(scheme):
     channel, split, _ = SPLITS[scheme]
     block = BlockConfig(10, rate_fraction=0.5)
-    report = harness.run_experiment(scheme, channel, split, block, 20, harness.RandomPlan(3))
+    (report,) = harness.run_experiment(scheme, channel, [split], block, 20,
+                                       harness.RandomPlan(3))
     assert validate(report.config, scheme) == RunConfig(scheme, channel, split, block, 20, 3)
 
 
@@ -579,8 +611,8 @@ def test_run_config_wrapper():
         "n": 20, "rate_fraction": 0.5, "trials": 50, "seed": 11,
     })
     report = harness.run_config(run)
-    direct = harness.run_experiment(
-        "dpc", ACC, PowerSplit(0.5), BlockConfig(20, rate_fraction=0.5),
+    (direct,) = harness.run_experiment(
+        "dpc", ACC, [PowerSplit(0.5)], BlockConfig(20, rate_fraction=0.5),
         50, harness.RandomPlan(11),
     )
     assert report.as_dict() == direct.as_dict()
@@ -685,9 +717,9 @@ def test_sweep_rows_are_region_records_plus_report_columns(scheme):
             degenerate += 1
             assert all(math.isnan(row[key]) for key in measured)
             with pytest.raises(DegenerateSplit):
-                harness.run_experiment(scheme, channel, split, block, 40, plan)
+                harness.run_experiment(scheme, channel, [split], block, 40, plan)
             continue
-        report = harness.run_experiment(scheme, channel, split, block, 40, plan)
+        (report,) = harness.run_experiment(scheme, channel, [split], block, 40, plan)
         values = {**report.rates, **report.empirical}
         assert {key: row[key] for key in measured} == {key: values[key] for key in measured}
     assert degenerate == (2 if scheme == "mac" else 1)
@@ -701,12 +733,12 @@ def _batch_runs(plan, scheme, params, split, block, rates, start, stop):
     eta = plan.normals(start, stop, harness.NOISE, n, math.sqrt(params.sigma2))
     if scheme == "mac":
         M1, M2 = rates["M1"], rates["M2"]
-        W1 = plan.messages(start, stop, harness.MSG, M1)
-        W2 = plan.messages(start, stop, harness.MSG2, M2)
+        W1 = plan.messages(start, stop, harness.MSG, [M1])[M1]
+        W2 = plan.messages(start, stop, harness.MSG2, [M2])[M2]
         coeffs = sk_dpmac.mac_coefficients(params, split.gamma, split.beta, n)
         return sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
     M = rates["M"]
-    W = plan.messages(start, stop, harness.MSG, M)
+    W = plan.messages(start, stop, harness.MSG, [M])[M]
     if scheme == "noisy":
         Z = plan.normals(start, stop, harness.OBS_NOISE, n, math.sqrt(params.sigma_z2))
         eq = noisy_obs.make_equivalent(params)
@@ -730,11 +762,12 @@ def test_a_trace_writer_changes_no_report_value(scheme, params, split):
     # the state-forwarding kernel
     trials, block = harness.BATCH + 1, BlockConfig(6, rate_fraction=0.5)
     columns = {}
-    traced = harness.run_experiment(
-        scheme, params, split, block, trials, harness.RandomPlan(11),
+    (traced,) = harness.run_experiment(
+        scheme, params, [split], block, trials, harness.RandomPlan(11),
         trace_writer=lambda trial, cols: columns.__setitem__(trial, cols),
     )
-    reduced = harness.run_experiment(scheme, params, split, block, trials, harness.RandomPlan(11))
+    (reduced,) = harness.run_experiment(scheme, params, [split], block, trials,
+                                        harness.RandomPlan(11))
     assert traced.as_dict() == reduced.as_dict()
     assert sorted(columns) == list(range(trials))
     plan = harness.RandomPlan(11)
@@ -826,9 +859,24 @@ def test_a_run_without_a_trace_writer_keeps_few_batch_arrays(scheme, params, spl
     block = BlockConfig(n, rate_fraction=0.5)
     tracemalloc.start()
     try:
-        harness.run_experiment(scheme, params, split, block, B, harness.RandomPlan(3))
+        harness.run_experiment(scheme, params, [split], block, B, harness.RandomPlan(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     bound = PEAK_ARRAYS[scheme] if split.gamma else FORWARDING_PEAK_ARRAYS[scheme]
     assert peak / (B * n * 8) < bound
+
+
+def test_a_sweep_over_two_batches_keeps_few_batch_arrays():
+    # the points of a sweep share each batch's draws, and each batch's draws
+    # replace the last one's as they are drawn, so a batch-first loop stays
+    # under the forwarding kernel's bound; one that kept every batch would not
+    B, n = harness.BATCH, 100
+    tracemalloc.start()
+    try:
+        harness.sweep("noisy", FIG3, [0.0, 0.5, 1.0], BlockConfig(n, rate_fraction=0.5), 2 * B,
+                      harness.RandomPlan(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (B * n * 8) < FORWARDING_PEAK_ARRAYS["noisy"]

@@ -143,8 +143,8 @@ def test_run_block_matches_harness_traces(gamma):
     block = BlockConfig(n, rate_fraction=0.7)
     plan = harness.RandomPlan(7)
     columns = {}
-    report = harness.run_experiment(
-        "noisy", FIG3, PowerSplit(gamma), block, trials, plan,
+    (report,) = harness.run_experiment(
+        "noisy", FIG3, [PowerSplit(gamma)], block, trials, plan,
         trace_writer=lambda trial, cols: columns.__setitem__(trial, cols),
     )
     M = report.rates["M"]
@@ -209,5 +209,5 @@ def test_one_run_builds_the_equivalent_channel_at_most_four_times(monkeypatch):
 
     monkeypatch.setattr(noisy_obs, "make_equivalent", counted)
     block = BlockConfig(n=60, rate_fraction=0.7)
-    harness.run_experiment("noisy", FIG3, PowerSplit(0.5), block, 800, harness.RandomPlan(7))
+    harness.run_experiment("noisy", FIG3, [PowerSplit(0.5)], block, 800, harness.RandomPlan(7))
     assert 0 < len(calls) <= 4

@@ -379,6 +379,31 @@ def test_sweep_at_fixed_rate_keeps_the_gamma_zero_row(capsys, scheme):
         assert all(math.isfinite(row[key]) for key in measured + theory)
 
 
+# sweeps in which every point is degenerate: gamma = 0 alone under a fixed
+# rate, and a two-encoder channel without encoder 1's power
+ALL_DEGENERATE_SWEEPS = {
+    "dpc": (["sweep", "dpc", "--P", "10", "--Q", "10", "--sigma2", "5", "--grid", "1",
+             "--n", "20", "--rate", "0.1"], ["rate", "pe", "distortion"], 1),
+    "mac": (["sweep", "mac", "--P1", "0", "--P2", "10", "--Q", "10", "--sigma2", "5",
+             "--grid", "3", "--n", "20", "--rate_fraction", "0.5"],
+            ["rate1", "rate2", "pe1", "pe2", "distortion"], 9),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(ALL_DEGENERATE_SWEEPS))
+def test_an_all_degenerate_sweep_gives_nan_rows_without_a_draw(capsys, monkeypatch, scheme):
+    argv, measured, count = ALL_DEGENERATE_SWEEPS[scheme]
+    drawn = []
+    for name in ("normal_block", "message"):
+        monkeypatch.setattr(harness.RandomPlan, name, lambda *args: drawn.append(args))
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)
+    assert len(rows) == count
+    assert all(math.isnan(row[key]) for row in rows for key in measured)
+    assert drawn == []
+
+
 PAPER_SGN_MAC = CHANNEL_MAC + ["--n", "40", "--rate_fraction", "0.25", "--trials", "60",
                                "--seed", "3", "--format", "json"]
 
