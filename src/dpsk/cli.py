@@ -8,7 +8,9 @@ Parameter flags are spelled like the configuration-file keys. Argparse
 reads the text of every key and grid-size flag with :func:`_number`, and
 :mod:`dpsk.params` alone checks the value, so a ``--config`` JSON file and
 flags are interchangeable (flags win) and fail alike; a file key the
-command has no flag for is rejected. Exit codes: 0 success, 2
+command has no flag for is rejected. ``simulate`` and ``sweep`` also take
+``--workers N``, the processes that share a run's batches; it is not a
+configuration key, since no report depends on it. Exit codes: 0 success, 2
 configuration or usage error, 1 runtime error.
 """
 
@@ -117,7 +119,8 @@ def _cmd_simulate(args):
     if args.dump_traces:
         writer = _trace_writer(args.dump_traces, run.trials)
     report = harness.run_config(
-        run, paper_sgn=getattr(args, "paper_sgn", False), trace_writer=writer
+        run, paper_sgn=getattr(args, "paper_sgn", False), trace_writer=writer,
+        workers=args.workers,
     )
     return report.as_dict()
 
@@ -131,7 +134,7 @@ def _cmd_sweep(args):
     return harness.sweep(
         scheme, channel, block=block, trials=raw.get("trials", params_mod.DEFAULT_TRIALS),
         plan=harness.RandomPlan(raw.get("seed", params_mod.DEFAULT_SEED)),
-        paper_sgn=getattr(args, "paper_sgn", False), **grids,
+        paper_sgn=getattr(args, "paper_sgn", False), workers=args.workers, **grids,
     )
 
 
@@ -168,6 +171,20 @@ def _add_key_flags(parser, scheme, split=False, run=False):
         parser.add_argument("--paper-sgn", action="store_true", dest="paper_sgn",
                             help="sign convention that silences encoder 2 whenever the "
                                  "error correlation goes negative")
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _add_workers_flag(parser):
+    # outside the configuration vocabulary: a report does not depend on it
+    parser.add_argument("--workers", type=_number, default=_usable_cpus(), metavar="N",
+                        help="processes that share the batches of trials "
+                             "(default: the usable CPU count)")
 
 
 def _add_grid_flags(parser, scheme, default):
@@ -209,6 +226,7 @@ def build_parser():
         _add_key_flags(p, variant, split=True, run=True)
         p.add_argument("--dump-traces", metavar="DIR", dest="dump_traces",
                        help="write one per-symbol trace CSV per trial into DIR")
+        _add_workers_flag(p)
         p.set_defaults(func=_cmd_simulate, csv=output.report_csv)
 
     sweep = sub.add_parser("sweep", help="simulate across a power-split grid")
@@ -217,6 +235,7 @@ def build_parser():
         p = sweep_sub.add_parser(variant, parents=[common])
         _add_key_flags(p, variant, run=True)
         _add_grid_flags(p, variant, 11)
+        _add_workers_flag(p)
         p.set_defaults(func=_cmd_sweep, csv=output.rows_csv)
 
     return parser

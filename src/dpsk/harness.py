@@ -15,17 +15,27 @@ where they can (:meth:`RandomPlan.messages`). The runners store the
 per-symbol X and theta_hat traces only for a run with a trace writer.
 Importing ``dpsk`` pins BLAS to one thread, so dots longer than 10,000
 terms round alike on any CPU count unless the program imported numpy first.
+
+A run's batches can be shared among ``workers`` processes: the calling
+process runs batches 0, P, 2P, ... and P - 1 forked children the others,
+and the caller adds every batch's results in batch order, so the report's
+bytes do not depend on P. A run stays in this process with one worker
+(the library default), one batch, a trace writer, or no ``fork`` on the
+platform. ``fork`` copies only the calling thread, and dpsk starts no
+thread of its own.
 """
 
 import collections
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
-from .errors import ConfigError, DegenerateSplit, EmptyGrid
-from .params import PowerSplit, RunConfig, check_seed, to_config_dict
+from .errors import ConfigError, DegenerateSplit, DpskError, EmptyGrid
+from .params import PowerSplit, RunConfig, check_count, check_seed, to_config_dict
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
 # noisy-observation run with sigma_z2 = 0 consumes exactly the same state,
@@ -57,7 +67,10 @@ class RandomPlan:
 
     def __post_init__(self):
         check_seed("seed", self.master_seed)
-        object.__setattr__(self, "_shared", np.random.Generator(np.random.Philox(key=0)))
+        # one Philox and the state it is re-keyed from: a draw sets the key alone
+        state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        object.__setattr__(self, "_shared", (np.random.Generator(np.random.Philox(key=0)), state))
 
     def key(self, trial, component):
         """128-bit counter key: the master seed in the low 64-bit word and
@@ -72,20 +85,19 @@ class RandomPlan:
         """The shared Generator re-keyed to the substream of (trial, component),
         bit for bit a fresh ``Philox(key=...)`` until the next draw re-keys it
         again, so a plan is not for use from several threads at once."""
+        generator, state = self._shared
         key = self.key(trial, component)
-        self._shared.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (key & _WORD, key >> 64)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._shared
+        state["state"]["key"] = (key & _WORD, key >> 64)
+        generator.bit_generator.state = state
+        return generator
 
-    def normal_block(self, trial, component, n):
-        """N(0,1)^n."""
-        return self._generator(trial, component).standard_normal(n)
+    def normal_block(self, trial, component, n, out=None):
+        """N(0,1)^n, written into ``out`` (a new array when None) of n values."""
+        generator = self._generator(trial, component)
+        if out is None:
+            return generator.standard_normal(n)
+        # no size: numpy's check of it against out's shape costs more than the copy saved
+        return generator.standard_normal(out=out)
 
     def message(self, trial, component, M):
         """A message drawn uniformly from 1..M."""
@@ -96,8 +108,8 @@ class RandomPlan:
         drawn as unit normals and the batch scaled once, so the stream layout
         does not depend on std (std = 0 gives zeros)."""
         out = np.empty((stop - start, n))
-        for i, trial in enumerate(range(start, stop)):
-            out[i] = self.normal_block(trial, component, n)
+        for row, trial in zip(out, range(start, stop)):
+            self.normal_block(trial, component, n, out=row)
         out *= std
         out.flags.writeable = False
         return out
@@ -170,14 +182,16 @@ _SUFFIXES = {1: ("",), 2: ("1", "2")}
 _Run = collections.namedtuple("_Run", ("rates", "sizes", "run_batch", "tail"))
 
 
-def _simulate(params, n, trials, plan, runs, trace_writer):
+def _simulate(params, n, trials, plan, runs, trace_writer, workers):
     """Each run's measured block (:func:`_empirical`) over every batch.
 
     A batch draws each normal component as (B, n) rows and each message
     component as {M: messages} over every run's M, once. Each
     ``run.run_batch(draws, traces)`` returns its :class:`dpsk.sk_dpc.SchemeTrace`
-    on them, with X and theta_hat traces only for a ``trace_writer``. A trial
-    count whose per-trial results numpy cannot allocate is rejected first.
+    on them, with X and theta_hat traces only for a ``trace_writer``. The
+    batches run in up to ``workers`` processes (:func:`_in_batch_order`), and
+    their results are added in batch order. A trial count whose per-trial
+    results numpy cannot allocate is rejected first.
     """
     suffixes = _SUFFIXES[len(params.SPLIT)]
     try:
@@ -191,20 +205,19 @@ def _simulate(params, n, trials, plan, runs, trace_writer):
     sizes = {component: {run.sizes[component] for run in runs} for component in runs[0].sizes}
     traces = trace_writer is not None
 
-    draws = {}
-    for start in range(0, trials, BATCH):
+    def run_batch(start):
+        """Each run's (K,) error counts, (K, n) power row and (B,) squared
+        errors on the batch of trials from ``start``."""
         stop = min(start + BATCH, trials)
-        # each batch replaces the last one's component by component, as it
-        # is drawn, so at most one component is held twice
-        for component, std in stds:
-            draws[component] = plan.normals(start, stop, component, n, std)
+        draws = {component: plan.normals(start, stop, component, n, std)
+                 for component, std in stds}
         for component, Ms in sizes.items():
             draws[component] = plan.messages(start, stop, component, Ms)
-        for i, run in enumerate(runs):
+        results = []
+        for run in runs:
             trace = run.run_batch(draws, traces)
-            errors[i] += np.count_nonzero(trace.W_hat != trace.W, axis=1)
-            power_sums[i] += trace.power
-            sq_err[i, start:stop] = np.mean((draws[STATE] - trace.S_hat) ** 2, axis=1)
+            results.append((np.count_nonzero(trace.W_hat != trace.W, axis=1), trace.power,
+                            np.mean((draws[STATE] - trace.S_hat) ** 2, axis=1)))
             if traces:
                 columns = {**{f"X{s}": x for s, x in zip(suffixes, trace.X)}, "Y": trace.Y,
                            **{f"theta{s}_hat": th for s, th in zip(suffixes, trace.theta_hat)},
@@ -213,7 +226,92 @@ def _simulate(params, n, trials, plan, runs, trace_writer):
                     trace_writer(trial, {name: column[j] for name, column in columns.items()})
             # free the kernel's (B, n) outputs before the next runner or draw
             del trace
+        return results
+
+    def add(start, results):
+        for i, (count, power, sq) in enumerate(results):
+            errors[i] += count
+            power_sums[i] += power
+            sq_err[i, start:start + sq.size] = sq
+
+    _in_batch_order(run_batch, add, range(0, trials, BATCH), 1 if traces else workers)
     return [_empirical(*sums, trials) for sums in zip(errors, sq_err, power_sums)]
+
+
+def _in_batch_order(run_batch, add, starts, workers):
+    """``add(start, run_batch(start))`` for each of ``starts``, in order.
+
+    With P = min(workers, batches) > 1 processes, where the platform can
+    fork, batch b runs in process b % P: this one when P divides b, else one
+    of P - 1 forked children, which send their results through a pipe. Draws
+    are keyed by trial, so a batch draws the same bits in any process, and
+    adding the results in batch order gives the bytes of one process. A
+    child that fails, dies or cannot start raises DpskError here, and every
+    child is joined before this returns or raises.
+    """
+    processes = min(workers, len(starts))
+    if processes < 2 or not hasattr(os, "fork"):
+        for start in starts:
+            add(start, run_batch(start))
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    # a child's exit flushes its copy of these buffers, so they must be empty
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for p in range(1, processes):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_batches,
+                                    args=(run_batch, starts[p::processes], sender))
+            try:
+                child.start()
+            except OSError as exc:
+                receiver.close()
+                raise DpskError(f"could not start a batch worker process: {exc}") from None
+            finally:
+                sender.close()
+            children.append((child, receiver))
+        for b, start in enumerate(starts):
+            if b % processes:
+                add(start, _received(*children[b % processes - 1]))
+            else:
+                add(start, run_batch(start))
+    except BaseException:
+        # a child left running could wait forever on a full pipe
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+
+
+def _send_batches(run_batch, starts, sender):
+    """A batch worker process: each of ``starts``' results through ``sender``,
+    in order, as (True, results), or the first failure as (False, its line)."""
+    try:
+        for start in starts:
+            sender.send((True, run_batch(start)))
+    except Exception as exc:  # the worker's boundary: the caller reports it
+        sender.send((False, f"{type(exc).__name__}: {exc}"))
+
+
+def _received(child, receiver):
+    """The next results a batch worker sent; DpskError if it failed or died."""
+    try:
+        ok, results = receiver.recv()
+    except EOFError:
+        child.join()
+        code = child.exitcode
+        how = f"died on signal {-code}" if code < 0 else f"exited with code {code}"
+        raise DpskError(f"a batch worker process {how}") from None
+    if not ok:
+        raise DpskError(f"a batch worker process failed: {results}")
+    return results
 
 
 def _empirical(errors, sq_err, power_sums, trials):
@@ -392,7 +490,7 @@ def _run_config(scheme, params, split, block, trials, plan):
 
 
 def run_experiment(scheme, params, splits, block, trials, plan,
-                   paper_sgn=False, trace_writer=None):
+                   paper_sgn=False, trace_writer=None, workers=1):
     """One seeded Monte Carlo report per power split of ``splits``, in
     order, all on the same trials and each batch drawn once.
 
@@ -402,8 +500,10 @@ def run_experiment(scheme, params, splits, block, trials, plan,
     dict of per-symbol columns. Messages are drawn uniformly; the error
     probability is the fraction of wrongly decoded messages and distortion
     the time-averaged squared estimation error including the estimate-free
-    initial slots.
+    initial slots. Up to ``workers`` processes share the batches of a run
+    without a trace writer; the reports do not depend on how many.
     """
+    check_count("workers", workers)
     splits = list(splits)
     if trace_writer is not None and len(splits) > 1:
         raise ConfigError(f"a trace writer takes the trials of one split, not {len(splits)}")
@@ -417,7 +517,7 @@ def run_experiment(scheme, params, splits, block, trials, plan,
     live = [run for run in runs if isinstance(run, _Run)]
     if not live:
         raise runs[0] if runs else EmptyGrid("an experiment needs at least one split")
-    measured = iter(_simulate(params, block.n, trials, plan, live, trace_writer))
+    measured = iter(_simulate(params, block.n, trials, plan, live, trace_writer, workers))
     reports = []
     for config, run in zip(configs, runs):
         report = None
@@ -429,22 +529,25 @@ def run_experiment(scheme, params, splits, block, trials, plan,
     return reports
 
 
-def run_config(config: RunConfig, paper_sgn=False, trace_writer=None):
+def run_config(config: RunConfig, paper_sgn=False, trace_writer=None, workers=1):
     """The report of :func:`run_experiment` on a RunConfig's one split."""
     (report,) = run_experiment(
         config.scheme, config.channel, [config.split], config.block, config.trials,
         RandomPlan(config.seed), paper_sgn=paper_sgn, trace_writer=trace_writer,
+        workers=workers,
     )
     return report
 
 
-def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper_sgn=False):
+def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper_sgn=False,
+          workers=1):
     """One experiment over every grid point's split, each row the point's
     region record (the ``region`` command's boundary, or the two-encoder
     feedback region at rho*) with its report's measured columns in between.
     All points share each batch's draws; rows are comparable but not
     mutually independent. The two-encoder beta grid defaults to the gamma
     grid; the region functions reject empty grids with EmptyGrid.
+    ``workers`` is :func:`run_experiment`'s.
 
     A point whose resolution raises DegenerateSplit keeps its theory
     columns and holds NaN in the measured ones: two-encoder points without
@@ -461,7 +564,8 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     points = region_points(params, gamma_grid, beta_grid, block.n)
     splits = [PowerSplit(lead["gamma"], lead.get("beta")) for lead, _ in points]
     try:
-        reports = run_experiment(scheme, params, splits, block, trials, plan, paper_sgn)
+        reports = run_experiment(scheme, params, splits, block, trials, plan, paper_sgn,
+                                 workers=workers)
     except DegenerateSplit:
         reports = [None] * len(splits)
     rows = []

@@ -9,6 +9,7 @@ per-line outcome, ``-s`` to see the measured numbers.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -23,6 +24,8 @@ SEED = 7
 DPC = DpcParams(P=10, Q=10, sigma2=5)
 MAC = MacParams(P1=10, P2=10, Q=10, sigma2=5)
 FIG_NOISY = NoisyObsParams(P=7.7, Q=10, sigma2=5, sigma_z2=1)
+# the 1e5-trial runs share their 25 batches among the usable CPUs
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def _report(number, name, ok, detail):
@@ -38,7 +41,7 @@ def calibration_run():
     start = time.perf_counter()
     (report,) = harness.run_experiment(
         "dpc", DPC, [PowerSplit(0.5)], BlockConfig(100, rate_fraction=0.7),
-        100_000, plan,
+        100_000, plan, workers=WORKERS,
     )
     return report, time.perf_counter() - start
 
@@ -173,7 +176,7 @@ def test_criterion_08_mac_distortion():
     n = 200
     (report,) = harness.run_experiment(
         "mac", MAC, [PowerSplit(0.8, 0.8)], BlockConfig(n, rate_fraction=0.25),
-        100_000, harness.RandomPlan(SEED),
+        100_000, harness.RandomPlan(SEED), workers=WORKERS,
     )
     elapsed = time.perf_counter() - start
     d_min = regions.mac_constraints(MAC, 0.8, 0.8, regions.solve_rho_star(MAC, 0.8, 0.8)).d_min
@@ -255,7 +258,7 @@ def test_criterion_12_noisy_distortion_or_flagged_mismatch():
     n = 100
     (report,) = harness.run_experiment(
         "noisy", FIG_NOISY, [PowerSplit(0.5)], BlockConfig(n, rate_fraction=0.7),
-        100_000, harness.RandomPlan(SEED),
+        100_000, harness.RandomPlan(SEED), workers=WORKERS,
     )
     elapsed = time.perf_counter() - start
     bound = report.theory["distortion_bound"]

@@ -106,14 +106,21 @@ def _bits(x):
 @example(seed=2**64 - 1, draws=INTERLEAVED)
 def test_shared_generator_draws_what_a_fresh_philox_draws(seed, draws):
     # the plan re-keys one cached Philox per draw; a buffered 32-bit word
-    # left by a small-M message must not leak into the next substream
+    # left by a small-M message must not leak into the next substream. A
+    # normal block drawn into a row of a batch, in place, keeps the bits of
+    # standard_normal(n) from a fresh Philox.
     plan = harness.RandomPlan(seed)
     for trial, component, (kind, size) in draws:
         fresh = np.random.Generator(np.random.Philox(key=plan.key(trial, component)))
         if kind == "normal":
+            expected = _bits(fresh.standard_normal(size))
+            batch = np.full((3, size), np.nan)
+            row = plan.normal_block(trial, component, size, out=batch[1])
+            assert row.base is batch
+            np.testing.assert_array_equal(_bits(batch[1]), expected)
+            assert np.isnan(batch[[0, 2]]).all()
             np.testing.assert_array_equal(
-                _bits(plan.normal_block(trial, component, size)),
-                _bits(fresh.standard_normal(size)),
+                _bits(plan.normal_block(trial, component, size)), expected
             )
         else:
             assert plan.message(trial, component, size) == fresh.integers(1, size + 1)
