@@ -9,7 +9,6 @@ per-line outcome, ``-s`` to see the measured numbers.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -25,7 +24,7 @@ DPC = DpcParams(P=10, Q=10, sigma2=5)
 MAC = MacParams(P1=10, P2=10, Q=10, sigma2=5)
 FIG_NOISY = NoisyObsParams(P=7.7, Q=10, sigma2=5, sigma_z2=1)
 # the 1e5-trial runs share their 25 batches among the usable CPUs
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+WORKERS = cli._usable_cpus()
 
 
 def _report(number, name, ok, detail):

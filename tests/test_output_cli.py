@@ -1004,3 +1004,20 @@ def test_importing_dpsk_leaves_one_thread(setting):
     code = ("import os; assert 'numpy' not in sys.modules; import dpsk, numpy; "
             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
     assert _run_child(code, env=_child_env(**setting)).split() == [b"1", b"1"]
+
+
+TWO_BATCHES = ["simulate", "dpc", "--P", "10", "--Q", "10", "--sigma2", "5", "--gamma", "0.5",
+               "--n", "20", "--rate", "0.2", "--trials", str(harness.BATCH + 1)]
+
+
+@pytest.mark.parametrize("argv, imported", [
+    ([], False),
+    ([*TWO_BATCHES, "--workers", "1"], False),
+    pytest.param([*TWO_BATCHES, "--workers", "2"], True,
+                 marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")),
+], ids=["import", "workers-1", "workers-2"])
+def test_only_a_run_that_forks_imports_multiprocessing(argv, imported):
+    # importing it would add to the start-up of every run, forked or not
+    code = ("from dpsk import cli; assert not sys.argv[2:] or cli.main(sys.argv[2:]) == 0; "
+            "print('multiprocessing' in sys.modules)")
+    assert _run_child(code, *argv, env=_child_env()).split()[-1] == str(imported).encode()

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
 
 import pytest
 
@@ -115,10 +116,15 @@ def _die():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _exit():
+    sys.exit(3)
+
+
 @pytest.mark.parametrize("failure, message", [
     (_raise, "a batch worker process failed: RuntimeError: injected failure"),
     (_die, f"a batch worker process died on signal {signal.SIGKILL.value}"),
-], ids=["raises", "killed"])
+    (_exit, "a batch worker process exited with code 3"),
+], ids=["raises", "killed", "exits"])
 def test_a_failing_worker_is_one_line_and_exit_one(monkeypatch, capfd, failure, message):
     _fail_in(monkeypatch, failure)
     channel, split, block, _, _ = RUNS["dpc"]
@@ -172,6 +178,13 @@ def test_a_worker_that_cannot_start_is_one_line_and_exit_one(monkeypatch, capfd)
                    "[Errno 11] Resource temporarily unavailable\n")
     assert len(started) == 1 and started[0].exitcode is not None
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [3, None], ids=["three", "none"])
+def test_the_default_worker_count_without_affinity_is_the_cpu_count(monkeypatch, count):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli.build_parser().parse_args(MAC_ARGS).workers == (count or 1)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "1.5", "abc"])
