@@ -344,15 +344,13 @@ def _run_dpc(params, split, block, paper_sgn):
                                 draws[NOISE], traces=traces)
 
     def tail(empirical):
-        forwarded = sk_dpc.state_forward_coefficient(params, gamma) ** 2 * params.Q
         d_step = regions.dpc_min_distortion(params, gamma)
-        message_path = coeffs is not None
         theory = {
             "rate_cap": regions.dpc_rate_cap(params, gamma),
             "distortion": regions.finite_n_distortion(params.Q, block.n, d_step, 1),
             "distortion_step": d_step,
-            "power": params.P if message_path else forwarded,
-            "time1_power": sk_dpc.time1_power_theory(coeffs, M) if message_path else forwarded,
+            "power": sk_dpc.spent_power(gamma, params.P, params.Q),
+            "time1_power": sk_dpc.time1_power_theory(coeffs, M),
         }
         deltas = {
             "distortion": empirical["distortion"] - theory["distortion"],
@@ -376,7 +374,6 @@ def _run_noisy(params, split, block, paper_sgn):
                                          draws[OBS_NOISE], draws[NOISE], traces=traces)
 
     def tail(empirical):
-        forward = sk_dpc.state_forward_coefficient(eq_params, gamma)
         bound_step = regions.noisy_min_distortion(params, gamma)
         scheme_step = noisy_obs.scheme_step_distortion(params, gamma)
         theory = {
@@ -386,7 +383,7 @@ def _run_noisy(params, split, block, paper_sgn):
             "distortion_scheme_step": scheme_step,
             "distortion_bound": regions.finite_n_distortion(params.Q, block.n, bound_step, 1),
             "distortion_bound_step": bound_step,
-            "power": params.P if coeffs is not None else forward**2 * eq_params.Q,
+            "power": sk_dpc.spent_power(gamma, eq_params.P, eq_params.Q),
         }
         distortion = empirical["distortion"]
         deltas = {
@@ -424,13 +421,13 @@ def _run_mac(params, split, block, paper_sgn):
             "r1_max": caps.r1_max, "r2_max": caps.r2_max, "rsum_max": caps.rsum_max,
             "distortion": regions.finite_n_distortion(params.Q, block.n, caps.d_min, 2),
             "distortion_step": caps.d_min,
-            "power1": params.P1,
-            "power2": params.P2,
+            "power1": sk_dpc.spent_power(gamma, params.P1, params.Q),
+            "power2": sk_dpc.spent_power(beta, params.P2, params.Q),
         }
         deltas = {
             "distortion": empirical["distortion"] - theory["distortion"],
-            "steady_power1": empirical["steady_power1"] - params.P1,
-            "steady_power2": empirical["steady_power2"] - params.P2,
+            "steady_power1": empirical["steady_power1"] - theory["power1"],
+            "steady_power2": empirical["steady_power2"] - theory["power2"],
             "rho": rho_final - caps.rho,
         }
         flags = []

@@ -19,7 +19,7 @@ changes the estimator weight and the achieved distortion; see
 import numpy as np
 
 from . import regions, sk_dpc
-from .params import DpcParams, NoisyObsParams
+from .params import DpcParams, NoisyObsParams, check_fraction
 
 #: How coefficient errors name the equivalent channel's sigma2.
 EQUIVALENT_NOISE = "(the equivalent channel's noise kappa*sigma_z2 + sigma2)"
@@ -37,7 +37,7 @@ def make_equivalent(params: NoisyObsParams):
 def _true_state_moments(params: NoisyObsParams, gamma):
     """Steady-state E[S Y] and E[Y^2] of the true state."""
     eq = make_equivalent(params)
-    omega = 1.0 + sk_dpc.state_forward_coefficient(eq, gamma)
+    omega = 1.0 + sk_dpc.forward_coefficient(check_fraction("gamma", gamma), eq.P, eq.Q)
     ey2 = gamma * params.P + omega * omega * eq.Q + eq.sigma2
     return omega * eq.Q + (1.0 - regions.observation_weight(params)) * params.Q, ey2
 
@@ -74,15 +74,14 @@ def scheme_step_distortion(params: NoisyObsParams, gamma):
 def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta, traces=True):
     """Simulate a batch of blocks with physical state S and observation noise Z.
 
-    This is :func:`dpsk.sk_dpc.run_batch` on the equivalent channel, with
-    ``M`` and ``coeffs`` from :func:`dpsk.sk_dpc.resolve_loop` on
-    :func:`make_equivalent` with ``noise=EQUIVALENT_NOISE``: the encoder
-    is driven by kappa (S + Z), the state it cannot see joins the channel
-    noise, and the receiver weighs Y by :func:`true_state_coefficient`.
-    Returns the record of :func:`dpsk.sk_dpc.run_batch` with the true S
-    swapped in, beside its estimate. With sigma_z2 = 0 it reproduces the
-    clean-observation trace sample for sample. ``traces`` goes to
-    :func:`dpsk.sk_dpc.run_batch`.
+    This is :func:`dpsk.sk_dpc.run_batch` on the equivalent channel, for the
+    ``M`` and ``coeffs`` that :func:`dpsk.sk_dpc.resolve_loop` gives any split,
+    the gamma*P = 0 forwarding record included, on :func:`make_equivalent`
+    with ``noise=EQUIVALENT_NOISE``: the encoder is driven by kappa (S + Z),
+    the state it cannot see joins the channel noise, and the receiver weighs
+    Y by :func:`true_state_coefficient`. Returns its record, ``traces``
+    included, with the true S beside its estimate; with sigma_z2 = 0 that is
+    the clean-observation trace sample for sample.
     """
     sk_dpc.check_batch(np.shape(S), Z=Z, eta=eta)
     s_eq = regions.observation_weight(params) * (S + Z)

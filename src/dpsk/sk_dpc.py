@@ -36,9 +36,9 @@ covariance propagation.
 
 The per-step constants of K encoders go into one record,
 :class:`SkCoefficients` (K = 1 here, 2 in :mod:`dpsk.sk_dpmac`), which one
-closed loop, :func:`_closed_loop`, reads directly. Each batch it runs has
-one record too, :data:`SchemeTrace`, which the kernel fills and its batch
-runner completes.
+closed loop, :func:`_closed_loop`, reads directly; at gamma*P = 0 it only
+forwards the state. Each batch it runs has one record too,
+:data:`SchemeTrace`, which the kernel fills and its batch runner completes.
 """
 
 import array
@@ -58,18 +58,18 @@ from .params import DpcParams, check_fraction, resolve_block
 
 @dataclasses.dataclass(frozen=True)
 class SkCoefficients:
-    """Deterministic per-step constants of the loop of K encoders, laid out
-    like :data:`SchemeTrace`: K = 1 from :func:`compute_coefficients`, 2 in
-    the subclass :class:`dpsk.sk_dpmac.MacSkCoefficients`.
+    """Deterministic per-step constants of K encoders, the first L of which run
+    a message loop, laid out like :data:`SchemeTrace`: K = L = 1 from
+    :func:`compute_coefficients`, K = 1 and L = 0 from :func:`forwarding_coefficients`,
+    and K = L = 2 in the subclass :class:`dpsk.sk_dpmac.MacSkCoefficients`.
 
-    ``mu``, ``alpha`` and ``gain`` are (K, n) and index k refers to time
-    t = k+1: ``alpha[u, k]`` is encoder u's tracking-error variance after
-    step k+1 (so per-user alpha_n is ``alpha[:, -1]``), ``mu[u, k]`` its
-    combining weight and ``gain[u, k]`` the amplitude sqrt(power_u /
-    alpha[u, k-1]) it applies. Encoder u starts in slot u with
-    ``message_amp[u]`` and refines from slot K on; ``mu`` is 0 and ``gain``
-    NaN before that. It forwards the state with ``state_coef[u]``, and the
-    receiver sees S through the combined state gain ``lam``.
+    ``mu``, ``alpha`` and ``gain`` are (L, n) and index k refers to time
+    t = k+1: ``alpha[u, k]`` is loop u's tracking-error variance after step
+    k+1 (per-user alpha_n is ``alpha[:, -1]``), ``mu[u, k]`` its combining
+    weight and ``gain[u, k]`` its amplitude sqrt(power_u / alpha[u, k-1]).
+    Loop u starts in slot u with ``message_amp[u]`` and refines from slot L
+    on; ``mu`` is 0 and ``gain`` NaN before that. Encoder u forwards the
+    state with ``state_coef[u]``, and the receiver sees S through ``lam``.
     """
 
     params: object
@@ -89,12 +89,18 @@ class SkCoefficients:
                 value.setflags(write=False)
 
 
-def state_forward_coefficient(params: DpcParams, gamma):
-    """sqrt((1-gamma) P / Q); 0 when there is no state to forward."""
-    check_fraction("gamma", gamma)
-    if params.Q == 0.0:
-        return 0.0
-    return math.sqrt((1.0 - gamma) * params.P / params.Q)
+def forward_coefficient(fraction, power, Q):
+    """sqrt((1-fraction) power / Q), the state gain of an encoder that keeps
+    ``fraction`` of ``power`` for its message; 0 when Q = 0 leaves no state."""
+    return math.sqrt((1.0 - fraction) * power / Q) if Q else 0.0
+
+
+def spent_power(fraction, power, Q):
+    """Expected power per symbol of such an encoder once its loop runs: its
+    message share plus its forwarded share, which is ``power`` if it has both."""
+    if not fraction * power:
+        return forward_coefficient(fraction, power, Q) ** 2 * Q
+    return power if Q else fraction * power
 
 
 def _first_variance(power, s2, field, label, noise="sigma2"):
@@ -169,9 +175,16 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
         _check_variance(alpha, k + 1, n, gp, s2, "gamma", "gamma*P", noise)
         rows.extend((mu, alpha, gain))
     mu, alpha, gain = np.frombuffer(rows).reshape(n, width).T.copy()[:, None]  # (1, n) rows
-    sc = state_forward_coefficient(params, gamma)
-    return SkCoefficients(params, float(gamma), int(n), mu, alpha, gain, lam=1.0 + sc,
-                          state_coef=np.array([sc]), message_amp=np.array([math.sqrt(12.0 * gp)]))
+    return dataclasses.replace(forwarding_coefficients(params, gamma, n), mu=mu, alpha=alpha,
+                               gain=gain, message_amp=np.array([math.sqrt(12.0 * gp)]))
+
+
+def forwarding_coefficients(params: DpcParams, gamma, n):
+    """One encoder of n slots that only forwards the state: no message loop, as at gamma*P = 0."""
+    sc = forward_coefficient(check_fraction("gamma", gamma), params.P, params.Q)
+    no_loop = np.empty((0, n))
+    return SkCoefficients(params, float(gamma), int(n), no_loop, no_loop, no_loop, lam=1.0 + sc,
+                          state_coef=np.array([sc]), message_amp=np.empty(0))
 
 
 def message_to_theta(w, M):
@@ -216,15 +229,15 @@ def check_batch(shape, **draws):
 def resolve_loop(params: DpcParams, gamma, block, noise="sigma2"):
     """Rate, message-set size and loop coefficients of one configuration.
 
-    Returns ``(rate, M, coeffs)``; ``coeffs`` is None when gamma*P = 0,
-    which leaves only state forwarding and requires M = 1. ``noise`` goes
-    to :func:`compute_coefficients`.
+    Returns ``(rate, M, coeffs)``; ``coeffs`` has no message loop when
+    gamma*P = 0 (:func:`forwarding_coefficients`), which requires M = 1.
+    ``noise`` goes to :func:`compute_coefficients`.
     """
     rate, M = resolve_block(block, regions.dpc_rate_cap(params, gamma))
     if gamma * params.P == 0.0:
         if M > 1:
             raise DegenerateSplit("gamma*P = 0 cannot carry a message, resolve M = 1")
-        return rate, M, None
+        return rate, M, forwarding_coefficients(params, gamma, block.n)
     return rate, M, compute_coefficients(params, gamma, block.n, noise)
 
 
@@ -234,18 +247,16 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
     ``M`` and ``coeffs`` come from :func:`resolve_loop`, ``W`` has shape
     (B,) and ``S``, ``eta`` shape (B, n). ``weight`` is the receiver's
     state-estimation weight; it defaults to :func:`estimation_coefficient`.
-    Decodes and estimates from the :data:`SchemeTrace` of the message
-    kernel, or of the forwarding one when ``coeffs`` is None, and returns
-    it completed for one encoder; its X and theta_hat are None unless
-    ``traces``.
+    Returns the :data:`SchemeTrace` of the message kernel, or of the forwarding
+    one when ``coeffs`` has no loop, with its decisions and estimates for one
+    encoder; X and theta_hat are None unless ``traces``.
     """
     theta = message_to_theta(W, M)
-    if coeffs is None:
-        # no loop fixes n here; the width of S does
-        check_batch((len(W), *np.shape(S)[-1:]), S=S, eta=eta)
-        loop = simulate_forwarding_batch(params, gamma, S, eta, traces)
-    else:
+    check_batch((len(W), coeffs.n), S=S, eta=eta)
+    if coeffs.message_amp.size:
         loop = simulate_message_batch(coeffs, theta, S, eta, traces)
+    else:
+        loop = simulate_forwarding_batch(coeffs, S, eta, traces)
     if weight is None:
         weight = estimation_coefficient(params, gamma)
     return loop._replace(W=W[None], W_hat=decode_batch(loop.theta_final, M), M=(M,), S=S,
@@ -253,20 +264,20 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
 
 
 def _power_sum(x):
-    """Sum of x² over the last axis, the trials of a slot-major row, adding
-    them one by one in order: the bits of ``np.sum(X * X, axis=0)`` on the
-    row-major (B, n) batch X, where ``np.sum`` over a contiguous axis would
-    add pairwise."""
+    """Sum of x² over the last axis, the trials of a slot-major row, added one
+    by one in order: the bits of ``np.sum(X * X, axis=0)`` on the row-major
+    (B, n) X, where ``np.sum`` over a contiguous axis would add pairwise."""
     if not x.shape[-1]:
         return np.zeros(x.shape[:-1])
-    return np.cumsum(x * x, axis=-1)[..., -1]
+    return (x * x).cumsum(axis=-1)[..., -1]
 
 
 #: The one record of a batch of B blocks of n slots for K = 1 or 2 encoders.
 #: A kernel fills the loop fields: the (K, n) per-slot power summed over the
 #: batch by :func:`_power_sum`, the (B, n) Y, the (K, B) final estimates and
-#: tracking errors, and the (K, B, n) X and theta_hat traces, or None when it
-#: was not asked for traces. Its batch runner completes the record with the
+#: tracking errors (0 for an encoder with no message loop), and the (K, B, n)
+#: X and theta_hat traces (NaN before a loop starts), or None when it was not
+#: asked for traces. Its batch runner completes the record with the
 #: (K, B) messages W and decisions W_hat, the K message-set sizes M and the
 #: (B, n) S and S_hat, which a kernel leaves None.
 SchemeTrace = collections.namedtuple(
@@ -276,52 +287,48 @@ SchemeTrace = collections.namedtuple(
 def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
     """Closed loop of the K encoders of ``coeffs`` over (B, n) blocks S, eta.
 
-    ``thetas`` holds each encoder's (B,) message points. Encoder u forwards
-    state_coef[u] S_k. It starts in slot u with message_amp[u] (theta - o_u),
-    where o_u = lam (S_u / message_amp[u] - sum_{k>=K} mu[u, k] S_k) is the
-    state its receiver chain adds back. From slot K on it adds gain[u, k] eps
-    and refines eps on Y_k - lam S_k.
-
-    The loop runs slot-major on (n, B) copies of S and eta, so each slot
-    computes on contiguous (B,) rows, sums its power and only stores its
-    column of the row-major (B, n) outputs; the offsets take ``np.vecdot``
-    on the row-major S. Returns the loop fields of a :data:`SchemeTrace`;
-    its theta_hat trace is NaN before the encoder starts.
+    ``thetas`` holds the (B,) message points of each of the L loops. Encoder
+    u forwards state_coef[u] S_k. Loop u starts in slot u with message_amp[u]
+    (theta - o_u), where o_u = lam (S_u / message_amp[u] - sum_{k>=L} mu[u, k]
+    S_k) is the state its receiver chain adds back. From slot L on it adds
+    gain[u, k] eps and refines eps on Y_k - lam S_k. The loop runs slot-major
+    on (n, B) copies of S and eta, so each slot computes on contiguous (B,)
+    rows, sums its power and only stores its column of the row-major (B, n)
+    outputs; the offsets take ``np.vecdot`` on the row-major S.
     """
-    K, n = coeffs.mu.shape
+    K, (L, n), B = len(coeffs.state_coef), coeffs.mu.shape, len(S)
     lam, amp, mu, gain = coeffs.lam, coeffs.message_amp, coeffs.mu, coeffs.gain
-    for theta in thetas:
-        check_batch((len(theta), n), S=S, eta=eta)
+    check_batch((B, n), S=S, eta=eta)
+    check_batch((B,), **{f"theta{u + 1}": theta for u, theta in enumerate(thetas)})
     S_t, eta_t = np.ascontiguousarray(S.T), np.ascontiguousarray(eta.T)
-    Y = np.empty_like(S)
-    power = np.empty((K, n))
-    X = np.empty((K, *S.shape)) if traces else None
-    theta_hat = np.full((K, *S.shape), np.nan) if traces else None
-    eps, th = [], []
+    Y, power = np.empty_like(S), np.empty((K, n))
+    X, theta_hat = np.empty((2, K, *S.shape)) if traces else (None, None)
+    # a loop's estimate is NaN before it starts; an encoder with no loop's stays 0
+    th, eps = [np.full(B, np.nan)] * L + [np.zeros(B)] * (K - L), [np.zeros(B)] * K
     for k in range(n):
         s = S_t[k]
         xs = [sc * s for sc in coeffs.state_coef]
-        if k < K:
-            send = amp[k] * (thetas[k] - lam * (s / amp[k] - np.vecdot(S[:, K:], mu[k, K:])))
+        if k < L:
+            send = amp[k] * (thetas[k] - lam * (s / amp[k] - np.vecdot(S[:, L:], mu[k, L:])))
             xs[k] += send
         else:
-            for u, e in enumerate(eps):
-                xs[u] += gain[u, k] * e
+            for u in range(L):
+                xs[u] += gain[u, k] * eps[u]
         # the encoders in order, then state and noise
         y = sum(xs[1:], xs[0]) + s
         y += eta_t[k]
         Y[:, k] = y
-        if k < K:
-            eps.append((y - send - lam * s) / amp[k])
-            th.append(y / amp[k])
-        else:
+        if k < L:
+            eps[k] = (y - send - lam * s) / amp[k]
+            th[k] = y / amp[k]
+        elif L:
             z = y - lam * s
-            for u in range(K):
+            for u in range(L):
                 eps[u] = eps[u] - mu[u, k] * z
                 th[u] = th[u] - mu[u, k] * y
         power[:, k] = [_power_sum(x) for x in xs]
         if traces:
-            X[:, :, k], theta_hat[:len(th), :, k] = xs, th
+            X[:, :, k], theta_hat[:, :, k] = xs, th
     return SchemeTrace(power, Y, np.array(th), np.array(eps), X, theta_hat)
 
 
@@ -332,17 +339,11 @@ def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta, traces=True):
     return _closed_loop(coeffs, [theta], S, eta, traces)
 
 
-def simulate_forwarding_batch(params: DpcParams, gamma, S, eta, traces=True):
-    """Vectorized no-message path (gamma*P = 0), pure state forwarding: the
-    one-encoder :data:`SchemeTrace` of (B, n) blocks ``S``, ``eta`` whose
-    estimates and tracking errors are all 0."""
-    X = state_forward_coefficient(params, gamma) * S
-    Y = X + S
-    Y += eta  # in place, so Y stays row-major when eta is a slot-major view
-    traced = (X[None], np.zeros((1, *S.shape))) if traces else (None, None)
-    # slot by slot, so the trials are added in order whatever the layout of S
-    power = np.array([_power_sum(x) for x in X.T])
-    return SchemeTrace(power[None], Y, *np.zeros((2, 1, len(S))), *traced)
+def simulate_forwarding_batch(coeffs: SkCoefficients, S, eta, traces=True):
+    """The no-message path (gamma*P = 0), pure state forwarding: the :data:`SchemeTrace`
+    of :func:`_closed_loop` for a :func:`forwarding_coefficients` record and
+    ``S``, ``eta`` of shape (B, n), whose estimates and errors are all 0."""
+    return _closed_loop(coeffs, [], S, eta, traces)
 
 
 def decode_batch(theta_hat_final, M):
@@ -353,7 +354,10 @@ def decode_batch(theta_hat_final, M):
 
 def time1_power_theory(coeffs: SkCoefficients, M):
     """Expected E[X_1^2] of the loop ``coeffs`` with theta on the M-point grid:
-    gamma P (M^2-1)/M^2 + (1 + 12 gamma P lam^2 sum mu_i^2) Q."""
+    gamma P (M^2-1)/M^2 + (1 + 12 gamma P lam^2 sum mu_i^2) Q, or the
+    forwarded sc^2 Q when ``coeffs`` holds no message loop."""
+    if not coeffs.message_amp.size:
+        return float(coeffs.state_coef[0]) ** 2 * coeffs.params.Q
     gp = coeffs.gamma * coeffs.params.P
     state_gain = 1.0 + 12.0 * gp * coeffs.lam**2 * float(np.sum(coeffs.mu[0, 1:] ** 2))
     return gp * (M**2 - 1) / M**2 + state_gain * coeffs.params.Q

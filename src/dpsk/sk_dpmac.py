@@ -48,7 +48,7 @@ from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
 from .params import MacParams, check_fraction, resolve_block
 from .sk_dpc import (
     SkCoefficients, _check_storable, _check_variance, _closed_loop, _first_variance,
-    decode_batch, estimate_state, message_to_theta,
+    decode_batch, estimate_state, forward_coefficient, message_to_theta,
 )
 
 
@@ -105,8 +105,8 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     if A == 0.0 or B == 0.0:
         raise DegenerateSplit("both encoders need message power: gamma*P1, beta*P2 > 0")
     Q, s2 = params.Q, params.sigma2
-    sc1 = math.sqrt((1.0 - gamma) * params.P1 / Q) if Q else 0.0
-    sc2 = math.sqrt((1.0 - beta) * params.P2 / Q) if Q else 0.0
+    sc1 = forward_coefficient(gamma, params.P1, Q)
+    sc2 = forward_coefficient(beta, params.P2, Q)
     lam = 1.0 + sc1 + sc2
 
     # Initialization slots: each encoder learns its own eps exactly once.

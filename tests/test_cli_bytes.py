@@ -2,8 +2,9 @@
 
 Each case runs the CLI in-process and compares the sha256 of its stdout
 (and, for ``--dump-traces``, of the per-trial trace files) with a digest
-recorded before the record types began to drive the output columns. Trial
-counts are small so the whole file runs in a couple of seconds.
+recorded before the change it guards: the record types driving the output
+columns, or the gamma = 0 forwarding split joining the one closed loop.
+Trial counts are small so the whole file runs in a couple of seconds.
 """
 
 import hashlib
@@ -11,7 +12,7 @@ import os
 
 import pytest
 
-from dpsk import cli
+from dpsk import cli, harness
 
 DPC = ["--P", "10", "--Q", "10", "--sigma2", "5"]
 NOISY = DPC + ["--sigma_z2", "1"]
@@ -32,6 +33,9 @@ CASES = {
                   "--rate_fraction", "0.7", "--trials", "100", "--seed", "5"],
     "sweep-mac": ["sweep", "mac", *MAC, "--grid", "3", "--n", "40",
                   "--rate_fraction", "0.25", "--trials", "100", "--seed", "5"],
+    # its gamma = 0 point, the state-forwarding split, spans two batches
+    "sweep-noisy": ["sweep", "noisy", *NOISY, "--grid", "3", "--n", "20",
+                    "--rate_fraction", "0.7", "--trials", str(harness.BATCH + 3), "--seed", "5"],
 }
 
 FORMATS = {name: ("csv", "json") for name in CASES}
@@ -60,11 +64,28 @@ DIGESTS = {
     "sweep-dpc/json": "b6356fac09cdc5078613be15ea64ab8b1fba6c5c9ace54a769598e6749701892",
     "sweep-mac/csv": "eda0e5873bb7462dc4d2c6eb481f661c4187adb41ae05455e41ba7b9b204060a",
     "sweep-mac/json": "89e3845cfe38645067cb4ca6abec5ce5d86885c717b0269c49c44c959bd7fd08",
+    "sweep-noisy/csv": "e85ee604342713304a63608e923a35ed7ac8beab8ebb827ad964dff39660a7f1",
+    "sweep-noisy/json": "09064d298f1bee55908f604a559a2cebe3f4c87f6c295b6c28274aaa8572d29c",
 }
 
 TRACE_DIGESTS = {
     "stdout": "d2f95f6a2beaed920cf222d6e7a1469ff0382638f60348f091bb4873ad09139c",
     "traces": "246b49238f54cacb7b8ce6f9c7d83c16ffc35c8a2b0d7099d4c24456c4189251",
+}
+
+#: gamma = 0 runs, the state-forwarding split, whose every estimate is 0
+FORWARDING_CASES = {
+    "dpc": ["simulate", "dpc", *DPC, "--gamma", "0", "--n", "12", "--trials", "7",
+            "--seed", "2"],
+    "noisy": ["simulate", "noisy", *NOISY, "--gamma", "0", "--n", "12", "--trials", "7",
+              "--seed", "2"],
+}
+
+FORWARDING_DIGESTS = {
+    "dpc": {"stdout": "3a3f9a18000bcc5a593a44dc4365e1348365b15772b8d4f4aaee7dd2ba30ac60",
+            "traces": "a9ab77182f26b52bb09b789d7eb2a9974797918d373659dd491d1a8ad2c2c8ce"},
+    "noisy": {"stdout": "76ccf280f09ee619095d7dd43a4b4a570dda9fa5be1c867a4c4b91e0373afd24",
+              "traces": "c730e36676c3438c8b7eb210931fa02ac565c16cf1e29dd71c7f8eb4fef45303"},
 }
 
 
@@ -89,7 +110,17 @@ def test_stdout_bytes(capsys, name, fmt):
     assert digest == DIGESTS[f"{name}/{fmt}"]
 
 
+def _trace_digests(capsys, directory, argv):
+    """The digests of a 7-trial ``--dump-traces`` run's stdout and trace files."""
+    stdout = _stdout_digest(capsys, argv + ["--dump-traces", str(directory)])
+    assert sorted(os.listdir(directory)) == [f"trial_{i:06d}.csv" for i in range(7)]
+    return {"stdout": stdout, "traces": _dir_digest(directory)}
+
+
 def test_mac_trace_files_bytes(capsys, tmp_path):
-    stdout = _stdout_digest(capsys, TRACE_CASE + ["--dump-traces", str(tmp_path)])
-    assert sorted(os.listdir(tmp_path)) == [f"trial_{i:06d}.csv" for i in range(7)]
-    assert {"stdout": stdout, "traces": _dir_digest(tmp_path)} == TRACE_DIGESTS
+    assert _trace_digests(capsys, tmp_path, TRACE_CASE) == TRACE_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(FORWARDING_CASES))
+def test_forwarding_trace_files_bytes(capsys, tmp_path, name):
+    assert _trace_digests(capsys, tmp_path, FORWARDING_CASES[name]) == FORWARDING_DIGESTS[name]

@@ -478,6 +478,23 @@ def test_dpc_report_structure_and_theory_fields():
     assert len(report.empirical["symbol_power"]) == 30
 
 
+@pytest.mark.parametrize("scheme, params, split, spent", [
+    ("dpc", DpcParams(10, 0, 5), PowerSplit(0.5), {"power": 5.0}),
+    ("mac", MacParams(10, 10, 0, 5), PowerSplit(0.5, 0.8), {"power1": 5.0, "power2": 8.0}),
+    ("noisy", NoisyObsParams(10, 0, 5, 1), PowerSplit(0.25), {"power": 2.5}),
+])
+def test_without_state_each_encoder_spends_its_message_power(scheme, params, split, spent):
+    # Q = 0 leaves no state to forward, so the theory power is gamma*P (beta*P2),
+    # not the budget, and the measured steady power matches it
+    (report,) = harness.run_experiment(scheme, params, [split], BlockConfig(30, rate_fraction=0.5),
+                                       4000, harness.RandomPlan(0))
+    for key, power in spent.items():
+        steady = report.empirical[f"steady_{key}"]
+        assert report.theory[key] == power
+        assert steady == pytest.approx(power, rel=0.03)
+        assert report.deltas[f"steady_{key}"] == steady - power
+
+
 def test_mac_report_convergence_flag_wiring():
     plan = harness.RandomPlan(3)
     (ok,) = harness.run_experiment(
@@ -817,11 +834,11 @@ def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, 
         W = np.minimum(W, M)
         if scheme == "noisy":
             eq = noisy_obs.make_equivalent(params)
-            coeffs = sk_dpc.compute_coefficients(eq, split.gamma, n) if split.gamma else None
+            _, _, coeffs = sk_dpc.resolve_loop(eq, split.gamma, BlockConfig(n))
             trace = noisy_obs.noisy_run_batch(params, split.gamma, M, coeffs, W, S, Z, eta,
                                               traces=traces)
         else:
-            coeffs = sk_dpc.compute_coefficients(params, split.gamma, n) if split.gamma else None
+            _, _, coeffs = sk_dpc.resolve_loop(params, split.gamma, BlockConfig(n))
             trace = sk_dpc.run_batch(params, split.gamma, M, coeffs, W, S, eta, traces=traces)
         assert trace.M == (M,)
         np.testing.assert_array_equal(trace.W, [W])
@@ -840,7 +857,7 @@ def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, 
 
 #: (B, n) arrays that a run of one batch may peak at without a trace writer
 PEAK_ARRAYS = {"mac": 6.0, "dpc": 6.0, "noisy": 7.5}
-#: the same on the gamma = 0 state-forwarding kernel
+#: the same on the gamma = 0 state-forwarding split
 FORWARDING_PEAK_ARRAYS = {"dpc": 5.75, "noisy": 8.5}
 
 
@@ -857,8 +874,10 @@ def test_a_run_without_a_trace_writer_keeps_few_batch_arrays(scheme, params, spl
     # and 7 (dpc) (B, n) arrays. The noisy plan adds Z and the runner the
     # equivalent state and noise, the noise slot-major so that the loop need
     # not copy it: a row-major one took the peak to 8.3. At gamma = 0 the
-    # forwarding kernel sums its power down the rows of X; a cumulative sum
-    # over an (n, B) copy took the peak to 6.3 (dpc) and 9.0 (noisy)
+    # same loop runs with no message loop and peaks like the message path
+    # (5.1 dpc, 7.1 noisy); a kernel of its own that kept the whole (B, n) X
+    # peaked at 5.1 and 8.0, and summing that X's power over an (n, B) copy
+    # took it to 6.3 and 9.0
     B = harness.BATCH
     block = BlockConfig(n, rate_fraction=0.5)
     tracemalloc.start()

@@ -66,12 +66,13 @@ def _kernel_calls():
     theta = np.zeros(3)
     dpc = DpcParams(P=10, Q=10, sigma2=5)
     message = sk_dpc.compute_coefficients(dpc, 0.5, 5)
+    forwarding = sk_dpc.forwarding_coefficients(dpc, 0.0, 5)
     mac = sk_dpmac.mac_coefficients(MacParams(P1=10, P2=10, Q=10, sigma2=5), 0.8, 0.8, 5)
     return {
         "sk_dpc.simulate_message_batch":
             lambda traces: sk_dpc.simulate_message_batch(message, theta, S, eta, traces),
         "sk_dpc.simulate_forwarding_batch":
-            lambda traces: sk_dpc.simulate_forwarding_batch(dpc, 0.0, S, eta, traces),
+            lambda traces: sk_dpc.simulate_forwarding_batch(forwarding, S, eta, traces),
         "sk_dpmac.simulate_mac_batch":
             lambda traces: sk_dpmac.simulate_mac_batch(mac, theta, theta, S, eta, traces),
     }

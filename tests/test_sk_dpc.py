@@ -208,14 +208,16 @@ def _stepwise_rows(params, gamma, M, W, S, eta):
     """The stepwise protocol's X, Y, theta_hat and decisions of each row, and
     the batch's per-slot power summed over the rows in order; gamma*P = 0
     forwards the state alone, with estimate 0 and the one message."""
-    coeffs = sk_dpc.compute_coefficients(params, gamma, S.shape[1]) if gamma else None
-    rows, power = [], np.zeros(S.shape[1])
+    n = S.shape[1]
+    coeffs = (sk_dpc.compute_coefficients(params, gamma, n) if gamma
+              else sk_dpc.forwarding_coefficients(params, gamma, n))
+    rows, power = [], np.zeros(n)
     for w, s, e in zip(W, S, eta):
-        if coeffs is None:
-            X = sk_dpc.state_forward_coefficient(params, gamma) * s
-            Y, th = X + s + e, np.zeros(len(s))
-        else:
+        if gamma:
             X, Y, th = _stepwise_block(coeffs, sk_dpc.message_to_theta(w, M), s, e)
+        else:
+            X = sk_dpc.forward_coefficient(gamma, params.P, params.Q) * s
+            Y, th = X + s + e, np.zeros(n)
         rows.append((X, Y, th, stepwise.finalize_decode(th[-1], M)))
         power += X * X
     return coeffs, rows, power
@@ -417,17 +419,37 @@ def test_forwarding_only_path():
         _one_block(ACC, 0.0, BlockConfig(n=n, rate=0.25), 1, S, eta)
 
 
+def test_the_forwarding_split_resolves_to_a_record_with_no_loop():
+    # one encoder (K = 1) that forwards the state, no message loop (L = 0),
+    # its n from the block and M = 1; its first symbol only forwards
+    rate, M, coeffs = sk_dpc.resolve_loop(ACC, 0.0, BlockConfig(n=8))
+    sc = sk_dpc.forward_coefficient(0.0, ACC.P, ACC.Q)
+    assert (rate, M, coeffs.n, coeffs.lam) == (0.0, 1, 8, 1.0 + sc)
+    assert coeffs.mu.shape == coeffs.alpha.shape == coeffs.gain.shape == (0, 8)
+    assert coeffs.message_amp.shape == (0,)
+    np.testing.assert_array_equal(coeffs.state_coef, [sc])
+    assert sk_dpc.time1_power_theory(coeffs, M) == sc**2 * ACC.Q
+
+
 @pytest.mark.parametrize("n, order", [(50, "C"), (50, "F"), (1, "C")])
 def test_forwarding_power_adds_the_trials_in_order_in_any_layout(n, order):
-    # np.sum over the trials of X added them pairwise on a column-major S and
-    # at n = 1, where the trial axis is contiguous
+    # the power adds the trials in order (np.sum over the trials of X added
+    # them pairwise on a column-major S and at n = 1, where the trial axis is
+    # contiguous), and the other fields match bit for bit: the forwarded
+    # state, the output and the all-zero estimates and errors
     rng = np.random.default_rng(43)
     S, eta = (np.asarray(rng.normal(size=(5000, n)), order=order) for _ in range(2))
-    loop = sk_dpc.simulate_forwarding_batch(ACC, 0.0, S, eta)
+    loop = sk_dpc.simulate_forwarding_batch(sk_dpc.forwarding_coefficients(ACC, 0.0, n), S, eta)
+    sc = sk_dpc.forward_coefficient(0.0, ACC.P, ACC.Q)
     power = np.zeros(n)
-    for x in sk_dpc.state_forward_coefficient(ACC, 0.0) * S:
+    for x in sc * S:
         power += x * x
     np.testing.assert_array_equal(loop.power, [power])
+    np.testing.assert_array_equal(loop.X, [sc * S])
+    np.testing.assert_array_equal(loop.Y, (sc * S + S) + eta)
+    np.testing.assert_array_equal(loop.theta_hat, np.zeros((1, *S.shape)))
+    np.testing.assert_array_equal(loop.theta_final, np.zeros((1, len(S))))
+    np.testing.assert_array_equal(loop.eps, np.zeros((1, len(S))))
 
 
 def test_degenerate_state_variance_runs():

@@ -98,3 +98,27 @@ def test_the_package_reads_no_other_objects_privates():
         for line in _private_reads(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+#: The batch kernels, by module, each one call of the one closed loop
+KERNELS = {"sk_dpc": ("simulate_message_batch", "simulate_forwarding_batch"),
+           "sk_dpmac": ("simulate_mac_batch",)}
+
+
+def test_every_batch_kernel_is_one_call_of_the_closed_loop():
+    # a kernel's body is its docstring and ``return _closed_loop(...)``, so a
+    # split that needs a second kernel extends the one loop instead
+    bodies = {}
+    for module, names in KERNELS.items():
+        tree = ast.parse((ROOT / "src/dpsk" / f"{module}.py").read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            body = functions[name].body
+            assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant), name
+            bodies[f"{module}.{name}"] = [
+                isinstance(statement, ast.Return) and isinstance(statement.value, ast.Call)
+                and isinstance(statement.value.func, ast.Name)
+                and statement.value.func.id == "_closed_loop"
+                for statement in body[1:]
+            ]
+    assert bodies == {name: [True] for name in bodies}
