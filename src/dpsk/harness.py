@@ -12,7 +12,9 @@ split's batch runner runs on it, and each split adds its per-trial
 results and per-slot symbol powers to its own sums in batch order.
 Several message-set sizes are mapped from one 32-bit word per trial
 where they can (:meth:`RandomPlan.messages`). The runners store the
-per-symbol X and theta_hat traces only for a run with a trace writer.
+per-symbol Y, X and theta_hat traces only for a run with a trace writer;
+without one the state estimate and then the squared error are formed in
+the kernel's Y buffer.
 Importing ``dpsk`` pins BLAS to one thread, so dots longer than 10,000
 terms round alike on any CPU count unless the program imported numpy first.
 
@@ -185,20 +187,21 @@ def _simulate(params, n, trials, plan, runs, trace_writer, workers):
     A batch draws each normal component as (B, n) rows and each message
     component as {M: messages} over every run's M, once. Each
     ``run.run_batch(draws, traces)`` returns its :class:`dpsk.sk_dpc.SchemeTrace`
-    on them, with X and theta_hat traces only for a ``trace_writer``. The
+    on them, with Y, X and theta_hat traces only for a ``trace_writer``. The
     batches run in up to ``workers`` processes (:func:`_in_batch_order`), and
     their results are added in batch order. A trial count whose per-trial
-    results numpy cannot allocate is rejected first.
+    results, or a block whose batch of normal draws, numpy cannot allocate
+    is rejected before the first draw.
     """
     suffixes = _SUFFIXES[len(params.SPLIT)]
-    try:
-        sq_err = np.empty((len(runs), trials))
-    except (ValueError, MemoryError):
-        raise ConfigError(f"trials = {trials} is too many: their per-trial results do not "
-                          "fit in memory", field="trials") from None
+    stds = [(c, math.sqrt(getattr(params, v))) for c, v in _VARIANCES if hasattr(params, v)]
+    sq_err = _allocated((len(runs), trials), "trials", f"trials = {trials} is too many: their "
+                        "per-trial results do not fit in memory")
+    # a probe, never written
+    _allocated((len(stds), min(trials, BATCH), n), "n", f"n = {n} is too long: a batch's "
+               "normal draws do not fit in memory")
     errors = np.zeros((len(runs), len(suffixes)), dtype=np.int64)
     power_sums = np.zeros((len(runs), len(suffixes), n))
-    stds = [(c, math.sqrt(getattr(params, v))) for c, v in _VARIANCES if hasattr(params, v)]
     sizes = {component: {run.sizes[component] for run in runs} for component in runs[0].sizes}
     traces = trace_writer is not None
 
@@ -213,8 +216,10 @@ def _simulate(params, n, trials, plan, runs, trace_writer, workers):
         results = []
         for run in runs:
             trace = run.run_batch(draws, traces)
+            # unless a trace writer reads S_hat, its buffer takes the squared error
+            err = np.subtract(draws[STATE], trace.S_hat, out=None if traces else trace.S_hat)
             results.append((np.count_nonzero(trace.W_hat != trace.W, axis=1), trace.power,
-                            np.mean((draws[STATE] - trace.S_hat) ** 2, axis=1)))
+                            np.mean(np.square(err, out=err), axis=1)))
             if traces:
                 columns = {**{f"X{s}": x for s, x in zip(suffixes, trace.X)}, "Y": trace.Y,
                            **{f"theta{s}_hat": th for s, th in zip(suffixes, trace.theta_hat)},
@@ -222,7 +227,7 @@ def _simulate(params, n, trials, plan, runs, trace_writer, workers):
                 for j, trial in enumerate(range(start, stop)):
                     trace_writer(trial, {name: column[j] for name, column in columns.items()})
             # free the kernel's (B, n) outputs before the next runner or draw
-            del trace
+            del trace, err
         return results
 
     def add(start, results):
@@ -237,6 +242,15 @@ def _simulate(params, n, trials, plan, runs, trace_writer, workers):
     return [_empirical(*sums, trials) for sums in zip(errors, sq_err, power_sums)]
 
 
+def _allocated(shape, field, message):
+    """``np.empty(shape)``, or ConfigError(``message``) on ``field`` when numpy
+    cannot allocate it."""
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError):
+        raise ConfigError(message, field=field) from None
+
+
 def _in_batch_order(run_batch, add, starts, workers):
     """``add(start, run_batch(start))`` for each of ``starts``, in order.
 
@@ -246,8 +260,9 @@ def _in_batch_order(run_batch, add, starts, workers):
     which send their results through a pipe. Draws are keyed by trial, so a
     batch draws the same bits in any process, and adding the results in
     batch order gives the bytes of one process. A child that fails, dies or
-    cannot start raises DpskError here, and every child is joined before
-    this returns or raises.
+    cannot start, and a batch of this process that runs out of memory,
+    raise DpskError here, and every child is joined before this returns or
+    raises.
     """
     processes = min(workers, len(starts)) if hasattr(os, "fork") else 1
     children = []
@@ -274,8 +289,12 @@ def _in_batch_order(run_batch, add, starts, workers):
         for b, start in enumerate(starts):
             if b % processes:
                 add(start, _received(*children[b % processes - 1]))
-            else:
-                add(start, run_batch(start))
+                continue
+            try:
+                results = run_batch(start)
+            except MemoryError as exc:
+                raise DpskError(f"a batch failed: {type(exc).__name__}: {exc}") from None
+            add(start, results)
     except BaseException:
         # a child left running could wait forever on a full pipe
         for child, _ in children:

@@ -79,14 +79,14 @@ def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta, trac
     the gamma*P = 0 forwarding record included, on :func:`make_equivalent`
     with ``noise=EQUIVALENT_NOISE``: the encoder is driven by kappa (S + Z),
     the state it cannot see joins the channel noise, and the receiver weighs
-    Y by :func:`true_state_coefficient`. Returns its record, ``traces``
-    included, with the true S beside its estimate; with sigma_z2 = 0 that is
-    the clean-observation trace sample for sample.
+    Y by :func:`true_state_coefficient`. Returns its record, Y only with
+    ``traces`` as there, with the true S beside its estimate; with
+    sigma_z2 = 0 that is the clean-observation trace sample for sample.
     """
     sk_dpc.check_batch(np.shape(S), Z=Z, eta=eta)
     s_eq = regions.observation_weight(params) * (S + Z)
-    # the equivalent noise is built slot-major, the order the closed loop
-    # reads noise in, and passed as its (B, n) view
+    # the equivalent noise is built slot-major and passed as its (B, n) view,
+    # so each slot of the closed loop reads its noise column contiguously
     eta_eq = np.subtract(S.T, s_eq.T, out=np.empty(S.shape[::-1]))
     eta_eq += eta.T
     trace = sk_dpc.run_batch(

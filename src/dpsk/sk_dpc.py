@@ -207,14 +207,16 @@ def estimation_coefficient(params: DpcParams, gamma):
     return math.sqrt(params.Q) * reach / (reach**2 + gamma * params.P + params.sigma2)
 
 
-def estimate_state(Y, weight):
+def estimate_state(Y, weight, out=None):
     """Receiver state estimates for a block of outputs.
 
     S_hat_1 = 0 by construction (Y_1 carries no state after the offset
     cancellation); later estimates are weight * Y_t. Works on a trailing
-    time axis, so batched inputs pass through unchanged.
+    time axis, so batched inputs pass through unchanged. Like a numpy
+    ufunc's, ``out`` is the array the estimates are written to, Y itself
+    included; by default a new one.
     """
-    s_hat = weight * np.asarray(Y, dtype=float)
+    s_hat = np.multiply(weight, np.asarray(Y, dtype=float), out=out)
     s_hat[..., 0] = 0.0
     return s_hat
 
@@ -249,7 +251,8 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
     state-estimation weight; it defaults to :func:`estimation_coefficient`.
     Returns the :data:`SchemeTrace` of the message kernel, or of the forwarding
     one when ``coeffs`` has no loop, with its decisions and estimates for one
-    encoder; X and theta_hat are None unless ``traces``.
+    encoder; Y, X and theta_hat are None unless ``traces``, and without them
+    the state estimate takes the kernel's Y buffer.
     """
     theta = message_to_theta(W, M)
     check_batch((len(W), coeffs.n), S=S, eta=eta)
@@ -259,8 +262,9 @@ def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, trace
         loop = simulate_forwarding_batch(coeffs, S, eta, traces)
     if weight is None:
         weight = estimation_coefficient(params, gamma)
-    return loop._replace(W=W[None], W_hat=decode_batch(loop.theta_final, M), M=(M,), S=S,
-                         S_hat=estimate_state(loop.Y, weight))
+    S_hat = estimate_state(loop.Y, weight, out=None if traces else loop.Y)
+    return loop._replace(Y=loop.Y if traces else None, W=W[None],
+                         W_hat=decode_batch(loop.theta_final, M), M=(M,), S=S, S_hat=S_hat)
 
 
 def _power_sum(x):
@@ -279,7 +283,8 @@ def _power_sum(x):
 #: X and theta_hat traces (NaN before a loop starts), or None when it was not
 #: asked for traces. Its batch runner completes the record with the
 #: (K, B) messages W and decisions W_hat, the K message-set sizes M and the
-#: (B, n) S and S_hat, which a kernel leaves None.
+#: (B, n) S and S_hat, which a kernel leaves None; without traces it writes
+#: S_hat over Y and sets Y to None.
 SchemeTrace = collections.namedtuple(
     "SchemeTrace", "power Y theta_final eps X theta_hat W W_hat M S S_hat", defaults=(None,) * 5)
 
@@ -292,31 +297,34 @@ def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
     (theta - o_u), where o_u = lam (S_u / message_amp[u] - sum_{k>=L} mu[u, k]
     S_k) is the state its receiver chain adds back. From slot L on it adds
     gain[u, k] eps and refines eps on Y_k - lam S_k. The loop runs slot-major
-    on (n, B) copies of S and eta, so each slot computes on contiguous (B,)
-    rows, sums its power and only stores its column of the row-major (B, n)
-    outputs; the offsets take ``np.vecdot`` on the row-major S.
+    on S and eta as they are given, copying neither: each slot gathers S's
+    column into one contiguous (B,) row, computes on (B,) rows, adds eta's
+    column, sums its power and only stores its column of the row-major
+    (B, n) Y. The offsets take ``np.vecdot`` on the rows of S, whose rounding
+    depends on the layout: an S that is not row-major, unlike a batch's
+    draws, is copied to row-major for them.
     """
     K, (L, n), B = len(coeffs.state_coef), coeffs.mu.shape, len(S)
     lam, amp, mu, gain = coeffs.lam, coeffs.message_amp, coeffs.mu, coeffs.gain
     check_batch((B, n), S=S, eta=eta)
     check_batch((B,), **{f"theta{u + 1}": theta for u, theta in enumerate(thetas)})
-    S_t, eta_t = np.ascontiguousarray(S.T), np.ascontiguousarray(eta.T)
-    Y, power = np.empty_like(S), np.empty((K, n))
-    X, theta_hat = np.empty((2, K, *S.shape)) if traces else (None, None)
+    s, Y, power = np.empty(B), np.empty((B, n)), np.empty((K, n))
+    X, theta_hat = np.empty((2, K, B, n)) if traces else (None, None)
     # a loop's estimate is NaN before it starts; an encoder with no loop's stays 0
     th, eps = [np.full(B, np.nan)] * L + [np.zeros(B)] * (K - L), [np.zeros(B)] * K
     for k in range(n):
-        s = S_t[k]
+        s[:] = S[:, k]
         xs = [sc * s for sc in coeffs.state_coef]
         if k < L:
-            send = amp[k] * (thetas[k] - lam * (s / amp[k] - np.vecdot(S[:, L:], mu[k, L:])))
+            rest = np.vecdot(np.ascontiguousarray(S)[:, L:], mu[k, L:])
+            send = amp[k] * (thetas[k] - lam * (s / amp[k] - rest))
             xs[k] += send
         else:
             for u in range(L):
                 xs[u] += gain[u, k] * eps[u]
         # the encoders in order, then state and noise
         y = sum(xs[1:], xs[0]) + s
-        y += eta_t[k]
+        y += eta[:, k]
         Y[:, k] = y
         if k < L:
             eps[k] = (y - send - lam * s) / amp[k]

@@ -167,14 +167,16 @@ def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta, traces=True
 
     ``W1``, ``W2`` have shape (B,) and ``S``, ``eta`` shape (B, n).
     Returns the kernel's :data:`dpsk.sk_dpc.SchemeTrace` completed for two
-    encoders, whose X and theta_hat are None unless ``traces``; the state
-    is estimated with the per-slot weights ``coeffs.est_coef``.
+    encoders, whose Y, X and theta_hat are None unless ``traces``; the state
+    is estimated with the per-slot weights ``coeffs.est_coef``, in the
+    kernel's Y buffer without traces.
     """
     thetas = message_to_theta(W1, M1), message_to_theta(W2, M2)
     loop = simulate_mac_batch(coeffs, *thetas, S, eta, traces)
     W_hat = np.stack(mac_decode_batch(*loop.theta_final, M1, M2))
-    return loop._replace(W=np.stack([W1, W2]), W_hat=W_hat, M=(M1, M2), S=S,
-                         S_hat=estimate_state(loop.Y, coeffs.est_coef))
+    S_hat = estimate_state(loop.Y, coeffs.est_coef, out=None if traces else loop.Y)
+    return loop._replace(Y=loop.Y if traces else None, W=np.stack([W1, W2]), W_hat=W_hat,
+                         M=(M1, M2), S=S, S_hat=S_hat)
 
 
 def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta, traces=True):

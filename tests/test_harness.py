@@ -818,9 +818,9 @@ def test_a_trace_writer_changes_no_report_value(scheme, params, split):
 def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, traces):
     # the kernel's record completed for K = len(SPLIT) encoders: (K, B)
     # messages, decisions, final estimates and errors, K message-set sizes,
-    # (K, B, n) traces or None, (B, n) Y, S and S_hat and the (K, n) power;
-    # gamma = 0 takes the state-forwarding kernel, whose estimates and
-    # errors are 0
+    # (K, B, n) traces and the (B, n) Y or None, (B, n) S and S_hat and the
+    # (K, n) power; without traces S_hat is written over Y. gamma = 0 takes
+    # the state-forwarding kernel, whose estimates and errors are 0
     B, n, K = 5, 7, len(params.SPLIT)
     S, Z, eta = np.random.default_rng(17).normal(size=(3, B, n))
     W = np.array([1, 2, 1, 2, 1])
@@ -847,18 +847,20 @@ def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, 
     assert trace.theta_final.shape == trace.eps.shape == (K, B)
     if not split.gamma:
         assert not trace.theta_final.any() and not trace.eps.any()
-    assert trace.Y.shape == trace.S.shape == trace.S_hat.shape == (B, n)
+    assert trace.S.shape == trace.S_hat.shape == (B, n)
     assert trace.power.shape == (K, n)
+    assert (trace.Y is None) == (not traces)
     if traces:
+        assert trace.Y.shape == (B, n)
         assert trace.X.shape == trace.theta_hat.shape == (K, B, n)
     else:
         assert trace.X is None and trace.theta_hat is None
 
 
 #: (B, n) arrays that a run of one batch may peak at without a trace writer
-PEAK_ARRAYS = {"mac": 6.0, "dpc": 6.0, "noisy": 7.5}
+PEAK_ARRAYS = {"mac": 3.75, "dpc": 3.75, "noisy": 6.75}
 #: the same on the gamma = 0 state-forwarding split
-FORWARDING_PEAK_ARRAYS = {"dpc": 5.75, "noisy": 8.5}
+FORWARDING_PEAK_ARRAYS = {"dpc": 3.75, "noisy": 6.75}
 
 
 @pytest.mark.parametrize("scheme, params, split, n", [
@@ -869,15 +871,16 @@ FORWARDING_PEAK_ARRAYS = {"dpc": 5.75, "noisy": 8.5}
     ("noisy", FIG3, PowerSplit(0.0), 100),
 ])
 def test_a_run_without_a_trace_writer_keeps_few_batch_arrays(scheme, params, split, n):
-    # the plan keeps S and eta, the loop adds their slot-major copies and Y;
-    # storing the X and theta_hat traces as well takes the peak to 9 (mac)
-    # and 7 (dpc) (B, n) arrays. The noisy plan adds Z and the runner the
-    # equivalent state and noise, the noise slot-major so that the loop need
-    # not copy it: a row-major one took the peak to 8.3. At gamma = 0 the
-    # same loop runs with no message loop and peaks like the message path
-    # (5.1 dpc, 7.1 noisy); a kernel of its own that kept the whole (B, n) X
-    # peaked at 5.1 and 8.0, and summing that X's power over an (n, B) copy
-    # took it to 6.3 and 9.0
+    # the plan keeps S and eta and the loop adds Y, in which the runner forms
+    # the state estimate and the harness the squared error: 3.2 (mac) and
+    # 3.1 (dpc) (B, n) arrays. The loop once ran on slot-major copies of S
+    # and eta and the estimate and the error took arrays of their own, a
+    # peak of 5.2 and 5.1; storing the X and theta_hat traces as well took
+    # it to 9 (mac) and 7 (dpc). The noisy plan adds Z and the runner the
+    # equivalent state and noise, the noise slot-major so that the loop
+    # reads each slot's noise contiguously (6.1). At gamma = 0 the same loop
+    # runs with no message loop and peaks like the message path (3.1 dpc,
+    # 6.1 noisy)
     B = harness.BATCH
     block = BlockConfig(n, rate_fraction=0.5)
     tracemalloc.start()
@@ -888,6 +891,30 @@ def test_a_run_without_a_trace_writer_keeps_few_batch_arrays(scheme, params, spl
         tracemalloc.stop()
     bound = PEAK_ARRAYS[scheme] if split.gamma else FORWARDING_PEAK_ARRAYS[scheme]
     assert peak / (B * n * 8) < bound
+
+
+@pytest.mark.parametrize("kernel", ["message", "forwarding", "mac"])
+def test_a_kernel_without_traces_keeps_only_its_output(kernel):
+    # Y and (B,) rows: a slot-major copy of S or eta would take the peak
+    # from 1.1 to 2.1 (B, n) arrays, and both to 3.1
+    B, n = harness.BATCH, 100
+    S, eta = np.random.default_rng(11).normal(size=(2, B, n))
+    theta = np.zeros(B)
+    tracemalloc.start()
+    try:
+        if kernel == "message":
+            sk_dpc.simulate_message_batch(sk_dpc.compute_coefficients(ACC, 0.5, n), theta, S,
+                                          eta, traces=False)
+        elif kernel == "forwarding":
+            sk_dpc.simulate_forwarding_batch(sk_dpc.forwarding_coefficients(ACC, 0.0, n), S,
+                                             eta, traces=False)
+        else:
+            sk_dpmac.simulate_mac_batch(sk_dpmac.mac_coefficients(MAC, 0.8, 0.8, n), theta,
+                                        theta, S, eta, traces=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (B * n * 8) < 1.25
 
 
 def test_a_sweep_over_two_batches_keeps_few_batch_arrays():

@@ -1010,6 +1010,32 @@ TWO_BATCHES = ["simulate", "dpc", "--P", "10", "--Q", "10", "--sigma2", "5", "--
                "--n", "20", "--rate", "0.2", "--trials", str(harness.BATCH + 1)]
 
 
+DRAWS_BEYOND_2GB = {
+    # scheme: its flags; the recursion runs its 200,000 steps, a batch's
+    # normal draws would take 2 (dpc, mac) or 3 (noisy) x 6.1 GiB
+    "dpc": ["--P", "1e-6", "--Q", "1", "--sigma2", "1", "--gamma", "1"],
+    "noisy": ["--P", "1e-6", "--Q", "1", "--sigma2", "1", "--sigma_z2", "1", "--gamma", "1"],
+    "mac": ["--P1", "1e-6", "--P2", "1e-6", "--Q", "1", "--sigma2", "1", "--gamma", "1",
+            "--beta", "1"],
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(DRAWS_BEYOND_2GB))
+def test_a_batch_whose_draws_do_not_fit_is_rejected_in_one_line(scheme):
+    # the first draw ended in a traceback of numpy's _ArrayMemoryError; a
+    # 2 GB address space refuses the draws whatever the machine's overcommit
+    pytest.importorskip("resource")
+    code = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({2 << 30}, {2 << 30})); "
+            "from dpsk import cli; sys.exit(cli.main(sys.argv[2:]))")
+    argv = ["simulate", scheme, *DRAWS_BEYOND_2GB[scheme], "--n", "200000",
+            "--rate_fraction", "0.5", "--trials", "4096", "--workers", "1"]
+    done = subprocess.run([sys.executable, "-I", "-c", CHILD + code, SRC, *argv],
+                          env=_child_env(), capture_output=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: n = 200000 is too long: a batch's normal draws do not fit "
+                           b"in memory\n")
+
+
 @pytest.mark.parametrize("argv, imported", [
     ([], False),
     ([*TWO_BATCHES, "--workers", "1"], False),

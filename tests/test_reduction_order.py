@@ -1,15 +1,16 @@
 """The numpy properties behind the reductions of the slot-major loop.
 
-The closed loop runs on (n, B) slot-major copies of a batch, but a report
-must keep the bits of the reductions over the row-major (B, n) batch:
+The closed loop runs slot-major, one (B,) row per slot, but a report must
+keep the bits of the reductions over the row-major (B, n) batch:
 ``np.sum(X * X, axis=0)``, which adds the trials one by one in order, and
 ``np.mean((S - S_hat) ** 2, axis=1)``. ``np.sum`` over the contiguous
 trial axis of a slot-major row adds pairwise and differs in the last bit,
 so the runner's per-slot power sum accumulates instead. The per-trial
 mean keeps its bits whether the estimates come row-major, as the runners
-store them, or as a transposed view of a slot-major Y. A numpy build that
-breaks either property fails here by name before it shows up as a golden
-digest mismatch.
+store them, or as a transposed view of a slot-major Y, and when the
+squared error is formed in place in the estimates' buffer, as a run
+without a trace writer does. A numpy build that breaks either property
+fails here by name before it shows up as a golden digest mismatch.
 """
 
 import numpy as np
@@ -52,10 +53,13 @@ def test_the_squared_error_ignores_the_estimates_layout(draws):
         S, Y = _batches(draws, B, n)
         row_major = sk_dpc.estimate_state(np.ascontiguousarray(Y.T), weight)
         view = sk_dpc.estimate_state(Y.T, weight)
-        np.testing.assert_array_equal(
-            np.mean((S - view) ** 2, axis=1), np.mean((S - row_major) ** 2, axis=1),
-            err_msg=f"B = {B}, n = {n}",
-        )
+        expected = np.mean((S - row_major) ** 2, axis=1)
+        np.testing.assert_array_equal(np.mean((S - view) ** 2, axis=1), expected,
+                                      err_msg=f"B = {B}, n = {n}")
+        # the harness's form: the error and its square written over the estimates
+        err = np.subtract(S, row_major, out=row_major)
+        np.testing.assert_array_equal(np.mean(np.square(err, out=err), axis=1), expected,
+                                      err_msg=f"B = {B}, n = {n}")
         # the two-encoder receiver weighs each slot by its own coefficient
         coef = np.linspace(0.0, 0.5, n)
         np.testing.assert_array_equal(

@@ -397,6 +397,17 @@ def test_estimate_state_zeroes_first_slot():
     np.testing.assert_allclose(s_hat[:, 1:], c * Y[:, 1:], rtol=1e-15)
 
 
+@pytest.mark.parametrize("weight", [0.43613020955135856, np.linspace(0.0, 0.9, 6)],
+                         ids=["scalar", "per-slot"])
+def test_estimate_state_over_y_gives_the_bits_of_a_new_array(weight):
+    # a batch runner without traces writes the estimates over the kernel's Y
+    Y = np.random.default_rng(5).normal(size=(4, 6))
+    expected = sk_dpc.estimate_state(Y, weight)
+    s_hat = sk_dpc.estimate_state(Y, weight, out=Y)
+    assert s_hat is Y
+    np.testing.assert_array_equal(s_hat, expected)
+
+
 def test_time1_power_matches_moment_oracle():
     coeffs = sk_dpc.compute_coefficients(ACC, 0.5, 60)
     for M in (2, 16, 16384):
@@ -450,6 +461,36 @@ def test_forwarding_power_adds_the_trials_in_order_in_any_layout(n, order):
     np.testing.assert_array_equal(loop.theta_hat, np.zeros((1, *S.shape)))
     np.testing.assert_array_equal(loop.theta_final, np.zeros((1, len(S))))
     np.testing.assert_array_equal(loop.eps, np.zeros((1, len(S))))
+
+
+LAYOUT_KERNELS = {
+    # kernel: its record for (B,) theta, (B, n) S and eta and traces
+    "message": lambda theta, S, eta, traces: sk_dpc.simulate_message_batch(
+        sk_dpc.compute_coefficients(ACC, 0.5, S.shape[1]), theta, S, eta, traces),
+    "forwarding": lambda theta, S, eta, traces: sk_dpc.simulate_forwarding_batch(
+        sk_dpc.forwarding_coefficients(ACC, 0.0, S.shape[1]), S, eta, traces),
+    "mac": lambda theta, S, eta, traces: sk_dpmac.simulate_mac_batch(
+        sk_dpmac.mac_coefficients(MacParams(P1=10, P2=10, Q=10, sigma2=5), 0.8, 0.8,
+                                  S.shape[1]), theta, -theta, S, eta, traces),
+}
+
+
+@pytest.mark.parametrize("traces", [True, False])
+@pytest.mark.parametrize("kernel", sorted(LAYOUT_KERNELS))
+def test_every_kernel_gives_the_same_bits_in_any_layout(kernel, traces):
+    # the loop reads the columns of S and eta in the layout they come in,
+    # copying neither, so C- and F-ordered draws give one record bit for bit
+    rng = np.random.default_rng(47)
+    B, n = 3000, 40
+    theta = rng.uniform(-0.5, 0.5, size=B)
+    S, eta = rng.normal(size=(2, B, n))
+    run = LAYOUT_KERNELS[kernel]
+    expected = run(theta, S, eta, traces)
+    for s_order, eta_order in [("F", "C"), ("C", "F"), ("F", "F")]:
+        loop = run(theta, np.asarray(S, order=s_order), np.asarray(eta, order=eta_order), traces)
+        assert (loop.X is None) == (loop.theta_hat is None) == (not traces)
+        for name in ("power", "Y", "theta_final", "eps", "X", "theta_hat"):
+            np.testing.assert_array_equal(getattr(loop, name), getattr(expected, name))
 
 
 def test_degenerate_state_variance_runs():

@@ -159,6 +159,21 @@ def test_a_failing_caller_stops_and_joins_its_workers(monkeypatch):
     _assert_no_child_left()
 
 
+def _out_of_memory():
+    raise MemoryError("Unable to allocate 6.10 GiB")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_caller_that_runs_out_of_memory_is_one_line_and_exit_one(monkeypatch, capfd,
+                                                                   workers):
+    # it ended in a traceback, where a worker that ran out already gave one line
+    _fail_in(monkeypatch, _out_of_memory, workers=False)
+    code, out, err = run_cli(capfd, *MAC_ARGS, "--trials", str(B + 1), "--workers", workers)
+    assert (code, out) == (1, "")
+    assert err == "error: a batch failed: MemoryError: Unable to allocate 6.10 GiB\n"
+    _assert_no_child_left()
+
+
 def test_a_worker_that_cannot_start_is_one_line_and_exit_one(monkeypatch, capfd):
     # the first worker starts, the second does not: the first is stopped and joined
     process = multiprocessing.get_context("fork").Process
