@@ -10,8 +10,10 @@ generator and re-keys it per substream, which draws exactly what a fresh
 on the same trials, batch after batch: each batch is drawn once, every
 split's batch runner runs on it, and each split adds its per-trial
 results and per-slot symbol powers to its own sums in batch order.
-Several message-set sizes are mapped from one 32-bit word per trial
-where they can (:meth:`RandomPlan.messages`). The runners store the
+A message out of M <= 2**32 is its substream's first 32-bit word mapped
+to 1..M by Lemire's rule, as numpy's ``integers`` maps it, and several
+message-set sizes are mapped from that one word per trial where they can
+(:meth:`RandomPlan.message`, :meth:`RandomPlan.messages`). The runners store the
 per-symbol Y, X and theta_hat traces only for a run with a trace writer;
 without one the state estimate and then the squared error are formed in
 the kernel's Y buffer.
@@ -23,14 +25,16 @@ one where the platform has no ``fork``, and a run with a trace writer
 keeps P = 1: batch b runs in the calling process when P divides b, which
 is every batch when P = 1, else in forked child b % P, and the caller adds
 every batch's results in batch order, so the report's bytes do not depend
-on P. ``fork`` copies only the calling thread, and dpsk starts no thread
-of its own.
+on P. A child is forked with ``os.fork``, pickles its results to an
+``os.pipe`` and leaves through ``os._exit``. ``fork`` copies only the
+calling thread, and dpsk starts no thread of its own.
 """
 
 import collections
 import dataclasses
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -44,7 +48,7 @@ from .params import PowerSplit, RunConfig, check_count, check_seed, to_config_di
 # noise and message draws as the plain run it must reproduce.
 STATE, NOISE, OBS_NOISE, MSG, MSG2 = range(5)
 _STREAMS_PER_TRIAL = 8
-_WORD = (1 << 64) - 1
+_LOW = (1 << 32) - 1
 _TRIALS = (1 << 64) // _STREAMS_PER_TRIAL
 
 #: The normal components a run draws, each by the channel field of its variance.
@@ -87,9 +91,11 @@ class RandomPlan:
         """The shared Generator re-keyed to the substream of (trial, component),
         bit for bit a fresh ``Philox(key=...)`` until the next draw re-keys it
         again, so a plan is not for use from several threads at once."""
+        if not (0 <= trial < _TRIALS and 0 <= component < _STREAMS_PER_TRIAL):
+            self.key(trial, component)  # raises the range's ConfigError
         generator, state = self._shared
-        key = self.key(trial, component)
-        state["state"]["key"] = (key & _WORD, key >> 64)
+        # the key's two 64-bit words, without forming the 128-bit key
+        state["state"]["key"] = (self.master_seed, trial * _STREAMS_PER_TRIAL + component)
         generator.bit_generator.state = state
         return generator
 
@@ -99,7 +105,14 @@ class RandomPlan:
         return self._generator(trial, component).standard_normal(out=out)
 
     def message(self, trial, component, M):
-        """A message drawn uniformly from 1..M."""
+        """A message drawn uniformly from 1..M, bit for bit numpy's ``integers(1,
+        M + 1)``. For M <= 2**32 that maps the low 32 bits w of the substream's
+        first word to ``(w * M >> 32) + 1`` by Lemire's rule, unless the rule
+        rejects w; a rejected w, and any M > 2**32, is drawn by ``integers``."""
+        if M <= 1 << 32:
+            m = (self._generator(trial, component).bit_generator.random_raw() & _LOW) * M
+            if m & _LOW >= (2**32 - M) % M:
+                return (m >> 32) + 1
         return int(self._generator(trial, component).integers(1, M + 1))
 
     def normals(self, start, stop, component, n, std):
@@ -132,7 +145,7 @@ class RandomPlan:
             for M in mapped:
                 m = words * np.uint64(M)
                 out[M] = W = (m >> 32).astype(np.int64) + 1
-                for i in np.flatnonzero(m & 0xFFFFFFFF < (2**32 - M) % M).tolist():
+                for i in np.flatnonzero(m & _LOW < (2**32 - M) % M).tolist():
                     W[i] = self.message(start + i, component, M)
         for W in out.values():
             W.flags.writeable = False
@@ -197,9 +210,7 @@ def _simulate(params, n, trials, plan, runs, trace_writer, workers):
     stds = [(c, math.sqrt(getattr(params, v))) for c, v in _VARIANCES if hasattr(params, v)]
     sq_err = _allocated((len(runs), trials), "trials", f"trials = {trials} is too many: their "
                         "per-trial results do not fit in memory")
-    # a probe, never written
-    _allocated((len(stds), min(trials, BATCH), n), "n", f"n = {n} is too long: a batch's "
-               "normal draws do not fit in memory")
+    _check_draws_fit(params, n, trials, (ValueError, MemoryError))
     errors = np.zeros((len(runs), len(suffixes)), dtype=np.int64)
     power_sums = np.zeros((len(runs), len(suffixes), n))
     sizes = {component: {run.sizes[component] for run in runs} for component in runs[0].sizes}
@@ -242,13 +253,21 @@ def _simulate(params, n, trials, plan, runs, trace_writer, workers):
     return [_empirical(*sums, trials) for sums in zip(errors, sq_err, power_sums)]
 
 
-def _allocated(shape, field, message):
+def _allocated(shape, field, message, errors=(ValueError, MemoryError)):
     """``np.empty(shape)``, or ConfigError(``message``) on ``field`` when numpy
-    cannot allocate it."""
+    cannot allocate it, raising one of ``errors``."""
     try:
         return np.empty(shape)
-    except (ValueError, MemoryError):
+    except errors:
         raise ConfigError(message, field=field) from None
+
+
+def _check_draws_fit(params, n, trials, errors):
+    """Reject a block whose batch of normal draws numpy cannot allocate,
+    raising one of ``errors``; the probe is never written."""
+    components = sum(hasattr(params, v) for _, v in _VARIANCES)
+    _allocated((components, min(trials, BATCH), n), "n", f"n = {n} is too long: a batch's "
+               "normal draws do not fit in memory", errors)
 
 
 def _in_batch_order(run_batch, add, starts, workers):
@@ -256,39 +275,26 @@ def _in_batch_order(run_batch, add, starts, workers):
 
     With P = min(workers, batches) processes, or one where the platform
     cannot fork, batch b runs in process b % P: this one when P divides b,
-    which is every batch when P = 1, else one of P - 1 forked children,
-    which send their results through a pipe. Draws are keyed by trial, so a
-    batch draws the same bits in any process, and adding the results in
-    batch order gives the bytes of one process. A child that fails, dies or
-    cannot start, and a batch of this process that runs out of memory,
-    raise DpskError here, and every child is joined before this returns or
-    raises.
+    which is every batch when P = 1, else one of P - 1 forked
+    :class:`_Worker` children. Draws are keyed by trial, so a batch draws the
+    same bits in any process, and adding the results in batch order gives
+    the bytes of one process. A child that fails, dies or cannot start, and
+    a batch of this process that runs out of memory, raise DpskError here;
+    on any failure every child is sent SIGTERM, and every child is reaped
+    before this returns or raises.
     """
     processes = min(workers, len(starts)) if hasattr(os, "fork") else 1
     children = []
     try:
         if processes > 1:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-            # a child's exit flushes its copy of these buffers, so they must be empty
+            # a child that writes flushes its copies of these buffers, so they must be empty
             sys.stdout.flush()
             sys.stderr.flush()
         for p in range(1, processes):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_send_batches,
-                                    args=(run_batch, starts[p::processes], sender))
-            try:
-                child.start()
-            except OSError as exc:
-                receiver.close()
-                raise DpskError(f"could not start a batch worker process: {exc}") from None
-            finally:
-                sender.close()
-            children.append((child, receiver))
+            children.append(_Worker(run_batch, starts[p::processes]))
         for b, start in enumerate(starts):
             if b % processes:
-                add(start, _received(*children[b % processes - 1]))
+                add(start, children[b % processes - 1].received())
                 continue
             try:
                 results = run_batch(start)
@@ -297,37 +303,84 @@ def _in_batch_order(run_batch, add, starts, workers):
             add(start, results)
     except BaseException:
         # a child left running could wait forever on a full pipe
-        for child, _ in children:
-            child.terminate()
+        for child in children:
+            child.stop()
         raise
     finally:
-        for child, receiver in children:
-            child.join()
-            receiver.close()
+        for child in children:
+            child.close()
 
 
-def _send_batches(run_batch, starts, sender):
-    """A batch worker process: each of ``starts``' results through ``sender``,
-    in order, or the first failure as one line of text."""
+class _Worker:
+    """A forked batch worker process and the read end of the pipe it sends
+    its batches' results through."""
+
+    def __init__(self, run_batch, starts):
+        self.code = None  # the exit code once reaped, negative for a signal
+        reader, writer = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError as exc:
+            os.close(reader)
+            os.close(writer)
+            raise DpskError(f"could not start a batch worker process: {exc}") from None
+        if self.pid == 0:
+            _send_batches(run_batch, starts, reader, writer)  # never returns
+        os.close(writer)
+        self.pipe = open(reader, "rb")
+
+    def received(self):
+        """The next results the worker sent; DpskError if it failed or died."""
+        try:
+            results = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # nothing more, or a truncated pickle
+            code = self.wait()
+            how = f"died on signal {-code}" if code < 0 else f"exited with code {code}"
+            raise DpskError(f"a batch worker process {how}") from None
+        if isinstance(results, str):
+            raise DpskError(f"a batch worker process failed: {results}")
+        return results
+
+    def wait(self):
+        """The worker's exit code, negative for a signal; it is reaped once."""
+        if self.code is None:
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
+
+    def stop(self):
+        """Send the worker SIGTERM, unless it is reaped."""
+        import signal  # only a failing run needs it, and importing it costs 0.6 ms
+
+        if self.code is None:
+            os.kill(self.pid, signal.SIGTERM)
+
+    def close(self):
+        """Close the pipe and reap the worker."""
+        self.pipe.close()
+        self.wait()
+
+
+def _send_batches(run_batch, starts, reader, writer):
+    """A batch worker process: each of ``starts``' results pickled to the
+    pipe ``writer``, in order, or the first failure as one line of text. It
+    leaves through ``os._exit``, with SystemExit's code or 1 for any other
+    escaping exception, so it never returns into the caller's stack and
+    never runs the caller's ``atexit`` handlers."""
+    code = 1
     try:
-        for start in starts:
-            sender.send(run_batch(start))
-    except Exception as exc:  # the worker's boundary: the caller reports it
-        sender.send(f"{type(exc).__name__}: {exc}")
-
-
-def _received(child, receiver):
-    """The next results a batch worker sent; DpskError if it failed or died."""
-    try:
-        results = receiver.recv()
-    except EOFError:
-        child.join()
-        code = child.exitcode
-        how = f"died on signal {-code}" if code < 0 else f"exited with code {code}"
-        raise DpskError(f"a batch worker process {how}") from None
-    if isinstance(results, str):
-        raise DpskError(f"a batch worker process failed: {results}")
-    return results
+        os.close(reader)
+        with open(writer, "wb") as pipe:
+            try:
+                for start in starts:
+                    pickle.dump(run_batch(start), pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+            except Exception as exc:  # the worker's boundary: the caller reports it
+                pickle.dump(f"{type(exc).__name__}: {exc}", pipe)
+        code = 0
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
+    finally:
+        os._exit(code)
 
 
 def _empirical(errors, sq_err, power_sums, trials):
@@ -520,9 +573,14 @@ def run_experiment(scheme, params, splits, block, trials, plan,
     splits = list(splits)
     if trace_writer is not None and len(splits) > 1:
         raise ConfigError(f"a trace writer takes the trials of one split, not {len(splits)}")
-    runs, configs = [], []
+    configs = [_run_config(scheme, params, split, block, trials, plan) for split in splits]
+    if configs:
+        try:  # ahead of the coefficient recursions, which a long block runs for seconds
+            _check_draws_fit(params, block.n, trials, MemoryError)
+        except ValueError:  # numpy's size limit: the recursions name the longest block
+            pass
+    runs = []
     for split in splits:
-        configs.append(_run_config(scheme, params, split, block, trials, plan))
         try:
             runs.append(_SCHEMES[scheme].run(params, split, block, paper_sgn))
         except DegenerateSplit as exc:

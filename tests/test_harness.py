@@ -69,7 +69,8 @@ def test_messages_cover_the_whole_range():
 
 
 # (trial, component, draw): a unit normal block of n > 0 values, or a message
-# out of M; M < 2**32 takes integers' buffered 32-bit path, M > 2**32 the
+# out of M; M <= 2**32 takes integers' buffered 32-bit path, which the plan
+# takes from the substream's first word by Lemire's rule, M > 2**32 the
 # 64-bit one
 SUBSTREAM_DRAWS = st.lists(
     st.tuples(
@@ -78,6 +79,7 @@ SUBSTREAM_DRAWS = st.lists(
         st.one_of(
             st.tuples(st.just("normal"), st.integers(1, 70)),
             st.tuples(st.just("message"), st.integers(1, 1000)),
+            st.tuples(st.just("message"), st.integers(1001, 2**32)),
             st.tuples(st.just("message"), st.integers(2**32 + 1, 2**62)),
         ),
     ),
@@ -94,6 +96,15 @@ INTERLEAVED = [
     (2**61 - 1, 7, ("normal", 9)),
 ]
 
+# the seed-7 MSG trials whose first word Lemire's rule rejects at M (see
+# MAPPED_REDRAWS), each drawn again by integers
+LEMIRE_REJECTED = [(3, harness.MSG, ("message", 3 * 2**30)),
+                   (2, harness.MSG, ("message", 1_736_557_809))]
+# M at the edges of the 32-bit path: one message, the largest M < 2**32, the
+# whole word, and the smallest M of the 64-bit path
+WORD_EDGES = [(t, harness.MSG, ("message", M))
+              for t in range(3) for M in (1, 2**32 - 1, 2**32, 2**32 + 1)]
+
 
 def _bits(x):
     # compare bit patterns, so that -0.0 against 0.0 fails
@@ -104,6 +115,9 @@ def _bits(x):
 @given(seed=st.integers(0, 2**64 - 1), draws=SUBSTREAM_DRAWS)
 @example(seed=0, draws=INTERLEAVED)
 @example(seed=2**64 - 1, draws=INTERLEAVED)
+@example(seed=7, draws=LEMIRE_REJECTED)
+@example(seed=7, draws=WORD_EDGES)
+@example(seed=2**64 - 1, draws=WORD_EDGES)
 def test_shared_generator_draws_what_a_fresh_philox_draws(seed, draws):
     # the plan re-keys one cached Philox per draw; a buffered 32-bit word
     # left by a small-M message must not leak into the next substream. A

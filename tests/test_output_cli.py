@@ -1036,14 +1036,32 @@ def test_a_batch_whose_draws_do_not_fit_is_rejected_in_one_line(scheme):
                            b"in memory\n")
 
 
-@pytest.mark.parametrize("argv, imported", [
-    ([], False),
-    ([*TWO_BATCHES, "--workers", "1"], False),
-    pytest.param([*TWO_BATCHES, "--workers", "2"], True,
+@pytest.mark.parametrize("scheme", sorted(DRAWS_BEYOND_2GB))
+def test_a_batch_whose_draws_do_not_fit_runs_no_recursion(scheme):
+    # it ran the recursion for its length before the rejection (2.1 s at n = 2e6)
+    pytest.importorskip("resource")
+    code = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({2 << 30}, {2 << 30})); "
+            "from dpsk import cli, sk_dpc, sk_dpmac; "
+            "sk_dpc.compute_coefficients = sk_dpmac.mac_coefficients = None; "
+            "sys.exit(cli.main(sys.argv[2:]))")
+    argv = ["simulate", scheme, *DRAWS_BEYOND_2GB[scheme], "--n", "200000",
+            "--rate_fraction", "0.5", "--trials", "4096", "--workers", "1"]
+    done = subprocess.run([sys.executable, "-I", "-c", CHILD + code, SRC, *argv],
+                          env=_child_env(), capture_output=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: n = 200000 is too long: a batch's normal draws do not fit "
+                           b"in memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    [*TWO_BATCHES, "--workers", "1"],
+    pytest.param([*TWO_BATCHES, "--workers", "2"],
                  marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")),
 ], ids=["import", "workers-1", "workers-2"])
-def test_only_a_run_that_forks_imports_multiprocessing(argv, imported):
-    # importing it would add to the start-up of every run, forked or not
+def test_no_run_imports_multiprocessing(argv):
+    # a worker is forked with os.fork and sends through an os.pipe; importing
+    # multiprocessing would add to the start-up of every run that forks
     code = ("from dpsk import cli; assert not sys.argv[2:] or cli.main(sys.argv[2:]) == 0; "
             "print('multiprocessing' in sys.modules)")
-    assert _run_child(code, *argv, env=_child_env()).split()[-1] == str(imported).encode()
+    assert _run_child(code, *argv, env=_child_env()).split()[-1] == b"False"

@@ -78,14 +78,16 @@ def test_the_package_never_compares_with_a_scheme_name():
 
 def _private_reads(tree):
     """Lines that read another object's private attribute, as ``plan._kept``
-    would; ``self._x``, ``cls._x``, dunders and namedtuple ``_replace`` are
-    not one."""
+    would; ``self._x``, ``cls._x``, dunders, namedtuple ``_replace`` and
+    ``os._exit``, public names with a leading underscore, are not one."""
     return [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         and node.attr.startswith("_") and node.attr != "_replace"
         and not (node.attr.startswith("__") and node.attr.endswith("__"))
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        and not (isinstance(node.value, ast.Name) and node.value.id == "os"
+                 and node.attr == "_exit")
     ]
 
 
@@ -96,6 +98,28 @@ def test_the_package_reads_no_other_objects_privates():
         f"{path.relative_to(ROOT)}:{line}"
         for path in sorted(ROOT.glob("src/dpsk/*.py"))
         for line in _private_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def _imported_packages(tree):
+    """The top-level package of each module an import statement names,
+    with its line; relative imports name the package itself and are left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_the_package_imports_neither_multiprocessing_nor_concurrent():
+    # batch workers fork with os.fork and send through an os.pipe; either
+    # package would add its import to the start-up of every run that forks
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(ROOT.glob("src/dpsk/*.py"))
+        for line, name in _imported_packages(ast.parse(path.read_text(encoding="utf-8")))
+        if name in ("multiprocessing", "concurrent")
     ]
     assert found == []
 

@@ -6,10 +6,11 @@ workers too; comparing ``os.getpid()`` with this process's pid makes a
 patch fail in the workers alone. No test starts more than two workers.
 """
 
+import atexit
 import errno
 import json
-import multiprocessing
 import os
+import pickle
 import signal
 import sys
 
@@ -56,7 +57,7 @@ def no_fork(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a batch worker process was started")
 
-    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 @pytest.mark.parametrize("trials", [B + 3, 3 * B])
@@ -175,23 +176,74 @@ def test_a_caller_that_runs_out_of_memory_is_one_line_and_exit_one(monkeypatch, 
 
 
 def test_a_worker_that_cannot_start_is_one_line_and_exit_one(monkeypatch, capfd):
-    # the first worker starts, the second does not: the first is stopped and joined
-    process = multiprocessing.get_context("fork").Process
-    start = process.start
+    # the first worker starts, the second does not: the first is stopped and reaped
+    fork = os.fork
     started = []
 
-    def start_once(self):
+    def fork_once():
         if started:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        started.append(self)
-        start(self)
+        started.append(fork())
+        return started[-1]
 
-    monkeypatch.setattr(process, "start", start_once)
+    monkeypatch.setattr(os, "fork", fork_once)
     code, out, err = run_cli(capfd, *MAC_ARGS, "--trials", str(2 * B + 1), "--workers", "3")
     assert (code, out) == (1, "")
     assert err == ("error: could not start a batch worker process: "
                    "[Errno 11] Resource temporarily unavailable\n")
-    assert len(started) == 1 and started[0].exitcode is not None
+    assert len(started) == 1 and started[0] > 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(started[0], os.WNOHANG)
+    _assert_no_child_left()
+
+
+def test_a_worker_killed_while_it_sends_is_one_line_and_exit_one(monkeypatch, capfd):
+    # the caller reads half a pickle, then the end of the pipe
+    parent, dump = os.getpid(), pickle.dump
+
+    def half_then_die(obj, file, *args):
+        if os.getpid() == parent:
+            return dump(obj, file, *args)
+        data = pickle.dumps(obj, *args)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(pickle, "dump", half_then_die)
+    message = f"a batch worker process died on signal {signal.SIGKILL.value}"
+    channel, split, block, _, _ = RUNS["dpc"]
+    with pytest.raises(DpskError, match=f"^{message}$"):
+        harness.run_experiment("dpc", channel, [split], block, 2 * B, harness.RandomPlan(1),
+                               workers=2)
+    _assert_no_child_left()
+    code, out, err = run_cli(capfd, *MAC_ARGS, "--trials", str(2 * B), "--workers", "2")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", [None, _exit], ids=["sends", "exits"])
+def test_a_worker_never_runs_the_callers_atexit_handlers(monkeypatch, tmp_path, failure):
+    # a worker leaves through os._exit, whether it sends every batch or exits
+    ran = tmp_path / "atexit"
+
+    def handler():
+        ran.write_text(str(os.getpid()))
+
+    if failure is not None:
+        _fail_in(monkeypatch, failure)
+    channel, split, block, _, _ = RUNS["dpc"]
+    atexit.register(handler)
+    try:
+        try:
+            harness.run_experiment("dpc", channel, [split], block, 2 * B,
+                                   harness.RandomPlan(1), workers=2)
+        except DpskError as exc:
+            assert failure is _exit and str(exc) == "a batch worker process exited with code 3"
+        else:
+            assert failure is None
+    finally:
+        atexit.unregister(handler)
+    assert not ran.exists()
     _assert_no_child_left()
 
 
