@@ -42,6 +42,8 @@ import numpy as np
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
 from .errors import ConfigError, DegenerateSplit, DpskError, EmptyGrid
 from .params import PowerSplit, RunConfig, check_count, check_seed, to_config_dict
+from .sk_dpc import _check_loop
+from .sk_dpmac import _check_mac
 
 # Stream component ids. OBS_NOISE sits between NOISE and MSG so that a
 # noisy-observation run with sigma_z2 = 0 consumes exactly the same state,
@@ -194,23 +196,23 @@ _SUFFIXES = {1: ("",), 2: ("1", "2")}
 _Run = collections.namedtuple("_Run", ("rates", "sizes", "run_batch", "tail"))
 
 
-def _simulate(params, n, trials, plan, runs, trace_writer, workers):
+def _simulate(params, stds, n, trials, plan, runs, trace_writer, workers):
     """Each run's measured block (:func:`_empirical`) over every batch.
 
-    A batch draws each normal component as (B, n) rows and each message
-    component as {M: messages} over every run's M, once. Each
-    ``run.run_batch(draws, traces)`` returns its :class:`dpsk.sk_dpc.SchemeTrace`
+    A batch draws each (component, standard deviation) of ``stds`` as (B, n)
+    rows and each message component as {M: messages} over every run's M,
+    once. Each ``run.run_batch(draws, traces)`` returns its :class:`dpsk.sk_dpc.SchemeTrace`
     on them, with Y, X and theta_hat traces only for a ``trace_writer``. The
     batches run in up to ``workers`` processes (:func:`_in_batch_order`), and
     their results are added in batch order. A trial count whose per-trial
-    results, or a block whose batch of normal draws, numpy cannot allocate
-    is rejected before the first draw.
+    results numpy cannot allocate is rejected before the first draw.
     """
     suffixes = _SUFFIXES[len(params.SPLIT)]
-    stds = [(c, math.sqrt(getattr(params, v))) for c, v in _VARIANCES if hasattr(params, v)]
-    sq_err = _allocated((len(runs), trials), "trials", f"trials = {trials} is too many: their "
-                        "per-trial results do not fit in memory")
-    _check_draws_fit(params, n, trials, (ValueError, MemoryError))
+    try:
+        sq_err = np.empty((len(runs), trials))
+    except (ValueError, MemoryError):
+        raise ConfigError(f"trials = {trials} is too many: their per-trial results do not fit "
+                          "in memory", field="trials") from None
     errors = np.zeros((len(runs), len(suffixes)), dtype=np.int64)
     power_sums = np.zeros((len(runs), len(suffixes), n))
     sizes = {component: {run.sizes[component] for run in runs} for component in runs[0].sizes}
@@ -251,23 +253,6 @@ def _simulate(params, n, trials, plan, runs, trace_writer, workers):
     # (B, n) traces to it (mac peak RSS 93 -> 159 MB at 2 workers, no time saved)
     _in_batch_order(run_batch, add, range(0, trials, BATCH), 1 if traces else workers)
     return [_empirical(*sums, trials) for sums in zip(errors, sq_err, power_sums)]
-
-
-def _allocated(shape, field, message, errors=(ValueError, MemoryError)):
-    """``np.empty(shape)``, or ConfigError(``message``) on ``field`` when numpy
-    cannot allocate it, raising one of ``errors``."""
-    try:
-        return np.empty(shape)
-    except errors:
-        raise ConfigError(message, field=field) from None
-
-
-def _check_draws_fit(params, n, trials, errors):
-    """Reject a block whose batch of normal draws numpy cannot allocate,
-    raising one of ``errors``; the probe is never written."""
-    components = sum(hasattr(params, v) for _, v in _VARIANCES)
-    _allocated((components, min(trials, BATCH), n), "n", f"n = {n} is too long: a batch's "
-               "normal draws do not fit in memory", errors)
 
 
 def _in_batch_order(run_batch, add, starts, workers):
@@ -405,9 +390,9 @@ def _empirical(errors, sq_err, power_sums, trials):
     return empirical
 
 
-def _run_dpc(params, split, block, paper_sgn):
-    """The single-user scheme's :class:`_Run`, whose tail maps the measured block
-    to the report's theory, deltas and flags; ``paper_sgn`` does not apply."""
+def _run_dpc(params, loop, split, block, paper_sgn):
+    """The single-user scheme's :class:`_Run`, whose tail maps the measured block to
+    the report's theory, deltas and flags; ``loop`` is ``params``, ``paper_sgn`` unused."""
     gamma = split.gamma
     rate, M, coeffs = sk_dpc.resolve_loop(params, gamma, block)
 
@@ -434,12 +419,11 @@ def _run_dpc(params, split, block, paper_sgn):
     return _Run({"rate": rate, "M": M}, {MSG: M}, run_batch, tail)
 
 
-def _run_noisy(params, split, block, paper_sgn):
-    """:func:`_run_dpc` for the noisy-observation scheme, which runs on the
-    clean-state channel it reduces to."""
+def _run_noisy(params, loop, split, block, paper_sgn):
+    """:func:`_run_dpc` for the noisy-observation scheme, whose loop runs on
+    ``loop``, the clean-state channel it reduces to."""
     gamma = split.gamma
-    eq_params = noisy_obs.make_equivalent(params)
-    rate, M, coeffs = sk_dpc.resolve_loop(eq_params, gamma, block, noisy_obs.EQUIVALENT_NOISE)
+    rate, M, coeffs = sk_dpc.resolve_loop(loop, gamma, block, noisy_obs.EQUIVALENT_NOISE)
 
     def run_batch(draws, traces):
         return noisy_obs.noisy_run_batch(params, gamma, M, coeffs, draws[MSG][M], draws[STATE],
@@ -455,7 +439,7 @@ def _run_noisy(params, split, block, paper_sgn):
             "distortion_scheme_step": scheme_step,
             "distortion_bound": regions.finite_n_distortion(params.Q, block.n, bound_step, 1),
             "distortion_bound_step": bound_step,
-            "power": sk_dpc.spent_power(gamma, eq_params.P, eq_params.Q),
+            "power": sk_dpc.spent_power(gamma, loop.P, loop.Q),
         }
         distortion = empirical["distortion"]
         deltas = {
@@ -475,7 +459,7 @@ def _run_noisy(params, split, block, paper_sgn):
     return _Run({"rate": rate, "M": M}, {MSG: M}, run_batch, tail)
 
 
-def _run_mac(params, split, block, paper_sgn):
+def _run_mac(params, loop, split, block, paper_sgn):
     """:func:`_run_dpc` for the two-encoder scheme."""
     gamma, beta = split.gamma, split.beta
     (rate1, M1), (rate2, M2), caps = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
@@ -537,14 +521,18 @@ def _mac_points(params, gamma_grid, beta_grid, n):
     ]
 
 
-_Scheme = collections.namedtuple("_Scheme", ("run", "points", "measured"))
+_Scheme = collections.namedtuple("_Scheme", ("run", "points", "measured", "check", "loop"),
+                                 defaults=(None,))
 
-#: Each scheme's run function, its sweep points, and the report entries
-#: (rates, then empirical values) that a sweep row carries.
+#: Each scheme's run function, its sweep points, the report entries (rates, then empirical
+#: values) that a sweep row carries, its split's verdict on n, and the function that gives
+#: the channel its loops run on, unless that is the scheme's own.
 _SCHEMES = {
-    "dpc": _Scheme(_run_dpc, _dpc_points, ("rate", "pe", "distortion")),
-    "mac": _Scheme(_run_mac, _mac_points, ("rate1", "rate2", "pe1", "pe2", "distortion")),
-    "noisy": _Scheme(_run_noisy, _noisy_points, ("rate", "pe", "distortion")),
+    "dpc": _Scheme(_run_dpc, _dpc_points, ("rate", "pe", "distortion"), _check_loop),
+    "mac": _Scheme(_run_mac, _mac_points, ("rate1", "rate2", "pe1", "pe2", "distortion"),
+                   _check_mac),
+    "noisy": _Scheme(_run_noisy, _noisy_points, ("rate", "pe", "distortion"), _check_loop,
+                     noisy_obs.make_equivalent),
 }
 
 
@@ -574,21 +562,21 @@ def run_experiment(scheme, params, splits, block, trials, plan,
     if trace_writer is not None and len(splits) > 1:
         raise ConfigError(f"a trace writer takes the trials of one split, not {len(splits)}")
     configs = [_run_config(scheme, params, split, block, trials, plan) for split in splits]
-    if configs:
-        try:  # ahead of the coefficient recursions, which a long block runs for seconds
-            _check_draws_fit(params, block.n, trials, MemoryError)
-        except ValueError:  # numpy's size limit: the recursions name the longest block
-            pass
+    stds = [(c, math.sqrt(getattr(params, v))) for c, v in _VARIANCES if hasattr(params, v)]
+    spec = _SCHEMES[scheme]
+    loop = spec.loop(params) if spec.loop else params  # the channel the loops run on
+    for split in splits:  # every split's verdict on n, before any recursion or array of length n
+        spec.check(loop, split, block.n, (len(stds), min(trials, BATCH), block.n), paper_sgn)
     runs = []
     for split in splits:
         try:
-            runs.append(_SCHEMES[scheme].run(params, split, block, paper_sgn))
+            runs.append(spec.run(params, loop, split, block, paper_sgn))
         except DegenerateSplit as exc:
             runs.append(exc)
     live = [run for run in runs if isinstance(run, _Run)]
     if not live:
         raise runs[0] if runs else EmptyGrid("an experiment needs at least one split")
-    measured = iter(_simulate(params, block.n, trials, plan, live, trace_writer, workers))
+    measured = iter(_simulate(params, stds, block.n, trials, plan, live, trace_writer, workers))
     reports = []
     for config, run in zip(configs, runs):
         report = None
@@ -631,7 +619,7 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     # a split with the fractions the grids vary checks the sweep up front
     _run_config(scheme, params, PowerSplit(0.0, None if beta_grid is None else 0.0),
                 block, trials, plan)
-    _, region_points, keys = _SCHEMES[scheme]
+    _, region_points, keys, _, _ = _SCHEMES[scheme]
     points = region_points(params, gamma_grid, beta_grid, block.n)
     splits = [PowerSplit(lead["gamma"], lead.get("beta")) for lead, _ in points]
     try:

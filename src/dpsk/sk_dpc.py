@@ -30,9 +30,9 @@ theta + eps_n where eps_n is the transmitter's tracking error:
 
 The mu_t/alpha_t forms are obtained by evaluating the defining
 expectations with X_t's message part at power gamma P; the implementation
-iterates the recursion explicitly rather than substituting the geometric
-closed form, and the tests re-derive every value through an independent
-covariance propagation.
+iterates the recursion for every value, the geometric closed form decides
+only how long a block float64 carries (:func:`_longest_block`), and the
+tests re-derive every value through an independent covariance propagation.
 
 The per-step constants of K encoders go into one record,
 :class:`SkCoefficients` (K = 1 here, 2 in :mod:`dpsk.sk_dpmac`), which one
@@ -53,7 +53,7 @@ from . import regions
 from .errors import (
     BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange,
 )
-from .params import DpcParams, check_fraction, resolve_block
+from .params import DpcParams, PowerSplit, check_fraction, resolve_block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,28 +132,65 @@ def _check_variance(alpha, step, n, power, s2, field, label, noise="sigma2"):
                           f"the longest block is n = {step - 1}", field="n")
 
 
-def _check_storable(steps, width, n):
-    """Once a recursion still running has taken 2**16 steps, reject a block of
-    n steps whose ``width`` per-step values numpy cannot allocate, so that it
-    fails at once, not after running for its length; the probe is never
-    written."""
-    if steps == 2**16:
+def _longest_block(power, s2):
+    """The longest block of a loop of message power ``power`` over the noise ``s2`` and its
+    alpha one step later, in closed form: alpha_1 r^(k-1), r = s2/(power + s2), against
+    :func:`_check_variance`'s floor. (inf, None) without a loop, or where the recursion's
+    rounding, under 32 eps (1 + power/s2) of log alpha a step, could move its last step."""
+    alpha, gain_floor = s2 / (12.0 * power) if power else math.inf, power / sys.float_info.max
+    if not 0.0 < alpha < math.inf:
+        return math.inf, None
+    la, lr = math.log(alpha), -math.log1p(power / s2)
+    x = (math.log(max(sys.float_info.min, gain_floor)) - la) / lr  # alpha_k >= floor: k <= x + 1
+    tol = 32 * sys.float_info.epsilon * (abs(x) + 1500) * (1 + power / s2) / -lr
+    if not tol < 0.5 or abs(x - round(x)) < tol:
+        return math.inf, None
+    longest = max(1, math.floor(x) + 1)
+    y = la + longest * lr  # log alpha one step after the longest block
+    if gain_floor and abs(y - math.log(gain_floor)) < -lr * tol + 2**-1074 / gain_floor:
+        return math.inf, None  # too near the gain's limit to tell which limit stops it
+    return longest, math.exp(y)
+
+
+def _check_block(n, width, power=0.0, s2=1.0, recursion=None, draws=()):
+    """The one verdict on an n-step block, before any array of length n exists: ConfigError
+    on n past the longest block of a loop of message power ``power`` over the noise ``s2``
+    (:func:`_longest_block`), then if numpy cannot allocate, or index, the record of
+    ``width`` values a step, once ``recursion()`` of a loop with no closed form has named
+    any shorter longest block, or a batch of normal draws of shape ``draws``."""
+    longest, alpha = _longest_block(power, s2)
+    if n > longest:
+        _check_variance(alpha, longest + 1, n, power, s2, "gamma", "gamma*P")
+    for shape, first, what in (((width, n), recursion, "its per-step coefficients"),
+                               (draws, None, "a batch's normal draws")):
         try:
-            np.empty((width, n))
+            np.empty(shape)
         except (ValueError, MemoryError):
-            raise ConfigError(f"n = {n} is too long: its per-step coefficients do not fit "
-                              "in memory", field="n") from None
+            break
+    else:
+        return
+    if first:
+        first()
+    raise ConfigError(f"n = {n} is too long: {what} do not fit in memory", field="n")
+
+
+def _check_loop(params: DpcParams, split: PowerSplit, n, draws, paper_sgn):
+    """:func:`_check_block` for a single-user split: 3 values a step, none at gamma*P = 0."""
+    power = split.gamma * params.P
+    _check_block(n, 3 if power else 0, power, params.sigma2, draws=draws)
 
 
 def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     """Evaluate the mu/alpha recursion for an n-step block, on scalars, and
     build its arrays once it has passed every check.
 
-    ``alpha`` decays geometrically; :func:`_check_variance` rejects a block
-    long enough to take it below float64's normal range, or so low that the
-    next gain sqrt(gamma P / alpha) overflows, naming the longest block
-    these parameters support, and a gamma*P/sigma2 so large that a variance
-    update cancels to <= 0, calling ``params.sigma2`` ``noise``, as
+    ``alpha`` decays geometrically; :func:`_check_block` first rejects a
+    block past its closed-form length, which decides only the length, or one
+    numpy cannot hold. :func:`_check_variance` rejects a block long enough to
+    take it below float64's normal range, or so low that the next gain
+    sqrt(gamma P / alpha) overflows, naming the longest block these
+    parameters support, and a gamma*P/sigma2 so large that a variance update
+    cancels to <= 0, calling ``params.sigma2`` ``noise``, as
     :func:`_first_variance` does for a gamma*P so small that the first
     variance overflows.
     """
@@ -166,9 +203,9 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     s2 = params.sigma2
     alpha = _first_variance(gp, s2, "gamma", "gamma*P", noise)
     width = 3  # per step: mu, alpha, gain
+    _check_block(n, width, gp, s2)
     rows = array.array("d", (0.0, alpha, math.nan))
     for k in range(1, n):
-        _check_storable(k, width, n)
         mu = math.sqrt(gp * alpha) / (gp + s2)
         gain = math.sqrt(gp / alpha)
         alpha = alpha - mu**2 * (gp + s2)
@@ -182,6 +219,7 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
 def forwarding_coefficients(params: DpcParams, gamma, n):
     """One encoder of n slots that only forwards the state: no message loop, as at gamma*P = 0."""
     sc = forward_coefficient(check_fraction("gamma", gamma), params.P, params.Q)
+    _check_block(n, 0)
     no_loop = np.empty((0, n))
     return SkCoefficients(params, float(gamma), int(n), no_loop, no_loop, no_loop, lam=1.0 + sc,
                           state_coef=np.array([sc]), message_amp=np.empty(0))

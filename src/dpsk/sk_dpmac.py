@@ -45,11 +45,14 @@ import numpy as np
 
 from . import regions
 from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
-from .params import MacParams, check_fraction, resolve_block
+from .params import MacParams, PowerSplit, check_fraction, resolve_block
 from .sk_dpc import (
-    SkCoefficients, _check_storable, _check_variance, _closed_loop, _first_variance,
+    SkCoefficients, _check_block, _check_variance, _closed_loop, _first_variance,
     decode_batch, estimate_state, forward_coefficient, message_to_theta,
 )
+
+#: Values a step: mu1, mu2, alpha1, alpha2, gain1, gain2, rho, rho_raw, sign, ey2, est_coef
+_WIDTH = 11
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
@@ -114,13 +117,12 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     a2 = _first_variance(B, s2, "beta", "beta*P2")
     c12 = raw = 0.0
     nan = math.nan
-    # per step: mu1, mu2, alpha1, alpha2, gain1, gain2, rho, rho_raw, sign, ey2, est_coef
-    width = 11
     rows = array.array("d", (0.0, 0.0, a1, nan, nan, nan, nan, nan, 1.0, nan, 0.0,
                              0.0, 0.0, a1, a2, nan, nan, 0.0, 0.0, 1.0, nan, 0.0))
 
     for k in range(2, n):
-        _check_storable(k, width, n)
+        if k == 2**16:  # a recursion this long may never stop: its record must fit first
+            _check_block(n, _WIDTH)
         s = _sign(raw, paper_sgn)
         g1 = math.sqrt(A / a1)
         g2 = s * math.sqrt(B / a2)
@@ -142,7 +144,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
         rows.extend((e1 / v, e2 / v, a1, a2, g1, g2, _sign(raw, paper_sgn) * raw, raw, s, ey2,
                      lam * Q / ey2))
 
-    per_step = np.frombuffer(rows).reshape(n, width).T.copy()  # contiguous rows
+    per_step = np.frombuffer(rows).reshape(n, _WIDTH).T.copy()  # contiguous rows
     mu, alpha, gain = per_step[:6].reshape(3, 2, n)
     rho, rho_raw, signs, ey2, est_coef = per_step[6:]
     amp = np.array([math.sqrt(12.0 * A), math.sqrt(12.0 * B)])
@@ -150,6 +152,14 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
                              state_coef=np.array([sc1, sc2]), message_amp=amp, beta=beta,
                              paper_sgn=bool(paper_sgn), rho=rho, rho_raw=rho_raw, signs=signs,
                              ey2=ey2, est_coef=est_coef)
+
+
+def _check_mac(params: MacParams, split: PowerSplit, n, draws, paper_sgn):
+    """:func:`dpsk.sk_dpc._check_block` for a two-encoder split; with no closed form, its
+    recursion, if both encoders have message power, names any shorter longest block."""
+    live = split.gamma * params.P1 and split.beta * params.P2
+    _check_block(n, _WIDTH, draws=draws, recursion=live and (
+        lambda: mac_coefficients(params, split.gamma, split.beta, n, paper_sgn)))
 
 
 def resolve_mac_rates(params: MacParams, gamma, beta, block):

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from dpsk import cli, harness, output, regions, sk_dpmac
-from dpsk.params import CHANNELS, CONFIG_KEYS, DpcParams, MacParams
+from dpsk.errors import ConfigError
+from dpsk.params import (
+    CHANNELS, CONFIG_KEYS, BlockConfig, DpcParams, MacParams, NoisyObsParams, PowerSplit,
+)
 
 
 def run_cli(capsys, *argv):
@@ -534,6 +537,12 @@ HUGE_BLOCKS = {
     "mac-stalled": (["--P1", "1e-17", "--P2", "1e-17", "--Q", "10", "--sigma2", "1",
                      "--gamma", "1", "--beta", "1"],
                     "its per-step coefficients do not fit in memory"),
+    # gamma*P = 0 runs no recursion to name a longest block; numpy's size limit
+    # on the forwarding record once ended in a ValueError traceback with exit 1
+    "dpc-forwarding": (["--P", "10", "--Q", "10", "--sigma2", "5", "--gamma", "0"],
+                       "its per-step coefficients do not fit in memory"),
+    "noisy-forwarding": (["--P", "10", "--Q", "10", "--sigma2", "5", "--sigma_z2", "1",
+                          "--gamma", "0"], "its per-step coefficients do not fit in memory"),
 }
 
 
@@ -546,6 +555,28 @@ def test_a_block_numpy_cannot_hold_is_rejected_in_one_line(capsys, name):
     assert code == 2 and out == ""
     assert err.startswith("error: n = 100000000000000000000 is too long") and err.count("\n") == 1
     assert err.rstrip().endswith(message)
+
+
+def test_a_sweep_whose_block_numpy_cannot_hold_is_rejected_in_one_line(capsys):
+    # its gamma = 0 point resolves first and once ended in numpy's ValueError traceback
+    code, out, err = run_cli(capsys, "sweep", "dpc", *CHANNEL_DPC, "--grid", "2", "--n",
+                             "100000000000000000000", "--rate", "1e-30", "--trials", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: n = 100000000000000000000 is too long") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme", sorted(CHANNELS))
+def test_a_block_numpy_cannot_hold_is_a_config_error_in_the_library(scheme):
+    # at every split, gamma*P = 0 included, for one run and for a sweep
+    channel = {"dpc": DpcParams(10, 10, 5), "mac": MacParams(10, 10, 10, 5),
+               "noisy": NoisyObsParams(10, 10, 5, 1)}[scheme]
+    block, plan = BlockConfig(n=10**20, rate=1e-30), harness.RandomPlan(7)
+    fractions = PowerSplit(0.0, 0.5 if scheme == "mac" else None)
+    for run in (lambda: harness.run_experiment(scheme, channel, [fractions], block, 5, plan),
+                lambda: harness.sweep(scheme, channel, [0.0, 1.0], block, 5, plan)):
+        with pytest.raises(ConfigError) as info:
+            run()
+        assert info.value.field == "n" and str(info.value).startswith("n = 10")
 
 
 BAD_GRIDS = {

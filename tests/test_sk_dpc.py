@@ -1,12 +1,14 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import dpsk
 from dpsk import noisy_obs, regions, sk_dpc, sk_dpmac
 from dpsk.errors import (
     BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange,
@@ -74,10 +76,25 @@ def test_a_rejected_long_block_allocates_nothing_per_step():
     assert peak < 1e6
 
 
+def test_a_public_call_rejects_a_block_numpy_cannot_hold_before_any_step(monkeypatch):
+    # a stalled recursion ran 2**16 steps before numpy was asked, and a
+    # forwarding record ended in numpy's ValueError; now no step runs
+    def step(*args):
+        raise AssertionError("the recursion ran a step")
+
+    monkeypatch.setattr(sk_dpc, "_check_variance", step)
+    for call in (lambda: dpsk.compute_coefficients(DpcParams(1e-17, 10, 1), 1.0, 10**20),
+                 lambda: sk_dpc.forwarding_coefficients(ACC, 0.0, 10**20)):
+        with pytest.raises(ConfigError, match="^n = 100000000000000000000 is too long: its "
+                                              "per-step coefficients do not fit") as info:
+            call()
+        assert info.value.field == "n"
+
+
 def test_a_stalled_recursion_holds_its_rows_in_about_the_final_arrays():
     # gamma*P/sigma2 = 1e-20 keeps alpha from moving, so every step is kept;
     # rows held as a list of tuples took about 200 B a step, 8.4x the 24 B of
-    # the final arrays that _check_storable probes for
+    # the final arrays that the block verdict, sk_dpc._check_block, probes for
     tracemalloc.start()
     try:
         coeffs = sk_dpc.compute_coefficients(DpcParams(P=1e-10, Q=10, sigma2=1e10), 1.0, 20_000)
@@ -324,6 +341,41 @@ def test_every_coefficient_record_keeps_its_invariants(P1, P2, Q, sigma2, gamma,
         if longest is not None:
             coeffs = recursion(data.draw(st.integers(shortest, longest), label=recursion.__name__))
             _assert_coefficient_invariants(coeffs, powers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(P=WIDE, Q=st.one_of(st.just(0.0), WIDE), sigma2=WIDE,
+       sigma_z2=st.one_of(st.just(0.0), WIDE), gamma=SPLITS)
+@example(P=10.0, Q=10.0, sigma2=5.0, sigma_z2=1.0, gamma=0.5)  # 1019 and 1152, the gain
+@example(P=1.0, Q=10.0, sigma2=5.0, sigma_z2=0.0, gamma=1.0)  # 3881, the underflow
+@example(P=2.0, Q=1.0, sigma2=0.05, sigma_z2=0.0, gamma=1.0)  # the gain, under float_info.min
+def test_the_closed_form_length_is_the_recursions(P, Q, sigma2, sigma_z2, gamma):
+    # wherever the block verdict decides the length in closed form, the
+    # recursion alone, the reference, accepts that block and stops one step
+    # later with the verdict's message, on dpc and on the noisy scheme's
+    # equivalent channel
+    equivalent = noisy_obs.make_equivalent(NoisyObsParams(P, Q, sigma2, sigma_z2))
+    for params, noise in ((DpcParams(P, Q, sigma2), "sigma2"),
+                          (equivalent, noisy_obs.EQUIVALENT_NOISE)):
+        longest, _ = sk_dpc._longest_block(gamma * params.P, params.sigma2)
+        if longest == math.inf:
+            continue
+
+        def recursion(n):
+            return sk_dpc.compute_coefficients(params, gamma, n, noise)
+
+        with mock.patch.object(sk_dpc, "_longest_block", return_value=(math.inf, None)):
+            assert _longest_block(recursion, 2) == (min(longest, LONGEST_DRAWN)
+                                                   if longest >= 2 else None)
+            if longest < LONGEST_DRAWN:
+                if longest >= 2:
+                    recursion(longest)
+                with pytest.raises(ConfigError) as reference:
+                    recursion(longest + 1)
+        if longest < LONGEST_DRAWN:
+            with pytest.raises(ConfigError) as verdict:
+                recursion(longest + 1)
+            assert str(verdict.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
