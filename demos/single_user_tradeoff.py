@@ -52,7 +52,8 @@ def show_cancellation():
     rng = np.random.default_rng(SEED)
     S = rng.normal(0.0, math.sqrt(PARAMS.Q), size=(1, n))
     _, M, coeffs = sk_dpc.resolve_loop(PARAMS, 0.5, block)
-    trace = sk_dpc.run_batch(PARAMS, 0.5, M, coeffs, np.array([11]), S, np.zeros((1, n)))
+    weight = sk_dpc.estimation_coefficient(PARAMS, 0.5)
+    trace = harness.run_batch(coeffs, [M], [np.array([11])], S, np.zeros((1, n)), weight)
     theta = sk_dpc.message_to_theta(11, M)
     print(f"zero-noise block, message 11 of {M}:")
     print(f"  theta sent      {theta:+.12f}")

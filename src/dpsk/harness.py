@@ -7,13 +7,14 @@ depend on batch size or execution order, and two runs with the same seed
 and configuration produce bit-identical reports. A plan builds one Philox
 generator and re-keys it per substream, which draws exactly what a fresh
 ``Philox(key=...)`` per substream would. An experiment runs its power splits
-on the same trials, batch after batch: each batch is drawn once, every
-split's batch runner runs on it, and each split adds its per-trial
-results and per-slot symbol powers to its own sums in batch order.
+on the same trials, batch after batch: each batch is drawn once, the one
+batch runner of every scheme, :func:`run_batch`, runs each split on it,
+and each split adds its per-trial results and per-slot symbol powers to
+its own sums in batch order.
 A message out of M <= 2**32 is its substream's first 32-bit word mapped
 to 1..M by Lemire's rule, as numpy's ``integers`` maps it, and several
 message-set sizes are mapped from that one word per trial where they can
-(:meth:`RandomPlan.message`, :meth:`RandomPlan.messages`). The runners store the
+(:meth:`RandomPlan.message`, :meth:`RandomPlan.messages`). The runner stores the
 per-symbol Y, X and theta_hat traces only for a run with a trace writer;
 without one the state estimate and then the squared error are formed in
 the kernel's Y buffer.
@@ -32,6 +33,7 @@ calling thread, and dpsk starts no thread of its own.
 
 import collections
 import dataclasses
+import functools
 import math
 import os
 import pickle
@@ -192,8 +194,28 @@ class ExperimentReport:
 #: Per-user name suffixes of the report keys and trace columns, by user count.
 _SUFFIXES = {1: ("",), 2: ("1", "2")}
 
-#: A scheme run function's rates, M per message component, batch runner and report tail.
-_Run = collections.namedtuple("_Run", ("rates", "sizes", "run_batch", "tail"))
+
+def run_batch(coeffs, sizes, messages, S, eta, weight, traces=True):
+    """The :class:`dpsk.sk_dpc.SchemeTrace` of a batch of any scheme: the K encoders of
+    ``coeffs`` with their K message-set ``sizes`` and (B,) ``messages``, over the (B, n)
+    state ``S`` and noise ``eta`` its loop runs on, and the receiver's state estimate,
+    ``weight`` (a scalar or an (n,) row) times Y. Y, X and theta_hat are None unless
+    ``traces``; without them the state estimate takes the kernel's Y buffer."""
+    thetas = [sk_dpc.message_to_theta(W, M) for W, M in zip(messages, sizes)]
+    sk_dpc.check_batch((len(messages[0]), coeffs.n), S=S, eta=eta)
+    # read by L and K when called; _closed_loop and decode_batch once perfbench names neither
+    L = len(coeffs.message_amp)
+    loop = (sk_dpc.simulate_forwarding_batch, sk_dpc.simulate_message_batch,
+            sk_dpmac.simulate_mac_batch)[L](coeffs, *thetas[:L], S, eta, traces)
+    W_hat = (np.stack(sk_dpmac.mac_decode_batch(*loop.theta_final, *sizes)) if len(sizes) == 2
+             else sk_dpc.decode_batch(loop.theta_final, *sizes))
+    S_hat = sk_dpc.estimate_state(loop.Y, weight, out=None if traces else loop.Y)
+    return loop._replace(Y=loop.Y if traces else None, W=np.stack(messages), W_hat=W_hat,
+                         M=tuple(sizes), S=S, S_hat=S_hat)
+
+
+#: A scheme run function's rates, M per message component, :func:`run_batch` data and tail.
+_Run = collections.namedtuple("_Run", ("rates", "sizes", "coeffs", "weight", "tail"))
 
 
 def _simulate(params, stds, n, trials, plan, runs, trace_writer, workers):
@@ -201,11 +223,12 @@ def _simulate(params, stds, n, trials, plan, runs, trace_writer, workers):
 
     A batch draws each (component, standard deviation) of ``stds`` as (B, n)
     rows and each message component as {M: messages} over every run's M,
-    once. Each ``run.run_batch(draws, traces)`` returns its :class:`dpsk.sk_dpc.SchemeTrace`
-    on them, with Y, X and theta_hat traces only for a ``trace_writer``. The
-    batches run in up to ``workers`` processes (:func:`_in_batch_order`), and
-    their results are added in batch order. A trial count whose per-trial
-    results numpy cannot allocate is rejected before the first draw.
+    once, and turns an observation noise into the equivalent draws. Each run
+    takes its :func:`run_batch` on them, with Y, X and theta_hat traces, and
+    the true S, only for a ``trace_writer``. The batches run in up to
+    ``workers`` processes (:func:`_in_batch_order`), and their results are
+    added in batch order. A trial count whose per-trial results numpy cannot
+    allocate is rejected before the first draw.
     """
     suffixes = _SUFFIXES[len(params.SPLIT)]
     try:
@@ -218,25 +241,27 @@ def _simulate(params, stds, n, trials, plan, runs, trace_writer, workers):
     sizes = {component: {run.sizes[component] for run in runs} for component in runs[0].sizes}
     traces = trace_writer is not None
 
-    def run_batch(start):
+    def measure(start):
         """Each run's (K,) error counts, (K, n) power row and (B,) squared
         errors on the batch of trials from ``start``."""
         stop = min(start + BATCH, trials)
-        draws = {component: plan.normals(start, stop, component, n, std)
-                 for component, std in stds}
-        for component, Ms in sizes.items():
-            draws[component] = plan.messages(start, stop, component, Ms)
+        normals = {c: plan.normals(start, stop, c, n, std) for c, std in stds}
+        messages = {c: plan.messages(start, stop, c, Ms) for c, Ms in sizes.items()}
+        S, draws = normals[STATE], (normals[STATE], normals.pop(NOISE))
+        if OBS_NOISE in normals:  # the noisy loops' own state and noise; Z and eta go
+            draws = noisy_obs.equivalent_draws(params, S, normals.pop(OBS_NOISE), draws[1])
         results = []
         for run in runs:
-            trace = run.run_batch(draws, traces)
+            Ws = [messages[c][M] for c, M in run.sizes.items()]
+            trace = run_batch(run.coeffs, run.sizes.values(), Ws, *draws, run.weight, traces)
             # unless a trace writer reads S_hat, its buffer takes the squared error
-            err = np.subtract(draws[STATE], trace.S_hat, out=None if traces else trace.S_hat)
+            err = np.subtract(S, trace.S_hat, out=None if traces else trace.S_hat)
             results.append((np.count_nonzero(trace.W_hat != trace.W, axis=1), trace.power,
                             np.mean(np.square(err, out=err), axis=1)))
             if traces:
                 columns = {**{f"X{s}": x for s, x in zip(suffixes, trace.X)}, "Y": trace.Y,
                            **{f"theta{s}_hat": th for s, th in zip(suffixes, trace.theta_hat)},
-                           "S": trace.S, "S_hat": trace.S_hat}
+                           "S": S, "S_hat": trace.S_hat}
                 for j, trial in enumerate(range(start, stop)):
                     trace_writer(trial, {name: column[j] for name, column in columns.items()})
             # free the kernel's (B, n) outputs before the next runner or draw
@@ -251,12 +276,12 @@ def _simulate(params, stds, n, trials, plan, runs, trace_writer, workers):
 
     # a trace writer keeps its batches in process: forked ones would pickle their
     # (B, n) traces to it (mac peak RSS 93 -> 159 MB at 2 workers, no time saved)
-    _in_batch_order(run_batch, add, range(0, trials, BATCH), 1 if traces else workers)
+    _in_batch_order(measure, add, range(0, trials, BATCH), 1 if traces else workers)
     return [_empirical(*sums, trials) for sums in zip(errors, sq_err, power_sums)]
 
 
-def _in_batch_order(run_batch, add, starts, workers):
-    """``add(start, run_batch(start))`` for each of ``starts``, in order.
+def _in_batch_order(measure, add, starts, workers):
+    """``add(start, measure(start))`` for each of ``starts``, in order.
 
     With P = min(workers, batches) processes, or one where the platform
     cannot fork, batch b runs in process b % P: this one when P divides b,
@@ -276,13 +301,13 @@ def _in_batch_order(run_batch, add, starts, workers):
             sys.stdout.flush()
             sys.stderr.flush()
         for p in range(1, processes):
-            children.append(_Worker(run_batch, starts[p::processes]))
+            children.append(_Worker(measure, starts[p::processes]))
         for b, start in enumerate(starts):
             if b % processes:
                 add(start, children[b % processes - 1].received())
                 continue
             try:
-                results = run_batch(start)
+                results = measure(start)
             except MemoryError as exc:
                 raise DpskError(f"a batch failed: {type(exc).__name__}: {exc}") from None
             add(start, results)
@@ -300,7 +325,7 @@ class _Worker:
     """A forked batch worker process and the read end of the pipe it sends
     its batches' results through."""
 
-    def __init__(self, run_batch, starts):
+    def __init__(self, measure, starts):
         self.code = None  # the exit code once reaped, negative for a signal
         reader, writer = os.pipe()
         try:
@@ -310,7 +335,7 @@ class _Worker:
             os.close(writer)
             raise DpskError(f"could not start a batch worker process: {exc}") from None
         if self.pid == 0:
-            _send_batches(run_batch, starts, reader, writer)  # never returns
+            _send_batches(measure, starts, reader, writer)  # never returns
         os.close(writer)
         self.pipe = open(reader, "rb")
 
@@ -345,7 +370,7 @@ class _Worker:
         self.wait()
 
 
-def _send_batches(run_batch, starts, reader, writer):
+def _send_batches(measure, starts, reader, writer):
     """A batch worker process: each of ``starts``' results pickled to the
     pipe ``writer``, in order, or the first failure as one line of text. It
     leaves through ``os._exit``, with SystemExit's code or 1 for any other
@@ -357,7 +382,7 @@ def _send_batches(run_batch, starts, reader, writer):
         with open(writer, "wb") as pipe:
             try:
                 for start in starts:
-                    pickle.dump(run_batch(start), pipe, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(measure(start), pipe, pickle.HIGHEST_PROTOCOL)
                     pipe.flush()
             except Exception as exc:  # the worker's boundary: the caller reports it
                 pickle.dump(f"{type(exc).__name__}: {exc}", pipe)
@@ -396,10 +421,6 @@ def _run_dpc(params, loop, split, block, paper_sgn):
     gamma = split.gamma
     rate, M, coeffs = sk_dpc.resolve_loop(params, gamma, block)
 
-    def run_batch(draws, traces):
-        return sk_dpc.run_batch(params, gamma, M, coeffs, draws[MSG][M], draws[STATE],
-                                draws[NOISE], traces=traces)
-
     def tail(empirical):
         d_step = regions.dpc_min_distortion(params, gamma)
         theory = {
@@ -416,7 +437,8 @@ def _run_dpc(params, loop, split, block, paper_sgn):
         }
         return theory, deltas, []
 
-    return _Run({"rate": rate, "M": M}, {MSG: M}, run_batch, tail)
+    return _Run({"rate": rate, "M": M}, {MSG: M}, coeffs,
+                sk_dpc.estimation_coefficient(params, gamma), tail)
 
 
 def _run_noisy(params, loop, split, block, paper_sgn):
@@ -424,10 +446,6 @@ def _run_noisy(params, loop, split, block, paper_sgn):
     ``loop``, the clean-state channel it reduces to."""
     gamma = split.gamma
     rate, M, coeffs = sk_dpc.resolve_loop(loop, gamma, block, noisy_obs.EQUIVALENT_NOISE)
-
-    def run_batch(draws, traces):
-        return noisy_obs.noisy_run_batch(params, gamma, M, coeffs, draws[MSG][M], draws[STATE],
-                                         draws[OBS_NOISE], draws[NOISE], traces=traces)
 
     def tail(empirical):
         bound_step = regions.noisy_min_distortion(params, gamma)
@@ -456,7 +474,8 @@ def _run_noisy(params, loop, split, block, paper_sgn):
             flags.append("distortion_bound_mismatch")
         return theory, deltas, flags
 
-    return _Run({"rate": rate, "M": M}, {MSG: M}, run_batch, tail)
+    return _Run({"rate": rate, "M": M}, {MSG: M}, coeffs,
+                noisy_obs.true_state_coefficient(params, gamma), tail)
 
 
 def _run_mac(params, loop, split, block, paper_sgn):
@@ -464,10 +483,6 @@ def _run_mac(params, loop, split, block, paper_sgn):
     gamma, beta = split.gamma, split.beta
     (rate1, M1), (rate2, M2), caps = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
     coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, block.n, paper_sgn=paper_sgn)
-
-    def run_batch(draws, traces):
-        return sk_dpmac.mac_run_batch(coeffs, M1, M2, draws[MSG][M1], draws[MSG2][M2],
-                                      draws[STATE], draws[NOISE], traces=traces)
 
     def tail(empirical):
         rho_final = float(coeffs.rho[-1])
@@ -492,7 +507,7 @@ def _run_mac(params, loop, split, block, paper_sgn):
         return theory, deltas, flags
 
     return _Run({"rate1": rate1, "M1": M1, "rate2": rate2, "M2": M2}, {MSG: M1, MSG2: M2},
-                run_batch, tail)
+                coeffs, coeffs.est_coef, tail)
 
 
 def _dpc_points(params, gamma_grid, beta_grid, n):
@@ -531,7 +546,8 @@ _SCHEMES = {
     "dpc": _Scheme(_run_dpc, _dpc_points, ("rate", "pe", "distortion"), _check_loop),
     "mac": _Scheme(_run_mac, _mac_points, ("rate1", "rate2", "pe1", "pe2", "distortion"),
                    _check_mac),
-    "noisy": _Scheme(_run_noisy, _noisy_points, ("rate", "pe", "distortion"), _check_loop,
+    "noisy": _Scheme(_run_noisy, _noisy_points, ("rate", "pe", "distortion"),
+                     functools.partial(_check_loop, noise=noisy_obs.EQUIVALENT_NOISE),
                      noisy_obs.make_equivalent),
 }
 

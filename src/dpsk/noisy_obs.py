@@ -10,7 +10,8 @@ Z_tilde ~ N(0, (1-kappa) Q) that acts as extra channel noise:
 The clean-observation machinery therefore runs unchanged on the
 equivalent channel, the ``DpcParams`` :func:`make_equivalent` returns, with
 state variance kappa Q and noise variance kappa sigma_z2 + sigma2 (note
-Var(kappa Z) = kappa sigma_z2 relative to the observed block). The
+Var(kappa Z) = kappa sigma_z2 relative to the observed block), on the
+state and noise :func:`equivalent_draws` forms once per batch. The
 receiver, however, wants the true S, not the equivalent state, which
 changes the estimator weight and the achieved distortion; see
 :func:`true_state_coefficient` and :func:`scheme_step_distortion`.
@@ -71,26 +72,12 @@ def scheme_step_distortion(params: NoisyObsParams, gamma):
     return params.Q - cross * cross / ey2
 
 
-def noisy_run_batch(params: NoisyObsParams, gamma, M, coeffs, W, S, Z, eta, traces=True):
-    """Simulate a batch of blocks with physical state S and observation noise Z.
-
-    This is :func:`dpsk.sk_dpc.run_batch` on the equivalent channel, for the
-    ``M`` and ``coeffs`` that :func:`dpsk.sk_dpc.resolve_loop` gives any split,
-    the gamma*P = 0 forwarding record included, on :func:`make_equivalent`
-    with ``noise=EQUIVALENT_NOISE``: the encoder is driven by kappa (S + Z),
-    the state it cannot see joins the channel noise, and the receiver weighs
-    Y by :func:`true_state_coefficient`. Returns its record, Y only with
-    ``traces`` as there, with the true S beside its estimate; with
-    sigma_z2 = 0 that is the clean-observation trace sample for sample.
-    """
+def equivalent_draws(params: NoisyObsParams, S, Z, eta):
+    """The state kappa (S + Z) and noise S - kappa (S + Z) + eta of :func:`make_equivalent`
+    from a batch's (B, n) true S, observation noise Z and noise eta; the noise is a (B, n)
+    view of a slot-major array, so that the closed loop reads each slot contiguously."""
     sk_dpc.check_batch(np.shape(S), Z=Z, eta=eta)
     s_eq = regions.observation_weight(params) * (S + Z)
-    # the equivalent noise is built slot-major and passed as its (B, n) view,
-    # so each slot of the closed loop reads its noise column contiguously
     eta_eq = np.subtract(S.T, s_eq.T, out=np.empty(S.shape[::-1]))
     eta_eq += eta.T
-    trace = sk_dpc.run_batch(
-        make_equivalent(params), gamma, M, coeffs, W, s_eq, eta_eq.T,
-        weight=true_state_coefficient(params, gamma), traces=traces,
-    )
-    return trace._replace(S=S)
+    return s_eq, eta_eq.T

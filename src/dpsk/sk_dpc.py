@@ -37,8 +37,8 @@ tests re-derive every value through an independent covariance propagation.
 The per-step constants of K encoders go into one record,
 :class:`SkCoefficients` (K = 1 here, 2 in :mod:`dpsk.sk_dpmac`), which one
 closed loop, :func:`_closed_loop`, reads directly; at gamma*P = 0 it only
-forwards the state. Each batch it runs has one record too,
-:data:`SchemeTrace`, which the kernel fills and its batch runner completes.
+forwards the state. Each batch it runs has one record too, :data:`SchemeTrace`,
+which the kernel fills and every scheme's one runner, ``harness.run_batch``, completes.
 """
 
 import array
@@ -157,7 +157,7 @@ def _check_block(n, width, power=0.0, s2=1.0, recursion=None, draws=()):
     on n past the longest block of a loop of message power ``power`` over the noise ``s2``
     (:func:`_longest_block`), then if numpy cannot allocate, or index, the record of
     ``width`` values a step, once ``recursion()`` of a loop with no closed form has named
-    any shorter longest block, or a batch of normal draws of shape ``draws``."""
+    any stop of its own, or a batch of normal draws of shape ``draws``."""
     longest, alpha = _longest_block(power, s2)
     if n > longest:
         _check_variance(alpha, longest + 1, n, power, s2, "gamma", "gamma*P")
@@ -174,10 +174,26 @@ def _check_block(n, width, power=0.0, s2=1.0, recursion=None, draws=()):
     raise ConfigError(f"n = {n} is too long: {what} do not fit in memory", field="n")
 
 
-def _check_loop(params: DpcParams, split: PowerSplit, n, draws, paper_sgn):
-    """:func:`_check_block` for a single-user split: 3 values a step, none at gamma*P = 0."""
-    power = split.gamma * params.P
-    _check_block(n, 3 if power else 0, power, params.sigma2, draws=draws)
+def _check_loop(params: DpcParams, split: PowerSplit, n, draws, paper_sgn, noise="sigma2"):
+    """:func:`_check_block` for a single-user split: 3 values a step, none at gamma*P = 0; with
+    no closed form, the first 2**16 steps of its recursion name any stop of their own."""
+    power, s2 = split.gamma * params.P, params.sigma2
+    _check_block(n, 3 if power else 0, power, s2, draws=draws, recursion=power and (
+        lambda: _steps(power, s2, n, noise, min(n, 2**16))))
+
+
+def _steps(gp, s2, n, noise, stop):
+    """The flat per-step mu, alpha and gain of the first ``stop`` steps of an n-step loop of
+    power ``gp`` over the noise ``s2`` called ``noise``, each variance checked as it comes."""
+    alpha = _first_variance(gp, s2, "gamma", "gamma*P", noise)
+    rows = array.array("d", (0.0, alpha, math.nan))
+    for k in range(1, stop):
+        mu = math.sqrt(gp * alpha) / (gp + s2)
+        gain = math.sqrt(gp / alpha)
+        alpha = alpha - mu**2 * (gp + s2)
+        _check_variance(alpha, k + 1, n, gp, s2, "gamma", "gamma*P", noise)
+        rows.extend((mu, alpha, gain))
+    return rows
 
 
 def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
@@ -201,17 +217,10 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     if gp == 0.0:
         raise DegenerateSplit("gamma*P = 0 leaves no message power")
     s2 = params.sigma2
-    alpha = _first_variance(gp, s2, "gamma", "gamma*P", noise)
-    width = 3  # per step: mu, alpha, gain
-    _check_block(n, width, gp, s2)
-    rows = array.array("d", (0.0, alpha, math.nan))
-    for k in range(1, n):
-        mu = math.sqrt(gp * alpha) / (gp + s2)
-        gain = math.sqrt(gp / alpha)
-        alpha = alpha - mu**2 * (gp + s2)
-        _check_variance(alpha, k + 1, n, gp, s2, "gamma", "gamma*P", noise)
-        rows.extend((mu, alpha, gain))
-    mu, alpha, gain = np.frombuffer(rows).reshape(n, width).T.copy()[:, None]  # (1, n) rows
+    _first_variance(gp, s2, "gamma", "gamma*P", noise)  # named before any verdict on n
+    _check_block(n, 3, gp, s2)
+    rows = np.frombuffer(_steps(gp, s2, n, noise, n))
+    mu, alpha, gain = rows.reshape(n, 3).T.copy()[:, None]  # (1, n) rows
     return dataclasses.replace(forwarding_coefficients(params, gamma, n), mu=mu, alpha=alpha,
                                gain=gain, message_amp=np.array([math.sqrt(12.0 * gp)]))
 
@@ -281,30 +290,6 @@ def resolve_loop(params: DpcParams, gamma, block, noise="sigma2"):
     return rate, M, compute_coefficients(params, gamma, block.n, noise)
 
 
-def run_batch(params: DpcParams, gamma, M, coeffs, W, S, eta, weight=None, traces=True):
-    """Simulate a batch of blocks from supplied draws.
-
-    ``M`` and ``coeffs`` come from :func:`resolve_loop`, ``W`` has shape
-    (B,) and ``S``, ``eta`` shape (B, n). ``weight`` is the receiver's
-    state-estimation weight; it defaults to :func:`estimation_coefficient`.
-    Returns the :data:`SchemeTrace` of the message kernel, or of the forwarding
-    one when ``coeffs`` has no loop, with its decisions and estimates for one
-    encoder; Y, X and theta_hat are None unless ``traces``, and without them
-    the state estimate takes the kernel's Y buffer.
-    """
-    theta = message_to_theta(W, M)
-    check_batch((len(W), coeffs.n), S=S, eta=eta)
-    if coeffs.message_amp.size:
-        loop = simulate_message_batch(coeffs, theta, S, eta, traces)
-    else:
-        loop = simulate_forwarding_batch(coeffs, S, eta, traces)
-    if weight is None:
-        weight = estimation_coefficient(params, gamma)
-    S_hat = estimate_state(loop.Y, weight, out=None if traces else loop.Y)
-    return loop._replace(Y=loop.Y if traces else None, W=W[None],
-                         W_hat=decode_batch(loop.theta_final, M), M=(M,), S=S, S_hat=S_hat)
-
-
 def _power_sum(x):
     """Sum of x² over the last axis, the trials of a slot-major row, added one
     by one in order: the bits of ``np.sum(X * X, axis=0)`` on the row-major
@@ -319,10 +304,10 @@ def _power_sum(x):
 #: batch by :func:`_power_sum`, the (B, n) Y, the (K, B) final estimates and
 #: tracking errors (0 for an encoder with no message loop), and the (K, B, n)
 #: X and theta_hat traces (NaN before a loop starts), or None when it was not
-#: asked for traces. Its batch runner completes the record with the
-#: (K, B) messages W and decisions W_hat, the K message-set sizes M and the
-#: (B, n) S and S_hat, which a kernel leaves None; without traces it writes
-#: S_hat over Y and sets Y to None.
+#: asked for traces. :func:`dpsk.harness.run_batch` completes it with the (K, B)
+#: messages W and decisions W_hat, the K message-set sizes M, the (B, n) state S
+#: the loop ran on (the equivalent state for the noisy scheme) and S_hat, which a
+#: kernel leaves None; without traces it writes S_hat over Y and sets Y to None.
 SchemeTrace = collections.namedtuple(
     "SchemeTrace", "power Y theta_final eps X theta_hat W W_hat M S S_hat", defaults=(None,) * 5)
 

@@ -48,7 +48,7 @@ from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
 from .params import MacParams, PowerSplit, check_fraction, resolve_block
 from .sk_dpc import (
     SkCoefficients, _check_block, _check_variance, _closed_loop, _first_variance,
-    decode_batch, estimate_state, forward_coefficient, message_to_theta,
+    decode_batch, forward_coefficient,
 )
 
 #: Values a step: mu1, mu2, alpha1, alpha2, gain1, gain2, rho, rho_raw, sign, ey2, est_coef
@@ -170,23 +170,6 @@ def resolve_mac_rates(params: MacParams, gamma, beta, block):
     rate1, m1 = resolve_block(block, caps.r1_max)
     rate2, m2 = resolve_block(block, caps.r2_max)
     return (rate1, m1), (rate2, m2), caps
-
-
-def mac_run_batch(coeffs: MacSkCoefficients, M1, M2, W1, W2, S, eta, traces=True):
-    """Simulate a batch of two-encoder blocks from supplied draws.
-
-    ``W1``, ``W2`` have shape (B,) and ``S``, ``eta`` shape (B, n).
-    Returns the kernel's :data:`dpsk.sk_dpc.SchemeTrace` completed for two
-    encoders, whose Y, X and theta_hat are None unless ``traces``; the state
-    is estimated with the per-slot weights ``coeffs.est_coef``, in the
-    kernel's Y buffer without traces.
-    """
-    thetas = message_to_theta(W1, M1), message_to_theta(W2, M2)
-    loop = simulate_mac_batch(coeffs, *thetas, S, eta, traces)
-    W_hat = np.stack(mac_decode_batch(*loop.theta_final, M1, M2))
-    S_hat = estimate_state(loop.Y, coeffs.est_coef, out=None if traces else loop.Y)
-    return loop._replace(Y=loop.Y if traces else None, W=np.stack([W1, W2]), W_hat=W_hat,
-                         M=(M1, M2), S=S, S_hat=S_hat)
 
 
 def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta, traces=True):

@@ -56,7 +56,8 @@ def test_criterion_01_offset_cancellation_zero_noise():
     exact = 0
     for w in range(1, M + 1):
         # each message runs as a batch of one
-        trace = sk_dpc.run_batch(DPC, 0.5, M, coeffs, np.array([w]), S, eta)
+        trace = harness.run_batch(coeffs, [M], [np.array([w])], S, eta,
+                                  sk_dpc.estimation_coefficient(DPC, 0.5))
         worst = max(worst, abs(trace.theta_hat[0, 0, -1] - sk_dpc.message_to_theta(w, M)))
         exact += trace.W_hat[0, 0] == w
     elapsed = time.perf_counter() - start
@@ -199,7 +200,7 @@ def test_criterion_09_mac_zero_noise_exact_decode():
         for w2 in range(1, M + 1):
             # each message pair runs as a batch of one
             W1, W2 = np.array([w1]), np.array([w2])
-            trace = sk_dpmac.mac_run_batch(coeffs, M, M, W1, W2, S, eta)
+            trace = harness.run_batch(coeffs, [M, M], [W1, W2], S, eta, coeffs.est_coef)
             exact += (trace.W_hat[0, 0], trace.W_hat[1, 0]) == (w1, w2)
     _report(9, "two-encoder exact decode with zero noise", exact == M * M,
             f"{exact}/{M * M} message pairs decoded exactly")

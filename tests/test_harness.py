@@ -458,7 +458,8 @@ def test_single_trial_report_equals_trace_statistics():
     eta = plan.normals(0, 1, harness.NOISE, n, math.sqrt(ACC.sigma2))
     W = plan.message(0, harness.MSG, M)
     _, _, coeffs = sk_dpc.resolve_loop(ACC, 0.5, block)
-    trace = sk_dpc.run_batch(ACC, 0.5, M, coeffs, np.array([W]), S, eta)
+    trace = harness.run_batch(coeffs, [M], [np.array([W])], S, eta,
+                              sk_dpc.estimation_coefficient(ACC, 0.5))
     distortion = np.mean((trace.S[0] - trace.S_hat[0]) ** 2)
     assert report.empirical["distortion"] == pytest.approx(distortion, rel=1e-12)
     assert report.empirical["distortion_se"] == 0.0
@@ -761,8 +762,9 @@ def test_sweep_rows_are_region_records_plus_report_columns(scheme):
 
 
 def _batch_runs(plan, scheme, params, split, block, rates, start, stop):
-    """The public batch runner of ``scheme`` on the harness's draws of trials
-    start..stop-1, with its (B, n) traces; ``rates`` is the report's."""
+    """The public batch runner on the harness's draws of trials start..stop-1
+    of ``scheme``, with its (B, n) traces, and the plan's true state S;
+    ``rates`` is the report's."""
     n = block.n
     S = plan.normals(start, stop, harness.STATE, n, math.sqrt(params.Q))
     eta = plan.normals(start, stop, harness.NOISE, n, math.sqrt(params.sigma2))
@@ -771,16 +773,18 @@ def _batch_runs(plan, scheme, params, split, block, rates, start, stop):
         W1 = plan.messages(start, stop, harness.MSG, [M1])[M1]
         W2 = plan.messages(start, stop, harness.MSG2, [M2])[M2]
         coeffs = sk_dpmac.mac_coefficients(params, split.gamma, split.beta, n)
-        return sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
+        return harness.run_batch(coeffs, [M1, M2], [W1, W2], S, eta, coeffs.est_coef), S
     M = rates["M"]
     W = plan.messages(start, stop, harness.MSG, [M])[M]
     if scheme == "noisy":
         Z = plan.normals(start, stop, harness.OBS_NOISE, n, math.sqrt(params.sigma_z2))
         eq = noisy_obs.make_equivalent(params)
         _, _, coeffs = sk_dpc.resolve_loop(eq, split.gamma, block, noisy_obs.EQUIVALENT_NOISE)
-        return noisy_obs.noisy_run_batch(params, split.gamma, M, coeffs, W, S, Z, eta)
+        return harness.run_batch(coeffs, [M], [W], *noisy_obs.equivalent_draws(params, S, Z, eta),
+                                 noisy_obs.true_state_coefficient(params, split.gamma)), S
     _, _, coeffs = sk_dpc.resolve_loop(params, split.gamma, block)
-    return sk_dpc.run_batch(params, split.gamma, M, coeffs, W, S, eta)
+    weight = sk_dpc.estimation_coefficient(params, split.gamma)
+    return harness.run_batch(coeffs, [M], [W], S, eta, weight), S
 
 
 @pytest.mark.parametrize("scheme, params, split", [
@@ -791,9 +795,9 @@ def _batch_runs(plan, scheme, params, split, block, rates, start, stop):
     ("noisy", FIG3, PowerSplit(0.0)),
 ])
 def test_a_trace_writer_changes_no_report_value(scheme, params, split):
-    # with a writer the runners store their traces, without one they reduce
+    # with a writer the runner stores its traces, without one the harness reduces
     # each batch inside the loop; both must give the same report, and the
-    # written columns must be the public batch runners' rows; gamma = 0 takes
+    # written columns must be the public batch runner's rows; gamma = 0 takes
     # the state-forwarding kernel
     trials, block = harness.BATCH + 1, BlockConfig(6, rate_fraction=0.5)
     columns = {}
@@ -807,13 +811,14 @@ def test_a_trace_writer_changes_no_report_value(scheme, params, split):
     assert sorted(columns) == list(range(trials))
     plan = harness.RandomPlan(11)
     for start, stop in [(0, harness.BATCH), (harness.BATCH, trials)]:
-        trace = _batch_runs(plan, scheme, params, split, block, traced.rates, start, stop)
+        trace, S = _batch_runs(plan, scheme, params, split, block, traced.rates, start, stop)
         if len(trace.M) == 2:
             fields = {"X1": trace.X[0], "X2": trace.X[1], "Y": trace.Y,
                       "theta1_hat": trace.theta_hat[0], "theta2_hat": trace.theta_hat[1]}
         else:
             fields = {"X": trace.X[0], "Y": trace.Y, "theta_hat": trace.theta_hat[0]}
-        fields.update(S=trace.S, S_hat=trace.S_hat)
+        # the S column is the true state, which the noisy loop's record does not carry
+        fields.update(S=S, S_hat=trace.S_hat)
         names = list(fields)
         assert list(columns[start]) == names
         for i, trial in enumerate(range(start, stop)):
@@ -840,7 +845,8 @@ def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, 
     W = np.array([1, 2, 1, 2, 1])
     if K == 2:
         coeffs = sk_dpmac.mac_coefficients(params, split.gamma, split.beta, n)
-        trace = sk_dpmac.mac_run_batch(coeffs, 2, 3, W, W + 1, S, eta, traces=traces)
+        trace = harness.run_batch(coeffs, [2, 3], [W, W + 1], S, eta, coeffs.est_coef,
+                                  traces=traces)
         assert trace.M == (2, 3)
         np.testing.assert_array_equal(trace.W, [W, W + 1])
     else:
@@ -849,11 +855,13 @@ def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, 
         if scheme == "noisy":
             eq = noisy_obs.make_equivalent(params)
             _, _, coeffs = sk_dpc.resolve_loop(eq, split.gamma, BlockConfig(n))
-            trace = noisy_obs.noisy_run_batch(params, split.gamma, M, coeffs, W, S, Z, eta,
-                                              traces=traces)
+            trace = harness.run_batch(coeffs, [M], [W], *noisy_obs.equivalent_draws(
+                params, S, Z, eta), noisy_obs.true_state_coefficient(params, split.gamma),
+                traces=traces)
         else:
             _, _, coeffs = sk_dpc.resolve_loop(params, split.gamma, BlockConfig(n))
-            trace = sk_dpc.run_batch(params, split.gamma, M, coeffs, W, S, eta, traces=traces)
+            weight = sk_dpc.estimation_coefficient(params, split.gamma)
+            trace = harness.run_batch(coeffs, [M], [W], S, eta, weight, traces=traces)
         assert trace.M == (M,)
         np.testing.assert_array_equal(trace.W, [W])
     assert type(trace) is sk_dpc.SchemeTrace
@@ -872,9 +880,9 @@ def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, 
 
 
 #: (B, n) arrays that a run of one batch may peak at without a trace writer
-PEAK_ARRAYS = {"mac": 3.75, "dpc": 3.75, "noisy": 6.75}
+PEAK_ARRAYS = {"mac": 3.75, "dpc": 3.75, "noisy": 5.75}
 #: the same on the gamma = 0 state-forwarding split
-FORWARDING_PEAK_ARRAYS = {"dpc": 3.75, "noisy": 6.75}
+FORWARDING_PEAK_ARRAYS = {"dpc": 3.75, "noisy": 5.75}
 
 
 @pytest.mark.parametrize("scheme, params, split, n", [
@@ -890,11 +898,13 @@ def test_a_run_without_a_trace_writer_keeps_few_batch_arrays(scheme, params, spl
     # 3.1 (dpc) (B, n) arrays. The loop once ran on slot-major copies of S
     # and eta and the estimate and the error took arrays of their own, a
     # peak of 5.2 and 5.1; storing the X and theta_hat traces as well took
-    # it to 9 (mac) and 7 (dpc). The noisy plan adds Z and the runner the
+    # it to 9 (mac) and 7 (dpc). The noisy plan adds Z, and the batch's
     # equivalent state and noise, the noise slot-major so that the loop
-    # reads each slot's noise contiguously (6.1). At gamma = 0 the same loop
-    # runs with no message loop and peaks like the message path (3.1 dpc,
-    # 6.1 noisy)
+    # reads each slot's noise contiguously, are formed once from S, Z and
+    # eta, which peaks at those 5 arrays; Z and eta then go before the loop
+    # adds Y (5.0). Formed in each split's runner, beside the plan's Z and
+    # eta, they took the peak to 6.1. At gamma = 0 the same loop runs with
+    # no message loop and peaks like the message path (3.1 dpc, 5.0 noisy)
     B = harness.BATCH
     block = BlockConfig(n, rate_fraction=0.5)
     tracemalloc.start()
@@ -944,3 +954,15 @@ def test_a_sweep_over_two_batches_keeps_few_batch_arrays():
     finally:
         tracemalloc.stop()
     assert peak / (B * n * 8) < FORWARDING_PEAK_ARRAYS["noisy"]
+
+
+def test_the_noisy_draws_are_transformed_once_per_batch(monkeypatch):
+    # every split of a batch runs on one equivalent state and noise, so a
+    # 3-point sweep over two batches forms them twice, not once per point
+    calls = []
+    transform = noisy_obs.equivalent_draws
+    monkeypatch.setattr(noisy_obs, "equivalent_draws",
+                        lambda *draws: calls.append(len(draws)) or transform(*draws))
+    harness.sweep("noisy", FIG3, [0.0, 0.5, 1.0], BlockConfig(10, rate_fraction=0.5),
+                  2 * harness.BATCH, harness.RandomPlan(3))
+    assert calls == [4, 4]

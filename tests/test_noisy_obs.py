@@ -83,12 +83,12 @@ def test_scheme_beats_printed_bound_when_observation_noisy():
 
 
 def _one_block(params, gamma, block, w, S, Z, eta):
-    """Message w over one (n,) block, run through noisy_run_batch as a batch of one."""
+    """Message w over one (n,) block, run through the runner as a batch of one."""
     eq, noise = noisy_obs.make_equivalent(params), noisy_obs.EQUIVALENT_NOISE
     _, M, coeffs = sk_dpc.resolve_loop(eq, gamma, block, noise)
-    trace = noisy_obs.noisy_run_batch(
-        params, gamma, M, coeffs, np.array([w]), S[None], Z[None], eta[None]
-    )
+    draws = noisy_obs.equivalent_draws(params, S[None], Z[None], eta[None])
+    trace = harness.run_batch(coeffs, [M], [np.array([w])], *draws,
+                              noisy_obs.true_state_coefficient(params, gamma))
     return stepwise.batch_row(trace, 0)
 
 
@@ -102,7 +102,8 @@ def test_zero_observation_noise_reproduces_clean_trace():
     dpc = DpcParams(CLEAN.P, CLEAN.Q, CLEAN.sigma2)
     _, M, coeffs = sk_dpc.resolve_loop(dpc, 0.5, block)
     clean = stepwise.batch_row(
-        sk_dpc.run_batch(dpc, 0.5, M, coeffs, np.array([5]), S[None], eta[None]), 0
+        harness.run_batch(coeffs, [M], [np.array([5])], S[None], eta[None],
+                          sk_dpc.estimation_coefficient(dpc, 0.5)), 0
     )
     np.testing.assert_array_equal(noisy.X, clean.X)
     np.testing.assert_array_equal(noisy.Y, clean.Y)
@@ -155,8 +156,10 @@ def test_run_block_matches_harness_traces(gamma):
         eta = plan.normals(trial, trial + 1, harness.NOISE, n, math.sqrt(FIG3.sigma2))[0]
         W = plan.message(trial, harness.MSG, M)
         trace = _one_block(FIG3, gamma, block, W, S, Z, eta)
-        for name in ("X", "Y", "theta_hat", "S", "S_hat"):
+        for name in ("X", "Y", "theta_hat", "S_hat"):
             np.testing.assert_array_equal(getattr(trace, name), cols[name], err_msg=name)
+        # the S column is the true state; the record carries the equivalent one
+        np.testing.assert_array_equal(S, cols["S"], err_msg="S")
         assert trace.W_hat == int(sk_dpc.decode_batch(cols["theta_hat"][-1], M))
 
 
@@ -190,11 +193,15 @@ def test_forwarding_only_path_and_m_guard():
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_noisy_run_batch_rejects_a_short_observation_noise(gamma):
+    """The noisy path of either split, transform then runner, rejects a short Z
+    in the transform, before the split's runner is reached."""
     eq = noisy_obs.make_equivalent(FIG3)
     _, M, coeffs = sk_dpc.resolve_loop(eq, gamma, BlockConfig(n=8), noisy_obs.EQUIVALENT_NOISE)
     S = np.ones((4, 8))
     with pytest.raises(LengthMismatch):
-        noisy_obs.noisy_run_batch(FIG3, gamma, M, coeffs, np.ones(4, int), S, S[:, :7], S)
+        harness.run_batch(coeffs, [M], [np.ones(4, int)],
+                          *noisy_obs.equivalent_draws(FIG3, S, S[:, :7], S),
+                          noisy_obs.true_state_coefficient(FIG3, gamma))
 
 
 def test_one_run_builds_the_equivalent_channel_at_most_four_times(monkeypatch):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpsk import cli, harness, output, regions, sk_dpmac
+from dpsk import cli, harness, noisy_obs, output, regions, sk_dpmac
 from dpsk.errors import ConfigError
 from dpsk.params import (
     CHANNELS, CONFIG_KEYS, BlockConfig, DpcParams, MacParams, NoisyObsParams, PowerSplit,
@@ -555,6 +555,28 @@ def test_a_block_numpy_cannot_hold_is_rejected_in_one_line(capsys, name):
     assert code == 2 and out == ""
     assert err.startswith("error: n = 100000000000000000000 is too long") and err.count("\n") == 1
     assert err.rstrip().endswith(message)
+
+
+#: gamma*P/sigma2 = 5e15 lies past the closed form's range and the recursion stops at step 2
+CANCELLING = {
+    "dpc": ["--P", "1e10", "--Q", "1", "--sigma2", "1e-6", "--gamma", "0.5"],
+    "noisy": ["--P", "1e10", "--Q", "1", "--sigma2", "1e-6", "--sigma_z2", "0", "--gamma", "0.5"],
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(CANCELLING))
+def test_a_recursion_that_stops_names_its_stop_at_an_n_numpy_cannot_hold(capsys, scheme):
+    # at n = 1e20 the verdict on the record once came first and said it does not fit
+    errors = []
+    for n in ("1000", "100000000000000000000"):
+        code, out, err = run_cli(capsys, "simulate", scheme, *CANCELLING[scheme], "--n", n,
+                                 "--rate", "1e-30", "--trials", "5")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[1].rstrip().endswith(
+        "= 5e+15 is too large: the error variance update cancels in float64 at step 2")
+    assert (noisy_obs.EQUIVALENT_NOISE in errors[1]) == (scheme == "noisy")
 
 
 def test_a_sweep_whose_block_numpy_cannot_hold_is_rejected_in_one_line(capsys):

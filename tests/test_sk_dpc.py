@@ -9,7 +9,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import dpsk
-from dpsk import noisy_obs, regions, sk_dpc, sk_dpmac
+from dpsk import harness, noisy_obs, regions, sk_dpc, sk_dpmac
 from dpsk.errors import (
     BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange,
     SplitOutOfRange,
@@ -176,10 +176,16 @@ def _stepwise_block(coeffs, theta, S, eta):
     return X, Y, theta_hat
 
 
+def _run_batch(params, gamma, M, coeffs, W, S, eta):
+    """The one batch runner on a single-user batch, weighing Y by the dpc receiver's c."""
+    weight = sk_dpc.estimation_coefficient(params, gamma)
+    return harness.run_batch(coeffs, [M], [W], S, eta, weight)
+
+
 def _one_block(params, gamma, block, w, S, eta):
-    """Message w over one (n,) block, run through run_batch as a batch of one."""
+    """Message w over one (n,) block, run through the runner as a batch of one."""
     _, M, coeffs = sk_dpc.resolve_loop(params, gamma, block)
-    trace = sk_dpc.run_batch(params, gamma, M, coeffs, np.array([w]), S[None], eta[None])
+    trace = _run_batch(params, gamma, M, coeffs, np.array([w]), S[None], eta[None])
     return stepwise.batch_row(trace, 0)
 
 
@@ -193,7 +199,7 @@ BIT_FOR_BIT_CASES = [
 
 
 def test_run_block_matches_batch_kernel_bit_for_bit():
-    # each block as a batch of one and one B = 4 run_batch call against the
+    # each block as a batch of one and one B = 4 runner call against the
     # stepwise protocol
     M = 32
     W = np.array([1, 9, 20, 32])
@@ -203,7 +209,7 @@ def test_run_block_matches_batch_kernel_bit_for_bit():
         S = rng.normal(0.0, math.sqrt(params.Q), size=(4, n))
         eta = rng.normal(0.0, math.sqrt(params.sigma2), size=(4, n))
         coeffs = sk_dpc.compute_coefficients(params, gamma, n)
-        batch = sk_dpc.run_batch(params, gamma, M, coeffs, W, S, eta)
+        batch = _run_batch(params, gamma, M, coeffs, W, S, eta)
         for i, w in enumerate(W):
             theta = sk_dpc.message_to_theta(w, M)
             X, Y, th = _stepwise_block(coeffs, theta, S[i], eta[i])
@@ -255,9 +261,9 @@ def _assert_rows_match(trace, rows, power):
        n=st.integers(2, 119), M=st.integers(1, 4096), sigma_z2=MAYBE_ZERO,
        seed=st.integers(0, 2**32 - 1))
 def test_every_runner_row_is_the_stepwise_protocol(P, Q, sigma2, gamma, n, M, sigma_z2, seed):
-    # run_batch and noisy_run_batch against the stepwise protocol, bit for bit,
-    # on accepted configurations; the noisy loop runs the protocol on the
-    # equivalent channel, fed kappa (S + Z) and the noise S - kappa (S + Z) + eta
+    # the runner against the stepwise protocol, bit for bit, on accepted
+    # configurations; the noisy loop runs the protocol on the equivalent
+    # channel, fed equivalent_draws' kappa (S + Z) and S - kappa (S + Z) + eta
     M = M if gamma else 1
     rng = np.random.default_rng(seed)
     S, Z, eta = rng.normal(size=(3, 3, n)) * np.sqrt([[[Q]], [[sigma_z2]], [[sigma2]]])
@@ -272,12 +278,15 @@ def test_every_runner_row_is_the_stepwise_protocol(P, Q, sigma2, gamma, n, M, si
             noisy_rows = _stepwise_rows(eq, gamma, M, W, s_eq, S - s_eq + eta)
     except (ConfigError, DegenerateSplit):
         reject()
-    _assert_rows_match(sk_dpc.run_batch(clean, gamma, M, coeffs, W, S, eta), rows, power)
+    _assert_rows_match(_run_batch(clean, gamma, M, coeffs, W, S, eta), rows, power)
     if noisy is not None:
         eq_coeffs, eq_rows, eq_power = noisy_rows
-        trace = noisy_obs.noisy_run_batch(noisy, gamma, M, eq_coeffs, W, S, Z, eta)
+        draws = noisy_obs.equivalent_draws(noisy, S, Z, eta)
+        trace = harness.run_batch(eq_coeffs, [M], [W], *draws,
+                                  noisy_obs.true_state_coefficient(noisy, gamma))
         _assert_rows_match(trace, eq_rows, eq_power)
-        np.testing.assert_array_equal(trace.S, S)
+        # the record carries the state the loop ran on, the equivalent one
+        np.testing.assert_array_equal(trace.S, s_eq)
 
 
 #: The longest block the coefficient property test draws: at a low
@@ -388,7 +397,7 @@ def test_run_batch_rejects_misshapen_batches(gamma):
              (np.ones(8, int), np.ones(8), np.ones(8))]
     for W, S, eta in cases:
         with pytest.raises(LengthMismatch):
-            sk_dpc.run_batch(ACC, gamma, M, coeffs, W, S, eta)
+            _run_batch(ACC, gamma, M, coeffs, W, S, eta)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -398,8 +407,8 @@ def test_run_batch_rejects_messages_outside_the_set(gamma):
     _, M, coeffs = sk_dpc.resolve_loop(ACC, gamma, BlockConfig(n=4))
     for W in (np.array([M + 1, 1]), np.array([1, 0])):
         with pytest.raises(MessageOutOfRange):
-            sk_dpc.run_batch(ACC, gamma, M, coeffs, W, np.ones((2, 4)), np.ones((2, 4)))
-    empty = sk_dpc.run_batch(ACC, gamma, M, coeffs, np.ones(0, int), np.ones((0, 4)),
+            _run_batch(ACC, gamma, M, coeffs, W, np.ones((2, 4)), np.ones((2, 4)))
+    empty = _run_batch(ACC, gamma, M, coeffs, np.ones(0, int), np.ones((0, 4)),
                              np.ones((0, 4)))
     assert empty.W_hat[0].shape == (0,)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from dpsk import regions, sk_dpmac
+from dpsk import harness, regions, sk_dpc, sk_dpmac
 from dpsk.errors import (
     BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, SplitOutOfRange,
 )
@@ -189,6 +189,11 @@ def test_a_stalled_propagation_holds_its_rows_in_about_the_final_arrays():
     assert peak < 3 * final
 
 
+def _run_batch(coeffs, M1, M2, W1, W2, S, eta):
+    """The one batch runner on a two-encoder batch, weighing Y by ``coeffs.est_coef``."""
+    return harness.run_batch(coeffs, [M1, M2], [W1, W2], S, eta, coeffs.est_coef)
+
+
 def test_zero_noise_decodes_every_message_pair():
     n, M = 20, 4
     block = BlockConfig(n=n, rate=math.log2(M) / n)
@@ -200,7 +205,7 @@ def test_zero_noise_decodes_every_message_pair():
     for w1 in range(1, M + 1):
         for w2 in range(1, M + 1):
             W1, W2 = np.array([w1]), np.array([w2])
-            trace = stepwise.batch_row(sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta), 0)
+            trace = stepwise.batch_row(_run_batch(coeffs, M1, M2, W1, W2, S, eta), 0)
             assert (trace.W_hat[0], trace.W_hat[1]) == (w1, w2)
 
 
@@ -227,7 +232,7 @@ BIT_FOR_BIT_CASES = [
 
 
 def test_run_block_matches_batch_kernel_bit_for_bit():
-    # each block as a batch of one and one B = 4 mac_run_batch call against
+    # each block as a batch of one and one B = 4 runner call against
     # the stepwise protocol
     W1, W2 = np.array([1, 2, 2, 3]), np.array([2, 1, 2, 3])
     for params, gamma, beta, n, paper_sgn in BIT_FOR_BIT_CASES:
@@ -238,13 +243,13 @@ def test_run_block_matches_batch_kernel_bit_for_bit():
         coeffs = sk_dpmac.mac_coefficients(params, gamma, beta, n, paper_sgn=paper_sgn)
         (rate1, M1), (rate2, M2), _ = sk_dpmac.resolve_mac_rates(params, gamma, beta, block)
         assert rate1 == rate2 == block.rate and M1 == M2 == 3
-        batch = sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
+        batch = _run_batch(coeffs, M1, M2, W1, W2, S, eta)
         for i in range(4):
-            theta1 = sk_dpmac.message_to_theta(W1[i], M1)
-            theta2 = sk_dpmac.message_to_theta(W2[i], M2)
+            theta1 = sk_dpc.message_to_theta(W1[i], M1)
+            theta2 = sk_dpc.message_to_theta(W2[i], M2)
             X1, X2, Y = _stepwise_block(coeffs, theta1, theta2, S[i], eta[i])
             w1_hat, w2_hat, th1, th2 = stepwise.mac_decode(Y, coeffs, M1, M2)
-            one = sk_dpmac.mac_run_batch(
+            one = _run_batch(
                 coeffs, M1, M2, W1[i : i + 1], W2[i : i + 1], S[i : i + 1], eta[i : i + 1]
             )
             for trace in (stepwise.batch_row(one, 0), stepwise.batch_row(batch, i)):
@@ -270,7 +275,7 @@ VALUES = st.floats(-3, 6).map(lambda e: 10.0**e)
        seed=st.integers(0, 2**32 - 1))
 def test_every_runner_row_is_the_stepwise_protocol(P1, P2, Q, sigma2, gamma, beta, paper_sgn,
                                                    n, M1, M2, seed):
-    # mac_run_batch against the stepwise protocol, bit for bit, on accepted
+    # the runner against the stepwise protocol, bit for bit, on accepted
     # configurations, with the per-slot power of each encoder summed over the
     # rows in order
     rng = np.random.default_rng(seed)
@@ -281,11 +286,11 @@ def test_every_runner_row_is_the_stepwise_protocol(P1, P2, Q, sigma2, gamma, bet
                                            paper_sgn=paper_sgn)
     except (ConfigError, DegenerateSplit):
         reject()
-    trace = sk_dpmac.mac_run_batch(coeffs, M1, M2, W1, W2, S, eta)
+    trace = _run_batch(coeffs, M1, M2, W1, W2, S, eta)
     power = np.zeros((2, n))
     for i in range(3):
-        theta1 = sk_dpmac.message_to_theta(W1[i], M1)
-        theta2 = sk_dpmac.message_to_theta(W2[i], M2)
+        theta1 = sk_dpc.message_to_theta(W1[i], M1)
+        theta2 = sk_dpc.message_to_theta(W2[i], M2)
         X1, X2, Y = _stepwise_block(coeffs, theta1, theta2, S[i], eta[i])
         w1_hat, w2_hat, th1, th2 = stepwise.mac_decode(Y, coeffs, M1, M2)
         power += [X1 * X1, X2 * X2]
@@ -330,8 +335,8 @@ def test_shape_checks():
     with pytest.raises(LengthMismatch):
         stepwise.mac_decode(np.ones(5), coeffs, 2, 2)
     with pytest.raises(LengthMismatch):
-        sk_dpmac.mac_run_batch(coeffs, 2, 2, np.ones(1, int), np.ones(1, int),
-                               np.ones((1, 5)), np.ones((1, 8)))
+        _run_batch(coeffs, 2, 2, np.ones(1, int), np.ones(1, int), np.ones((1, 5)),
+                   np.ones((1, 8)))
     # the batch kernel's own checks: a wrong B, a wrong n, eta shaped unlike S
     theta = np.zeros(4)
     for S, eta in [(np.ones((3, 8)),) * 2, (np.ones((4, 7)),) * 2, (np.ones((4, 8)), np.ones(8))]:

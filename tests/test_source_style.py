@@ -1,6 +1,7 @@
 """Source-wide style rules, checked over the package, the tests and the demos."""
 
 import ast
+import collections
 import pathlib
 
 from dpsk.params import CHANNELS
@@ -146,3 +147,27 @@ def test_every_batch_kernel_is_one_call_of_the_closed_loop():
                 for statement in body[1:]
             ]
     assert bodies == {name: [True] for name in bodies}
+
+
+def _kernel_readers(node, owner, readers):
+    """Add to ``readers`` each batch kernel name that ``node`` reads, with
+    the innermost named function around the read, ``owner`` outside any."""
+    if isinstance(node, ast.FunctionDef):
+        owner = node.name
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    if name in {kernel for kernels in KERNELS.values() for kernel in kernels}:
+        readers[name].add(owner)
+    for child in ast.iter_child_nodes(node):
+        _kernel_readers(child, owner, readers)
+
+
+def test_every_batch_kernel_is_called_from_the_one_runner():
+    # the schemes share one batch runner, which picks the kernel by the
+    # record's loop count; no other function of the package reaches one
+    readers = collections.defaultdict(set)
+    for path in sorted(ROOT.glob("src/dpsk/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _kernel_readers(tree, path.stem, readers)
+    kernels = [kernel for names in KERNELS.values() for kernel in names]
+    assert {kernel: readers[kernel] for kernel in kernels} == dict.fromkeys(kernels, {"run_batch"})
+    assert "def run_batch(" in (ROOT / "src/dpsk/harness.py").read_text(encoding="utf-8")
