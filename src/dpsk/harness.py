@@ -540,8 +540,8 @@ _Scheme = collections.namedtuple("_Scheme", ("run", "points", "measured", "check
                                  defaults=(None,))
 
 #: Each scheme's run function, its sweep points, the report entries (rates, then empirical
-#: values) that a sweep row carries, its split's verdict on n, and the function that gives
-#: the channel its loops run on, unless that is the scheme's own.
+#: values) that a sweep row carries, its split's verdict on n, which its coefficient call also
+#: reaches, and the function that gives the channel its loops run on, unless the scheme's own.
 _SCHEMES = {
     "dpc": _Scheme(_run_dpc, _dpc_points, ("rate", "pe", "distortion"), _check_loop),
     "mac": _Scheme(_run_mac, _mac_points, ("rate1", "rate2", "pe1", "pe2", "distortion"),
@@ -571,18 +571,26 @@ def run_experiment(scheme, params, splits, block, trials, plan,
     probability is the fraction of wrongly decoded messages and distortion
     the time-averaged squared estimation error including the estimate-free
     initial slots. Up to ``workers`` processes share the batches of a run
-    without a trace writer; the reports do not depend on how many.
+    without a trace writer; the reports do not depend on how many. Each
+    split's verdict on n, then the fit of a batch of draws, precede resolution.
     """
     check_count("workers", workers)
     splits = list(splits)
+    if not splits:
+        raise EmptyGrid("an experiment needs at least one split")
     if trace_writer is not None and len(splits) > 1:
         raise ConfigError(f"a trace writer takes the trials of one split, not {len(splits)}")
     configs = [_run_config(scheme, params, split, block, trials, plan) for split in splits]
     stds = [(c, math.sqrt(getattr(params, v))) for c, v in _VARIANCES if hasattr(params, v)]
     spec = _SCHEMES[scheme]
     loop = spec.loop(params) if spec.loop else params  # the channel the loops run on
-    for split in splits:  # every split's verdict on n, before any recursion or array of length n
-        spec.check(loop, split, block.n, (len(stds), min(trials, BATCH), block.n), paper_sgn)
+    for split in splits:
+        spec.check(loop, split, block.n, paper_sgn)
+    try:
+        np.empty((len(stds), min(trials, BATCH), block.n))
+    except (ValueError, MemoryError):
+        raise ConfigError(f"n = {block.n} is too long: a batch's normal draws do not fit in "
+                          "memory", field="n") from None
     runs = []
     for split in splits:
         try:
@@ -591,7 +599,7 @@ def run_experiment(scheme, params, splits, block, trials, plan,
             runs.append(exc)
     live = [run for run in runs if isinstance(run, _Run)]
     if not live:
-        raise runs[0] if runs else EmptyGrid("an experiment needs at least one split")
+        raise runs[0]
     measured = iter(_simulate(params, stds, block.n, trials, plan, live, trace_writer, workers))
     reports = []
     for config, run in zip(configs, runs):

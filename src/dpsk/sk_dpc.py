@@ -43,6 +43,7 @@ which the kernel fills and every scheme's one runner, ``harness.run_batch``, com
 
 import array
 import collections
+import contextlib
 import dataclasses
 import math
 import sys
@@ -53,7 +54,7 @@ from . import regions
 from .errors import (
     BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange,
 )
-from .params import DpcParams, PowerSplit, check_fraction, resolve_block
+from .params import DpcParams, PowerSplit, check_count, check_fraction, resolve_block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,64 +153,46 @@ def _longest_block(power, s2):
     return longest, math.exp(y)
 
 
-def _check_block(n, width, power=0.0, s2=1.0, recursion=None, draws=()):
-    """The one verdict on an n-step block, before any array of length n exists: ConfigError
-    on n past the longest block of a loop of message power ``power`` over the noise ``s2``
-    (:func:`_longest_block`), then if numpy cannot allocate, or index, the record of
-    ``width`` values a step, once ``recursion()`` of a loop with no closed form has named
-    any stop of its own, or a batch of normal draws of shape ``draws``."""
+def _check_length(n, power, s2):
+    """ConfigError on n past the longest block, where :func:`_longest_block` gives it."""
     longest, alpha = _longest_block(power, s2)
     if n > longest:
         _check_variance(alpha, longest + 1, n, power, s2, "gamma", "gamma*P")
-    for shape, first, what in (((width, n), recursion, "its per-step coefficients"),
-                               (draws, None, "a batch's normal draws")):
-        try:
-            np.empty(shape)
-        except (ValueError, MemoryError):
-            break
-    else:
-        return
-    if first:
-        first()
-    raise ConfigError(f"n = {n} is too long: {what} do not fit in memory", field="n")
 
 
-def _check_loop(params: DpcParams, split: PowerSplit, n, draws, paper_sgn, noise="sigma2"):
-    """:func:`_check_block` for a single-user split: 3 values a step, none at gamma*P = 0; with
-    no closed form, the first 2**16 steps of its recursion name any stop of their own."""
-    power, s2 = split.gamma * params.P, params.sigma2
-    _check_block(n, 3 if power else 0, power, s2, draws=draws, recursion=power and (
-        lambda: _steps(power, s2, n, noise, min(n, 2**16))))
+def _check_block(n, width, recursion=None):
+    """The empty (width, n) record of an n-step block, or ConfigError if numpy cannot allocate,
+    or index, it, once ``recursion()``, the loop's own, has named any stop of its own."""
+    with contextlib.suppress(ValueError, MemoryError):
+        return np.empty((width, n))
+    if recursion:
+        recursion()
+    raise ConfigError(f"n = {n} is too long: its per-step coefficients do not fit in memory",
+                      field="n")
 
 
-def _steps(gp, s2, n, noise, stop):
-    """The flat per-step mu, alpha and gain of the first ``stop`` steps of an n-step loop of
-    power ``gp`` over the noise ``s2`` called ``noise``, each variance checked as it comes."""
-    alpha = _first_variance(gp, s2, "gamma", "gamma*P", noise)
-    rows = array.array("d", (0.0, alpha, math.nan))
-    for k in range(1, stop):
-        mu = math.sqrt(gp * alpha) / (gp + s2)
-        gain = math.sqrt(gp / alpha)
-        alpha = alpha - mu**2 * (gp + s2)
-        _check_variance(alpha, k + 1, n, gp, s2, "gamma", "gamma*P", noise)
-        rows.extend((mu, alpha, gain))
-    return rows
+def _check_loop(params: DpcParams, split: PowerSplit, n, paper_sgn, noise="sigma2"):
+    """A single-user split's verdict on n, with :func:`compute_coefficients` as its recursion."""
+    power = split.gamma * params.P
+    _check_length(n, power, params.sigma2)
+    _check_block(n, 3 if power else 0, recursion=power and (
+        lambda: compute_coefficients(params, split.gamma, n, noise)))
 
 
 def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     """Evaluate the mu/alpha recursion for an n-step block, on scalars, and
     build its arrays once it has passed every check.
 
-    ``alpha`` decays geometrically; :func:`_check_block` first rejects a
-    block past its closed-form length, which decides only the length, or one
-    numpy cannot hold. :func:`_check_variance` rejects a block long enough to
-    take it below float64's normal range, or so low that the next gain
-    sqrt(gamma P / alpha) overflows, naming the longest block these
-    parameters support, and a gamma*P/sigma2 so large that a variance update
-    cancels to <= 0, calling ``params.sigma2`` ``noise``, as
-    :func:`_first_variance` does for a gamma*P so small that the first
-    variance overflows.
+    ``alpha`` decays geometrically: :func:`_check_length` rejects a block past
+    its closed-form length, and at step 2**16 :func:`_check_block` one whose
+    record numpy cannot hold. :func:`_check_variance` rejects a block that
+    takes alpha below float64's normal range, or so low that the next gain
+    sqrt(gamma P / alpha) overflows, naming the longest block, and a
+    gamma*P/sigma2 so large that a variance update cancels to <= 0, calling
+    ``params.sigma2`` ``noise``, as :func:`_first_variance` does for a
+    gamma*P so small that the first variance overflows.
     """
+    check_count("n", n)
     check_fraction("gamma", gamma)
     if n < 2:
         raise BlocklengthTooSmall(f"the message loop needs n >= 2, got {n}", field="n")
@@ -217,19 +200,27 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
     if gp == 0.0:
         raise DegenerateSplit("gamma*P = 0 leaves no message power")
     s2 = params.sigma2
-    _first_variance(gp, s2, "gamma", "gamma*P", noise)  # named before any verdict on n
-    _check_block(n, 3, gp, s2)
-    rows = np.frombuffer(_steps(gp, s2, n, noise, n))
-    mu, alpha, gain = rows.reshape(n, 3).T.copy()[:, None]  # (1, n) rows
+    alpha = _first_variance(gp, s2, "gamma", "gamma*P", noise)  # named before any verdict on n
+    _check_length(n, gp, s2)
+    rows = array.array("d", (0.0, alpha, math.nan))
+    for k in range(1, n):
+        if k == 2**16:  # a recursion this long may never stop: its record must fit first
+            _check_block(n, 3)
+        mu = math.sqrt(gp * alpha) / (gp + s2)
+        gain = math.sqrt(gp / alpha)
+        alpha = alpha - mu**2 * (gp + s2)
+        _check_variance(alpha, k + 1, n, gp, s2, "gamma", "gamma*P", noise)
+        rows.extend((mu, alpha, gain))
+    mu, alpha, gain = np.frombuffer(rows).reshape(n, 3).T.copy()[:, None]  # (1, n) rows
     return dataclasses.replace(forwarding_coefficients(params, gamma, n), mu=mu, alpha=alpha,
                                gain=gain, message_amp=np.array([math.sqrt(12.0 * gp)]))
 
 
 def forwarding_coefficients(params: DpcParams, gamma, n):
     """One encoder of n slots that only forwards the state: no message loop, as at gamma*P = 0."""
+    check_count("n", n)
     sc = forward_coefficient(check_fraction("gamma", gamma), params.P, params.Q)
-    _check_block(n, 0)
-    no_loop = np.empty((0, n))
+    no_loop = _check_block(n, 0)
     return SkCoefficients(params, float(gamma), int(n), no_loop, no_loop, no_loop, lam=1.0 + sc,
                           state_coef=np.array([sc]), message_amp=np.empty(0))
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import regions
 from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
-from .params import MacParams, PowerSplit, check_fraction, resolve_block
+from .params import MacParams, PowerSplit, check_count, check_fraction, resolve_block
 from .sk_dpc import (
     SkCoefficients, _check_block, _check_variance, _closed_loop, _first_variance,
     decode_batch, forward_coefficient,
@@ -99,6 +99,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     that the first variance sigma2/(12 gamma P1) or sigma2/(12 beta P2)
     overflows.
     """
+    check_count("n", n)
     gamma = check_fraction("gamma", gamma)
     beta = check_fraction("beta", beta)
     if n < 3:
@@ -154,11 +155,11 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
                              ey2=ey2, est_coef=est_coef)
 
 
-def _check_mac(params: MacParams, split: PowerSplit, n, draws, paper_sgn):
-    """:func:`dpsk.sk_dpc._check_block` for a two-encoder split; with no closed form, its
-    recursion, if both encoders have message power, names any shorter longest block."""
+def _check_mac(params: MacParams, split: PowerSplit, n, paper_sgn):
+    """A two-encoder split's verdict on n, with no closed form: :func:`dpsk.sk_dpc._check_block`
+    on its record, with :func:`mac_coefficients` as its recursion if both loops have power."""
     live = split.gamma * params.P1 and split.beta * params.P2
-    _check_block(n, _WIDTH, draws=draws, recursion=live and (
+    _check_block(n, _WIDTH, recursion=live and (
         lambda: mac_coefficients(params, split.gamma, split.beta, n, paper_sgn)))
 
 

@@ -654,6 +654,13 @@ def test_run_config_wrapper():
     assert report.as_dict() == direct.as_dict()
 
 
+def test_an_experiment_with_no_split_names_no_scheme():
+    # with no split the scheme was looked up first, and an unknown one raised KeyError
+    with pytest.raises(EmptyGrid):
+        harness.run_experiment("bogus", DpcParams(1, 1, 1), [], BlockConfig(n=10), 5,
+                               harness.RandomPlan(0))
+
+
 def test_sweep_rows_and_grid_validation():
     plan = harness.RandomPlan(4)
     block = BlockConfig(15, rate_fraction=0.5)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpsk import cli, harness, noisy_obs, output, regions, sk_dpmac
+from dpsk import cli, harness, noisy_obs, output, regions, sk_dpc, sk_dpmac
 from dpsk.errors import ConfigError
 from dpsk.params import (
     CHANNELS, CONFIG_KEYS, BlockConfig, DpcParams, MacParams, NoisyObsParams, PowerSplit,
@@ -577,6 +577,76 @@ def test_a_recursion_that_stops_names_its_stop_at_an_n_numpy_cannot_hold(capsys,
     assert errors[1].rstrip().endswith(
         "= 5e+15 is too large: the error variance update cancels in float64 at step 2")
     assert (noisy_obs.EQUIVALENT_NOISE in errors[1]) == (scheme == "noisy")
+
+
+#: The runs above by name, each with its channel and split flags
+VERDICTS = {**{name: flags for name, (flags, _) in HUGE_BLOCKS.items()},
+            **{f"{scheme}-cancelling": flags for scheme, flags in CANCELLING.items()}}
+
+
+def _coefficient_call(name, n):
+    """The public coefficient call of the run VERDICTS names: its split's recursion, on
+    the noisy scheme's equivalent channel, or its forwarding record at gamma = 0."""
+    scheme, flags = name.split("-")[0], VERDICTS[name]
+    keys = {flag[2:]: float(value) for flag, value in zip(flags[::2], flags[1::2])}
+    gamma, beta = keys.pop("gamma"), keys.pop("beta", None)
+    channel, noise = CHANNELS[scheme](**keys), "sigma2"
+    if scheme == "mac":
+        return lambda: sk_dpmac.mac_coefficients(channel, gamma, beta, n)
+    if scheme == "noisy":
+        channel, noise = noisy_obs.make_equivalent(channel), noisy_obs.EQUIVALENT_NOISE
+    if gamma:
+        return lambda: sk_dpc.compute_coefficients(channel, gamma, n, noise)
+    return lambda: sk_dpc.forwarding_coefficients(channel, gamma, n)
+
+
+def _no_step(*args):
+    raise AssertionError("the recursion ran a step")
+
+
+def test_a_public_call_gives_the_clis_verdict(capsys, monkeypatch):
+    # at n = 10**20 a direct dpc or noisy call named its record, where the run
+    # named the variance update that cancels at step 2; forwarding runs no step
+    n = 10**20
+    for name, flags in sorted(VERDICTS.items()):
+        code, _, err = run_cli(capsys, "simulate", name.split("-")[0], *flags, "--n", str(n),
+                               "--rate", "1e-30", "--trials", "5")
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, name
+        with monkeypatch.context() as patch:
+            if name.endswith("forwarding"):
+                patch.setattr(sk_dpc, "_check_variance", _no_step)
+            with pytest.raises(ConfigError) as info:
+                _coefficient_call(name, n)()
+        assert f"error: {info.value}\n" == err, name
+        assert info.value.field == ("gamma" if name.endswith("cancelling") else "n"), name
+
+
+@pytest.mark.parametrize("name, module, function", [
+    ("dpc-cancelling", sk_dpc, "compute_coefficients"),
+    ("mac", sk_dpmac, "mac_coefficients"),
+], ids=["dpc-cancelling", "mac"])
+def test_a_runs_verdict_calls_the_public_coefficient_function(capsys, monkeypatch, name, module,
+                                                               function):
+    # the dpc verdict ran a copy of the recursion's first 2**16 steps of its own
+    calls = []
+    public = getattr(module, function)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return public(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, counted)
+    code, out, _ = run_cli(capsys, "simulate", name.split("-")[0], *VERDICTS[name], "--n",
+                           "100000000000000000000", "--rate", "1e-30", "--trials", "5")
+    assert code == 2 and out == "" and len(calls) == 1
+
+
+def test_a_sweep_names_a_points_longest_block_before_the_runs_draws(capsys):
+    # the gamma = 0 point's verdict probed the batch's draws and named them first
+    code, out, err = run_cli(capsys, "sweep", "dpc", *CHANNEL_DPC, "--grid", "2", "--n",
+                             "1000000000000000", "--rate", "1e-30", "--trials", "5")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.rstrip().endswith("the longest block is n = 642")
 
 
 def test_a_sweep_whose_block_numpy_cannot_hold_is_rejected_in_one_line(capsys):

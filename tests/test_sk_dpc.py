@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-import dpsk
 from dpsk import harness, noisy_obs, regions, sk_dpc, sk_dpmac
 from dpsk.errors import (
     BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange,
@@ -76,25 +75,23 @@ def test_a_rejected_long_block_allocates_nothing_per_step():
     assert peak < 1e6
 
 
-def test_a_public_call_rejects_a_block_numpy_cannot_hold_before_any_step(monkeypatch):
-    # a stalled recursion ran 2**16 steps before numpy was asked, and a
-    # forwarding record ended in numpy's ValueError; now no step runs
-    def step(*args):
-        raise AssertionError("the recursion ran a step")
-
-    monkeypatch.setattr(sk_dpc, "_check_variance", step)
-    for call in (lambda: dpsk.compute_coefficients(DpcParams(1e-17, 10, 1), 1.0, 10**20),
-                 lambda: sk_dpc.forwarding_coefficients(ACC, 0.0, 10**20)):
-        with pytest.raises(ConfigError, match="^n = 100000000000000000000 is too long: its "
-                                              "per-step coefficients do not fit") as info:
-            call()
-        assert info.value.field == "n"
+@pytest.mark.parametrize("n", [10.0, 10.5, 0, -5, "10"], ids=repr)
+@pytest.mark.parametrize("call", ["dpc", "mac", "forwarding"])
+def test_a_malformed_n_is_a_config_error_naming_n(call, n):
+    # a float or a string raised TypeError from range or a comparison, and the
+    # forwarding record took n = 0 and called n = -5 too long
+    calls = {"dpc": lambda: sk_dpc.compute_coefficients(ACC, 0.5, n),
+             "mac": lambda: sk_dpmac.mac_coefficients(MacParams(10, 10, 10, 5), 0.5, 0.5, n),
+             "forwarding": lambda: sk_dpc.forwarding_coefficients(ACC, 0.0, n)}
+    with pytest.raises(ConfigError) as info:
+        calls[call]()
+    assert info.value.field == "n"
 
 
 def test_a_stalled_recursion_holds_its_rows_in_about_the_final_arrays():
     # gamma*P/sigma2 = 1e-20 keeps alpha from moving, so every step is kept;
     # rows held as a list of tuples took about 200 B a step, 8.4x the 24 B of
-    # the final arrays that the block verdict, sk_dpc._check_block, probes for
+    # the final arrays, the record that sk_dpc._check_block probes at step 2**16
     tracemalloc.start()
     try:
         coeffs = sk_dpc.compute_coefficients(DpcParams(P=1e-10, Q=10, sigma2=1e10), 1.0, 20_000)

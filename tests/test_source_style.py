@@ -171,3 +171,28 @@ def test_every_batch_kernel_is_called_from_the_one_runner():
     kernels = [kernel for names in KERNELS.values() for kernel in names]
     assert {kernel: readers[kernel] for kernel in kernels} == dict.fromkeys(kernels, {"run_batch"})
     assert "def run_batch(" in (ROOT / "src/dpsk/harness.py").read_text(encoding="utf-8")
+
+
+def _calls(node, name):
+    """The calls of the function ``name``, by name or attribute, anywhere under ``node``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+
+
+def test_each_recursion_checks_its_record_in_its_own_step_loop():
+    # the dpc recursion probed its record before its first step, the run's
+    # verdict ran a copy of its steps, and each verdict probed a batch's draws
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(ROOT.glob("src/dpsk/*.py"))}
+    functions = {(module, node.name): node for module, tree in trees.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    loops = {name: [bool(_calls(loop, "_check_block"))
+                    for loop in ast.walk(functions[module, name]) if isinstance(loop, ast.For)]
+             for module, name in (("sk_dpc", "compute_coefficients"),
+                                  ("sk_dpmac", "mac_coefficients"))}
+    assert loops == {"compute_coefficients": [True], "mac_coefficients": [True]}
+    assert {module for module, tree in trees.items() if _calls(tree, "_check_block")} == {
+        "sk_dpc", "sk_dpmac"}
+    named = {key: [arg.arg for arg in node.args.posonlyargs + node.args.args
+                   + node.args.kwonlyargs] for key, node in functions.items()}
+    assert [key for key, args in named.items() if "draws" in args] == []
