@@ -553,9 +553,11 @@ _SCHEMES = {
 
 
 def _run_config(scheme, params, split, block, trials, plan):
-    """The run's validated :class:`RunConfig`; a run needs a block."""
+    """The run's validated :class:`RunConfig`; a run needs a block and a :class:`RandomPlan`."""
     if block is None:
         raise ConfigError("simulation needs a block configuration", field="n")
+    if not isinstance(plan, RandomPlan):
+        raise ConfigError(f"plan must be a RandomPlan, got {type(plan).__name__}", field="plan")
     return RunConfig(scheme, params, split, block, trials, plan.master_seed)
 
 

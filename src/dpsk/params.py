@@ -42,14 +42,15 @@ _MAX_RATE_EXPONENT = 62.0
 _CHANNEL_RANGE = (1e-50, 1e50)
 
 
-def _require_number(name, value):
+def _require_number(name, value, nan=False):
+    """A finite number as a float (NaN too if ``nan``); an integer beyond float64 reads as inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}", field=name)
     try:
         value = float(value)
     except OverflowError:  # an integer beyond float64
         value = math.inf
-    if math.isnan(value) or math.isinf(value):
+    if math.isinf(value) or math.isnan(value) and not nan:
         raise ConfigError(f"{name} must be finite, got {value!r}", field=name)
     return value + 0.0  # -0.0 + 0.0 is +0.0; every other float is unchanged
 
@@ -73,23 +74,24 @@ def _check_channel(name, value, power=False, positive=False):
 
 
 def check_fraction(name, value):
-    """A power-split fraction as a float; SplitOutOfRange outside [0, 1]."""
+    """A fraction such as ``gamma``, ``beta`` or ``rho`` as a float; ConfigError naming ``name``
+    for a non-number or an infinity, SplitOutOfRange outside [0, 1], NaN included."""
+    value = _require_number(name, value, nan=True)
     if not 0.0 <= value <= 1.0:
         raise SplitOutOfRange(f"{name} must lie in [0, 1], got {value}", field=name)
-    return float(value) + 0.0  # -0.0 becomes +0.0, as in _require_number
+    return value
 
 
-def _check_split(name, value):
-    return check_fraction(name, _require_number(name, value))
-
-
-def _check_blocklength(name, value):
+def check_blocklength(name, value, shortest=2):
+    """A block length: ConfigError naming ``name`` unless an integer within float64's range,
+    where n*rate and the finite-n targets are formed, and BlocklengthTooSmall below
+    ``shortest``, one start slot per message loop and one more (1 with no loop)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}", field=name)
-    if value < 2:
-        raise BlocklengthTooSmall(f"{name} must be >= 2, got {value}", field=name)
+    if value < shortest:
+        raise BlocklengthTooSmall(f"{name} = {value} is too short: a block needs "
+                                  f"{name} >= {shortest}", field=name)
     if value > sys.float_info.max:
-        # the rate exponent n*rate and the finite-n targets are formed in float64
         raise ConfigError(
             f"{name} must lie within float64's range (<= {sys.float_info.max:.4g}), "
             f"got an integer of {value.bit_length()} bits",
@@ -129,9 +131,9 @@ _CHECKS = {
     "Q": _check_channel,
     "sigma2": functools.partial(_check_channel, positive=True),
     "sigma_z2": _check_channel,
-    "gamma": _check_split,
-    "beta": _check_split,
-    "n": _check_blocklength,
+    "gamma": check_fraction,
+    "beta": check_fraction,
+    "n": check_blocklength,
     "rate": _check_rate,
     "rate_fraction": _check_rate,
     "trials": check_count,
@@ -267,9 +269,9 @@ CHANNELS = {"dpc": DpcParams, "mac": MacParams, "noisy": NoisyObsParams}
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig(_Checked):
-    """A fully validated simulation configuration: the split sets exactly the
-    scheme's split fractions, and a block leaves one start slot per encoder
-    and at least one more."""
+    """A fully validated simulation configuration: the scheme's channel, a split
+    setting exactly its split fractions and a block, if any, of one start slot
+    per encoder and one more (after the block's own check, n >= 2)."""
 
     scheme: str
     channel: DpcParams | MacParams | NoisyObsParams
@@ -287,16 +289,18 @@ class RunConfig(_Checked):
         if not isinstance(self.channel, channel):
             got = type(self.channel).__name__
             raise ConfigError(f"{scheme} runs on {channel.__name__}, got {got}", field="scheme")
+        for name, kind in (("split", PowerSplit), ("block", BlockConfig)):
+            value = getattr(self, name)
+            if not (isinstance(value, kind) or value is None and name == "block"):
+                got = type(value).__name__
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {got}", field=name)
         for field in dataclasses.fields(self.split):
             needed = field.name in channel.SPLIT
             if needed == (getattr(self.split, field.name) is None):
                 rule = "is required for" if needed else "does not apply to"
                 raise ConfigError(f"{field.name} {rule} the {scheme} scheme", field=field.name)
-        shortest = len(channel.SPLIT) + 1
-        if self.block is not None and self.block.n < shortest:
-            raise BlocklengthTooSmall(
-                f"the {scheme} scheme needs n >= {shortest}, got {self.block.n}", field="n"
-            )
+        if self.block is not None:
+            check_blocklength("n", self.block.n, len(channel.SPLIT) + 1)
 
 
 def _required(raw, key, scheme):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, EmptyGrid
-from .params import DpcParams, MacParams, NoisyObsParams, check_fraction
+from .params import DpcParams, MacParams, NoisyObsParams, check_blocklength, check_fraction
 
 
 def _half_log2(snr):
@@ -247,9 +247,10 @@ def boundary_sweep(params, gammas):
 
 
 def finite_n_distortion(Q, n, d_step, init_slots):
-    """Block-averaged distortion target of an n-step block: each of the
-    ``init_slots`` slots without a state estimate contributes Q, every
-    other slot the per-step floor ``d_step``."""
+    """Block-averaged distortion target of an n-step block, n > ``init_slots``:
+    each of the ``init_slots`` slots without a state estimate contributes Q,
+    every other slot the per-step floor ``d_step``."""
+    check_blocklength("n", n, init_slots + 1)
     return init_slots * Q / n + (n - init_slots) / n * d_step
 
 

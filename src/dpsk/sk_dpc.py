@@ -51,10 +51,8 @@ import sys
 import numpy as np
 
 from . import regions
-from .errors import (
-    BlocklengthTooSmall, ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange,
-)
-from .params import DpcParams, PowerSplit, check_count, check_fraction, resolve_block
+from .errors import ConfigError, DegenerateSplit, LengthMismatch, MessageOutOfRange
+from .params import DpcParams, PowerSplit, check_blocklength, check_fraction, resolve_block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,22 +178,20 @@ def _check_loop(params: DpcParams, split: PowerSplit, n, paper_sgn, noise="sigma
 
 
 def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
-    """Evaluate the mu/alpha recursion for an n-step block, on scalars, and
-    build its arrays once it has passed every check.
-
-    ``alpha`` decays geometrically: :func:`_check_length` rejects a block past
-    its closed-form length, and at step 2**16 :func:`_check_block` one whose
-    record numpy cannot hold. :func:`_check_variance` rejects a block that
-    takes alpha below float64's normal range, or so low that the next gain
-    sqrt(gamma P / alpha) overflows, naming the longest block, and a
-    gamma*P/sigma2 so large that a variance update cancels to <= 0, calling
-    ``params.sigma2`` ``noise``, as :func:`_first_variance` does for a
-    gamma*P so small that the first variance overflows.
+    """Evaluate the mu/alpha recursion for an n-step block, on scalars, and build
+    its arrays once it has passed every check, ``gamma``'s and, with n >= 2,
+    ``n``'s as in a config. ``alpha`` decays geometrically: :func:`_check_length`
+    rejects a block past its closed-form length, and at step 2**16
+    :func:`_check_block` one whose record numpy cannot hold.
+    :func:`_check_variance` rejects a block that takes alpha below float64's
+    normal range, or so low that the next gain sqrt(gamma P / alpha) overflows,
+    naming the longest block, and a gamma*P/sigma2 so large that a variance
+    update cancels to <= 0, calling ``params.sigma2`` ``noise``, as
+    :func:`_first_variance` does for a gamma*P so small that the first variance
+    overflows.
     """
-    check_count("n", n)
-    check_fraction("gamma", gamma)
-    if n < 2:
-        raise BlocklengthTooSmall(f"the message loop needs n >= 2, got {n}", field="n")
+    gamma = check_fraction("gamma", gamma)
+    check_blocklength("n", n)
     gp = gamma * params.P
     if gp == 0.0:
         raise DegenerateSplit("gamma*P = 0 leaves no message power")
@@ -217,11 +213,11 @@ def compute_coefficients(params: DpcParams, gamma, n, noise="sigma2"):
 
 
 def forwarding_coefficients(params: DpcParams, gamma, n):
-    """One encoder of n slots that only forwards the state: no message loop, as at gamma*P = 0."""
-    check_count("n", n)
-    sc = forward_coefficient(check_fraction("gamma", gamma), params.P, params.Q)
-    no_loop = _check_block(n, 0)
-    return SkCoefficients(params, float(gamma), int(n), no_loop, no_loop, no_loop, lam=1.0 + sc,
+    """One encoder that only forwards the state over n >= 1 slots, as at gamma*P = 0."""
+    gamma = check_fraction("gamma", gamma)
+    sc = forward_coefficient(gamma, params.P, params.Q)
+    no_loop = _check_block(check_blocklength("n", n, shortest=1), 0)
+    return SkCoefficients(params, gamma, n, no_loop, no_loop, no_loop, lam=1.0 + sc,
                           state_coef=np.array([sc]), message_amp=np.empty(0))
 
 
@@ -240,7 +236,7 @@ def estimation_coefficient(params: DpcParams, gamma):
     c = sqrt(Q)(sqrt(Q) + sqrt((1-gamma)P))
         / ((sqrt(Q) + sqrt((1-gamma)P))^2 + gamma P + sigma2).
     """
-    check_fraction("gamma", gamma)
+    gamma = check_fraction("gamma", gamma)
     reach = math.sqrt(params.Q) + math.sqrt((1.0 - gamma) * params.P)
     return math.sqrt(params.Q) * reach / (reach**2 + gamma * params.P + params.sigma2)
 

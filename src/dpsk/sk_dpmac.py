@@ -44,8 +44,8 @@ import sys
 import numpy as np
 
 from . import regions
-from .errors import BlocklengthTooSmall, ConfigError, DegenerateSplit
-from .params import MacParams, PowerSplit, check_count, check_fraction, resolve_block
+from .errors import ConfigError, DegenerateSplit
+from .params import MacParams, PowerSplit, check_blocklength, check_fraction, resolve_block
 from .sk_dpc import (
     SkCoefficients, _check_block, _check_variance, _closed_loop, _first_variance,
     decode_batch, forward_coefficient,
@@ -87,23 +87,20 @@ def _sign(raw, paper_sgn):
 def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     """Propagate the error covariance and freeze every per-step constant.
 
-    Like :func:`dpsk.sk_dpc.compute_coefficients` it runs on scalars and
-    builds its arrays once it has passed every check. A block long enough
-    to take alpha1*alpha2 below float64's normal range, where the
-    correlation c12/sqrt(alpha1 alpha2) can no longer be formed, is
-    rejected with ConfigError naming the longest block these parameters
-    support; :func:`dpsk.sk_dpc._check_variance` rejects, per encoder, a
-    variance so low that its next gain sqrt(gamma P1 / alpha1) or
-    sqrt(beta P2 / alpha2) overflows, or one whose update cancels to <= 0,
-    and :func:`dpsk.sk_dpc._first_variance` a gamma*P1 or beta*P2 so small
-    that the first variance sigma2/(12 gamma P1) or sigma2/(12 beta P2)
-    overflows.
+    Like :func:`dpsk.sk_dpc.compute_coefficients` it runs on scalars and builds
+    its arrays once it has passed every check, ``gamma``, ``beta`` and ``n`` (n
+    >= 3) their keys'. A block long enough to take alpha1*alpha2 below
+    float64's normal range, where the correlation c12/sqrt(alpha1 alpha2) can
+    no longer be formed, is rejected with ConfigError naming the longest block
+    these parameters support; :func:`dpsk.sk_dpc._check_variance` rejects, per
+    encoder, a variance so low that its next gain sqrt(gamma P1 / alpha1) or
+    sqrt(beta P2 / alpha2) overflows, or one whose update cancels to <= 0, and
+    :func:`dpsk.sk_dpc._first_variance` a gamma*P1 or beta*P2 so small that the
+    first variance sigma2/(12 gamma P1) or sigma2/(12 beta P2) overflows.
     """
-    check_count("n", n)
     gamma = check_fraction("gamma", gamma)
     beta = check_fraction("beta", beta)
-    if n < 3:
-        raise BlocklengthTooSmall(f"two-encoder blocks need n >= 3, got {n}", field="n")
+    check_blocklength("n", n, shortest=3)
     A = gamma * params.P1
     B = beta * params.P2
     if A == 0.0 or B == 0.0:
@@ -149,7 +146,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     mu, alpha, gain = per_step[:6].reshape(3, 2, n)
     rho, rho_raw, signs, ey2, est_coef = per_step[6:]
     amp = np.array([math.sqrt(12.0 * A), math.sqrt(12.0 * B)])
-    return MacSkCoefficients(params, gamma, int(n), mu, alpha, gain, lam=lam,
+    return MacSkCoefficients(params, gamma, n, mu, alpha, gain, lam=lam,
                              state_coef=np.array([sc1, sc2]), message_amp=amp, beta=beta,
                              paper_sgn=bool(paper_sgn), rho=rho, rho_raw=rho_raw, signs=signs,
                              ey2=ey2, est_coef=est_coef)

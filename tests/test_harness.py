@@ -610,6 +610,25 @@ def test_a_run_and_a_sweep_reject_another_schemes_channel(scheme, params):
     assert info.value.field == "scheme"
 
 
+@pytest.mark.parametrize("field, splits, block, plan, message", [
+    ("split", [0.5], BlockConfig(10), harness.RandomPlan(0),
+     "split must be a PowerSplit, got float"),
+    ("block", [PowerSplit(0.5)], 10, harness.RandomPlan(0),
+     "block must be a BlockConfig, got int"),
+    ("plan", [PowerSplit(0.5)], BlockConfig(10), 7, "plan must be a RandomPlan, got int"),
+])
+def test_a_malformed_container_is_a_config_error_naming_its_field(field, splits, block, plan,
+                                                                  message):
+    # a bare float split raised TypeError, and an int block or plan AttributeError
+    runs = [lambda: harness.run_experiment("dpc", ACC, splits, block, 10, plan)]
+    if field != "split":  # a sweep builds its own splits
+        runs.append(lambda: harness.sweep("dpc", ACC, [0.5], block, 10, plan))
+    for run in runs:
+        with pytest.raises(ConfigError) as info:
+            run()
+        assert (str(info.value), info.value.field) == (message, field)
+
+
 # scheme: (channel, its split, a split with a stray or a missing beta)
 SPLITS = {
     "dpc": (ACC, PowerSplit(0.5), PowerSplit(0.5, 0.5)),

@@ -621,6 +621,47 @@ def test_a_public_call_gives_the_clis_verdict(capsys, monkeypatch):
         assert info.value.field == ("gamma" if name.endswith("cancelling") else "n"), name
 
 
+#: A bad value of gamma or n for each scheme, and its label
+BAD_KEYS = {
+    **{f"{scheme}-n-{label}": (scheme, "n", value) for scheme in ("dpc", "noisy")
+       for label, value in (("0", 0), ("1", 1), ("10.5", 10.5), ("text", "10"),
+                            ("true", True), ("huge", 10**400))},
+    **{f"mac-n-{label}": ("mac", "n", value)
+       for label, value in (("2", 2), ("10.5", 10.5), ("text", "10"), ("true", True),
+                            ("huge", 10**400))},
+    **{f"{scheme}-gamma-{label}": (scheme, "gamma", value) for scheme in sorted(CHANNELS)
+       for label, value in (("-0.1", -0.1), ("1.5", 1.5), ("nan", math.nan), ("huge", 10**400),
+                            ("text", "0.5"), ("true", True), ("none", None))},
+}
+
+
+def _key_call(scheme, key, value):
+    """The scheme's public coefficient call on the values of RUNS, ``key`` set to ``value``."""
+    run = {**RUNS[scheme], key: value}
+    channel = CHANNELS[scheme](**{k: v for k, v in run.items()
+                                  if k not in ("gamma", "beta", "n", "trials")})
+    if scheme == "mac":
+        return lambda: sk_dpmac.mac_coefficients(channel, run["gamma"], run["beta"], run["n"])
+    if scheme == "noisy":
+        channel = noisy_obs.make_equivalent(channel)
+    return lambda: sk_dpc.compute_coefficients(channel, run["gamma"], run["n"])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_KEYS))
+def test_a_public_call_gives_the_clis_message_for_a_bad_key(capsys, tmp_path, name):
+    # the coefficient functions checked gamma and n with copies of their own: gamma =
+    # "0.5" raised TypeError, True was accepted, and NaN, mac's n = 2 and a huge n
+    # read differently; each value goes through a config file, as text would
+    scheme, key, value = BAD_KEYS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    flags = _flags({k: v for k, v in RUNS[scheme].items() if k != key})
+    cli_run = run_cli(capsys, "simulate", scheme, *flags, "--config", str(path))
+    with pytest.raises(ConfigError) as info:
+        _key_call(scheme, key, value)()
+    assert cli_run == (2, "", f"error: {info.value}\n") and info.value.field == key
+
+
 @pytest.mark.parametrize("name, module, function", [
     ("dpc-cancelling", sk_dpc, "compute_coefficients"),
     ("mac", sk_dpmac, "mac_coefficients"),

@@ -2,15 +2,18 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsk.errors import (
     BlocklengthTooSmall,
     ConfigError,
+    DegenerateSplit,
     NegativeVariance,
     PowerOutOfRange,
     SplitOutOfRange,
 )
-from dpsk import output, params
+from dpsk import noisy_obs, output, params, regions, sk_dpc, sk_dpmac
 from dpsk.params import (
     CHANNELS,
     CONFIG_KEYS,
@@ -275,3 +278,53 @@ def test_a_required_field_rejects_none(build, key, message):
 def test_an_optional_field_may_be_none():
     assert PowerSplit(0.5, None).beta is None
     assert BlockConfig(10, None, None) == BlockConfig(10)
+
+
+#: A value of any type a caller may pass for n, gamma, beta or rho: None, text,
+#: booleans, small and huge integers, infinities, NaN, subnormals and [0, 1] floats
+ANY_VALUE = st.one_of(
+    st.none(), st.text(max_size=3), st.booleans(), st.integers(-2, 12),
+    st.sampled_from([2**16 + 1, 2**63, 10**20, 10**400, -(10**400)]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats(-3e-308, 3e-308), st.floats(0, 1),
+)
+
+
+def _library_calls(n, gamma, beta, rho):
+    """Every public function that takes n, gamma, beta or rho, with its arguments."""
+    dpc, mac, noisy = DpcParams(10, 10, 5), MacParams(10, 10, 10, 5), NoisyObsParams(10, 10, 5, 1)
+    return [
+        *[(f, dpc, gamma) for f in (regions.dpc_rate_cap, regions.dpc_min_distortion,
+                                    regions.dpc_fb_boundary, sk_dpc.estimation_coefficient)],
+        *[(f, noisy, gamma) for f in (regions.noisy_rate_cap, regions.noisy_min_distortion,
+                                      regions.noisy_boundary, noisy_obs.true_state_coefficient,
+                                      noisy_obs.scheme_step_distortion)],
+        (regions.boundary_sweep, dpc, [gamma]),
+        (regions.boundary_sweep, noisy, [gamma]),
+        (regions.mac_power_normalizer, mac, gamma, beta),
+        (regions.solve_rho_star, mac, gamma, beta),
+        (regions.mac_constraints, mac, gamma, beta, rho),
+        (regions.mac_fb_region, mac, [gamma], [beta], [rho]),
+        (regions.mac_fb_region, mac, [gamma], [beta]),
+        (regions.mac_nofb_region, mac, [gamma], [beta]),
+        (regions.finite_n_distortion, 10.0, n, 1.0, 1),
+        (regions.finite_n_distortion, 10.0, n, 1.0, 2),
+        (sk_dpc.compute_coefficients, dpc, gamma, n),
+        (sk_dpc.forwarding_coefficients, dpc, gamma, n),
+        (sk_dpmac.mac_coefficients, mac, gamma, beta, n),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=ANY_VALUE, gamma=ANY_VALUE, beta=ANY_VALUE, rho=ANY_VALUE)
+def test_a_library_call_returns_or_raises_a_config_error(n, gamma, beta, rho):
+    # gamma = "0.5" or a rho of None raised TypeError, and gamma = True was accepted;
+    # a split with no message power is DegenerateSplit, the recursions' documented answer
+    for function, *args in _library_calls(n, gamma, beta, rho):
+        try:
+            function(*args)
+        except DegenerateSplit:
+            assert function in (sk_dpc.compute_coefficients, sk_dpmac.mac_coefficients)
+            assert 0.0 in (gamma, beta)
+        except ConfigError:
+            pass

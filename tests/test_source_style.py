@@ -196,3 +196,18 @@ def test_each_recursion_checks_its_record_in_its_own_step_loop():
     named = {key: [arg.arg for arg in node.args.posonlyargs + node.args.args
                    + node.args.kwonlyargs] for key, node in functions.items()}
     assert [key for key, args in named.items() if "draws" in args] == []
+
+
+def test_the_fraction_and_block_length_errors_are_raised_by_one_check_each():
+    # the coefficient functions and RunConfig wrote their own bounds on n, and
+    # a second fraction check, _check_split, stood beside check_fraction
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(ROOT.glob("src/dpsk/*.py"))}
+    raised = {error: {module: len(_calls(tree, error)) for module, tree in trees.items()
+                      if _calls(tree, error)}
+              for error in ("SplitOutOfRange", "BlocklengthTooSmall")}
+    assert raised == {"SplitOutOfRange": {"params": 1}, "BlocklengthTooSmall": {"params": 1}}
+    functions = {node.name for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_check_split" not in functions
+    assert {"check_fraction", "check_blocklength"} <= functions
