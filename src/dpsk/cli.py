@@ -6,9 +6,10 @@ with a report), ``sweep`` (simulation across a power-split grid).
 
 Parameter flags are spelled like the configuration-file keys. Argparse
 reads the text of every key and grid-size flag with :func:`_number`, and
-:mod:`dpsk.params` alone checks the value, so a ``--config`` JSON file and
-flags are interchangeable (flags win) and fail alike; a file key the
-command has no flag for is rejected. ``simulate`` and ``sweep`` also take
+:mod:`dpsk.params` alone checks the value, a grid size in the library's own
+:func:`dpsk.regions.unit_grid`, so a ``--config`` JSON file and flags are
+interchangeable (flags win) and fail alike; a file key the command has no
+flag for is rejected. ``simulate`` and ``sweep`` also take
 ``--workers N``, the processes that share a run's batches; it is not a
 configuration key, since no report depends on it. Exit codes: 0 success, 2
 configuration or usage error, 1 runtime error.
@@ -52,18 +53,14 @@ def _merged_config(args, scheme):
     return raw
 
 
-def _grid(count, name="grid"):
-    return regions.unit_grid(params_mod.check_count(name, count), name)
-
-
 def _split_grids(args, scheme):
     """The grid of each split fraction, keyed ``gamma_grid``, ``beta_grid``;
     a fraction after gamma runs over the gamma grid unless given its own."""
-    gamma_grid = _grid(args.grid)
-    grids = {"gamma_grid": gamma_grid}
+    grids = {"gamma_grid": regions.unit_grid(args.grid)}
     for name in params_mod.CHANNELS[scheme].SPLIT[1:]:
         count = getattr(args, f"{name}_grid")
-        grids[f"{name}_grid"] = gamma_grid if count is None else _grid(count, f"{name}-grid")
+        grids[f"{name}_grid"] = (grids["gamma_grid"] if count is None
+                                 else regions.unit_grid(count, f"{name}-grid"))
     return grids
 
 
@@ -85,7 +82,7 @@ def _cmd_region(args):
     channel = params_mod.channel_from(_merged_config(args, scheme), scheme)
     grids = _split_grids(args, scheme)
     if getattr(args, "rho_grid", None) is not None:
-        grids["rho_grid"] = _grid(args.rho_grid, "rho-grid")
+        grids["rho_grid"] = regions.unit_grid(args.rho_grid, "rho-grid")
     rows = region(channel, *grids.values())
     return output.region_rows(rows, sigma_z2=getattr(channel, "sigma_z2", None))
 
@@ -115,9 +112,7 @@ def _trace_writer(directory, trials):
 
 def _cmd_simulate(args):
     run = params_mod.validate(_merged_config(args, args.variant), scheme=args.variant)
-    writer = None
-    if args.dump_traces:
-        writer = _trace_writer(args.dump_traces, run.trials)
+    writer = _trace_writer(args.dump_traces, run.trials) if args.dump_traces else None
     report = harness.run_config(
         run, paper_sgn=getattr(args, "paper_sgn", False), trace_writer=writer,
         workers=args.workers,

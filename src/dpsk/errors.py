@@ -1,9 +1,9 @@
 """Exception hierarchy shared by every module in the package.
 
 Two layers matter to callers: ``ConfigError`` covers anything wrong with
-user-supplied parameters or configuration (the CLI maps it to exit code 2),
-while other ``DpskError`` subclasses signal runtime misuse of the library
-surface (exit code 1).
+user-supplied parameters, configuration or grids (the CLI maps it to exit
+code 2), while other ``DpskError`` subclasses signal runtime misuse of the
+library surface (exit code 1).
 """
 
 
@@ -51,5 +51,5 @@ class LengthMismatch(DpskError):
     """A sequence argument does not have the expected length."""
 
 
-class EmptyGrid(DpskError):
-    """A region sweep was requested over an empty grid."""
+class EmptyGrid(ConfigError):
+    """A grid, or a count such as a grid size, that asks for no point."""

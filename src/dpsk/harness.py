@@ -42,8 +42,9 @@ import sys
 import numpy as np
 
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
-from .errors import ConfigError, DegenerateSplit, DpskError, EmptyGrid
-from .params import PowerSplit, RunConfig, check_count, check_seed, to_config_dict
+from .errors import ConfigError, DegenerateSplit, DpskError
+from .params import (PowerSplit, RunConfig, check_count, check_flag, check_grid, check_seed,
+                     to_config_dict)
 from .sk_dpc import _check_loop
 from .sk_dpmac import _check_mac
 
@@ -577,9 +578,8 @@ def run_experiment(scheme, params, splits, block, trials, plan,
     split's verdict on n, then the fit of a batch of draws, precede resolution.
     """
     check_count("workers", workers)
-    splits = list(splits)
-    if not splits:
-        raise EmptyGrid("an experiment needs at least one split")
+    check_flag("paper_sgn", paper_sgn)
+    splits = check_grid("splits", splits)
     if trace_writer is not None and len(splits) > 1:
         raise ConfigError(f"a trace writer takes the trials of one split, not {len(splits)}")
     configs = [_run_config(scheme, params, split, block, trials, plan) for split in splits]
@@ -631,7 +631,7 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     feedback region at rho*) with its report's measured columns in between.
     All points share each batch's draws; rows are comparable but not
     mutually independent. The two-encoder beta grid defaults to the gamma
-    grid; the region functions reject empty grids with EmptyGrid.
+    grid; :func:`dpsk.params.check_grid` rejects an empty or non-sequence grid.
     ``workers`` is :func:`run_experiment`'s.
 
     A point whose resolution raises DegenerateSplit keeps its theory
@@ -639,7 +639,7 @@ def sweep(scheme, params, gamma_grid, block, trials, plan, beta_grid=None, paper
     message power on both sides, and single-user points at gamma*P = 0
     under a fixed rate that needs more than one message.
     """
-    gamma_grid = list(gamma_grid)
+    gamma_grid = check_grid("gamma_grid", gamma_grid)
     if beta_grid is None and "beta" in getattr(params, "SPLIT", ()):
         beta_grid = gamma_grid
     # a split with the fractions the grids vary checks the sweep up front

@@ -24,6 +24,7 @@ import sys
 from .errors import (
     BlocklengthTooSmall,
     ConfigError,
+    EmptyGrid,
     NegativeVariance,
     PowerOutOfRange,
     SplitOutOfRange,
@@ -108,10 +109,31 @@ def _check_rate(name, value):
 
 
 def check_count(name, value):
-    """A count such as ``trials`` or a grid size; ConfigError naming ``name``
-    unless it is a positive integer."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}", field=name)
+    """A count such as ``trials`` or a grid size; ConfigError naming ``name`` unless
+    it is a positive integer, EmptyGrid for an integer below 1, which asks for nothing."""
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if not (integer and value >= 1):
+        error = EmptyGrid if integer else ConfigError
+        raise error(f"{name} must be a positive integer, got {value!r}", field=name)
+    return value
+
+
+def check_grid(name, values):
+    """A grid such as ``gamma_grid`` or ``splits`` as a non-empty list; ConfigError naming
+    ``name`` unless it iterates, EmptyGrid if empty. Each point is checked where it is used."""
+    try:
+        points = list(values)
+    except TypeError as exc:  # 'float' object is not iterable
+        raise ConfigError(f"{name} must be a sequence: {exc}", field=name) from None
+    if not points:
+        raise EmptyGrid(f"{name} must hold at least one point", field=name)
+    return points
+
+
+def check_flag(name, value):
+    """A switch such as ``paper_sgn``; ConfigError naming ``name`` unless a bool."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be True or False, got {value!r}", field=name)
     return value
 
 

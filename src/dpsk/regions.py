@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGrid
-from .params import DpcParams, MacParams, NoisyObsParams, check_blocklength, check_fraction
+from .errors import ConfigError
+from .params import (DpcParams, MacParams, NoisyObsParams, check_blocklength, check_count,
+                     check_fraction, check_grid)
 
 
 def _half_log2(snr):
@@ -165,10 +166,9 @@ def mac_fb_region(params: MacParams, gamma_grid, beta_grid, rho_grid=None):
     With ``rho_grid=None`` each (gamma, beta) point is evaluated at its own
     steady-state correlation rho*; otherwise every rho in the grid is used.
     """
-    gamma_grid = list(gamma_grid)
-    beta_grid = list(beta_grid)
-    if not gamma_grid or not beta_grid or (rho_grid is not None and len(rho_grid) == 0):
-        raise EmptyGrid("region grids must be non-empty")
+    gamma_grid = check_grid("gamma_grid", gamma_grid)
+    beta_grid = check_grid("beta_grid", beta_grid)
+    rho_grid = None if rho_grid is None else check_grid("rho_grid", rho_grid)
     out = []
     for gamma in gamma_grid:
         for beta in beta_grid:
@@ -238,9 +238,7 @@ def noisy_boundary(params: NoisyObsParams, gamma):
 
 def boundary_sweep(params, gammas):
     """Boundary points over a gamma grid, for either observation model."""
-    gammas = list(gammas)
-    if not gammas:
-        raise EmptyGrid("gamma grid must be non-empty")
+    gammas = check_grid("gammas", gammas)
     if isinstance(params, NoisyObsParams):
         return [noisy_boundary(params, g) for g in gammas]
     return [dpc_fb_boundary(params, g) for g in gammas]
@@ -255,12 +253,10 @@ def finite_n_distortion(Q, n, d_step, init_slots):
 
 
 def unit_grid(count, field="grid"):
-    """count evenly spaced points covering [0, 1]; a count whose points numpy
-    cannot allocate is a ConfigError naming ``field``."""
-    if count < 1:
-        raise EmptyGrid("grid count must be >= 1")
+    """count evenly spaced points covering [0, 1]; a count that :func:`dpsk.params.check_count`
+    rejects, or whose points numpy cannot allocate, is a ConfigError naming ``field``."""
     try:
-        return np.linspace(0.0, 1.0, count)
-    except (ValueError, MemoryError):
+        return np.linspace(0.0, 1.0, check_count(field, count))
+    except (ValueError, MemoryError, IndexError):  # numpy raises IndexError near 2**63
         raise ConfigError(f"{field} = {count} is too large: its points do not fit in memory",
                           field=field) from None

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import regions
 from .errors import ConfigError, DegenerateSplit
-from .params import MacParams, PowerSplit, check_blocklength, check_fraction, resolve_block
+from .params import (MacParams, PowerSplit, check_blocklength, check_flag, check_fraction,
+                     resolve_block)
 from .sk_dpc import (
     SkCoefficients, _check_block, _check_variance, _closed_loop, _first_variance,
     decode_batch, forward_coefficient,
@@ -87,10 +88,10 @@ def _sign(raw, paper_sgn):
 def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     """Propagate the error covariance and freeze every per-step constant.
 
-    Like :func:`dpsk.sk_dpc.compute_coefficients` it runs on scalars and builds
-    its arrays once it has passed every check, ``gamma``, ``beta`` and ``n`` (n
-    >= 3) their keys'. A block long enough to take alpha1*alpha2 below
-    float64's normal range, where the correlation c12/sqrt(alpha1 alpha2) can
+    Like :func:`dpsk.sk_dpc.compute_coefficients` it runs on scalars and builds its
+    arrays once it has passed every check, ``gamma``, ``beta`` and ``n`` (n >= 3)
+    their keys', ``paper_sgn`` a bool's. A block long enough to take alpha1*alpha2
+    below float64's normal range, where the correlation c12/sqrt(alpha1*alpha2) can
     no longer be formed, is rejected with ConfigError naming the longest block
     these parameters support; :func:`dpsk.sk_dpc._check_variance` rejects, per
     encoder, a variance so low that its next gain sqrt(gamma P1 / alpha1) or
@@ -101,6 +102,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     gamma = check_fraction("gamma", gamma)
     beta = check_fraction("beta", beta)
     check_blocklength("n", n, shortest=3)
+    check_flag("paper_sgn", paper_sgn)
     A = gamma * params.P1
     B = beta * params.P2
     if A == 0.0 or B == 0.0:
@@ -148,7 +150,7 @@ def mac_coefficients(params: MacParams, gamma, beta, n, paper_sgn=False):
     amp = np.array([math.sqrt(12.0 * A), math.sqrt(12.0 * B)])
     return MacSkCoefficients(params, gamma, n, mu, alpha, gain, lam=lam,
                              state_coef=np.array([sc1, sc2]), message_amp=amp, beta=beta,
-                             paper_sgn=bool(paper_sgn), rho=rho, rho_raw=rho_raw, signs=signs,
+                             paper_sgn=paper_sgn, rho=rho, rho_raw=rho_raw, signs=signs,
                              ey2=ey2, est_coef=est_coef)
 
 

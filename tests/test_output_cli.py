@@ -742,8 +742,8 @@ HUGE_COUNTS = {
 }
 
 
-# numpy refuses both counts without allocating; only such counts are tried here
-@pytest.mark.parametrize("count", [10**21, 2**62])
+# numpy refuses these counts without allocating; only such counts are tried here
+@pytest.mark.parametrize("count", [10**21, 2**62, 2**63 - 1, 2**63])
 @pytest.mark.parametrize("name", sorted(HUGE_COUNTS))
 def test_a_count_numpy_cannot_allocate_is_rejected_in_one_line(capsys, name, count):
     # the allocation's ValueError or MemoryError once ended in a traceback
@@ -752,6 +752,28 @@ def test_a_count_numpy_cannot_allocate_is_rejected_in_one_line(capsys, name, cou
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} = {count} is too") and err.count("\n") == 1
     assert err.rstrip().endswith("do not fit in memory")
+
+
+REGION_DPC = ["region", "dpc-fb", *CHANNEL_DPC]
+GRID_ERRORS = {
+    # the argv, and its stderr as it read before the library checked grid counts
+    "grid-0": ([*REGION_DPC, "--grid", "0"], "grid must be a positive integer, got 0"),
+    "grid-minus-1": ([*REGION_DPC, "--grid", "-1"], "grid must be a positive integer, got -1"),
+    "grid-True": ([*REGION_DPC, "--grid", "True"],
+                  "grid must be a positive integer, got 'True'"),
+    "beta-grid-2.5": (["region", "mac-fb", *CHANNEL_MAC, "--beta-grid", "2.5"],
+                      "beta-grid must be a positive integer, got 2.5"),
+    "rho-grid-x": (["region", "mac-fb", *CHANNEL_MAC, "--rho-grid", "x"],
+                   "rho-grid must be a positive integer, got 'x'"),
+    "grid-1e21": ([*REGION_DPC, "--grid", str(10**21)],
+                  f"grid = {10**21} is too large: its points do not fit in memory"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ERRORS))
+def test_a_bad_grid_count_keeps_its_error_line(capsys, name):
+    argv, message = GRID_ERRORS[name]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 TINY_SPLIT = {

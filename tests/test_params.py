@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +10,12 @@ from dpsk.errors import (
     BlocklengthTooSmall,
     ConfigError,
     DegenerateSplit,
+    EmptyGrid,
     NegativeVariance,
     PowerOutOfRange,
     SplitOutOfRange,
 )
-from dpsk import noisy_obs, output, params, regions, sk_dpc, sk_dpmac
+from dpsk import harness, noisy_obs, output, params, regions, sk_dpc, sk_dpmac
 from dpsk.params import (
     CHANNELS,
     CONFIG_KEYS,
@@ -328,3 +330,126 @@ def test_a_library_call_returns_or_raises_a_config_error(n, gamma, beta, rho):
             assert 0.0 in (gamma, beta)
         except ConfigError:
             pass
+
+
+#: Each shape a caller may give a grid in, built from a list of ANY_VALUE
+GRID_SHAPES = {
+    "value": lambda values: values[0] if values else None,
+    "list": list,
+    "tuple": tuple,
+    "array": lambda values: np.array(values, dtype=object),
+    "generator": lambda values: (value for value in values),
+    "nested": lambda values: [values],
+}
+#: A grid as (shape, values): ANY_VALUE itself, empty sequences, sequences and
+#: generators of ANY_VALUE and a nested list; each call builds its own, as a
+#: generator is spent by the first
+ANY_GRID = st.tuples(st.sampled_from(sorted(GRID_SHAPES)), st.lists(ANY_VALUE, max_size=3))
+
+
+def _grid_calls(grid):
+    """Every public function that takes a grid or a grid count, the grid in each place."""
+    dpc, mac, noisy = DpcParams(10, 10, 5), MacParams(10, 10, 10, 5), NoisyObsParams(10, 10, 5, 1)
+    block, plan = BlockConfig(10, rate_fraction=0.5), harness.RandomPlan(3)
+    return [
+        lambda: regions.unit_grid(grid()),
+        lambda: regions.boundary_sweep(dpc, grid()),
+        lambda: regions.boundary_sweep(noisy, grid()),
+        lambda: regions.mac_fb_region(mac, grid(), [0.5]),
+        lambda: regions.mac_fb_region(mac, [0.5], grid()),
+        lambda: regions.mac_fb_region(mac, [0.5], [0.5], rho_grid=grid()),
+        lambda: regions.mac_nofb_region(mac, grid(), [0.5]),
+        lambda: regions.mac_nofb_region(mac, [0.5], grid()),
+        lambda: harness.run_experiment("dpc", dpc, grid(), block, 5, plan),
+        lambda: harness.sweep("dpc", dpc, grid(), block, 5, plan),
+        lambda: harness.sweep("noisy", noisy, grid(), block, 5, plan),
+        lambda: harness.sweep("mac", mac, grid(), BlockConfig(10, rate_fraction=0.5), 5, plan),
+        lambda: harness.sweep("mac", mac, [0.5], BlockConfig(10, rate_fraction=0.5), 5, plan,
+                              beta_grid=grid()),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=ANY_GRID)
+def test_a_grid_or_grid_count_returns_or_raises_a_config_error(grid):
+    # a float grid, a rho_grid of 5 or a count of "3" raised TypeError, and a
+    # count of True gave a one-point grid
+    shape, values = grid
+    for call in _grid_calls(lambda: GRID_SHAPES[shape](values)):
+        try:
+            call()
+        except ConfigError:
+            pass
+
+
+ACC, MAC = DpcParams(10, 10, 5), MacParams(10, 10, 10, 5)
+BLOCK, PLAN = BlockConfig(10, rate=0.2), harness.RandomPlan(0)
+BAD_GRID_CALLS = {
+    # call: (the field its ConfigError names, whether it is EmptyGrid)
+    "unit_grid('3')": (lambda: regions.unit_grid("3"), "grid", False),
+    "unit_grid(None)": (lambda: regions.unit_grid(None), "grid", False),
+    "unit_grid(2.5)": (lambda: regions.unit_grid(2.5), "grid", False),
+    "unit_grid(True)": (lambda: regions.unit_grid(True), "grid", False),
+    "unit_grid(0)": (lambda: regions.unit_grid(0), "grid", True),
+    "unit_grid(2**63)": (lambda: regions.unit_grid(2**63), "grid", False),
+    "boundary_sweep(0.5)": (lambda: regions.boundary_sweep(ACC, 0.5), "gammas", False),
+    "boundary_sweep(None)": (lambda: regions.boundary_sweep(ACC, None), "gammas", False),
+    "boundary_sweep([])": (lambda: regions.boundary_sweep(ACC, []), "gammas", True),
+    "mac_fb_region(rho_grid=5)": (lambda: regions.mac_fb_region(MAC, [.5], [.5], rho_grid=5),
+                                  "rho_grid", False),
+    "mac_fb_region(beta_grid=None)": (lambda: regions.mac_fb_region(MAC, [.5], None),
+                                      "beta_grid", False),
+    "mac_fb_region(rho_grid=())": (lambda: regions.mac_fb_region(MAC, [.5], [.5], rho_grid=()),
+                                   "rho_grid", True),
+    "mac_nofb_region(0.5, 0.5)": (lambda: regions.mac_nofb_region(MAC, .5, .5),
+                                  "gamma_grid", False),
+    "sweep(0.5)": (lambda: harness.sweep("dpc", ACC, 0.5, BLOCK, 5, PLAN), "gamma_grid", False),
+    "sweep(beta_grid=3)": (lambda: harness.sweep("mac", MAC, [.5], BLOCK, 5, PLAN, beta_grid=3),
+                           "beta_grid", False),
+    "run_experiment(PowerSplit)": (
+        lambda: harness.run_experiment("dpc", ACC, PowerSplit(.5), BLOCK, 5, PLAN),
+        "splits", False),
+    "run_experiment(None)": (lambda: harness.run_experiment("dpc", ACC, None, BLOCK, 5, PLAN),
+                             "splits", False),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_GRID_CALLS))
+def test_a_bad_grid_is_a_config_error_naming_it(name):
+    # each of these ended in a TypeError traceback, or (True) gave a one-point grid
+    call, field, empty = BAD_GRID_CALLS[name]
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert info.value.field == field and isinstance(info.value, EmptyGrid) == empty
+
+
+def test_a_count_below_1_is_an_empty_grid_and_keeps_its_text():
+    with pytest.raises(EmptyGrid, match="^trials must be a positive integer, got 0$"):
+        params.check_count("trials", 0)
+    with pytest.raises(ConfigError, match=r"^grid must be a positive integer, got 2\.5$") as info:
+        params.check_count("grid", 2.5)
+    assert not isinstance(info.value, EmptyGrid)
+
+
+@pytest.mark.parametrize("flag", ["False", 1, None, np.True_], ids=repr)
+def test_a_sign_rule_that_is_not_a_bool_is_rejected(flag):
+    # "False" selected the paper's rule, which silenced encoder 2
+    runs = [lambda: sk_dpmac.mac_coefficients(MAC, .8, .8, 20, paper_sgn=flag),
+            lambda: harness.run_experiment("mac", MAC, [PowerSplit(.8, .8)], BLOCK, 5, PLAN,
+                                           paper_sgn=flag),
+            lambda: harness.run_experiment("dpc", ACC, [PowerSplit(.5)], BLOCK, 5, PLAN,
+                                           paper_sgn=flag),
+            lambda: harness.sweep("mac", MAC, [.8], BLOCK, 5, PLAN, paper_sgn=flag)]
+    for run in runs:
+        with pytest.raises(ConfigError, match="^paper_sgn must be True or False") as info:
+            run()
+        assert info.value.field == "paper_sgn"
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_sign_rule_runs(flag):
+    coeffs = sk_dpmac.mac_coefficients(MAC, .8, .8, 20, paper_sgn=flag)
+    assert coeffs.paper_sgn is flag
+    (report,) = harness.run_experiment("mac", MAC, [PowerSplit(.8, .8)], BLOCK, 5, PLAN,
+                                       paper_sgn=flag)
+    assert report.trials == 5

@@ -211,3 +211,18 @@ def test_the_fraction_and_block_length_errors_are_raised_by_one_check_each():
                  if isinstance(node, ast.FunctionDef)}
     assert "_check_split" not in functions
     assert {"check_fraction", "check_blocklength"} <= functions
+
+
+def test_every_grid_is_checked_in_params_alone():
+    # the region functions and the harness turned each grid into a list and
+    # tested it for emptiness by hand, and the CLI checked its counts in _grid
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(ROOT.glob("src/dpsk/*.py"))}
+    assert {module for module, tree in trees.items() if _calls(tree, "EmptyGrid")} == {"params"}
+    grids = [f"{module}:{call.lineno}" for module in ("regions", "harness")
+             for call in _calls(trees[module], "list")
+             if any(isinstance(arg, ast.Name) and arg.id.endswith(("grid", "gammas", "splits"))
+                    for arg in call.args)]
+    assert grids == []
+    functions = {node.name for node in ast.walk(trees["cli"]) if isinstance(node, ast.FunctionDef)}
+    assert "_grid" not in functions and _calls(trees["cli"], "check_count") == []
