@@ -11,10 +11,9 @@ on the same trials, batch after batch: each batch is drawn once, the one
 batch runner of every scheme, :func:`run_batch`, runs each split on it,
 and each split adds its per-trial results and per-slot symbol powers to
 its own sums in batch order.
-A message out of M <= 2**32 is its substream's first 32-bit word mapped
-to 1..M by Lemire's rule, as numpy's ``integers`` maps it, and several
-message-set sizes are mapped from that one word per trial where they can
-(:meth:`RandomPlan.message`, :meth:`RandomPlan.messages`). The runner stores the
+A batch's messages map its substreams' first Philox words, made in one numpy
+pass, as numpy's ``integers`` maps them; :meth:`RandomPlan.message` draws the
+trials that rule rejects, and one per batch and M as a check. The runner stores the
 per-symbol Y, X and theta_hat traces only for a run with a trace writer;
 without one the state estimate and then the squared error are formed in
 the kernel's Y buffer.
@@ -44,7 +43,7 @@ import numpy as np
 from . import noisy_obs, regions, sk_dpc, sk_dpmac
 from .errors import ConfigError, DegenerateSplit, DpskError
 from .params import (PowerSplit, RunConfig, check_count, check_flag, check_grid, check_seed,
-                     to_config_dict)
+                     shown, to_config_dict)
 from .sk_dpc import _check_loop
 from .sk_dpmac import _check_mac
 
@@ -55,6 +54,9 @@ STATE, NOISE, OBS_NOISE, MSG, MSG2 = range(5)
 _STREAMS_PER_TRIAL = 8
 _LOW = (1 << 32) - 1
 _TRIALS = (1 << 64) // _STREAMS_PER_TRIAL
+# Philox4x64-10's round multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 #: The normal components a run draws, each by the channel field of its variance.
 _VARIANCES = ((STATE, "Q"), (NOISE, "sigma2"), (OBS_NOISE, "sigma_z2"))
@@ -87,9 +89,11 @@ class RandomPlan:
         """128-bit counter key: the master seed in the low 64-bit word and
         trial * 8 + component, unique per (trial, component), in the high one."""
         if not 0 <= trial < _TRIALS:
-            raise ConfigError(f"trial index must be in 0..2**61-1, got {trial}", field="trial")
+            raise ConfigError(f"trial index must be in 0..2**61-1, got {shown(trial)}",
+                              field="trial")
         if not 0 <= component < _STREAMS_PER_TRIAL:
-            raise ConfigError(f"component must be in 0..7, got {component}", field="component")
+            raise ConfigError(f"component must be in 0..7, got {shown(component)}",
+                              field="component")
         return self.master_seed + ((trial * _STREAMS_PER_TRIAL + component) << 64)
 
     def _generator(self, trial, component):
@@ -110,14 +114,7 @@ class RandomPlan:
         return self._generator(trial, component).standard_normal(out=out)
 
     def message(self, trial, component, M):
-        """A message drawn uniformly from 1..M, bit for bit numpy's ``integers(1,
-        M + 1)``. For M <= 2**32 that maps the low 32 bits w of the substream's
-        first word to ``(w * M >> 32) + 1`` by Lemire's rule, unless the rule
-        rejects w; a rejected w, and any M > 2**32, is drawn by ``integers``."""
-        if M <= 1 << 32:
-            m = (self._generator(trial, component).bit_generator.random_raw() & _LOW) * M
-            if m & _LOW >= (2**32 - M) % M:
-                return (m >> 32) + 1
+        """A message uniform on 1..M: numpy's ``integers(1, M + 1)``, as :meth:`messages` draws."""
         return int(self._generator(trial, component).integers(1, M + 1))
 
     def normals(self, start, stop, component, n, std):
@@ -131,30 +128,52 @@ class RandomPlan:
         out.flags.writeable = False
         return out
 
-    def messages(self, start, stop, component, sizes):
-        """{M: the messages of trials start..stop-1 out of 1..M} for each M in
-        ``sizes``. Two or more M <= 2**32 map each trial's first 32-bit word
-        (its message out of 1..2**32, less one) by Lemire's multiply-shift
-        rule, as numpy's ``integers`` does, and redraw the trials it rejects;
-        a single M, and any M > 2**32, is drawn trial by trial."""
-        def draw(M):
-            return np.fromiter((self.message(trial, component, M) for trial in range(start, stop)),
-                               dtype=np.int64, count=stop - start)
+    def first_words(self, start, stop, component):
+        """The first 64-bit words of the substreams of trials start..stop-1, each bit for bit
+        ``Philox(key=self.key(trial, component)).random_raw()``, in one numpy pass."""
+        for trial in (start, max(start, stop - 1)):
+            self.key(trial, component)  # raises the span's ConfigError outside 0..2**61-1
+        k0, k1 = self.master_seed, np.arange(start, stop, dtype=np.uint64) * 8 + component
+        # round 1 takes counter (1, 0, 0, 0) to (k0, 0, k1, M0); k0 is an int: np.uint64 warns
+        c0, c1, c2, c3 = np.full_like(k1, k0), 0, k1, _PHILOX_M[0]
+        for _ in range(9):
+            k0, k1 = (k0 + _PHILOX_W[0]) & (2**64 - 1), k1 + np.uint64(_PHILOX_W[1])
+            (hi0, lo0), (hi1, lo1) = _mulhilo(c0, _PHILOX_M[0]), _mulhilo(c2, _PHILOX_M[1])
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        return c0
 
-        mapped = sorted({M for M in sizes if M <= 1 << 32})
-        if len(mapped) < 2:  # a lone M is drawn as it is; its word would add redraws
-            mapped = []
-        out = {M: draw(M) for M in sorted(set(sizes) - set(mapped))}
-        if mapped:
-            words = draw(1 << 32).astype(np.uint64) - 1
-            for M in mapped:
-                m = words * np.uint64(M)
-                out[M] = W = (m >> 32).astype(np.int64) + 1
-                for i in np.flatnonzero(m & _LOW < (2**32 - M) % M).tolist():
-                    W[i] = self.message(start + i, component, M)
-        for W in out.values():
+    def messages(self, start, stop, component, sizes):
+        """{M: the messages of trials start..stop-1 out of 1..M} for each M in ``sizes``, bit
+        for bit :meth:`message`. M <= 2**32 maps the low 32 bits of each trial's first word by
+        Lemire's rule, or the high 32 bits, numpy's next uint32, where it rejects the low ones; a
+        larger M maps the whole word by numpy's 64-bit rule. ``message`` draws the trials these
+        reject and, as a check, the first they keep; if that differs, it draws every trial."""
+        words, out = self.first_words(start, stop, component), {}
+        for M in sorted(set(sizes)):
+            if M > 1 << 32:
+                m, low = _mulhilo(words, M)
+                rejected = low < (2**64 - M) % M
+            else:
+                m = (words & _LOW) * np.uint64(M)
+                m = np.where(m & _LOW < (2**32 - M) % M, (words >> 32) * np.uint64(M), m)
+                m, rejected = m >> 32, m & _LOW < (2**32 - M) % M
+            out[M] = W = m.astype(np.int64) + 1
+            redrawn = np.flatnonzero(rejected).tolist()
+            for kept in np.flatnonzero(~rejected)[:1].tolist():  # the check: the first kept trial
+                if W[kept] != self.message(start + kept, component, M):
+                    redrawn = range(stop - start)
+            for i in redrawn:
+                W[i] = self.message(start + i, component, M)
             W.flags.writeable = False
         return out
+
+
+def _mulhilo(a, b):
+    """The high and low 64-bit words of a * b, uint64 array by integer, from 32-bit halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _LOW, a >> 32, np.uint64(b & _LOW), np.uint64(b >> 32)
+    t = a_hi * b_lo + (a_lo * b_lo >> 32)
+    u = (t & _LOW) + a_lo * b_hi
+    return a_hi * b_hi + (t >> 32) + (u >> 32), a * np.uint64(b)
 
 
 def _pe_with_ci(count, trials):
@@ -235,8 +254,8 @@ def _simulate(params, stds, n, trials, plan, runs, trace_writer, workers):
     try:
         sq_err = np.empty((len(runs), trials))
     except (ValueError, MemoryError):
-        raise ConfigError(f"trials = {trials} is too many: their per-trial results do not fit "
-                          "in memory", field="trials") from None
+        raise ConfigError(f"trials = {shown(trials)} is too many: their per-trial results do not "
+                          "fit in memory", field="trials") from None
     errors = np.zeros((len(runs), len(suffixes)), dtype=np.int64)
     power_sums = np.zeros((len(runs), len(suffixes), n))
     sizes = {component: {run.sizes[component] for run in runs} for component in runs[0].sizes}

@@ -43,10 +43,20 @@ _MAX_RATE_EXPONENT = 62.0
 _CHANNEL_RANGE = (1e-50, 1e50)
 
 
+def shown(value):
+    """``repr(value)``, or for an integer past the 4,300 digits Python prints, its bit count."""
+    try:
+        return repr(value)
+    except ValueError:  # Exceeds the limit (4300 digits) for integer string conversion
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def _require_number(name, value, nan=False):
     """A finite number as a float (NaN too if ``nan``); an integer beyond float64 reads as inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}", field=name)
+        raise ConfigError(f"{name} must be a number, got {shown(value)}", field=name)
     try:
         value = float(value)
     except OverflowError:  # an integer beyond float64
@@ -88,9 +98,9 @@ def check_blocklength(name, value, shortest=2):
     where n*rate and the finite-n targets are formed, and BlocklengthTooSmall below
     ``shortest``, one start slot per message loop and one more (1 with no loop)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}", field=name)
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}", field=name)
     if value < shortest:
-        raise BlocklengthTooSmall(f"{name} = {value} is too short: a block needs "
+        raise BlocklengthTooSmall(f"{name} = {shown(value)} is too short: a block needs "
                                   f"{name} >= {shortest}", field=name)
     if value > sys.float_info.max:
         raise ConfigError(
@@ -114,7 +124,7 @@ def check_count(name, value):
     integer = isinstance(value, int) and not isinstance(value, bool)
     if not (integer and value >= 1):
         error = EmptyGrid if integer else ConfigError
-        raise error(f"{name} must be a positive integer, got {value!r}", field=name)
+        raise error(f"{name} must be a positive integer, got {shown(value)}", field=name)
     return value
 
 
@@ -133,14 +143,15 @@ def check_grid(name, values):
 def check_flag(name, value):
     """A switch such as ``paper_sgn``; ConfigError naming ``name`` unless a bool."""
     if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be True or False, got {value!r}", field=name)
+        raise ConfigError(f"{name} must be True or False, got {shown(value)}", field=name)
     return value
 
 
 def check_seed(name, value):
     """A master seed; ConfigError naming ``name`` unless an integer in [0, 2**64)."""
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {value!r}", field=name)
+        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {shown(value)}",
+                          field=name)
     return value
 
 
@@ -306,7 +317,7 @@ class RunConfig(_Checked):
         super().__post_init__()
         scheme = self.scheme
         if scheme not in CHANNELS:
-            raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
+            raise ConfigError(f"unknown scheme {shown(scheme)}", field="scheme")
         channel = CHANNELS[scheme]
         if not isinstance(self.channel, channel):
             got = type(self.channel).__name__
@@ -348,7 +359,7 @@ def resolve_scheme(raw, scheme=None):
     if scheme is None:
         scheme = min(own, key=lambda s: (len(set(raw) - own[s]), len(own[s])))
     if scheme not in CHANNELS:
-        raise ConfigError(f"unknown scheme {scheme!r}", field="scheme")
+        raise ConfigError(f"unknown scheme {shown(scheme)}", field="scheme")
     others = set().union(*own.values()) - own[scheme]
     foreign = [k for k in CONFIG_KEYS if k in raw and k in others]
     if foreign:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import (DpcParams, MacParams, NoisyObsParams, check_blocklength, check_count,
-                     check_fraction, check_grid)
+                     check_fraction, check_grid, shown)
 
 
 def _half_log2(snr):
@@ -258,5 +258,5 @@ def unit_grid(count, field="grid"):
     try:
         return np.linspace(0.0, 1.0, check_count(field, count))
     except (ValueError, MemoryError, IndexError):  # numpy raises IndexError near 2**63
-        raise ConfigError(f"{field} = {count} is too large: its points do not fit in memory",
-                          field=field) from None
+        raise ConfigError(f"{field} = {shown(count)} is too large: its points do not fit in "
+                          "memory", field=field) from None

@@ -137,6 +137,24 @@ def test_shared_generator_draws_what_a_fresh_philox_draws(seed, draws):
             assert plan.message(trial, component, size) == fresh.integers(1, size + 1)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_the_word_pass_gives_each_substreams_first_raw_word(seed):
+    # Philox4x64-10 on every trial's key at once, at the first and the last
+    # trial and every component, and key's range check on a span past either
+    plan = harness.RandomPlan(seed)
+    for start, stop in ((0, 3), (2**61 - 3, 2**61)):
+        for component in range(harness._STREAMS_PER_TRIAL):
+            words = plan.first_words(start, stop, component)
+            assert words.dtype == np.uint64
+            assert words.tolist() == [np.random.Philox(key=plan.key(t, component)).random_raw()
+                                      for t in range(start, stop)]
+    for span, got in (((2**61 - 1, 2**61 + 1), 2**61), ((-1, 2), -1)):
+        with pytest.raises(ConfigError) as info:
+            plan.first_words(*span, harness.MSG)
+        assert (str(info.value), info.value.field) == (
+            f"trial index must be in 0..2**61-1, got {got}", "trial")
+
+
 # a span of up to 6 trials ending at trial 2**61 - 1 at the latest
 SPANS = st.integers(0, 2**61 - 1).flatmap(
     lambda start: st.tuples(st.just(start), st.integers(start + 1, min(start + 6, 2**61)))
@@ -169,9 +187,10 @@ def test_batch_draws_equal_the_per_trial_draws(seed, span, component, n, std, M)
     assert messages.tolist() == [plan.message(t, component, M) for t in range(start, stop)]
 
 
-# sizes asked for at once: two or more up to 2**32 map one 32-bit word per
-# trial (Lemire's rule), the others are drawn per trial; the seed-7 examples
-# reach its redraws (see MAPPED_REDRAWS)
+# sizes asked for at once, each mapped from every trial's first word; the
+# seed-7 examples reach the high 32 bits and the redraws of both rules: at
+# 2**31 + 1 trial 6 takes the high half and trial 10 is redrawn, at 3 * 2**30
+# trial 8 is redrawn, and at 2**62 + 1 trial 10 (see MAPPED_REDRAWS)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), span=SPANS,
        component=st.integers(0, harness._STREAMS_PER_TRIAL - 1),
@@ -183,6 +202,9 @@ def test_batch_draws_equal_the_per_trial_draws(seed, span, component, n, std, M)
 @example(seed=4, span=(0, 5), component=harness.MSG, sizes=[2**32, 2**62, 9])
 @example(seed=7, span=(0, 8), component=harness.MSG, sizes=[5, 3 * 2**30])
 @example(seed=7, span=(0, 8), component=harness.MSG, sizes=[1, 1_736_557_809, 3 * 2**30])
+@example(seed=7, span=(6, 12), component=harness.MSG, sizes=[2**31 + 1, 3 * 2**30])
+@example(seed=7, span=(0, 6), component=harness.MSG, sizes=[2**32 - 1, 2**32, 2**32 + 1, 2**35])
+@example(seed=7, span=(8, 14), component=harness.MSG, sizes=[2**62 - 1, 2**62 + 1])
 def test_a_batch_asked_again_under_another_M_equals_the_per_trial_draws(
     seed, span, component, sizes
 ):
@@ -207,22 +229,51 @@ def _count_messages(monkeypatch):
     return drawn
 
 
-# M, and the trials 0..7 of seed 7's MSG substream that Lemire's rule rejects
-# at M (above 2**32, numpy's 64-bit rule applies and every trial is drawn at M)
-MAPPED_REDRAWS = [(3 * 2**30, [3]), (1_736_557_809, [2]), (2**32 + 1, range(8))]
+# M, and the trials 0..15 of seed 7's MSG substream whose first word the rule
+# rejects at M, each drawn again by message: for M <= 2**32 both 32-bit halves
+# reject (at 3 * 2**30 the low half of trials 3, 12, 13 and 14 rejects, and
+# their high half is mapped), for a larger M numpy's 64-bit rule rejects
+MAPPED_REDRAWS = [(3 * 2**30, [8]), (1_736_557_809, []), (2**32 + 1, []),
+                  (2**31 + 1, [10, 13, 14, 15]), (2**62 + 1, [10])]
 
 
 @pytest.mark.parametrize("M, redrawn", MAPPED_REDRAWS)
 def test_a_batch_asked_again_draws_words_and_the_trials_lemires_rule_rejects(
     monkeypatch, M, redrawn
 ):
-    # asked for M = 1 and M, a plan draws each trial's word (M = 1 never
-    # rejects), or, with M > 2**32, draws M = 1 as it is and then every M
+    # asked for M = 1 and M, a plan maps each trial's first word to both;
+    # message draws trial 0 at each M as the check (M = 1 never rejects), and
+    # then each trial the rule rejects at M
     plan = harness.RandomPlan(7)
     drawn = _count_messages(monkeypatch)
-    plan.messages(0, 8, harness.MSG, [1, M])
-    first = [2**32] if M <= 2**32 else [1]
-    assert drawn == {(t, harness.MSG): first + [M] * (t in redrawn) for t in range(8)}
+    batches = plan.messages(0, 16, harness.MSG, [1, M])
+    assert drawn == {(0, harness.MSG): [1, M], **{(t, harness.MSG): [M] for t in redrawn}}
+    monkeypatch.undo()
+    assert batches[M].tolist() == [plan.message(t, harness.MSG, M) for t in range(16)]
+
+
+# (M, span, the trial checked): the first the rule keeps; at 3 * 2**61 seed
+# 7's trial 6 is rejected
+CHECKED_SPANS = [(2**31 + 1, (0, 16), 0), (3 * 2**61, (6, 10), 7)]
+
+
+@pytest.mark.parametrize("M, span, checked", CHECKED_SPANS)
+def test_a_batch_whose_check_differs_is_drawn_trial_by_trial(monkeypatch, M, span, checked):
+    # a numpy whose integers maps a word otherwise: message disagrees with the
+    # mapped first trial the rule keeps, and every trial then comes from it
+    start, stop = span
+    plan = harness.RandomPlan(7)
+    mapped = plan.messages(start, stop, harness.MSG, [M])[M]
+    drawn = []
+
+    def other(plan, trial, component, M):
+        drawn.append(trial)
+        return int(mapped[trial - start]) % M + 1
+
+    monkeypatch.setattr(harness.RandomPlan, "message", other)
+    batch = plan.messages(start, stop, harness.MSG, [M])[M]
+    assert drawn == [checked, *range(start, stop)]
+    assert batch.tolist() == [int(W) % M + 1 for W in mapped]
 
 
 # a rate-fraction sweep: the message-set sizes differ from point to point
@@ -235,30 +286,45 @@ FRACTION_SWEEPS = {
 }
 
 
+def _count_words(monkeypatch):
+    """The (start, stop, component) of each word pass, in order."""
+    passes = []
+    first_words = harness.RandomPlan.first_words
+
+    def counted(plan, start, stop, component):
+        passes.append((start, stop, component))
+        return first_words(plan, start, stop, component)
+
+    monkeypatch.setattr(harness.RandomPlan, "first_words", counted)
+    return passes
+
+
 @pytest.mark.parametrize("scheme", sorted(FRACTION_SWEEPS))
-def test_a_fraction_rate_sweep_draws_each_message_substream_at_most_twice(monkeypatch, scheme):
-    # the sweep draws each trial's 32-bit word once and maps it to every
-    # point's M, drawing again only the trials Lemire's rule rejects at an M;
-    # one run draws each substream once
+def test_a_fraction_rate_sweep_draws_each_message_word_once_and_checks_each_M(
+    monkeypatch, scheme
+):
+    # the sweep draws each trial's first word once and maps it to every
+    # point's M; message draws one trial per component and M as the check,
+    # and again only the trials the rule rejects at an M. One run draws one
+    # check per component.
     channel, gammas, betas, block, components = FRACTION_SWEEPS[scheme]
-    drawn = _count_messages(monkeypatch)
+    drawn, passes = _count_messages(monkeypatch), _count_words(monkeypatch)
     split = PowerSplit(gammas[-1], None if betas is None else betas[-1])
     harness.run_experiment(scheme, channel, [split], block, 50, harness.RandomPlan(7))
-    assert {key: len(sizes) for key, sizes in drawn.items()} == {
-        (t, c): 1 for t in range(50) for c in components
-    }
+    assert passes == [(0, 50, c) for c in components]
+    assert {key: len(sizes) for key, sizes in drawn.items()} == {(0, c): 1 for c in components}
     drawn.clear()
+    passes.clear()
     rows = harness.sweep(scheme, channel, gammas, block, 50, harness.RandomPlan(7),
                          beta_grid=betas)
     assert len(rows) == 4
-    assert set(drawn) == {(t, c) for t in range(50) for c in components}
-    redraws = 0
+    assert passes == [(0, 50, c) for c in components]
+    checks = {(c, M) for (t, c), sizes in drawn.items() for M in sizes}
+    assert len(checks) > len(components)  # the points' M differ
+    redraws = sum(len(sizes) for sizes in drawn.values()) - len(checks)
     for sizes in drawn.values():
-        word, *again = sizes
-        assert word == 2**32
-        assert len(again) == len(set(again)) and 2**32 not in again
-        redraws += len(again)
-    assert redraws <= len(drawn) // 10
+        assert len(sizes) == len(set(sizes))
+    assert redraws <= 50 * len(components) // 10
 
 
 def test_a_run_and_a_sweep_build_one_philox(monkeypatch):
@@ -305,20 +371,15 @@ def test_a_sweep_draws_each_normal_substream_once(monkeypatch):
 
 
 def test_a_fixed_rate_sweep_draws_each_message_substream_once(monkeypatch):
-    drawn = collections.Counter()
-    message = harness.RandomPlan.message
-
-    def counted(plan, trial, component, *args, **kwargs):
-        drawn[trial, component] += 1
-        return message(plan, trial, component, *args, **kwargs)
-
-    monkeypatch.setattr(harness.RandomPlan, "message", counted)
+    drawn, passes = _count_messages(monkeypatch), _count_words(monkeypatch)
     rows = harness.sweep(
         "dpc", ACC, [0.25, 0.5, 1.0], BlockConfig(30, rate=0.2), 50, harness.RandomPlan(7),
     )
-    # n * rate = 6 bits at every point, so all three share M = 64
+    # n * rate = 6 bits at every point, so all three share M = 64, which
+    # Lemire's rule never rejects: one word pass, and message draws the check
     assert [row["rate"] for row in rows] == [0.2] * 3
-    assert drawn == collections.Counter({(t, harness.MSG): 1 for t in range(50)})
+    assert passes == [(0, 50, harness.MSG)]
+    assert drawn == {(0, harness.MSG): [64]}
 
 
 def test_a_negative_zero_grid_point_gives_a_positive_zero_row():

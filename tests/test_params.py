@@ -431,6 +431,41 @@ def test_a_count_below_1_is_an_empty_grid_and_keeps_its_text():
     assert not isinstance(info.value, EmptyGrid)
 
 
+HUGE = 10**5000  # 16,610 bits, past the 4,300 digits Python prints of an integer
+HUGE_INTEGER_CALLS = {
+    # call: the field its ConfigError names
+    "check_count(-HUGE)": (lambda: params.check_count("trials", -HUGE), "trials"),
+    "check_count([HUGE])": (lambda: params.check_count("trials", [HUGE]), "trials"),
+    "check_seed(HUGE)": (lambda: params.check_seed("seed", HUGE), "seed"),
+    "check_flag(HUGE)": (lambda: params.check_flag("paper_sgn", HUGE), "paper_sgn"),
+    "check_blocklength(-HUGE)": (lambda: params.check_blocklength("n", -HUGE), "n"),
+    "unit_grid(HUGE)": (lambda: regions.unit_grid(HUGE), "grid"),
+    "RunConfig(scheme=HUGE)": (lambda: RunConfig(HUGE, ACC, PowerSplit(.5), BLOCK, 5, 0),
+                               "scheme"),
+    "validate(scheme=HUGE)": (lambda: validate({"P": 10, "Q": 10, "sigma2": 5}, HUGE), "scheme"),
+    "run_experiment(trials=HUGE)": (
+        lambda: harness.run_experiment("dpc", ACC, [PowerSplit(.5)], BLOCK, HUGE, PLAN),
+        "trials"),
+    "RandomPlan(HUGE)": (lambda: harness.RandomPlan(HUGE), "seed"),
+    "key(HUGE, 0)": (lambda: PLAN.key(HUGE, 0), "trial"),
+    "key(0, HUGE)": (lambda: PLAN.key(0, HUGE), "component"),
+    "normal_block(HUGE)": (lambda: PLAN.normal_block(HUGE, 0, np.empty(3)), "trial"),
+    "message(HUGE)": (lambda: PLAN.message(HUGE, 0, 5), "trial"),
+    "messages(HUGE)": (lambda: PLAN.messages(HUGE, HUGE + 2, 0, [5]), "trial"),
+}
+
+
+@pytest.mark.parametrize("name", list(HUGE_INTEGER_CALLS))
+def test_an_integer_too_long_to_print_is_a_config_error_naming_its_field(name):
+    # formatting the integer into the message raised ValueError ("Exceeds the
+    # limit (4300 digits) for integer string conversion"); it is shown by bits
+    call, field = HUGE_INTEGER_CALLS[name]
+    shown = "(an|a negative) integer of 16610 bits|got a list too long to print$"
+    with pytest.raises(ConfigError, match=shown) as info:
+        call()
+    assert info.value.field == field
+
+
 @pytest.mark.parametrize("flag", ["False", 1, None, np.True_], ids=repr)
 def test_a_sign_rule_that_is_not_a_bool_is_rejected(flag):
     # "False" selected the paper's rule, which silenced encoder 2

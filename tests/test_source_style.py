@@ -226,3 +226,24 @@ def test_every_grid_is_checked_in_params_alone():
     assert grids == []
     functions = {node.name for node in ast.walk(trees["cli"]) if isinstance(node, ast.FunctionDef)}
     assert "_grid" not in functions and _calls(trees["cli"], "check_count") == []
+
+
+#: What each method of RandomPlan draws from numpy: numpy.random itself, the
+#: re-keyed Generator, or one of its draws.
+NUMPY_DRAWS = ("random", "_generator", "integers", "standard_normal", "random_raw")
+
+
+def test_a_batchs_messages_make_no_per_trial_numpy_draw():
+    # messages drew every trial through message, one Philox re-key and one
+    # numpy call each; message and normal_block stay the only per-trial draws
+    tree = ast.parse((ROOT / "src/dpsk/harness.py").read_text(encoding="utf-8"))
+    (plan,) = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "RandomPlan"]
+    draws = {method.name: sorted({name for name in NUMPY_DRAWS
+                                  for node in ast.walk(method)
+                                  if getattr(node, "attr", getattr(node, "id", None)) == name})
+             for method in plan.body if isinstance(method, ast.FunctionDef)}
+    assert draws == {"__post_init__": ["random"], "key": [], "_generator": [],
+                     "normal_block": ["_generator", "standard_normal"],
+                     "message": ["_generator", "integers"], "normals": [],
+                     "first_words": [], "messages": []}
