@@ -16,7 +16,9 @@ pass, as numpy's ``integers`` maps them; :meth:`RandomPlan.message` draws the
 trials that rule rejects, and one per batch and M as a check. The runner stores the
 per-symbol Y, X and theta_hat traces only for a run with a trace writer;
 without one the state estimate and then the squared error are formed in
-the kernel's Y buffer.
+the kernel's Y buffer, and Y takes the buffer of a draw the batch no longer
+needs: eta once the batch's last run reads it, so a dpc or mac batch holds
+two (B, n) arrays, S and eta, not three.
 Importing ``dpsk`` pins BLAS to one thread, so dots longer than 10,000
 terms round alike on any CPU count unless the program imported numpy first.
 
@@ -88,6 +90,9 @@ class RandomPlan:
     def key(self, trial, component):
         """128-bit counter key: the master seed in the low 64-bit word and
         trial * 8 + component, unique per (trial, component), in the high one."""
+        if isinstance(trial, bool) or not isinstance(trial, int):
+            raise ConfigError(f"trial index must be an integer, got {shown(trial)}",
+                              field="trial")
         if not 0 <= trial < _TRIALS:
             raise ConfigError(f"trial index must be in 0..2**61-1, got {shown(trial)}",
                               field="trial")
@@ -95,6 +100,15 @@ class RandomPlan:
             raise ConfigError(f"component must be in 0..7, got {shown(component)}",
                               field="component")
         return self.master_seed + ((trial * _STREAMS_PER_TRIAL + component) << 64)
+
+    def _check_span(self, start, stop, component):
+        """:meth:`key`'s ConfigError for trials start..stop-1 unless integers in its range, or
+        for a stop before start; checked once per span, at its bounds, never per trial."""
+        self.key(start, component)
+        if isinstance(stop, int) and stop < start:
+            raise ConfigError(f"trials {start}..{shown(stop - 1)} end before they start",
+                              field="trial")
+        self.key(max(start, stop - 1) if isinstance(stop, int) else stop, component)
 
     def _generator(self, trial, component):
         """The shared Generator re-keyed to the substream of (trial, component),
@@ -121,6 +135,7 @@ class RandomPlan:
         """std * N(0,1)^n of trials start..stop-1, one row each; each row is
         drawn as unit normals and the batch scaled once, so the stream layout
         does not depend on std (std = 0 gives zeros)."""
+        self._check_span(start, stop, component)
         out = np.empty((stop - start, n))
         for row, trial in zip(out, range(start, stop)):
             self.normal_block(trial, component, row)
@@ -131,8 +146,7 @@ class RandomPlan:
     def first_words(self, start, stop, component):
         """The first 64-bit words of the substreams of trials start..stop-1, each bit for bit
         ``Philox(key=self.key(trial, component)).random_raw()``, in one numpy pass."""
-        for trial in (start, max(start, stop - 1)):
-            self.key(trial, component)  # raises the span's ConfigError outside 0..2**61-1
+        self._check_span(start, stop, component)
         k0, k1 = self.master_seed, np.arange(start, stop, dtype=np.uint64) * 8 + component
         # round 1 takes counter (1, 0, 0, 0) to (k0, 0, k1, M0); k0 is an int: np.uint64 warns
         c0, c1, c2, c3 = np.full_like(k1, k0), 0, k1, _PHILOX_M[0]
@@ -215,18 +229,19 @@ class ExperimentReport:
 _SUFFIXES = {1: ("",), 2: ("1", "2")}
 
 
-def run_batch(coeffs, sizes, messages, S, eta, weight, traces=True):
+def run_batch(coeffs, sizes, messages, S, eta, weight, traces=True, *, out=None):
     """The :class:`dpsk.sk_dpc.SchemeTrace` of a batch of any scheme: the K encoders of
     ``coeffs`` with their K message-set ``sizes`` and (B,) ``messages``, over the (B, n)
     state ``S`` and noise ``eta`` its loop runs on, and the receiver's state estimate,
     ``weight`` (a scalar or an (n,) row) times Y. Y, X and theta_hat are None unless
-    ``traces``; without them the state estimate takes the kernel's Y buffer."""
+    ``traces``; without them the state estimate takes the kernel's Y buffer, which is
+    ``out``, eta itself included, as in :func:`dpsk.sk_dpc._closed_loop`, or a new one."""
     thetas = [sk_dpc.message_to_theta(W, M) for W, M in zip(messages, sizes)]
     sk_dpc.check_batch((len(messages[0]), coeffs.n), S=S, eta=eta)
     # read by L and K when called; _closed_loop and decode_batch once perfbench names neither
     L = len(coeffs.message_amp)
     loop = (sk_dpc.simulate_forwarding_batch, sk_dpc.simulate_message_batch,
-            sk_dpmac.simulate_mac_batch)[L](coeffs, *thetas[:L], S, eta, traces)
+            sk_dpmac.simulate_mac_batch)[L](coeffs, *thetas[:L], S, eta, traces, out=out)
     W_hat = (np.stack(sk_dpmac.mac_decode_batch(*loop.theta_final, *sizes)) if len(sizes) == 2
              else sk_dpc.decode_batch(loop.theta_final, *sizes))
     S_hat = sk_dpc.estimate_state(loop.Y, weight, out=None if traces else loop.Y)
@@ -243,9 +258,13 @@ def _simulate(params, stds, n, trials, plan, runs, trace_writer, workers):
 
     A batch draws each (component, standard deviation) of ``stds`` as (B, n)
     rows and each message component as {M: messages} over every run's M,
-    once, and turns an observation noise into the equivalent draws. Each run
-    takes its :func:`run_batch` on them, with Y, X and theta_hat traces, and
-    the true S, only for a ``trace_writer``. The batches run in up to
+    once, and turns an observation noise into the equivalent draws, whose
+    state takes its buffer. Each run takes its :func:`run_batch` on them, with
+    Y, X and theta_hat traces, and the true S, only for a ``trace_writer``;
+    without one, its Y takes the buffer of a draw the batch no longer needs,
+    if any, as each run's Y is reduced before the next run starts: eta for
+    the last run, or the raw eta for every run on the equivalent draws. The
+    batches run in up to
     ``workers`` processes (:func:`_in_batch_order`), and their results are
     added in batch order. A trial count whose per-trial results numpy cannot
     allocate is rejected before the first draw.
@@ -267,13 +286,20 @@ def _simulate(params, stds, n, trials, plan, runs, trace_writer, workers):
         stop = min(start + BATCH, trials)
         normals = {c: plan.normals(start, stop, c, n, std) for c, std in stds}
         messages = {c: plan.messages(start, stop, c, Ms) for c, Ms in sizes.items()}
-        S, draws = normals[STATE], (normals[STATE], normals.pop(NOISE))
-        if OBS_NOISE in normals:  # the noisy loops' own state and noise; Z and eta go
-            draws = noisy_obs.equivalent_draws(params, S, normals.pop(OBS_NOISE), draws[1])
+        S, eta = normals[STATE], normals.pop(NOISE)
+        # this batch's own draws: only the buffers below are written, each once it is dead
+        eta.flags.writeable = True
+        draws, buffers = (S, eta), [None] * (len(runs) - 1) + [eta]
+        if OBS_NOISE in normals:  # the noisy loops' own state, in Z, and (slot-major) noise
+            Z = normals.pop(OBS_NOISE)
+            Z.flags.writeable = True
+            draws = noisy_obs.equivalent_draws(params, S, Z, eta, out=Z)
+            buffers = [eta] * len(runs)
         results = []
-        for run in runs:
+        for run, buffer in zip(runs, buffers):
             Ws = [messages[c][M] for c, M in run.sizes.items()]
-            trace = run_batch(run.coeffs, run.sizes.values(), Ws, *draws, run.weight, traces)
+            trace = run_batch(run.coeffs, run.sizes.values(), Ws, *draws, run.weight, traces,
+                              out=None if traces else buffer)
             # unless a trace writer reads S_hat, its buffer takes the squared error
             err = np.subtract(S, trace.S_hat, out=None if traces else trace.S_hat)
             results.append((np.count_nonzero(trace.W_hat != trace.W, axis=1), trace.power,

@@ -72,12 +72,15 @@ def scheme_step_distortion(params: NoisyObsParams, gamma):
     return params.Q - cross * cross / ey2
 
 
-def equivalent_draws(params: NoisyObsParams, S, Z, eta):
+def equivalent_draws(params: NoisyObsParams, S, Z, eta, *, out=None):
     """The state kappa (S + Z) and noise S - kappa (S + Z) + eta of :func:`make_equivalent`
     from a batch's (B, n) true S, observation noise Z and noise eta; the noise is a (B, n)
-    view of a slot-major array, so that the closed loop reads each slot contiguously."""
+    view of a slot-major array, so that the closed loop reads each slot contiguously. Like
+    a numpy ufunc's, ``out`` is the array the state is written to, Z itself included, so a
+    caller done with Z holds one (B, n) array less; by default a new one."""
     sk_dpc.check_batch(np.shape(S), Z=Z, eta=eta)
-    s_eq = regions.observation_weight(params) * (S + Z)
+    s_eq = np.add(S, Z, out=out, dtype=float)
+    s_eq *= regions.observation_weight(params)
     eta_eq = np.subtract(S.T, s_eq.T, out=np.empty(S.shape[::-1]))
     eta_eq += eta.T
     return s_eq, eta_eq.T

@@ -352,6 +352,9 @@ def resolve_scheme(raw, scheme=None):
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration must be a mapping, got {type(raw).__name__}")
+    for key in raw:
+        if not isinstance(key, str):
+            raise ConfigError(f"configuration keys must be strings, got {shown(key)}")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}", field=unknown[0])

@@ -288,18 +288,20 @@ def _power_sum(x):
 
 #: The one record of a batch of B blocks of n slots for K = 1 or 2 encoders.
 #: A kernel fills the loop fields: the (K, n) per-slot power summed over the
-#: batch by :func:`_power_sum`, the (B, n) Y, the (K, B) final estimates and
-#: tracking errors (0 for an encoder with no message loop), and the (K, B, n)
-#: X and theta_hat traces (NaN before a loop starts), or None when it was not
-#: asked for traces. :func:`dpsk.harness.run_batch` completes it with the (K, B)
-#: messages W and decisions W_hat, the K message-set sizes M, the (B, n) state S
-#: the loop ran on (the equivalent state for the noisy scheme) and S_hat, which a
-#: kernel leaves None; without traces it writes S_hat over Y and sets Y to None.
+#: batch by :func:`_power_sum`, the (B, n) Y, in a new array or the buffer it
+#: was handed, the (K, B) final estimates and tracking errors (0 for an encoder
+#: with no message loop), and the (K, B, n) X and theta_hat traces (NaN before
+#: a loop starts), or None when it was not asked for traces.
+#: :func:`dpsk.harness.run_batch` completes it with the (K, B) messages W and
+#: decisions W_hat, the K message-set sizes M, the (B, n) state S the loop ran
+#: on (the equivalent state for the noisy scheme) and S_hat, which a kernel
+#: leaves None; without traces it writes S_hat over Y and sets Y to None, so
+#: S_hat too lies in the buffer Y was handed.
 SchemeTrace = collections.namedtuple(
     "SchemeTrace", "power Y theta_final eps X theta_hat W W_hat M S S_hat", defaults=(None,) * 5)
 
 
-def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
+def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces, *, out=None):
     """Closed loop of the K encoders of ``coeffs`` over (B, n) blocks S, eta.
 
     ``thetas`` holds the (B,) message points of each of the L loops. Encoder
@@ -312,13 +314,19 @@ def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
     column, sums its power and only stores its column of the row-major
     (B, n) Y. The offsets take ``np.vecdot`` on the rows of S, whose rounding
     depends on the layout: an S that is not row-major, unlike a batch's
-    draws, is copied to row-major for them.
+    draws, is copied to row-major for them. Like a numpy ufunc's, ``out`` is
+    the (B, n) array Y is written to, by default a new one. It may be eta
+    itself, whose column k the loop reads before it writes Y's, so a caller
+    that no longer needs eta runs the batch in two (B, n) arrays, not three;
+    the caller keeps it row-major, since the per-trial means over Y round by
+    its layout.
     """
     K, (L, n), B = len(coeffs.state_coef), coeffs.mu.shape, len(S)
     lam, amp, mu, gain = coeffs.lam, coeffs.message_amp, coeffs.mu, coeffs.gain
-    check_batch((B, n), S=S, eta=eta)
+    Y = np.empty((B, n)) if out is None else out
+    check_batch((B, n), S=S, eta=eta, out=Y)
     check_batch((B,), **{f"theta{u + 1}": theta for u, theta in enumerate(thetas)})
-    s, Y, power = np.empty(B), np.empty((B, n)), np.empty((K, n))
+    s, power = np.empty(B), np.empty((K, n))
     X, theta_hat = np.empty((2, K, B, n)) if traces else (None, None)
     # a loop's estimate is NaN before it starts; an encoder with no loop's stays 0
     th, eps = [np.full(B, np.nan)] * L + [np.zeros(B)] * (K - L), [np.zeros(B)] * K
@@ -350,18 +358,19 @@ def _closed_loop(coeffs: SkCoefficients, thetas, S, eta, traces):
     return SchemeTrace(power, Y, np.array(th), np.array(eps), X, theta_hat)
 
 
-def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta, traces=True):
+def simulate_message_batch(coeffs: SkCoefficients, theta, S, eta, traces=True, *, out=None):
     """Vectorized closed loop over a batch of independent blocks: the
     one-encoder :data:`SchemeTrace` of :func:`_closed_loop` for ``theta`` of
-    shape (B,) and ``S``, ``eta`` of shape (B, n), bit for bit ``tests/stepwise.py``."""
-    return _closed_loop(coeffs, [theta], S, eta, traces)
+    shape (B,) and ``S``, ``eta`` of shape (B, n), bit for bit ``tests/stepwise.py``;
+    Y goes to ``out``, as there."""
+    return _closed_loop(coeffs, [theta], S, eta, traces, out=out)
 
 
-def simulate_forwarding_batch(coeffs: SkCoefficients, S, eta, traces=True):
+def simulate_forwarding_batch(coeffs: SkCoefficients, S, eta, traces=True, *, out=None):
     """The no-message path (gamma*P = 0), pure state forwarding: the :data:`SchemeTrace`
     of :func:`_closed_loop` for a :func:`forwarding_coefficients` record and
-    ``S``, ``eta`` of shape (B, n), whose estimates and errors are all 0."""
-    return _closed_loop(coeffs, [], S, eta, traces)
+    ``S``, ``eta`` of shape (B, n), whose estimates and errors are all 0; Y goes to ``out``."""
+    return _closed_loop(coeffs, [], S, eta, traces, out=out)
 
 
 def decode_batch(theta_hat_final, M):

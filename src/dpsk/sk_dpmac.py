@@ -172,12 +172,13 @@ def resolve_mac_rates(params: MacParams, gamma, beta, block):
     return (rate1, m1), (rate2, m2), caps
 
 
-def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta, traces=True):
+def simulate_mac_batch(coeffs: MacSkCoefficients, theta1, theta2, S, eta, traces=True, *,
+                       out=None):
     """Vectorized closed loop over a batch of independent blocks: the
     two-encoder :data:`dpsk.sk_dpc.SchemeTrace` of :func:`dpsk.sk_dpc._closed_loop`
     for ``theta1``, ``theta2`` of shape (B,) and ``S``, ``eta`` of shape (B, n),
-    bit for bit ``tests/stepwise.py``."""
-    return _closed_loop(coeffs, [theta1, theta2], S, eta, traces)
+    bit for bit ``tests/stepwise.py``; Y goes to ``out``, as there."""
+    return _closed_loop(coeffs, [theta1, theta2], S, eta, traces, out=out)
 
 
 def mac_decode_batch(th1_final, th2_final, M1, M2):

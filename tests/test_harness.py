@@ -61,6 +61,44 @@ def test_plan_rejects_trials_and_seeds_outside_the_key():
         assert info.value.field == "seed"
 
 
+NON_INTEGER_TRIALS = {
+    # call: the value its message shows
+    "key(1.5, 0)": (lambda plan: plan.key(1.5, 0), "1.5"),
+    "key(True, 0)": (lambda plan: plan.key(True, 0), "True"),
+    "key(np.int64(5), 0)": (lambda plan: plan.key(np.int64(5), 0), "np.int64(5)"),
+    "messages(0.5, 3)": (lambda plan: plan.messages(0.5, 3, 3, [5]), "0.5"),
+    "first_words(0, 2.5)": (lambda plan: plan.first_words(0, 2.5, 0), "2.5"),
+    "normals(0.5, 3)": (lambda plan: plan.normals(0.5, 3, 0, 4, 1.0), "0.5"),
+    "normals(0, 2.5)": (lambda plan: plan.normals(0, 2.5, 0, 4, 1.0), "2.5"),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_INTEGER_TRIALS))
+def test_a_trial_that_is_not_an_integer_is_a_config_error(name):
+    # a float trial ended in TypeError from the key's shift or numpy's shape,
+    # and an np.int64 trial's shift wrapped, keying trial 5 as trial 0
+    call, got = NON_INTEGER_TRIALS[name]
+    with pytest.raises(ConfigError) as info:
+        call(harness.RandomPlan(1))
+    assert (str(info.value), info.value.field) == (
+        f"trial index must be an integer, got {got}", "trial")
+
+
+@pytest.mark.parametrize("draw", ["normals", "first_words"])
+def test_a_span_of_trials_is_checked_once_per_call(monkeypatch, draw):
+    # at its bounds, not once per trial: draws are most of a run's time
+    plan = harness.RandomPlan(1)
+    keyed = []
+    key = harness.RandomPlan.key
+    monkeypatch.setattr(harness.RandomPlan, "key",
+                        lambda self, *where: keyed.append(where) or key(self, *where))
+    getattr(plan, draw)(*{"normals": (5, 105, 0, 3, 1.0), "first_words": (5, 105, 0)}[draw])
+    assert keyed == [(5, 0), (104, 0)]
+    with pytest.raises(ConfigError, match="^trials 5..3 end before they start$") as info:
+        getattr(plan, draw)(*{"normals": (5, 4, 0, 3, 1.0), "first_words": (5, 4, 0)}[draw])
+    assert info.value.field == "trial"
+
+
 def test_messages_cover_the_whole_range():
     plan = harness.RandomPlan(7)
     draws = {plan.message(t, harness.MSG, 4) for t in range(200)}
@@ -967,9 +1005,9 @@ def test_every_batch_runner_returns_the_one_trace_record(scheme, params, split, 
 
 
 #: (B, n) arrays that a run of one batch may peak at without a trace writer
-PEAK_ARRAYS = {"mac": 3.75, "dpc": 3.75, "noisy": 5.75}
+PEAK_ARRAYS = {"mac": 2.75, "dpc": 2.75, "noisy": 4.75}
 #: the same on the gamma = 0 state-forwarding split
-FORWARDING_PEAK_ARRAYS = {"dpc": 3.75, "noisy": 5.75}
+FORWARDING_PEAK_ARRAYS = {"dpc": 2.75, "noisy": 4.75}
 
 
 @pytest.mark.parametrize("scheme, params, split, n", [
@@ -980,18 +1018,20 @@ FORWARDING_PEAK_ARRAYS = {"dpc": 3.75, "noisy": 5.75}
     ("noisy", FIG3, PowerSplit(0.0), 100),
 ])
 def test_a_run_without_a_trace_writer_keeps_few_batch_arrays(scheme, params, split, n):
-    # the plan keeps S and eta and the loop adds Y, in which the runner forms
-    # the state estimate and the harness the squared error: 3.2 (mac) and
-    # 3.1 (dpc) (B, n) arrays. The loop once ran on slot-major copies of S
-    # and eta and the estimate and the error took arrays of their own, a
-    # peak of 5.2 and 5.1; storing the X and theta_hat traces as well took
-    # it to 9 (mac) and 7 (dpc). The noisy plan adds Z, and the batch's
-    # equivalent state and noise, the noise slot-major so that the loop
-    # reads each slot's noise contiguously, are formed once from S, Z and
-    # eta, which peaks at those 5 arrays; Z and eta then go before the loop
-    # adds Y (5.0). Formed in each split's runner, beside the plan's Z and
-    # eta, they took the peak to 6.1. At gamma = 0 the same loop runs with
-    # no message loop and peaks like the message path (3.1 dpc, 5.0 noisy)
+    # the plan keeps S and eta and the loop writes Y over eta, which its
+    # last split has read, and in Y the runner forms the state estimate and
+    # the harness the squared error: 2.1 (mac) and 2.2 (dpc) (B, n) arrays.
+    # With Y in an array of its own the peak was 3.1; when the loop ran on
+    # slot-major copies of S and eta and the estimate and the error took
+    # arrays of their own, 5.2 and 5.1; storing the X and theta_hat traces
+    # as well took it to 9 (mac) and 7 (dpc). The noisy plan adds Z, and the
+    # batch's equivalent state, written over Z, and noise, slot-major so
+    # that the loop reads each slot's noise contiguously, are formed once
+    # from S, Z and eta, and the loop writes Y over the raw eta: 4.1. A new
+    # equivalent state peaked at 5.0, and formed in each split's runner,
+    # beside the plan's Z and eta, they took the peak to 6.1. At gamma = 0
+    # the same loop runs with no message loop and peaks like the message
+    # path (2.2 dpc, 4.1 noisy)
     B = harness.BATCH
     block = BlockConfig(n, rate_fraction=0.5)
     tracemalloc.start()
@@ -1004,28 +1044,79 @@ def test_a_run_without_a_trace_writer_keeps_few_batch_arrays(scheme, params, spl
     assert peak / (B * n * 8) < bound
 
 
+def _kernel_call(kernel, n):
+    """The call of a batch kernel, by name, on its record for an n-step block."""
+    return {
+        "message": lambda theta, *draws, **options: sk_dpc.simulate_message_batch(
+            sk_dpc.compute_coefficients(ACC, 0.5, n), theta, *draws, **options),
+        "forwarding": lambda theta, *draws, **options: sk_dpc.simulate_forwarding_batch(
+            sk_dpc.forwarding_coefficients(ACC, 0.0, n), *draws, **options),
+        "mac": lambda theta, *draws, **options: sk_dpmac.simulate_mac_batch(
+            sk_dpmac.mac_coefficients(MAC, 0.8, 0.8, n), theta, theta, *draws, **options),
+    }[kernel]
+
+
 @pytest.mark.parametrize("kernel", ["message", "forwarding", "mac"])
 def test_a_kernel_without_traces_keeps_only_its_output(kernel):
     # Y and (B,) rows: a slot-major copy of S or eta would take the peak
-    # from 1.1 to 2.1 (B, n) arrays, and both to 3.1
+    # from 1.1 to 2.1 (B, n) arrays, and both to 3.1; with Y written over
+    # eta, the (B,) rows alone
     B, n = harness.BATCH, 100
     S, eta = np.random.default_rng(11).normal(size=(2, B, n))
-    theta = np.zeros(B)
-    tracemalloc.start()
-    try:
-        if kernel == "message":
-            sk_dpc.simulate_message_batch(sk_dpc.compute_coefficients(ACC, 0.5, n), theta, S,
-                                          eta, traces=False)
-        elif kernel == "forwarding":
-            sk_dpc.simulate_forwarding_batch(sk_dpc.forwarding_coefficients(ACC, 0.0, n), S,
-                                             eta, traces=False)
-        else:
-            sk_dpmac.simulate_mac_batch(sk_dpmac.mac_coefficients(MAC, 0.8, 0.8, n), theta,
-                                        theta, S, eta, traces=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / (B * n * 8) < 1.25
+    call = _kernel_call(kernel, n)
+    for out, bound in ((None, 1.25), (eta, 0.25)):
+        tracemalloc.start()
+        try:
+            trace = call(np.zeros(B), S, eta, traces=False, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (B * n * 8) < bound
+        assert (trace.Y is eta) == (out is eta)
+        del trace
+
+
+@pytest.mark.parametrize("kernel", ["message", "forwarding", "mac"])
+def test_a_kernel_writes_the_same_y_over_eta(kernel):
+    # the loop reads each column of eta before it writes Y's, so Y written
+    # over eta holds the bits of a new Y
+    B, n = 37, 12
+    S, eta = np.random.default_rng(5).normal(size=(2, B, n))
+    theta = np.linspace(-0.4, 0.4, B)
+    call = _kernel_call(kernel, n)
+    new = call(theta, S, eta, traces=True)
+    over = call(theta, S, eta.copy(), traces=True, out=eta)
+    assert over.Y is eta
+    for name, got, want in zip(sk_dpc.SchemeTrace._fields, over, new):
+        assert (got is None) == (want is None), name
+        if want is not None:
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+
+
+def test_a_call_without_a_buffer_leaves_its_inputs_alone():
+    # only the harness hands a kernel, the runner or the noisy transform a
+    # buffer, and only one it no longer reads; every other call keeps its
+    # inputs, bit for bit
+    B, n = 9, 7
+    rng = np.random.default_rng(8)
+    S, eta, Z = rng.normal(size=(3, B, n))
+    theta, W = np.linspace(-0.4, 0.4, B), np.arange(1, B + 1)
+    inputs = (S, eta, Z, theta, W)
+    before = [_bits(x).copy() for x in inputs]
+    for kernel in ("message", "forwarding", "mac"):
+        for traces in (False, True):
+            _kernel_call(kernel, n)(theta, S, eta, traces=traces)
+    eq = noisy_obs.make_equivalent(FIG3)
+    for traces in (False, True):
+        for params, coeffs, sizes, Ws in (
+                (ACC, sk_dpc.compute_coefficients(ACC, 0.5, n), [B], [W]),
+                (ACC, sk_dpc.forwarding_coefficients(ACC, 0.0, n), [1], [W * 0 + 1]),
+                (MAC, sk_dpmac.mac_coefficients(MAC, 0.8, 0.8, n), [B, B], [W, W])):
+            harness.run_batch(coeffs, sizes, Ws, S, eta, 0.5, traces)
+        harness.run_batch(sk_dpc.compute_coefficients(eq, 0.5, n), [B], [W],
+                          *noisy_obs.equivalent_draws(FIG3, S, Z, eta), 0.5, traces)
+    for x, bits in zip(inputs, before):
+        np.testing.assert_array_equal(_bits(x), bits)
 
 
 def test_a_sweep_over_two_batches_keeps_few_batch_arrays():
@@ -1045,11 +1136,16 @@ def test_a_sweep_over_two_batches_keeps_few_batch_arrays():
 
 def test_the_noisy_draws_are_transformed_once_per_batch(monkeypatch):
     # every split of a batch runs on one equivalent state and noise, so a
-    # 3-point sweep over two batches forms them twice, not once per point
+    # 3-point sweep over two batches forms them twice, not once per point,
+    # each time writing the state over the batch's Z, which is then dead
     calls = []
     transform = noisy_obs.equivalent_draws
-    monkeypatch.setattr(noisy_obs, "equivalent_draws",
-                        lambda *draws: calls.append(len(draws)) or transform(*draws))
+
+    def counted(*draws, out):
+        calls.append((len(draws), out is draws[2]))
+        return transform(*draws, out=out)
+
+    monkeypatch.setattr(noisy_obs, "equivalent_draws", counted)
     harness.sweep("noisy", FIG3, [0.0, 0.5, 1.0], BlockConfig(10, rate_fraction=0.5),
                   2 * harness.BATCH, harness.RandomPlan(3))
-    assert calls == [4, 4]
+    assert calls == [(4, True), (4, True)]

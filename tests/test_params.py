@@ -158,6 +158,16 @@ def test_validate_rejects_a_non_mapping_and_an_unknown_scheme():
     assert info.value.field == "scheme"
 
 
+@pytest.mark.parametrize("raw", [{1: 2}, {1: 2, "zz": 3}, {**SCHEME_KEYS["dpc"], 1: 2}],
+                         ids=["alone", "mixed", "beside-a-config"])
+def test_a_key_that_is_not_a_string_is_rejected_in_one_line(raw):
+    # ', '.join of the unknown keys, or sorting str and int keys together,
+    # raised TypeError
+    for call in (lambda: validate(raw), lambda: params.resolve_scheme(raw, "dpc")):
+        with pytest.raises(ConfigError, match="^configuration keys must be strings, got 1$"):
+            call()
+
+
 def test_validate_requires_scheme_fields():
     with pytest.raises(ConfigError) as info:
         validate({"P": 1, "Q": 1, "sigma2": 1})

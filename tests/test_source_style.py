@@ -173,6 +173,34 @@ def test_every_batch_kernel_is_called_from_the_one_runner():
     assert "def run_batch(" in (ROOT / "src/dpsk/harness.py").read_text(encoding="utf-8")
 
 
+#: The functions that write into a (B, n) ``out`` buffer they are handed: the
+#: closed loop, its kernels and their runner write Y, the noisy transform its state
+BUFFERED = {"_closed_loop", "run_batch", "equivalent_draws",
+            *(kernel for kernels in KERNELS.values() for kernel in kernels)}
+
+
+def test_only_the_experiment_loop_hands_a_buffer_to_a_batch_function():
+    # a buffer is handed over only where the batch no longer reads it, which
+    # _simulate alone knows: each function passes on its own ``out`` as it
+    # is, and takes it by keyword alone, so no call hands it positionally
+    handing, keyword_only = set(), {}
+    for path in sorted(ROOT.glob("src/dpsk/*.py")):
+        for function in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            if function.name in BUFFERED:
+                keyword_only[function.name] = [a.arg for a in function.args.kwonlyargs]
+            for call in (node for node in ast.walk(function) if isinstance(node, ast.Call)):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name in BUFFERED and any(
+                        k.arg == "out" and not (isinstance(k.value, ast.Name)
+                                                and k.value.id == "out")
+                        for k in call.keywords):
+                    handing.add(f"{path.stem}.{function.name}")
+    assert handing == {"harness._simulate"}
+    assert keyword_only == dict.fromkeys(BUFFERED, ["out"])
+
+
 def _calls(node, name):
     """The calls of the function ``name``, by name or attribute, anywhere under ``node``."""
     return [call for call in ast.walk(node) if isinstance(call, ast.Call)
@@ -243,7 +271,7 @@ def test_a_batchs_messages_make_no_per_trial_numpy_draw():
                                   for node in ast.walk(method)
                                   if getattr(node, "attr", getattr(node, "id", None)) == name})
              for method in plan.body if isinstance(method, ast.FunctionDef)}
-    assert draws == {"__post_init__": ["random"], "key": [], "_generator": [],
+    assert draws == {"__post_init__": ["random"], "key": [], "_check_span": [], "_generator": [],
                      "normal_block": ["_generator", "standard_normal"],
                      "message": ["_generator", "integers"], "normals": [],
                      "first_words": [], "messages": []}

@@ -77,6 +77,30 @@ def test_reports_do_not_depend_on_the_worker_count(scheme, trials):
     _assert_no_child_left()
 
 
+#: A second split of each scheme, run beside the one of RUNS on the same trials
+SECOND_SPLITS = {"dpc": PowerSplit(1.0), "noisy": PowerSplit(1.0), "mac": PowerSplit(1.0, 0.6)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scheme", sorted(RUNS))
+def test_a_two_split_run_equals_its_single_split_runs(scheme, workers):
+    # a batch's last split writes its Y over the batch's eta (a noisy split
+    # over the raw eta, every split), so an earlier split that read eta after
+    # it, or a batch that kept the written eta, would change a report; two
+    # batches, the second of 3 trials, with the splits in either order
+    channel, split, block, _, _ = RUNS[scheme]
+    splits = [split, SECOND_SPLITS[scheme]]
+
+    def reports(splits):
+        return [output.json_text(report.as_dict()) for report in harness.run_experiment(
+            scheme, channel, splits, block, B + 3, harness.RandomPlan(9), workers=workers)]
+
+    alone = [text for split in splits for text in reports([split])]
+    assert reports(splits) == alone
+    assert reports(splits[::-1]) == alone[::-1]
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("argv", [MAC_ARGS + ["--trials", str(B + 3)], NOISY_SWEEP_ARGS],
                          ids=["simulate-mac", "sweep-noisy"])
 def test_cli_stdout_does_not_depend_on_the_worker_count(capfd, argv):
